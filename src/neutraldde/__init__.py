@@ -20,6 +20,7 @@ from .errors import (
 )
 from .history import (
     Segment,
+    SegmentStack,
     SolutionPath,
     extend,
     integral_norm_functional,

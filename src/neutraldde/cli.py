@@ -9,6 +9,12 @@ Exit codes form a contract for scripted studies:
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
+
+``study`` also exits 2, with a one-line message, when its fine reference
+cannot be trusted (``OracleUnavailable``) or a solve meets inadmissible
+initial data or a term argument outside its declared range
+(``DomainViolation``).  Non-finite term values met by the admission checks
+(``NumericalBlowup``) exit 2 in every command.
 """
 
 from __future__ import annotations
@@ -22,8 +28,15 @@ import numpy as np
 
 from .config import BuiltRun, build_run, parse_config
 from .continuation import Trajectory, continue_solution
-from .errors import DomainViolation, HypothesisViolation, InvalidInitialData, SchemaError
-from .history import segment_at
+from .errors import (
+    DomainViolation,
+    HypothesisViolation,
+    InvalidInitialData,
+    NumericalBlowup,
+    OracleUnavailable,
+    SchemaError,
+)
+from .history import SegmentStack, segment_at  # noqa: F401 -- perfbench traces cli.segment_at
 from .oracle import dense_reference_solve
 from .problem import estimate_lipschitz_mg, spatial_smallness_check
 from .scenarios import get_scenario, scenario_description, scenario_names
@@ -37,9 +50,13 @@ def _load_config_text(args) -> str:
 
 
 def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> int:
-    """Run the admission checks; returns 0 or the exit code 3."""
+    """Run the admission checks; returns 0, or the exit code 2 or 3."""
     prob = built.problem
-    estimate = estimate_lipschitz_mg(prob, n_samples=150, seed=seed)
+    try:
+        estimate = estimate_lipschitz_mg(prob, n_samples=150, seed=seed)
+    except NumericalBlowup as exc:
+        print(f"config error: {exc} on a sampled admissible history", file=sys.stderr)
+        return 2
     if verbose:
         print(f"contraction estimate: {estimate:.6g} (declared budget {prob.mg_bound:.6g})")
     if estimate >= 1.0:
@@ -77,16 +94,13 @@ def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
     if n_coeffs > n_modes:
         print(f"warning: n_coeffs clipped from {n_coeffs} to {n_modes}", file=sys.stderr)
         n_coeffs = n_modes
-    t0 = traj.path.t_start + prob.h
     lines = ["t,norm,functional," + ",".join(f"c{k + 1}" for k in range(n_coeffs))]
     times = traj.path.times()
-    norms = np.linalg.norm(traj.path.values, axis=1)
+    stack = SegmentStack(prob.h, traj.path.dt, traj.path.values)
+    functionals = np.full(times.size, math.nan)
+    functionals[stack.n_h :] = prob.domain_functionals(stack)
     for i, t in enumerate(times):
-        if t >= t0 - 1e-12:
-            functional = prob.domain_functional(segment_at(traj.path, float(t), prob.h))
-        else:
-            functional = math.nan
-        cells = [f"{t:.17g}", f"{norms[i]:.17g}", f"{functional:.17g}"]
+        cells = [f"{t:.17g}", f"{stack.norms[i]:.17g}", f"{functionals[i]:.17g}"]
         cells += [f"{traj.path.values[i, k]:.17g}" for k in range(n_coeffs)]
         lines.append(",".join(cells))
     lines.append(f"# event={traj.event.label()}")
@@ -212,28 +226,38 @@ def cmd_study(args) -> int:
     if code != 0:
         return code
 
-    reference = dense_reference_solve(
-        built_ref.problem, built_ref.initial_segment, 0.0, fine_dt, levels=3
-    )
+    try:
+        reference = dense_reference_solve(
+            built_ref.problem, built_ref.initial_segment, 0.0, fine_dt, levels=3
+        )
 
-    errors = []
-    for dt in dts:
-        try:
-            built = build_run(cfg, dt_override=dt)
-        except SchemaError as exc:
-            print(f"schema error at dt={dt}: {exc}", file=sys.stderr)
-            return 2
-        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
-        if traj.event.kind != "reached_horizon":
-            print(
-                f"study aborted: run at dt={dt} ended with {traj.event.label()}",
-                file=sys.stderr,
-            )
-            return 2
-        stride = int(round(dt / fine_dt))
-        ref_vals = reference.values[::stride]
-        diff = np.linalg.norm(traj.path.values - ref_vals, axis=1)
-        errors.append(float(diff.max()))
+        errors = []
+        for dt in dts:
+            try:
+                built = build_run(cfg, dt_override=dt)
+            except SchemaError as exc:
+                print(f"schema error at dt={dt}: {exc}", file=sys.stderr)
+                return 2
+            traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+            if traj.event.kind != "reached_horizon":
+                print(
+                    f"study aborted: run at dt={dt} ended with {traj.event.label()}",
+                    file=sys.stderr,
+                )
+                return 2
+            stride = int(round(dt / fine_dt))
+            ref_vals = reference.values[::stride]
+            diff = np.linalg.norm(traj.path.values - ref_vals, axis=1)
+            errors.append(float(diff.max()))
+    except OracleUnavailable as exc:
+        print(f"reference unavailable: {exc}", file=sys.stderr)
+        return 2
+    except InvalidInitialData as exc:
+        print(f"invalid initial data: {exc}", file=sys.stderr)
+        return 2
+    except DomainViolation as exc:
+        print(f"domain violation during solve: {exc}", file=sys.stderr)
+        return 2
 
     scale = max(1.0, float(np.linalg.norm(reference.values, axis=1).max()))
     print(f"{'dt':>12} {'sup_error':>14} {'order':>8}")

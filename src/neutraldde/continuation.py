@@ -1,17 +1,27 @@
 """Window-by-window continuation of the solution to its domain exit.
 
 The march repeats: suggest a window from the contraction budget, solve it,
-append the values, classify every new grid point against the admissible
+append the values, and classify every new grid point against the admissible
 domain.  The first non-interior point triggers bisection refinement of the
 crossing time and ends the run with a boundary event; reaching the horizon
-ends it there.  Membership is only sampled at grid resolution before the
-bisection sharpens it, so an excursion of a non-monotone functional that
-enters and leaves the boundary band strictly between grid points can be
-missed at coarse dt; refine dt when the domain functional is oscillatory.  A window that will not converge is retried with half the
-damping, then with repeatedly halved windows; only when the minimum window
-still fails does the run stop with a solver-failure event.  That terminus is
-deliberately distinct from a boundary hit: failure of the iteration is a
-numerical statement, not a statement about the domain.
+ends it there.
+
+The classification runs in two stages.  One batch pass evaluates the domain
+functional of every new point's history slice at once and flags the points
+that might not be interior, including those within a rounding margin of a
+band edge.  The scalar ``membership`` then decides the flagged points in
+order, and the same scalar classification drives the bisection, so the
+event is the one a point-by-point scan would find.  Membership is still only
+sampled at grid resolution before the bisection sharpens it: an excursion of
+a non-monotone functional that enters and leaves the boundary band strictly
+between grid points can be missed at coarse dt, so refine dt when the
+domain functional is oscillatory.
+
+A window that will not converge is retried with half the damping, then with
+repeatedly halved windows; only when the minimum window still fails does the
+run stop with a solver-failure event.  That terminus is deliberately
+distinct from a boundary hit: failure of the iteration is a numerical
+statement, not a statement about the domain.
 """
 
 from __future__ import annotations
@@ -21,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInitialData, NumericalBlowup
-from .history import SolutionPath, Segment, extend, segment_at, segment_on_grid
-from .problem import NeutralProblem
+from .history import SegmentStack, SolutionPath, Segment, extend, segment_at, segment_on_grid
+from .problem import Membership, NeutralProblem
 from .solver import SolverConfig, WindowResult, heuristic_window, solve_window
 
 #: Default bisection width for boundary-crossing refinement, in grid steps.
@@ -101,6 +111,25 @@ def _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol):
     return a, b
 
 
+def first_exit(prob: NeutralProblem, path: SolutionPath, t: float, m: int,
+               tol: float | None = None) -> tuple[float, Membership] | None:
+    """First of the grid times t + i*dt, i = 1..m, that is not interior.
+
+    One batch pass over the path's last n_h + m rows flags every slice that
+    might not be interior; ``membership`` on a ``segment_at`` segment then
+    decides the flagged ones in order.  Returns (time, membership) or None.
+    """
+    n_h = int(round(prob.h / path.dt))
+    stack = SegmentStack(prob.h, path.dt, path.values[-(n_h + m):])
+    times = t + path.dt * np.arange(1, m + 1)
+    for i in np.flatnonzero(prob.exit_candidates(times, stack, tol)).tolist():
+        t_i = t + (i + 1) * path.dt
+        mem = prob.membership(t_i, segment_at(path, t_i, prob.h), tol)
+        if not mem.is_inside:
+            return t_i, mem
+    return None
+
+
 def _attempt_window(prob, init_seg, t0, cfg, m_cells, remaining_cells):
     """Solve one window, shrinking on failure.  Returns (result or None, failure detail)."""
     min_cells = max(1, int(round(cfg.effective_min_window() / cfg.dt)))
@@ -176,30 +205,22 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         new_path = extend(traj.path, result.values, tol=1e-9 * running_sup)
         m_done = result.values.shape[0] - 1
 
-        event = None
-        scan = range(1, m_done + 1)
-        if prob.domain.kind == "time_only":
-            # no state constraint: only the horizon (handled by the outer
-            # loop) can end the run, so skip the per-point classification
-            scan = ()
-        for i in scan:
-            t_i = t + i * cfg.dt
-            seg_i = segment_at(new_path, t_i, prob.h)
-            mem = prob.membership(t_i, seg_i, cfg.boundary_tol)
-            if mem.is_inside:
-                continue
+        exit_point = None
+        if prob.domain.kind != "time_only":
+            # no state constraint leaves only the horizon, which the outer
+            # loop handles
+            exit_point = first_exit(prob, new_path, t, m_done, cfg.boundary_tol)
+        if exit_point is not None:
+            t_i, mem = exit_point
             if mem.kind == "horizon":
-                event = TerminationEvent("reached_horizon", prob.T)
+                traj.event = TerminationEvent("reached_horizon", prob.T)
             else:
                 a, b = _refine_bracket(prob, new_path, t_i - cfg.dt, t_i,
                                        refine_tol, cfg.boundary_tol)
-                event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
+                traj.event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
             # keep the path through the first non-interior grid point
             keep = new_path.index_of(t_i) + 1
             traj.path = SolutionPath(new_path.t_start, cfg.dt, new_path.values[:keep])
-            break
-        if event is not None:
-            traj.event = event
             break
         traj.path = new_path
 

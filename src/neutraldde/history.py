@@ -9,6 +9,8 @@ off-grid times use linear interpolation without drift.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import StitchingError
@@ -156,6 +158,149 @@ def max_norm_functional(seg: Segment, lo: float, hi: float) -> float:
     if np.any(inside):
         best = max(best, float(seg.node_norms()[inside].max()))
     return best
+
+
+class _RangeMax:
+    """Sparse table over ``x``: the max of x[a..b] for whole arrays of inclusive bounds.
+
+    Level k holds the maxima of the runs of length 2^k; a query of length n
+    takes the larger of two overlapping runs of length 2^floor(log2 n).
+    """
+
+    def __init__(self, x: np.ndarray, longest: int):
+        self.levels = [x]
+        span = 1
+        while 2 * span <= longest:
+            prev = self.levels[-1]
+            self.levels.append(np.maximum(prev[:-span], prev[span:]))
+            span *= 2
+
+    def query(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # frexp(n) = (m, e) with n = m * 2^e and 0.5 <= m < 1: floor(log2 n) = e - 1
+        k = np.frexp((b - a + 1).astype(float))[1] - 1
+        out = np.empty(a.shape)
+        for level in np.unique(k):
+            sel = k == level
+            row = self.levels[level]
+            out[sel] = np.maximum(row[a[sel]], row[b[sel] - (1 << int(level)) + 1])
+        return out
+
+
+class SegmentStack:
+    """The history slices of consecutive grid times as windows of one array.
+
+    Row j of ``values`` is u(t_first - h + j*dt), so slice i -- the segment
+    at t_first + i*dt -- is rows i..i+n_h on the theta grid -h + dt*arange.
+    The batch functionals evaluate every slice at once and agree with the
+    scalar ones applied to slice i: node norms are taken once, the delay
+    mass comes from blockwise sums of trapezoid cells (equal up to summation
+    order), and window maxima come from exactly interpolated endpoints plus
+    a sparse-table range maximum over the interior nodes.
+    """
+
+    def __init__(self, h: float, dt: float, values):
+        values = np.asarray(values, dtype=float)
+        self.h = float(h)
+        self.dt = float(dt)
+        self.n_h = int(round(self.h / self.dt))
+        if self.n_h < 1:
+            raise ValueError(f"delay span {h} is shorter than one grid step {dt}")
+        if values.ndim != 2 or values.shape[0] < self.n_h + 1:
+            raise ValueError(f"need a (>= {self.n_h + 1}, n_modes) array of history rows")
+        self.values = values
+        self.n_windows = values.shape[0] - self.n_h
+        self.thetas = -self.h + self.dt * np.arange(self.n_h + 1)
+        self.norms = np.linalg.norm(values, axis=1)
+
+    @cached_property
+    def _max_table(self) -> _RangeMax:
+        return _RangeMax(self.norms, self.n_h + 1)
+
+    @cached_property
+    def _min_table(self) -> _RangeMax:
+        return _RangeMax(-self.norms, self.n_h + 1)
+
+    def oldest(self) -> np.ndarray:
+        """Each slice's value at theta = -h."""
+        return self.values[: self.n_windows]
+
+    def current_norms(self) -> np.ndarray:
+        """Each slice's norm at theta = 0."""
+        return self.norms[self.n_h :]
+
+    def integral_norms(self) -> np.ndarray:
+        """``integral_norm_functional`` of every slice.
+
+        The trapezoid cells are summed within blocks of n_h cells, so slice
+        i = b*n_h + r is the sum of block b from cell r on plus the first r
+        cells of block b+1.  No difference of long running sums is taken, and
+        each slice's rounding stays relative to the mass near it.
+        """
+        n_h = self.n_h
+        cells = 0.5 * self.dt * (self.norms[:-1] + self.norms[1:])
+        n_blocks = cells.size // n_h + 2
+        blocks = np.zeros(n_blocks * n_h)
+        blocks[: cells.size] = cells
+        blocks = blocks.reshape(n_blocks, n_h)
+        suffix = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
+        prefix = np.zeros((n_blocks, n_h))
+        np.cumsum(blocks[:, :-1], axis=1, out=prefix[:, 1:])
+        b, r = np.divmod(np.arange(self.n_windows), n_h)
+        return suffix[b, r] + prefix[b + 1, r]
+
+    def integral_error_bound(self) -> float:
+        """Bound on |integral_norms()[i] - integral_norm_functional(slice i)|.
+
+        Both are rounded sums of at most n rows' cells, so 8 n eps times the
+        stack's total delay mass covers the rounding of either.
+        """
+        return 8.0 * np.finfo(float).eps * self.values.shape[0] * self.dt * self.norms.sum()
+
+    def sup_norms(self) -> np.ndarray:
+        """``sup_norm`` of every slice."""
+        first = np.arange(self.n_windows)
+        return self._max_table.query(first, first + self.n_h)
+
+    def min_norms(self) -> np.ndarray:
+        """The smallest node norm of every slice."""
+        first = np.arange(self.n_windows)
+        return -self._min_table.query(first, first + self.n_h)
+
+    def max_norms(self, lo, hi) -> np.ndarray:
+        """``max_norm_functional`` of slice i over [lo[i], hi[i]], for every i."""
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n_windows,))
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n_windows,))
+        eps = _GRID_EPS * max(1.0, self.h)
+        if np.any(lo > hi):
+            raise ValueError("every window must satisfy lo <= hi")
+        if np.any(lo < -self.h - eps) or np.any(hi > eps):
+            raise ValueError(f"a window leaves [-{self.h}, 0]")
+        lo = np.maximum(lo, -self.h)
+        hi = np.minimum(hi, 0.0)
+        best = np.maximum(self._interpolated_norms(lo), self._interpolated_norms(hi))
+        # interior nodes: thetas[a..b] are the ones strictly inside (lo, hi)
+        a = np.searchsorted(self.thetas, lo, side="right")
+        b = np.searchsorted(self.thetas, hi, side="left") - 1
+        some = np.flatnonzero(a <= b)
+        if some.size:
+            inner = self._max_table.query(some + a[some], some + b[some])
+            best[some] = np.maximum(best[some], inner)
+        return best
+
+    def _interpolated_norms(self, theta: np.ndarray) -> np.ndarray:
+        # Segment.value_at for slice i at theta[i], node snapping included
+        th = self.thetas
+        theta = np.minimum(np.maximum(theta, th[0]), th[-1])
+        j = np.searchsorted(th, theta, side="right") - 1
+        j = np.minimum(np.maximum(j, 0), th.size - 2)
+        w = (theta - th[j]) / (th[j + 1] - th[j])
+        rows = np.arange(self.n_windows) + j
+        left = self.values[rows]
+        right = self.values[rows + 1]
+        mixed = (1.0 - w)[:, None] * left + w[:, None] * right
+        mixed = np.where((w >= 1.0 - _GRID_EPS)[:, None], right, mixed)
+        mixed = np.where((w <= _GRID_EPS)[:, None], left, mixed)
+        return np.linalg.norm(mixed, axis=1)
 
 
 def segment_at(path: SolutionPath, t: float, h: float, n_theta: int | None = None) -> Segment:

@@ -13,6 +13,12 @@ envelope metadata are available analytically and the configuration stays
 declarative.  The admissible domain tracks either the delay mass
 (integral of the history norm) or the pointwise norm band, with the final
 time as an additional boundary component.
+
+Every family evaluates one segment (``evaluate``) or all the slices of a
+``SegmentStack`` at once (``evaluate_window``); the scalar path is the
+reference the batch path is tested against.  The same holds for the domain:
+``domain_functional``/``membership`` on one segment, ``domain_functionals``/
+``exit_candidates`` on a stack.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, HypothesisViolation, InsufficientSamples, NumericalBlowup
-from .history import Segment, integral_norm_functional, max_norm_functional, sup_norm
+from .history import (
+    Segment,
+    SegmentStack,
+    integral_norm_functional,
+    max_norm_functional,
+    sup_norm,
+)
 from .spectral import DirichletSineBasis, SpectralOperator
 
 DEFAULT_GRID_FACTOR = 4
@@ -103,13 +115,17 @@ class TimeFn:
         if self.kind == "exp" and len(self.params) != 2:
             raise ValueError("exp time function needs (amplitude, rate)")
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """Value at a time (a float) or at every entry of an array of times."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "const":
-            return float(self.params[0])
-        if self.kind == "poly":
-            return float(np.polynomial.polynomial.polyval(t, np.asarray(self.params, dtype=float)))
-        amp, rate = self.params
-        return float(amp * math.exp(rate * t))
+            out = np.full(t.shape, float(self.params[0]))
+        elif self.kind == "poly":
+            out = np.polynomial.polynomial.polyval(t, np.asarray(self.params, dtype=float))
+        else:
+            amp, rate = self.params
+            out = amp * np.exp(rate * t)
+        return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +154,17 @@ class WindowFns:
             raise ValueError(f"window [{lo}, {hi}] at t={t} leaves [-{h}, 0]")
         return max(lo, -h), min(hi, 0.0)
 
+    def windows_at(self, times: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """``window_at`` for every entry of an array of times."""
+        lo = self.beta0 + self.beta1 * times - times
+        hi = self.alpha0 + self.alpha1 * times - times
+        eps = 1e-9 * max(1.0, h)
+        bad = (lo > hi + eps) | (lo < -h - eps) | (hi > eps)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"window [{lo[i]}, {hi[i]}] at t={times[i]} leaves [-{h}, 0]")
+        return np.maximum(lo, -h), np.minimum(hi, 0.0)
+
     def validate(self, h: float, T: float) -> None:
         # All constraints are affine in t, so the endpoints decide.
         for t in (0.0, T):
@@ -165,6 +192,9 @@ class ZeroTerm:
 
     def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
         return np.zeros(ctx.op.n_modes)
+
+    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
+        return np.zeros((stack.n_windows, ctx.op.n_modes))
 
     def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
         return 0.0
@@ -205,24 +235,38 @@ class FunctionalAffineTerm:
             else:
                 lo, hi = self.window.window_at(t, seg.h)
             y = max_norm_functional(seg, lo, hi)
-        if self.y_max is not None:
-            slack = 1e-12 * max(1.0, self.y_max)
-            if y > self.y_max + slack:
-                raise DomainViolation(
-                    f"functional value {y:.6g} outside the declared argument range "
-                    f"[0, {self.y_max:.6g}]"
-                )
+        self._check_argument(y)
         return y
 
+    def functional_values(self, times, stack: SegmentStack) -> np.ndarray:
+        """``functional_value`` of every slice of the stack at its time."""
+        if self.functional == "integral":
+            y = stack.integral_norms()
+        else:
+            if self.window is None:
+                lo, hi = -stack.h, 0.0
+            else:
+                lo, hi = self.window.windows_at(np.asarray(times, dtype=float), stack.h)
+            y = stack.max_norms(lo, hi)
+        self._check_argument(y)
+        return y
+
+    def _check_argument(self, y) -> None:
+        # y is one functional value or an array of them; the first overrun is reported
+        if self.y_max is not None:
+            over = np.asarray(y) > self.y_max + 1e-12 * max(1.0, self.y_max)
+            if np.any(over):
+                raise DomainViolation(
+                    f"functional value {np.ravel(y)[np.argmax(over)]:.6g} outside the "
+                    f"declared argument range [0, {self.y_max:.6g}]"
+                )
+
     def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
-        y = self.functional_value(t, seg)
-        scale = self.c0 + self.c1 * y
-        if ctx.grid is not None:
-            # Realize the value on the spatial grid, then project back: the
-            # declared pipeline for spatially realized problems.
-            samples = scale * ctx.grid.synthesize(self.profile)
-            return ctx.grid.project(samples)
-        return scale * self.profile
+        return (self.c0 + self.c1 * self.functional_value(t, seg)) * self.profile
+
+    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
+        scale = self.c0 + self.c1 * self.functional_values(times, stack)
+        return scale[:, None] * self.profile[None, :]
 
     def functional_sup_lipschitz(self, h: float) -> float:
         # |y(seg1) - y(seg2)| <= LipF * sup-norm distance of the segments
@@ -278,6 +322,12 @@ class TimeForcingTerm:
             raise ValueError("one time function per mode required")
         return np.array([fn(t) for fn in self.mode_fns])
 
+    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
+        if len(self.mode_fns) != ctx.op.n_modes:
+            raise ValueError("one time function per mode required")
+        times = np.asarray(times, dtype=float)
+        return np.column_stack([fn(times) for fn in self.mode_fns])
+
     def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
         return 0.0
 
@@ -296,6 +346,9 @@ class PointDelayTerm:
     def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
         # the theta grid starts exactly at -h, so the oldest value is row 0
         return self.kappa * seg.values[0]
+
+    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
+        return self.kappa * stack.oldest()
 
     def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
         return abs(self.kappa) * float(np.max(ctx.op.mu**alpha))
@@ -350,10 +403,9 @@ class Membership:
 
 @dataclass
 class EvalContext:
-    """What a nonlinearity family needs to evaluate: operator, grid, bounds."""
+    """What a nonlinearity family needs to evaluate: operator and bounds."""
 
     op: SpectralOperator
-    grid: SineGrid | None
     h: float
     default_y_cap: float
 
@@ -366,8 +418,7 @@ class NeutralProblem:
     """
 
     def __init__(self, op: SpectralOperator, h: float, T: float, alpha: float,
-                 g, f, domain: DomainSpec, mg_bound: float,
-                 n_spatial: int | None = None):
+                 g, f, domain: DomainSpec, mg_bound: float):
         if h <= 0.0 or T <= 0.0:
             raise ValueError(f"delay span and horizon must be positive, got h={h}, T={T}")
         if not 0.0 < alpha <= 1.0:
@@ -387,30 +438,33 @@ class NeutralProblem:
         self.f = f
         self.domain = domain
         self.mg_bound = float(mg_bound)
-        grid = None
-        if isinstance(op.basis, DirichletSineBasis):
-            grid = SineGrid(op.basis, op.n_modes, n_spatial)
         default_cap = domain.l if domain.l is not None else 1.0
-        self._ctx = EvalContext(op=op, grid=grid, h=self.h, default_y_cap=default_cap)
+        self._ctx = EvalContext(op=op, h=self.h, default_y_cap=default_cap)
         if isinstance(g, FunctionalAffineTerm) and g.window is not None:
             g.window.validate(self.h, self.T)
         if isinstance(f, FunctionalAffineTerm) and f.window is not None:
             f.window.validate(self.h, self.T)
 
-    @property
-    def grid(self) -> SineGrid | None:
-        return self._ctx.grid
-
     def eval_g(self, t: float, seg: Segment) -> np.ndarray:
-        out = self.g.evaluate(self._ctx, t, seg)
-        if not np.all(np.isfinite(out)):
-            raise NumericalBlowup("neutral term produced non-finite coefficients")
-        return out
+        return self._finite("neutral term", self.g.evaluate, t, seg)
 
     def eval_f(self, t: float, seg: Segment) -> np.ndarray:
-        out = self.f.evaluate(self._ctx, t, seg)
+        return self._finite("forcing term", self.f.evaluate, t, seg)
+
+    def eval_g_window(self, times, stack: SegmentStack) -> np.ndarray:
+        """``eval_g`` of every slice of the stack at its time: (n_windows, n_modes)."""
+        return self._finite("neutral term", self.g.evaluate_window, times, stack)
+
+    def eval_f_window(self, times, stack: SegmentStack) -> np.ndarray:
+        """``eval_f`` of every slice of the stack at its time: (n_windows, n_modes)."""
+        return self._finite("forcing term", self.f.evaluate_window, times, stack)
+
+    def _finite(self, what: str, evaluate, *args) -> np.ndarray:
+        # overflow is reported as NumericalBlowup, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = evaluate(self._ctx, *args)
         if not np.all(np.isfinite(out)):
-            raise NumericalBlowup("forcing term produced non-finite coefficients")
+            raise NumericalBlowup(f"{what} produced non-finite coefficients")
         return out
 
     def g_alpha_lipschitz(self) -> float:
@@ -431,6 +485,35 @@ class NeutralProblem:
         if self.domain.kind == "sup_band":
             return sup_norm(seg)
         return float(np.linalg.norm(seg.values[-1]))
+
+    def domain_functionals(self, stack: SegmentStack) -> np.ndarray:
+        """``domain_functional`` of every slice of the stack."""
+        if self.domain.kind == "delay_mass":
+            return stack.integral_norms()
+        if self.domain.kind == "sup_band":
+            return stack.sup_norms()
+        return stack.current_norms()
+
+    def exit_candidates(self, times, stack: SegmentStack, tol: float | None = None) -> np.ndarray:
+        """Mask of the slices that ``membership`` might not classify as inside.
+
+        The batch functionals differ from the scalar ones by summation order,
+        so slices within a rounding margin of a band edge are flagged too: an
+        unflagged slice is certainly interior, and ``membership`` decides
+        the flagged ones.
+        """
+        if tol is None:
+            tol = self.domain.default_tol()
+        flags = self.T - np.asarray(times, dtype=float) <= TIME_TOL
+        if self.domain.kind == "time_only":
+            return flags
+        if self.domain.kind == "delay_mass":
+            top = bottom = stack.integral_norms()
+        else:
+            top, bottom = stack.sup_norms(), stack.min_norms()
+        margin = stack.integral_error_bound()
+        l = self.domain.l
+        return flags | (top >= l - tol - margin) | (bottom <= tol + margin)
 
     def membership(self, t: float, seg: Segment, tol: float | None = None) -> Membership:
         """Classify (t, seg) as inside, on the boundary of, or outside the domain.

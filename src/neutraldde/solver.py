@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalBlowup
-from .history import Segment, segment_on_grid
+from .history import Segment, SegmentStack, segment_on_grid
 from .problem import NeutralProblem
 from .spectral import SpectralOperator
 
@@ -219,19 +219,13 @@ def evaluate_window_operator(prob: NeutralProblem, candidate, init_seg: Segment,
     candidate = np.asarray(candidate, dtype=float)
     hist = segment_on_grid(init_seg, dt)
     m = candidate.shape[0] - 1
-    n_h = hist.shape[0] - 1
-    combined = np.vstack([hist[:-1], candidate])
-    thetas = -prob.h + dt * np.arange(n_h + 1)
-
-    g_vals = np.empty_like(candidate)
-    f_vals = np.empty_like(candidate)
-    for i in range(m + 1):
-        seg = Segment._trusted(prob.h, thetas, combined[i : i + n_h + 1])
-        t = t0 + i * dt
-        g_vals[i] = prob.eval_g(t, seg)
-        f_vals[i] = prob.eval_f(t, seg)
+    # slice i of the stack is the history the delay terms see at t0 + i*dt
+    stack = SegmentStack(prob.h, dt, np.vstack([hist[:-1], candidate]))
+    times = t0 + dt * np.arange(m + 1)
+    g_vals = prob.eval_g_window(times, stack)
+    f_vals = prob.eval_f_window(times, stack)
     # the transported neutral offset is taken on the initial history itself
-    g_init = prob.eval_g(t0, Segment._trusted(prob.h, thetas, hist))
+    g_init = prob.eval_g(t0, Segment._trusted(prob.h, stack.thetas, hist))
 
     phi0 = hist[-1]
     s_times = dt * np.arange(m + 1)
@@ -333,9 +327,7 @@ def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: floa
     values = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
     hist = segment_on_grid(init_seg, dt)
-    n_h = hist.shape[0] - 1
-    m = values.shape[0] - 1
-    thetas = -prob.h + dt * np.arange(n_h + 1)
+    times = t0 + dt * np.arange(values.shape[0])
     scale = 0.01 * (1.0 + float(np.linalg.norm(values, axis=1).max()))
     best = 0.0
     for _ in range(n_pairs):
@@ -348,14 +340,8 @@ def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: floa
         denom = float(np.linalg.norm(y1 - y2, axis=1).max())
         if denom < 1e-14:
             continue
-        c1 = np.vstack([hist[:-1], y1])
-        c2 = np.vstack([hist[:-1], y2])
-        num = 0.0
-        for i in range(m + 1):
-            t = t0 + i * dt
-            s1 = Segment._trusted(prob.h, thetas, c1[i : i + n_h + 1])
-            s2 = Segment._trusted(prob.h, thetas, c2[i : i + n_h + 1])
-            diff = prob.eval_g(t, s1) - prob.eval_g(t, s2)
-            num = max(num, float(np.linalg.norm(diff)))
+        g1 = prob.eval_g_window(times, SegmentStack(prob.h, dt, np.vstack([hist[:-1], y1])))
+        g2 = prob.eval_g_window(times, SegmentStack(prob.h, dt, np.vstack([hist[:-1], y2])))
+        num = float(np.linalg.norm(g1 - g2, axis=1).max())
         best = max(best, num / denom)
     return best

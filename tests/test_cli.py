@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from neutraldde.cli import main
+from neutraldde.cli import export_csv, main
 from neutraldde.config import build_run, parse_config
+from neutraldde.continuation import TerminationEvent, Trajectory
 from neutraldde.errors import SchemaError
+from neutraldde.history import SolutionPath, integral_norm_functional, segment_at
 from neutraldde.scenarios import get_scenario, scenario_names
 
 SMALL_RUN = """\
@@ -207,6 +209,22 @@ class TestCsvFormat:
             assert main(["run", "--scenario", "heat_decay", "--out", str(out)]) == 0
         assert (a / "heat_decay.csv").read_bytes() == (b / "heat_decay.csv").read_bytes()
 
+    def test_functional_column_keeps_relative_precision_on_long_decay(self, tmp_path):
+        # delay mass falling from 0.2 to 1e-18 over 40000 rows: each row's
+        # value must stay accurate relative to its own mass, not the path's
+        prob = build_run(parse_config(SMALL_RUN)).problem
+        dt = 0.001
+        times = -prob.h + dt * np.arange(40001)
+        path = SolutionPath(-prob.h, dt, np.exp(-times)[:, None])
+        traj = Trajectory(path, event=TerminationEvent("reached_horizon", path.t_end), tau=path.t_end)
+        out = tmp_path / "decay.csv"
+        export_csv(traj, prob, out, n_coeffs=1)
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:-2]]
+        n_h = round(prob.h / dt)
+        for i in list(range(n_h, len(rows), 997)) + [len(rows) - 1]:
+            want = integral_norm_functional(segment_at(path, times[i], prob.h))
+            assert float(rows[i][2]) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestCheckCommand:
     def test_passing_config(self, capsys):
@@ -223,6 +241,14 @@ class TestCheckCommand:
         cfg.write_text(text)
         assert main(["check", "--config", str(cfg)]) == 3
 
+    def test_non_finite_term_exits_2(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("g_family = zero", "g_family = affine\ng_c0 = 1e300\n"
+                                 "g_profile = modes:1e10")
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestStudyCommand:
     def test_requires_three_dts(self):
@@ -233,6 +259,42 @@ class TestStudyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "floor" in out
+
+    # each way a study can stop short of its table exits 2 with a one-line message
+
+    def _study(self, tmp_path, capsys, text, dts="0.04,0.02,0.01"):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(text)
+        code = main(["study", "--config", str(cfg), "--dts", dts])
+        return code, capsys.readouterr().err.strip()
+
+    def test_reference_ending_at_the_boundary_exits_2(self, tmp_path, capsys):
+        # mass_growth leaves its domain, so the fine reference never reaches T
+        code, err = self._study(tmp_path, capsys, get_scenario("mass_growth"))
+        assert code == 2
+        assert err.startswith("reference unavailable:") and "\n" not in err
+
+    def test_initial_data_outside_exits_2(self, tmp_path, capsys):
+        text = get_scenario("mass_growth").replace("coeffs = 0.1", "coeffs = 5.0")
+        code, err = self._study(tmp_path, capsys, text)
+        assert code == 2
+        assert err.startswith("invalid initial data:") and "\n" not in err
+
+    def test_argument_range_overrun_exits_2(self, tmp_path, capsys):
+        text = get_scenario("mass_growth").replace("f_y_max = 1e9", "f_y_max = 1.6")
+        code, err = self._study(tmp_path, capsys, text)
+        assert code == 2
+        assert err.startswith("domain violation during solve:") and "\n" not in err
+
+    def test_non_finite_term_exits_2(self, tmp_path, capsys):
+        # finite coefficients whose product overflows: the admission samples
+        # meet the non-finite values first
+        text = (SMALL_RUN.replace("domain = delay_mass\nl = 10.0", "domain = time_only")
+                .replace("g_family = zero", "g_family = affine\ng_c0 = 1e300\n"
+                         "g_profile = modes:1e10"))
+        code, err = self._study(tmp_path, capsys, text, dts="0.1,0.05,0.025")
+        assert code == 2
+        assert err.startswith("config error:") and "non-finite" in err and "\n" not in err
 
     def test_manufactured_study_shows_second_order(self, capsys):
         code = main(["study", "--scenario", "manufactured_decay",

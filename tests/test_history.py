@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from neutraldde import (
     Segment,
+    SegmentStack,
     SolutionPath,
     StitchingError,
     extend,
@@ -17,6 +18,11 @@ from neutraldde import (
 
 def scalar_path(t_start, dt, samples):
     return SolutionPath(t_start, dt, np.asarray(samples, dtype=float)[:, None])
+
+
+def slice_segment(stack, i):
+    """The scalar reference segment for slice i of a SegmentStack."""
+    return Segment._trusted(stack.h, stack.thetas, stack.values[i : i + stack.n_h + 1])
 
 
 def scalar_segment(h, thetas, samples):
@@ -197,3 +203,78 @@ def test_path_invariants_enforced():
         SolutionPath(0.0, 0.1, np.zeros((1, 2)))
     with pytest.raises(ValueError):
         SolutionPath(0.0, -0.1, np.zeros((3, 2)))
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def segment_stacks(draw, max_modes=3):
+    """A random stack: n_h theta cells, several slices, a few modes, some zero rows."""
+    n_h = draw(st.integers(min_value=1, max_value=12))
+    n_windows = draw(st.integers(min_value=1, max_value=10))
+    n_modes = draw(st.integers(min_value=1, max_value=max_modes))
+    dt = draw(st.sampled_from([0.001, 0.01, 0.03, 0.1, 0.25]))
+    rows = n_h + n_windows
+    values = np.array(draw(st.lists(
+        st.floats(-3.0, 3.0), min_size=rows * n_modes, max_size=rows * n_modes,
+    ))).reshape(rows, n_modes)
+    zeros = draw(st.lists(st.integers(0, rows - 1), max_size=3))
+    values[zeros] = 0.0
+    return SegmentStack(n_h * dt, dt, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(segment_stacks())
+def test_stack_integral_and_extremes_match_scalar(stack):
+    integrals = stack.integral_norms()
+    sups = stack.sup_norms()
+    mins = stack.min_norms()
+    assert integrals.shape == sups.shape == mins.shape == (stack.n_windows,)
+    tol = stack.integral_error_bound()
+    for i in range(stack.n_windows):
+        seg = slice_segment(stack, i)
+        assert abs(integrals[i] - integral_norm_functional(seg)) <= tol
+        assert sups[i] == sup_norm(seg)
+        assert mins[i] == seg.node_norms().min()
+
+
+@settings(max_examples=80, deadline=None)
+@given(stack=segment_stacks(), data=st.data())
+def test_stack_window_max_matches_scalar(stack, data):
+    # window edges anywhere in [-h, 0], on theta nodes (where interpolation
+    # snaps to the node value) and at the ends
+    node = st.integers(0, stack.n_h).map(lambda j: float(stack.thetas[j]))
+    edge = st.one_of(st.floats(-stack.h, 0.0), node, st.just(-stack.h), st.just(0.0))
+    lo, hi = [], []
+    for _ in range(stack.n_windows):
+        a, b = sorted((data.draw(edge), data.draw(edge)))
+        lo.append(a)
+        hi.append(b)
+    got = stack.max_norms(np.array(lo), np.array(hi))
+    for i in range(stack.n_windows):
+        want = max_norm_functional(slice_segment(stack, i), lo[i], hi[i])
+        # endpoint norms may sum the modes in another order
+        assert got[i] == pytest.approx(want, rel=4 * EPS, abs=0.0)
+
+
+def test_stack_slices_are_overlapping_rows():
+    values = np.arange(12.0).reshape(6, 2)
+    stack = SegmentStack(0.3, 0.1, values)
+    assert stack.n_h == 3 and stack.n_windows == 3
+    seg = scalar_segment(0.3, stack.thetas, np.linalg.norm(values[2:6], axis=1))
+    assert stack.integral_norms()[2] == pytest.approx(integral_norm_functional(seg), rel=1e-15)
+    np.testing.assert_array_equal(stack.oldest(), values[:3])
+    np.testing.assert_array_equal(stack.current_norms(), np.linalg.norm(values[3:], axis=1))
+
+
+def test_stack_rejects_short_arrays_and_bad_windows():
+    with pytest.raises(ValueError):
+        SegmentStack(1.0, 0.25, np.zeros((4, 1)))  # needs n_h + 1 = 5 rows
+    with pytest.raises(ValueError):
+        SegmentStack(0.1, 0.25, np.zeros((4, 1)))  # delay shorter than a step
+    stack = SegmentStack(1.0, 0.25, np.ones((6, 1)))
+    with pytest.raises(ValueError):
+        stack.max_norms(-0.2, -0.5)
+    with pytest.raises(ValueError):
+        stack.max_norms(-2.0, 0.0)

@@ -1,7 +1,10 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutraldde import (
     DomainSpec,
@@ -9,21 +12,34 @@ from neutraldde import (
     FunctionalAffineTerm,
     HypothesisViolation,
     NeutralProblem,
+    NumericalBlowup,
     PointDelayTerm,
     Segment,
+    SegmentStack,
+    SolutionPath,
     SpectralOperator,
     TimeFn,
     TimeForcingTerm,
+    WindowFns,
     ZeroTerm,
     check_neutral_smallness,
     current_value_window,
     estimate_lipschitz_mg,
     full_history_window,
+    integral_norm_functional,
     make_dirichlet_laplacian,
     project_spatial,
+    segment_at,
     sine_profile_coeffs,
+    sup_norm,
 )
+from neutraldde.continuation import first_exit
 from neutraldde.problem import SineGrid
+
+
+def slice_segment(stack, i):
+    """The scalar reference segment for slice i of a SegmentStack."""
+    return Segment._trusted(stack.h, stack.thetas, stack.values[i : i + stack.n_h + 1])
 
 
 def constant_segment(h, vec, n_theta=8):
@@ -172,6 +188,9 @@ class TestMaxWindowFunctional:
             from neutraldde import WindowFns
 
             WindowFns(beta0=-2.0, beta1=1.0, alpha0=0.0, alpha1=1.0).validate(1.0, 2.0)
+        with pytest.raises(ValueError):
+            WindowFns(beta0=-2.0, beta1=1.0, alpha0=0.0, alpha1=1.0).windows_at(
+                np.array([0.0, 0.5]), 1.0)
 
 
 class TestMembership:
@@ -314,3 +333,159 @@ class TestContinuityInHistory:
             out = np.linalg.norm(prob.eval_g(0.5, s1) - prob.eval_g(0.5, s2))
             gap = float(np.linalg.norm(delta, axis=1).max())
             assert out <= lip * gap + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batch (whole-window) evaluation against the scalar reference
+
+EPS = np.finfo(float).eps
+#: beta(t) = -0.9 + 1.3 t, alpha(t) = -0.1 + 0.7 t: on t in [0, 1] the window
+#: [-0.9 + 0.3 t, -0.1 - 0.3 t] moves and shrinks inside [-1, 0]
+MOVING_WINDOW = WindowFns(beta0=-0.9, beta1=1.3, alpha0=-0.1, alpha1=0.7)
+
+
+def family_cases(n_modes):
+    profile = np.linspace(1.0, 0.2, n_modes)
+    fns = [TimeFn("exp", (0.5, -0.3)), TimeFn("poly", (1.0, -2.0, 3.0)), TimeFn("const", (0.2,))]
+    return {
+        "zero": ZeroTerm(),
+        "integral": FunctionalAffineTerm(0.3, 0.7, profile, "integral"),
+        "max_whole_segment": FunctionalAffineTerm(0.1, -0.4, profile, "max"),
+        "max_full": FunctionalAffineTerm(0.1, 0.5, profile, "max", window=full_history_window(1.0)),
+        "max_current": FunctionalAffineTerm(0.0, 1.0, profile, "max", window=current_value_window()),
+        "max_moving": FunctionalAffineTerm(0.2, 0.6, profile, "max", window=MOVING_WINDOW),
+        "time_forcing": TimeForcingTerm([fns[k % 3] for k in range(n_modes)]),
+        "point_delay": PointDelayTerm(0.25),
+    }
+
+
+@st.composite
+def unit_delay_stacks(draw):
+    """Stack with h = 1 and window times inside [0, T = 1]."""
+    n_h = draw(st.sampled_from([2, 4, 5, 8, 10, 16]))
+    dt = 1.0 / n_h
+    n_windows = draw(st.integers(min_value=1, max_value=n_h))
+    n_modes = draw(st.integers(min_value=1, max_value=3))
+    rows = n_h + n_windows
+    values = np.array(draw(st.lists(
+        st.floats(-2.0, 2.0), min_size=rows * n_modes, max_size=rows * n_modes,
+    ))).reshape(rows, n_modes)
+    t0 = draw(st.floats(0.0, 1.0 - (n_windows - 1) * dt))
+    return t0 + dt * np.arange(n_windows), SegmentStack(1.0, dt, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_delay_stacks())
+def test_batch_terms_match_scalar_evaluation(case):
+    times, stack = case
+    op = SpectralOperator(np.arange(1.0, stack.values.shape[1] + 1.0))
+    for name, term in family_cases(op.n_modes).items():
+        prob = simple_problem(op, term, term, T=1.0)
+        for batch, scalar in ((prob.eval_g_window, prob.eval_g), (prob.eval_f_window, prob.eval_f)):
+            got = batch(times, stack)
+            assert got.shape == (stack.n_windows, op.n_modes), name
+            want = np.array([scalar(float(t), slice_segment(stack, i)) for i, t in enumerate(times)])
+            np.testing.assert_allclose(got, want, rtol=8 * EPS,
+                                       atol=stack.integral_error_bound(), err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_delay_stacks())
+def test_batch_domain_functionals_match_scalar(case):
+    _, stack = case
+    op = SpectralOperator(np.ones(stack.values.shape[1]))
+    for kind, l in (("delay_mass", 1.0), ("sup_band", 1.0), ("time_only", None)):
+        prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec(kind, l))
+        got = prob.domain_functionals(stack)
+        want = [prob.domain_functional(slice_segment(stack, i)) for i in range(stack.n_windows)]
+        np.testing.assert_allclose(got, want, rtol=4 * EPS,
+                                   atol=stack.integral_error_bound(), err_msg=kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=unit_delay_stacks(), data=st.data())
+def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
+    _, stack = case
+    dt = stack.dt
+    m = stack.n_windows - 1
+    if m < 1:
+        return
+    # the path holds the history up to t = 1 and a window of m steps after it
+    path = SolutionPath(0.0, dt, stack.values)
+    t = 1.0
+    kind = data.draw(st.sampled_from(["delay_mass", "sup_band"]))
+    tol = data.draw(st.sampled_from([None, 1e-12, 1e-6]))
+    # put the band edge on a computed value, give or take the tolerance, so
+    # grid points land on the edge, just inside it and just outside it
+    seg = segment_at(path, t + data.draw(st.integers(1, m)) * dt, 1.0)
+    edge = integral_norm_functional(seg) if kind == "delay_mass" else sup_norm(seg)
+    width = tol if tol is not None else 1e-9 * max(edge, 1e-3)
+    l = max(edge + data.draw(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])) * width, 1e-3)
+    T = data.draw(st.sampled_from([t + j * dt for j in range(1, m + 1)] + [10.0]))
+    op = SpectralOperator(np.ones(stack.values.shape[1]))
+    prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec(kind, l), T=T)
+
+    expected = None
+    for i in range(1, m + 1):
+        t_i = t + i * dt
+        mem = prob.membership(t_i, segment_at(path, t_i, prob.h), tol)
+        if not mem.is_inside:
+            expected = (t_i, mem)
+            break
+    assert first_exit(prob, path, t, m, tol) == expected
+
+
+def test_scan_confirms_points_the_batch_sum_rounds_inside():
+    # a rising history whose last slice has a batch delay mass one
+    # rounding below the trapezoid's; the band edge then goes where only the
+    # trapezoid value touches it, so only the rounding margin flags the point
+    dt, m, tol = 0.01, 20, 1e-6
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        values = np.linspace(0.1, 1.0, 100 + m + 1)[:, None] + rng.uniform(0, 1e-3, (100 + m + 1, 1))
+        path = SolutionPath(0.0, dt, values)
+        t_last = 1.0 + m * dt
+        scalar = integral_norm_functional(segment_at(path, t_last, 1.0))
+        batch = SegmentStack(1.0, dt, values[-(100 + m):]).integral_norms()[-1]
+        if batch < scalar:
+            break
+    else:
+        pytest.fail("no slice whose batch sum rounds below the trapezoid")
+    l = scalar + tol
+    while abs(scalar - l) > tol:
+        l = np.nextafter(l, 0.0)
+    assert abs(batch - l) > tol  # the batch value alone would read as interior
+    op = SpectralOperator([1.0])
+    prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l), T=10.0)
+    assert first_exit(prob, path, 1.0, m, tol) == (t_last, prob.membership(
+        t_last, segment_at(path, t_last, 1.0), tol))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=unit_delay_stacks(), data=st.data())
+def test_batch_argument_overrun_raises_like_scalar(case, data):
+    times, stack = case
+    op = SpectralOperator(np.ones(stack.values.shape[1]))
+    functional = data.draw(st.sampled_from(["integral", "max"]))
+    probe = FunctionalAffineTerm(0.0, 1.0, np.ones(op.n_modes), functional)
+    ys = [probe.functional_value(float(t), slice_segment(stack, i)) for i, t in enumerate(times)]
+    y_max = data.draw(st.sampled_from(ys)) * data.draw(st.sampled_from([0.5, 0.999, 1.0, 2.0]))
+    term = FunctionalAffineTerm(0.0, 1.0, np.ones(op.n_modes), functional, y_max=y_max)
+    prob = simple_problem(op, term, ZeroTerm(), T=1.0)
+    overruns = 0
+    for i, t in enumerate(times):
+        try:
+            prob.eval_g(float(t), slice_segment(stack, i))
+        except DomainViolation:
+            overruns += 1
+    with pytest.raises(DomainViolation) if overruns else nullcontext():
+        prob.eval_g_window(times, stack)
+
+
+def test_batch_non_finite_values_raise_blowup():
+    op = SpectralOperator([1.0])
+    g = FunctionalAffineTerm(1e300, 0.0, np.array([1e10]), "integral")
+    prob = simple_problem(op, g, ZeroTerm())
+    stack = SegmentStack(1.0, 0.25, np.ones((6, 1)))
+    with pytest.raises(NumericalBlowup):
+        prob.eval_g_window(np.array([0.0, 0.25]), stack)
