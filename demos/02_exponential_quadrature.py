@@ -1,8 +1,9 @@
-"""Exponential product integration of the two mild-formula convolutions.
+"""Exponential product integration of the mild formula's memory integral.
 
-Both memory integrals convolve grid samples against an exact exponential
+The memory integral convolves grid samples against an exact exponential
 kernel: the plain decay kernel e^(-mu (t-s)) for the forcing and the
-rate-weighted kernel mu e^(-mu (t-s)) for the neutral term.  The samples are
+rate-weighted kernel mu e^(-mu (t-s)) for the neutral term.  Both are one
+routine, ``exp_convolution``, applied to f and to mu*g.  The samples are
 interpolated linearly and each cell is integrated in closed form, so the
 weights stay accurate no matter how stiff the mode is.  The script shows
 the second-order error decay on smooth data and the exactness on constant

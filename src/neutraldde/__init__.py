@@ -28,7 +28,7 @@ from .history import (
     segment_at,
     sup_norm,
 )
-from .oracle import ManufacturedCase, ModeCurve, compare, dense_reference_solve, make_manufactured
+from .oracle import ManufacturedCase, compare, dense_reference_solve, make_manufactured
 from .problem import (
     DomainSpec,
     FunctionalAffineTerm,
@@ -51,6 +51,7 @@ from .solver import (
     WindowResult,
     cell_weights,
     evaluate_window_operator,
+    exp_convolution,
     generator_convolution,
     heuristic_window,
     sample_neutral_contraction,

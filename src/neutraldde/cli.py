@@ -5,16 +5,16 @@ Exit codes form a contract for scripted studies:
 * 0 — a mathematically meaningful terminus was reached (including a
       solver-failure event, which is a reported outcome, not a crash);
 * 2 — configuration or argument problems (schema violations, bad grids,
-      inadmissible initial data);
+      a missing config file or scenario, inadmissible initial data, a term
+      argument outside its declared range, non-finite term values met by
+      the admission checks, a declared argument range that no sampled
+      history fits, a fine reference for ``study`` that cannot be trusted);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
 
-``study`` also exits 2, with a one-line message, when its fine reference
-cannot be trusted (``OracleUnavailable``) or a solve meets inadmissible
-initial data or a term argument outside its declared range
-(``DomainViolation``).  Non-finite term values met by the admission checks
-(``NumericalBlowup``) exit 2 in every command.
+Every command reports these errors through one table, ``_REPORTED``, as a
+single stderr line that starts with the table's prefix.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import BuiltRun, build_run, parse_config
+from .config import BuiltRun, RunConfig, build_run, parse_config
 from .continuation import Trajectory, continue_solution
 from .errors import (
     DomainViolation,
     HypothesisViolation,
+    InsufficientSamples,
     InvalidInitialData,
     NumericalBlowup,
     OracleUnavailable,
@@ -42,44 +43,60 @@ from .problem import estimate_lipschitz_mg, spatial_smallness_check
 from .scenarios import get_scenario, scenario_description, scenario_names
 
 
-def _load_config_text(args) -> str:
-    if getattr(args, "scenario", None):
-        return get_scenario(args.scenario)
-    path = Path(args.config)
-    return path.read_text(encoding="utf-8")
+class _ConfigError(Exception):
+    """The run cannot start from its configuration: a missing file or
+    scenario, or a term that gives non-finite values on admissible data."""
 
 
-def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> int:
-    """Run the admission checks; returns 0, or the exit code 2 or 3."""
+#: (error type, message, exit code) per error a command reports as one
+#: stderr line instead of raising; the first matching row wins, so
+#: subclasses come first
+_REPORTED = (
+    (_ConfigError, "config error: {}", 2),
+    (SchemaError, "schema error: {}", 2),
+    (InsufficientSamples, "config error: {}", 2),
+    (HypothesisViolation, "hypothesis failure: {}", 3),
+    (OracleUnavailable, "reference unavailable: {}", 2),
+    (InvalidInitialData, "invalid initial data: {}", 2),
+    (DomainViolation, "domain violation during solve: {}; the declared y_max leaves no room "
+     "for the run; for trajectories that exit through a band edge, give the term "
+     "headroom beyond l", 2),
+)
+
+
+def _load_config(args) -> RunConfig:
+    """Parsed config of ``--scenario`` or ``--config``."""
+    try:
+        if getattr(args, "scenario", None):
+            text = get_scenario(args.scenario)
+        else:
+            text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, KeyError) as exc:
+        raise _ConfigError(exc) from exc
+    return parse_config(text)
+
+
+def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> None:
+    """Run the admission checks; raises HypothesisViolation when one fails."""
     prob = built.problem
     try:
         estimate = estimate_lipschitz_mg(prob, n_samples=150, seed=seed)
     except NumericalBlowup as exc:
-        print(f"config error: {exc} on a sampled admissible history", file=sys.stderr)
-        return 2
+        raise _ConfigError(f"{exc} on a sampled admissible history") from exc
     if verbose:
         print(f"contraction estimate: {estimate:.6g} (declared budget {prob.mg_bound:.6g})")
     if estimate >= 1.0:
-        print("hypothesis failure: sampled contraction constant is not < 1", file=sys.stderr)
-        return 3
+        raise HypothesisViolation("sampled contraction constant is not < 1")
     if estimate > prob.mg_bound + 0.01:
-        print(
-            f"hypothesis failure: sampled constant {estimate:.6g} exceeds the "
-            f"declared budget {prob.mg_bound:.6g}",
-            file=sys.stderr,
+        raise HypothesisViolation(
+            f"sampled constant {estimate:.6g} exceeds the declared budget {prob.mg_bound:.6g}"
         )
-        return 3
     smallness = spatial_smallness_check(prob)
     if smallness is not None:
         if verbose:
             print(f"neutral smallness value: {smallness.value:.6g} (must be < 1)")
         if not smallness.ok:
-            print(
-                f"hypothesis failure: smallness value {smallness.value:.6g} >= 1",
-                file=sys.stderr,
-            )
-            return 3
-    return 0
+            raise HypothesisViolation(f"smallness value {smallness.value:.6g} >= 1")
 
 
 def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
@@ -94,18 +111,16 @@ def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
     if n_coeffs > n_modes:
         print(f"warning: n_coeffs clipped from {n_coeffs} to {n_modes}", file=sys.stderr)
         n_coeffs = n_modes
-    lines = ["t,norm,functional," + ",".join(f"c{k + 1}" for k in range(n_coeffs))]
+    header = "t,norm,functional," + ",".join(f"c{k + 1}" for k in range(n_coeffs))
     times = traj.path.times()
     stack = SegmentStack(prob.h, traj.path.dt, traj.path.values)
     functionals = np.full(times.size, math.nan)
     functionals[stack.n_h :] = prob.domain_functionals(stack)
-    for i, t in enumerate(times):
-        cells = [f"{t:.17g}", f"{stack.norms[i]:.17g}", f"{functionals[i]:.17g}"]
-        cells += [f"{traj.path.values[i, k]:.17g}" for k in range(n_coeffs)]
-        lines.append(",".join(cells))
-    lines.append(f"# event={traj.event.label()}")
-    lines.append(f"# tau={traj.tau:.17g}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    table = np.column_stack([times, stack.norms, functionals, traj.path.values[:, :n_coeffs]])
+    footer = f"# event={traj.event.label()}\n# tau={traj.tau:.17g}"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, footer=footer,
+                   comments="")
 
 
 def _summarize(traj: Trajectory) -> None:
@@ -120,37 +135,9 @@ def _summarize(traj: Trajectory) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        text = _load_config_text(args)
-        cfg = parse_config(text)
-        built = build_run(cfg, dt_override=args.dt)
-    except (OSError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolation as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return 3
-
-    code = _check_hypotheses(built, args.seed, verbose=built.diagnostics)
-    if code != 0:
-        return code
-
-    try:
-        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
-    except InvalidInitialData as exc:
-        print(f"invalid initial data: {exc}", file=sys.stderr)
-        return 2
-    except DomainViolation as exc:
-        print(
-            f"domain violation during solve: {exc}\n"
-            "the declared y_max leaves no room for the run; for trajectories "
-            "that exit through a band edge, give the term headroom beyond l",
-            file=sys.stderr,
-        )
-        return 2
+    built = build_run(_load_config(args), dt_override=args.dt)
+    _check_hypotheses(built, args.seed, verbose=built.diagnostics)
+    traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
 
     if built.diagnostics:
         for w in traj.windows:
@@ -173,23 +160,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        text = _load_config_text(args)
-        cfg = parse_config(text)
-        built = build_run(cfg, dt_override=args.dt)
-    except (OSError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolation as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return 3
-    code = _check_hypotheses(built, args.seed)
-    if code == 0:
-        print("hypothesis checks passed")
-    return code
+    built = build_run(_load_config(args), dt_override=args.dt)
+    _check_hypotheses(built, args.seed)
+    print("hypothesis checks passed")
+    return 0
 
 
 def cmd_study(args) -> int:
@@ -201,63 +175,31 @@ def cmd_study(args) -> int:
     if len(dts) < 3:
         print("need at least three dt values for a study", file=sys.stderr)
         return 2
-    try:
-        text = _load_config_text(args)
-        cfg = parse_config(text)
-    except (OSError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(args)
 
     fine_dt = dts[-1] / 4.0
-    try:
-        # history at the finest internal grid so its interpolation error
-        # does not floor the extrapolated reference
-        built_ref = build_run(cfg, dt_override=fine_dt / 4.0)
-    except SchemaError as exc:
-        print(f"schema error at reference dt: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolation as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return 3
-    code = _check_hypotheses(built_ref, args.seed, verbose=False)
-    if code != 0:
-        return code
+    # history at the finest internal grid so its interpolation error
+    # does not floor the extrapolated reference
+    built_ref = build_run(cfg, dt_override=fine_dt / 4.0)
+    _check_hypotheses(built_ref, args.seed, verbose=False)
+    reference = dense_reference_solve(
+        built_ref.problem, built_ref.initial_segment, 0.0, fine_dt, levels=3
+    )
 
-    try:
-        reference = dense_reference_solve(
-            built_ref.problem, built_ref.initial_segment, 0.0, fine_dt, levels=3
-        )
-
-        errors = []
-        for dt in dts:
-            try:
-                built = build_run(cfg, dt_override=dt)
-            except SchemaError as exc:
-                print(f"schema error at dt={dt}: {exc}", file=sys.stderr)
-                return 2
-            traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
-            if traj.event.kind != "reached_horizon":
-                print(
-                    f"study aborted: run at dt={dt} ended with {traj.event.label()}",
-                    file=sys.stderr,
-                )
-                return 2
-            stride = int(round(dt / fine_dt))
-            ref_vals = reference.values[::stride]
-            diff = np.linalg.norm(traj.path.values - ref_vals, axis=1)
-            errors.append(float(diff.max()))
-    except OracleUnavailable as exc:
-        print(f"reference unavailable: {exc}", file=sys.stderr)
-        return 2
-    except InvalidInitialData as exc:
-        print(f"invalid initial data: {exc}", file=sys.stderr)
-        return 2
-    except DomainViolation as exc:
-        print(f"domain violation during solve: {exc}", file=sys.stderr)
-        return 2
+    errors = []
+    for dt in dts:
+        built = build_run(cfg, dt_override=dt)
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        if traj.event.kind != "reached_horizon":
+            print(
+                f"study aborted: run at dt={dt} ended with {traj.event.label()}",
+                file=sys.stderr,
+            )
+            return 2
+        stride = int(round(dt / fine_dt))
+        ref_vals = reference.values[::stride]
+        diff = np.linalg.norm(traj.path.values - ref_vals, axis=1)
+        errors.append(float(diff.max()))
 
     scale = max(1.0, float(np.linalg.norm(reference.values, axis=1).max()))
     print(f"{'dt':>12} {'sup_error':>14} {'order':>8}")
@@ -314,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(kind for kind, _, _ in _REPORTED) as exc:
+        message, code = next((m, c) for kind, m, c in _REPORTED if isinstance(exc, kind))
+        print(message.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

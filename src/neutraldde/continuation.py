@@ -26,7 +26,7 @@ statement, not a statement about the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,11 +137,7 @@ def _attempt_window(prob, init_seg, t0, cfg, m_cells, remaining_cells):
     damping = cfg.damping
     last_detail = None
     while True:
-        attempt_cfg = SolverConfig(
-            dt=cfg.dt, window=m_try * cfg.dt, tol=cfg.tol, max_iter=cfg.max_iter,
-            trust_radius=cfg.trust_radius, min_window=None, damping=damping,
-            boundary_tol=cfg.boundary_tol,
-        )
+        attempt_cfg = replace(cfg, window=m_try * cfg.dt, min_window=None, damping=damping)
         try:
             result = solve_window(prob, init_seg, t0, attempt_cfg)
         except NumericalBlowup:

@@ -16,7 +16,6 @@ with an empirical order gate before the extrapolation is trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -29,45 +28,24 @@ from .solver import SolverConfig
 from .spectral import SpectralOperator
 
 
-@dataclass(frozen=True)
-class ModeCurve:
-    """Closed-form scalar trajectory: exponential amp*e^(rate*t) or a polynomial."""
-
-    kind: str
-    params: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("exp", "poly"):
-            raise ValueError(f"unknown trajectory family {self.kind!r}")
-        if self.kind == "exp" and len(self.params) != 2:
-            raise ValueError("exp trajectory needs (amplitude, rate)")
-
-    def value(self, t):
-        if self.kind == "exp":
-            amp, rate = self.params
-            return amp * np.exp(rate * np.asarray(t, dtype=float))
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
-                                                np.asarray(self.params, dtype=float))
-
-
-def _as_curve(spec) -> ModeCurve:
-    if isinstance(spec, ModeCurve):
+def _as_curve(spec) -> TimeFn:
+    if isinstance(spec, TimeFn):
         return spec
     kind, *params = spec
-    return ModeCurve(kind, tuple(float(p) for p in params))
+    return TimeFn(kind, tuple(float(p) for p in params))
 
 
 class ManufacturedCase:
     """A problem whose exact solution is known mode-by-mode."""
 
-    def __init__(self, problem: NeutralProblem, curves: list[ModeCurve], kappa: float):
+    def __init__(self, problem: NeutralProblem, curves: list[TimeFn], kappa: float):
         self.problem = problem
         self.curves = curves
         self.kappa = kappa
 
     def exact_values(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        return np.column_stack([c.value(times) for c in self.curves])
+        return np.column_stack([c(times) for c in self.curves])
 
     def exact_path(self, dt: float, t0: float = 0.0) -> SolutionPath:
         prob = self.problem
@@ -86,8 +64,8 @@ def make_manufactured(u_star_family, kappa: float, op: SpectralOperator, h: floa
                       T: float, alpha: float = 0.5) -> ManufacturedCase:
     """Build the problem whose exact mild solution is the given trajectory.
 
-    ``u_star_family`` holds one curve spec per mode, e.g. ("exp", 1.0, -1.0)
-    or ("poly", c0, c1, ...).  ``kappa`` scales the point-delay neutral term;
+    ``u_star_family`` holds one ``TimeFn`` or curve spec per mode, e.g.
+    ("exp", 1.0, -1.0), ("poly", c0, c1, ...) or ("const", c).  ``kappa`` scales the point-delay neutral term;
     its weighted magnitude |kappa| * max(mu^alpha) must stay below 1.
     """
     curves = [_as_curve(s) for s in u_star_family]
@@ -106,7 +84,7 @@ def make_manufactured(u_star_family, kappa: float, op: SpectralOperator, h: floa
             # d/dt[u + kappa u(.-h)] + mu u collapses to a single exponential
             f_amp = amp * (rate + mu_k + kappa * rate * math.exp(-rate * h))
             forcing.append(TimeFn("exp", (f_amp, rate)))
-        else:
+        else:  # poly, and const as the degree-0 polynomial
             p = Polynomial(np.asarray(curve.params, dtype=float))
             dp = p.deriv()
             shifted = dp(Polynomial([-h, 1.0]))  # p'(t - h)

@@ -249,6 +249,15 @@ class TestCheckCommand:
         assert main(["check", "--config", str(cfg)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_argument_range_admitting_no_sample_exits_2(self, tmp_path, capsys):
+        # every sampled history pair overruns g_y_max, so no ratio is formed
+        text = get_scenario("parabolic_delay_mass").replace("g_y_max = 1.0", "g_y_max = 1e-12")
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "inadmissible" in err and "\n" not in err
+
 
 class TestStudyCommand:
     def test_requires_three_dts(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutraldde import (
     DomainSpec,
@@ -16,6 +18,7 @@ from neutraldde import (
     ZeroTerm,
     cell_weights,
     evaluate_window_operator,
+    exp_convolution,
     generator_convolution,
     heuristic_window,
     make_dirichlet_laplacian,
@@ -128,6 +131,58 @@ class TestConvolutions:
         vals = np.ones((n + 1, 1))
         got = semigroup_convolution(op, vals, n, dt)[0]
         assert got == pytest.approx((1 - math.exp(-mu * t)) / mu, rel=1e-10)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Rates with mu*dt across [1e-12, 1e4], any length, values of both signs."""
+    n_nodes = draw(st.integers(min_value=1, max_value=200))
+    n_modes = draw(st.integers(min_value=1, max_value=3))
+    dt = draw(st.floats(min_value=1e-3, max_value=1.0))
+    log_z = draw(st.lists(st.floats(min_value=-12.0, max_value=4.0),
+                          min_size=n_modes, max_size=n_modes))
+    mu = 10.0 ** np.array(log_z) / dt
+    elements = st.floats(min_value=-10.0, max_value=10.0)
+    g, f = (np.array(draw(st.lists(elements, min_size=n_nodes * n_modes,
+                                   max_size=n_nodes * n_modes))).reshape(n_nodes, n_modes)
+            for _ in range(2))
+    return mu, dt, g, f
+
+
+def scan_tolerance(n_nodes):
+    # each pass adds one rounding; r^(2^k) by repeated squaring carries up
+    # to about 2^k*eps, and 2^k < 2n
+    return np.finfo(float).eps * (2 * n_nodes + 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_inputs())
+def test_exp_convolution_matches_plain_sum(inputs):
+    mu, dt, values, _ = inputs
+    n = values.shape[0]
+    got = exp_convolution(mu, values, dt)
+    assert got.shape == values.shape
+    np.testing.assert_array_equal(got[0], 0.0)
+    w0, w1 = cell_weights(mu, dt)
+    tol = scan_tolerance(n)
+    for k, rate in enumerate(mu):
+        r = math.exp(-rate * dt)
+        cells = w0[k] * values[:-1, k] + w1[k] * values[1:, k]
+        for i in range(1, n):
+            # out[i] = sum_{j<i} r^(i-1-j) c_j, with c_j the cell [t_j, t_(j+1)]
+            terms = r ** np.arange(i - 1, -1, -1, dtype=float) * cells[:i]
+            scale = math.fsum(np.abs(terms))
+            assert abs(got[i, k] - math.fsum(terms)) <= tol * scale + 1e-300
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_inputs())
+def test_exp_convolution_is_one_integral_of_mu_g_plus_f(inputs):
+    mu, dt, g, f = inputs
+    one = exp_convolution(mu, mu * g + f, dt)
+    two = mu * exp_convolution(mu, g, dt) + exp_convolution(mu, f, dt)
+    scale = exp_convolution(mu, np.abs(mu * g) + np.abs(f), dt)
+    assert np.all(np.abs(one - two) <= scan_tolerance(g.shape[0]) * scale + 1e-300)
 
 
 class TestWindowOperator:
