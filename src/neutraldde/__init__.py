@@ -48,6 +48,7 @@ from .problem import (
 )
 from .solver import (
     SolverConfig,
+    WindowFrame,
     WindowResult,
     cell_weights,
     evaluate_window_operator,

@@ -125,7 +125,7 @@ class Segment:
         return np.linalg.norm(self.values, axis=1)
 
     def scaled(self, c: float) -> "Segment":
-        return Segment(self.h, self.thetas, c * self.values)
+        return Segment._trusted(self.h, self.thetas, c * self.values)
 
 
 def sup_norm(seg: Segment) -> float:
@@ -212,6 +212,22 @@ class SegmentStack:
         self.thetas = -self.h + self.dt * np.arange(self.n_h + 1)
         self.norms = np.linalg.norm(values, axis=1)
 
+    @classmethod
+    def _trusted(cls, h: float, dt: float, thetas: np.ndarray, values: np.ndarray,
+                 norms: np.ndarray) -> "SegmentStack":
+        # Solver-internal constructor: rows, theta grid and row norms come
+        # from a caller that already holds them consistent.  The stack reads
+        # the arrays in place, so it is valid until the caller rewrites them.
+        obj = object.__new__(cls)
+        obj.h = h
+        obj.dt = dt
+        obj.n_h = thetas.size - 1
+        obj.values = values
+        obj.n_windows = values.shape[0] - obj.n_h
+        obj.thetas = thetas
+        obj.norms = norms
+        return obj
+
     @cached_property
     def _max_table(self) -> _RangeMax:
         return _RangeMax(self.norms, self.n_h + 1)
@@ -229,13 +245,17 @@ class SegmentStack:
         return self.norms[self.n_h :]
 
     def integral_norms(self) -> np.ndarray:
-        """``integral_norm_functional`` of every slice.
+        """``integral_norm_functional`` of every slice (read-only, computed once).
 
         The trapezoid cells are summed within blocks of n_h cells, so slice
         i = b*n_h + r is the sum of block b from cell r on plus the first r
         cells of block b+1.  No difference of long running sums is taken, and
         each slice's rounding stays relative to the mass near it.
         """
+        return self._integral_norms
+
+    @cached_property
+    def _integral_norms(self) -> np.ndarray:
         n_h = self.n_h
         cells = 0.5 * self.dt * (self.norms[:-1] + self.norms[1:])
         n_blocks = cells.size // n_h + 2
@@ -246,7 +266,9 @@ class SegmentStack:
         prefix = np.zeros((n_blocks, n_h))
         np.cumsum(blocks[:, :-1], axis=1, out=prefix[:, 1:])
         b, r = np.divmod(np.arange(self.n_windows), n_h)
-        return suffix[b, r] + prefix[b + 1, r]
+        out = suffix[b, r] + prefix[b + 1, r]
+        out.flags.writeable = False
+        return out
 
     def integral_error_bound(self) -> float:
         """Bound on |integral_norms()[i] - integral_norm_functional(slice i)|.
@@ -288,19 +310,23 @@ class SegmentStack:
         return best
 
     def _interpolated_norms(self, theta: np.ndarray) -> np.ndarray:
-        # Segment.value_at for slice i at theta[i], node snapping included
+        # the norm of Segment.value_at for slice i at theta[i]: an edge that
+        # snaps to a node reads that node's stored norm, and only the edges
+        # strictly inside a cell are interpolated and normed
         th = self.thetas
         theta = np.minimum(np.maximum(theta, th[0]), th[-1])
         j = np.searchsorted(th, theta, side="right") - 1
         j = np.minimum(np.maximum(j, 0), th.size - 2)
         w = (theta - th[j]) / (th[j + 1] - th[j])
         rows = np.arange(self.n_windows) + j
-        left = self.values[rows]
-        right = self.values[rows + 1]
-        mixed = (1.0 - w)[:, None] * left + w[:, None] * right
-        mixed = np.where((w >= 1.0 - _GRID_EPS)[:, None], right, mixed)
-        mixed = np.where((w <= _GRID_EPS)[:, None], left, mixed)
-        return np.linalg.norm(mixed, axis=1)
+        out = self.norms[rows + (w >= 1.0 - _GRID_EPS)]
+        inner = np.flatnonzero((w > _GRID_EPS) & (w < 1.0 - _GRID_EPS))
+        if inner.size:
+            wi = w[inner, None]
+            left = self.values[rows[inner]]
+            right = self.values[rows[inner] + 1]
+            out[inner] = np.linalg.norm((1.0 - wi) * left + wi * right, axis=1)
+        return out
 
 
 def segment_at(path: SolutionPath, t: float, h: float, n_theta: int | None = None) -> Segment:

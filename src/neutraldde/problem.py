@@ -594,22 +594,22 @@ def check_neutral_smallness(h: float, L: float, mg: float, measQ: float) -> Smal
     return SmallnessCheck(ok=value < 1.0, value=value)
 
 
-def _random_segment(rng: np.random.Generator, prob: NeutralProblem, n_theta: int,
+def _random_segment(rng: np.random.Generator, prob: NeutralProblem, thetas: np.ndarray,
                     constant: bool = False, mode: int | None = None) -> Segment:
-    """Random history inside the domain band (functional kept mid-band)."""
+    """Random history on the theta grid ``thetas``, inside the domain band
+    (functional kept mid-band)."""
     K = prob.op.n_modes
-    thetas = np.linspace(-prob.h, 0.0, n_theta + 1)
     if mode is None:
         amps = rng.uniform(0.3, 1.0, size=K) / np.arange(1, K + 1) ** 2
     else:
         amps = np.zeros(K)
         amps[mode] = 1.0
     if constant:
-        values = np.tile(amps, (n_theta + 1, 1))
+        values = np.tile(amps, (thetas.size, 1))
     else:
-        wobble = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, size=(n_theta + 1, 1))
+        wobble = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, size=(thetas.size, 1))
         values = wobble * amps
-    seg = Segment(prob.h, thetas, values)
+    seg = Segment._trusted(prob.h, thetas, values)
     target_band = prob.domain.l if prob.domain.l is not None else 1.0
     target = rng.uniform(0.25, 0.7) * target_band
     current = prob.domain_functional(seg)
@@ -633,6 +633,10 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int,
     rng = np.random.default_rng(seed)
     if n_theta is None:
         n_theta = 16
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
+    # every sampled segment shares this grid: strictly increasing from -h to 0
+    thetas = np.linspace(-prob.h, 0.0, n_theta + 1)
     best = 0.0
     formed = 0
     for i in range(n_samples):
@@ -640,15 +644,15 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int,
         style = i % 3
         if style == 0:
             mode = i % prob.op.n_modes if prob.op.n_modes > 1 else None
-            s1 = _random_segment(rng, prob, n_theta, constant=True, mode=mode)
+            s1 = _random_segment(rng, prob, thetas, constant=True, mode=mode)
             s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
         elif style == 1:
-            s1 = _random_segment(rng, prob, n_theta, constant=True)
+            s1 = _random_segment(rng, prob, thetas, constant=True)
             s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
         else:
-            s1 = _random_segment(rng, prob, n_theta)
-            s2 = _random_segment(rng, prob, n_theta)
-        denom = sup_norm(Segment(prob.h, s1.thetas, s1.values - s2.values))
+            s1 = _random_segment(rng, prob, thetas)
+            s2 = _random_segment(rng, prob, thetas)
+        denom = sup_norm(Segment._trusted(prob.h, thetas, s1.values - s2.values))
         if denom < 1e-14:
             continue
         try:

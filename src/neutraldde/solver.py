@@ -24,12 +24,23 @@ out[i] = e^(-mu dt) out[i-1] + (cell i), which it solves as a doubling
 scan: log2(m) passes, each vectorised over all nodes and modes.  A loop
 over time steps would cost one interpreter pass per cell, which dominates
 on windows of a few hundred cells and few modes.
+
+Each window attempt builds one ``WindowFrame``, and every fixed-point
+iterate of that attempt shares it.  The frame computes once: the history on
+the theta grid, phi(0), the grid times, the free evolution
+S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the cell
+weights and scan factors, and a rows buffer whose first n_h rows and norms
+hold the history.  An iterate writes only its m+1 candidate rows and their
+norms into the buffer's tail, then evaluates g and f on every slice, runs
+the scan on mu g + f and takes the residual; the trust-region screen reads
+the same stored norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,16 +104,32 @@ def exp_convolution(mu, values, dt: float) -> np.ndarray:
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     values = np.asarray(values, dtype=float)
-    out = np.zeros_like(values)
     w0, w1 = cell_weights(mu, dt)
-    out[1:] = w0 * values[:-1] + w1 * values[1:]
+    return _product_scan(values, w0, w1, _scan_factors(mu, dt, values.shape[0]))
+
+
+def _scan_factors(mu: np.ndarray, dt: float, n_nodes: int) -> list[np.ndarray]:
+    # r, r^2, r^4, ...: one factor per doubling pass over n_nodes rows
+    factors = []
     r = np.exp(-mu * dt)
     step = 1
-    while step < out.shape[0]:
+    while step < n_nodes:
+        factors.append(r)
+        r = r * r
+        step *= 2
+    return factors
+
+
+def _product_scan(values: np.ndarray, w0: np.ndarray, w1: np.ndarray,
+                  factors: list[np.ndarray]) -> np.ndarray:
+    # the doubling scan of exp_convolution, with weights and factors given
+    out = np.zeros_like(values)
+    out[1:] = w0 * values[:-1] + w1 * values[1:]
+    step = 1
+    for r in factors:
         # the right side is formed before the add, so each pass reads the
         # previous pass's rows: row i then sums the last 2*step cells
         out[step:] += r * out[:-step]
-        r = r * r
         step *= 2
     return out
 
@@ -204,8 +231,66 @@ class WindowResult:
         return self.status == "converged"
 
 
-def evaluate_window_operator(prob: NeutralProblem, candidate, init_seg: Segment,
-                             t0: float, dt: float) -> np.ndarray:
+class WindowFrame:
+    """What one window attempt's iterates share, computed once per attempt.
+
+    The window starts at t0 with the history ``init_seg`` and has m cells.
+    The frame holds the history on the theta grid (``hist``), the grid
+    times, phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the cell
+    weights and scan factors of the memory integral, and one rows buffer
+    whose first n_h rows are the history and whose last m+1 rows hold the
+    candidate, with the row norms beside it.  ``load`` writes a candidate
+    into the tail and returns a stack over the buffers; that stack is valid
+    until the next ``load``.
+    """
+
+    def __init__(self, prob: NeutralProblem, init_seg: Segment, t0: float, dt: float, m: int):
+        if m < 1:
+            raise ValueError(f"a window needs at least one cell, got m={m}")
+        self.prob = prob
+        self.t0 = t0
+        self.dt = dt
+        self.m = m
+        self.hist = segment_on_grid(init_seg, dt)
+        self.n_h = self.hist.shape[0] - 1
+        self.thetas = -prob.h + dt * np.arange(self.n_h + 1)
+        self.times = t0 + dt * np.arange(m + 1)
+        self.phi0 = self.hist[-1]
+        n_modes = self.hist.shape[1]
+        self.rows = np.empty((self.n_h + m + 1, n_modes))
+        self.rows[: self.n_h] = self.hist[:-1]
+        hist_norms = np.linalg.norm(self.hist, axis=1)
+        self.norms = np.empty(self.n_h + m + 1)
+        self.norms[: self.n_h] = hist_norms[:-1]
+        self.hist_sup = float(hist_norms.max())
+        self._squares = np.empty((m + 1, n_modes))
+        mu = prob.op.mu
+        self.w0, self.w1 = cell_weights(mu, dt)
+        self.factors = _scan_factors(mu, dt, m + 1)
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """S(s)(phi(0) + g(t0, phi)) at every window node; g reads the initial history."""
+        g_init = self.prob.eval_g(self.t0, Segment._trusted(self.prob.h, self.thetas, self.hist))
+        s_times = self.dt * np.arange(self.m + 1)
+        decay = np.exp(-np.outer(s_times, self.prob.op.mu))
+        return decay * (self.phi0 + g_init)[None, :]
+
+    def load(self, candidate) -> SegmentStack:
+        """Write the candidate's m+1 rows and their norms; the stack over all rows."""
+        tail = self.rows[self.n_h :]
+        if np.shape(candidate) != tail.shape:
+            raise ValueError(f"candidate must be {tail.shape}, got {np.shape(candidate)}")
+        tail[...] = candidate
+        tail_norms = self.norms[self.n_h :]
+        # np.linalg.norm(tail, axis=1) without its temporaries
+        np.multiply(tail, tail, out=self._squares)
+        np.add.reduce(self._squares, axis=1, out=tail_norms)
+        np.sqrt(tail_norms, out=tail_norms)
+        return SegmentStack._trusted(self.prob.h, self.dt, self.thetas, self.rows, self.norms)
+
+
+def evaluate_window_operator(frame: WindowFrame, candidate) -> np.ndarray:
     """Apply the window fixed-point map G to a candidate trajectory.
 
     ``candidate`` holds window values on t0 + i*dt, i = 0..m, with row 0 the
@@ -214,41 +299,30 @@ def evaluate_window_operator(prob: NeutralProblem, candidate, init_seg: Segment,
     The value at the left endpoint is the identity phi(0) by construction
     and is returned exactly.
     """
-    candidate = np.asarray(candidate, dtype=float)
-    hist = segment_on_grid(init_seg, dt)
-    m = candidate.shape[0] - 1
+    prob = frame.prob
     # slice i of the stack is the history the delay terms see at t0 + i*dt
-    stack = SegmentStack(prob.h, dt, np.vstack([hist[:-1], candidate]))
-    times = t0 + dt * np.arange(m + 1)
-    g_vals = prob.eval_g_window(times, stack)
-    f_vals = prob.eval_f_window(times, stack)
-    # the transported neutral offset is taken on the initial history itself
-    g_init = prob.eval_g(t0, Segment._trusted(prob.h, stack.thetas, hist))
-
-    phi0 = hist[-1]
-    s_times = dt * np.arange(m + 1)
-    decay = np.exp(-np.outer(s_times, prob.op.mu))
-    out = decay * (phi0 + g_init)[None, :]
-    out -= g_vals
-    out += exp_convolution(prob.op.mu, prob.op.mu * g_vals + f_vals, dt)
-    out[0] = phi0
+    stack = frame.load(candidate)
+    g_vals = prob.eval_g_window(frame.times, stack)
+    f_vals = prob.eval_f_window(frame.times, stack)
+    out = frame.free - g_vals
+    out += _product_scan(prob.op.mu * g_vals + f_vals, frame.w0, frame.w1, frame.factors)
+    out[0] = frame.phi0
     return out
 
 
-def _drift_exceeds(combined: np.ndarray, hist: np.ndarray, m: int, radius: float) -> bool:
-    """Does any sliding history slice drift further than ``radius`` from the
-    initial history (sup-norm over theta)?
+def _drift_exceeds(frame: WindowFrame, radius: float) -> bool:
+    """Does any sliding history slice of the loaded candidate drift further
+    than ``radius`` from the initial history (sup-norm over theta)?
 
-    A triangle-inequality screen skips the exact pass whenever it cannot
-    possibly trigger, which is the common case for generous radii.
+    A triangle-inequality screen on the stored row norms skips the exact
+    pass whenever it cannot possibly trigger, which is the common case for
+    generous radii.
     """
-    norms = np.linalg.norm(combined, axis=1)
-    hist_norms = np.linalg.norm(hist, axis=1)
-    if norms.max() + hist_norms.max() <= radius:
+    if frame.norms.max() + frame.hist_sup <= radius:
         return False
-    n_h = hist.shape[0] - 1
-    for i in range(m + 1):
-        diff = combined[i : i + n_h + 1] - hist
+    n_h = frame.n_h
+    for i in range(frame.m + 1):
+        diff = frame.rows[i : i + n_h + 1] - frame.hist
         if float(np.linalg.norm(diff, axis=1).max()) > radius:
             return True
     return False
@@ -261,12 +335,13 @@ def solve_window(prob: NeutralProblem, init_seg: Segment, t0: float,
     m = int(round(cfg.window / dt))
     if m < 1:
         raise ValueError(f"window {cfg.window} shorter than one grid step {dt}")
-    hist = segment_on_grid(init_seg, dt)
-    phi0 = hist[-1]
+    frame = WindowFrame(prob, init_seg, t0, dt, m)
+    phi0 = frame.phi0
     y = np.tile(phi0, (m + 1, 1))
 
     def leaves_trust(values) -> bool:
-        return _drift_exceeds(np.vstack([hist[:-1], values]), hist, m, cfg.trust_radius)
+        frame.load(values)
+        return _drift_exceeds(frame, cfg.trust_radius)
 
     if leaves_trust(y):
         return WindowResult(y, 0, np.inf, 0.0, "left_trust_region", t0, cfg.window)
@@ -275,7 +350,7 @@ def solve_window(prob: NeutralProblem, init_seg: Segment, t0: float,
     residual = np.inf
     contraction = 0.0
     for it in range(1, cfg.max_iter + 1):
-        gy = evaluate_window_operator(prob, y, init_seg, t0, dt)
+        gy = evaluate_window_operator(frame, y)
         if not np.all(np.isfinite(gy)):
             raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
         residual = float(np.linalg.norm(gy - y, axis=1).max())
@@ -323,8 +398,7 @@ def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: floa
     """
     values = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
-    hist = segment_on_grid(init_seg, dt)
-    times = t0 + dt * np.arange(values.shape[0])
+    frame = WindowFrame(prob, init_seg, t0, dt, values.shape[0] - 1)
     scale = 0.01 * (1.0 + float(np.linalg.norm(values, axis=1).max()))
     best = 0.0
     for _ in range(n_pairs):
@@ -337,8 +411,8 @@ def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: floa
         denom = float(np.linalg.norm(y1 - y2, axis=1).max())
         if denom < 1e-14:
             continue
-        g1 = prob.eval_g_window(times, SegmentStack(prob.h, dt, np.vstack([hist[:-1], y1])))
-        g2 = prob.eval_g_window(times, SegmentStack(prob.h, dt, np.vstack([hist[:-1], y2])))
+        g1 = prob.eval_g_window(frame.times, frame.load(y1))
+        g2 = prob.eval_g_window(frame.times, frame.load(y2))
         num = float(np.linalg.norm(g1 - g2, axis=1).max())
         best = max(best, num / denom)
     return best

@@ -14,6 +14,7 @@ from neutraldde import (
     segment_at,
     sup_norm,
 )
+from neutraldde.history import _GRID_EPS
 
 
 def scalar_path(t_start, dt, samples):
@@ -256,6 +257,31 @@ def test_stack_window_max_matches_scalar(stack, data):
         want = max_norm_functional(slice_segment(stack, i), lo[i], hi[i])
         # endpoint norms may sum the modes in another order
         assert got[i] == pytest.approx(want, rel=4 * EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5 * _GRID_EPS, -0.5 * _GRID_EPS, 0.3, 0.7])
+def test_stack_window_edges_on_near_and_off_nodes_match_scalar(offset):
+    # edges at theta node + offset*dt: on a node, within half the snapping
+    # slack of one (both read the node's stored norm), or strictly inside a
+    # cell (interpolated); point windows make the edge norm the whole answer
+    n_h, n_windows, dt = 8, 6, 0.125
+    values = np.random.default_rng(3).normal(size=(n_h + n_windows, 3))
+    stack = SegmentStack(n_h * dt, dt, values)
+    for j in range(n_h + 1):
+        edge = float(stack.thetas[j]) + offset * dt
+        edge = min(max(edge, -stack.h), 0.0)
+        for lo, hi in [(edge, edge), (-stack.h, edge), (edge, 0.0)]:
+            got = stack.max_norms(lo, hi)
+            for i in range(n_windows):
+                want = max_norm_functional(slice_segment(stack, i), lo, hi)
+                assert got[i] == pytest.approx(want, rel=4 * EPS, abs=0.0)
+
+
+def test_stack_integral_norms_are_computed_once():
+    stack = SegmentStack(0.3, 0.1, np.arange(12.0).reshape(6, 2))
+    first = stack.integral_norms()
+    assert stack.integral_norms() is first
+    assert not first.flags.writeable
 
 
 def test_stack_slices_are_overlapping_rows():

@@ -15,6 +15,7 @@ from neutraldde import (
     SpectralOperator,
     TimeFn,
     TimeForcingTerm,
+    WindowFrame,
     ZeroTerm,
     cell_weights,
     evaluate_window_operator,
@@ -35,6 +36,11 @@ def constant_segment(h, vec, dt):
     n = int(round(h / dt))
     thetas = -h + dt * np.arange(n + 1)
     return Segment(h, thetas, np.tile(vec, (n + 1, 1)))
+
+
+def apply_operator(prob, seg, dt, candidate):
+    """The window operator on a fresh frame at t0 = 0 sized to the candidate."""
+    return evaluate_window_operator(WindowFrame(prob, seg, 0.0, dt, len(candidate) - 1), candidate)
 
 
 def homogeneous_problem(mu=(1.0,), h=0.5, T=2.0):
@@ -195,7 +201,7 @@ class TestWindowOperator:
         for _ in range(3):
             candidate = rng.normal(size=(11, 1))
             candidate[0] = 1.0
-            got = evaluate_window_operator(prob, candidate, seg, 0.0, dt)
+            got = apply_operator(prob, seg, dt, candidate)
             np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_left_endpoint_identity_exact(self):
@@ -206,7 +212,7 @@ class TestWindowOperator:
         dt = 0.05
         seg = constant_segment(0.5, [0.3, 0.1, 0.0], dt)
         candidate = np.tile(seg.values[-1], (5, 1))
-        got = evaluate_window_operator(prob, candidate, seg, 0.0, dt)
+        got = apply_operator(prob, seg, dt, candidate)
         np.testing.assert_array_equal(got[0], seg.values[-1])
 
     def test_manufactured_solution_is_a_fixed_point_up_to_quadrature(self):
@@ -218,7 +224,7 @@ class TestWindowOperator:
             m = int(round(0.5 / dt))
             times = dt * np.arange(m + 1)
             exact = case.exact_values(times)
-            got = evaluate_window_operator(case.problem, exact, seg, 0.0, dt)
+            got = apply_operator(case.problem, seg, dt, exact)
             errors.append(float(np.abs(got - exact).max()))
         assert errors[0] <= 5.0 * (2e-2) ** 2
         assert 3.0 <= errors[0] / errors[1] <= 5.0
@@ -233,7 +239,7 @@ class TestWindowOperator:
         seg = case.initial_segment(dt)
         times = dt * np.arange(26)
         exact = case.exact_values(times)
-        got = evaluate_window_operator(case.problem, exact, seg, 0.0, dt)
+        got = apply_operator(case.problem, seg, dt, exact)
         assert float(np.abs(got - exact).max()) <= 1e-14
 
 
@@ -279,7 +285,7 @@ class TestSolveWindow:
         out, prob, seg, dt = self._state_coupled_window(tol=1e-9, max_iter=100)
         assert out.converged
         assert 0.0 < out.residual <= 1e-9
-        gy = evaluate_window_operator(prob, out.values, seg, 0.0, dt)
+        gy = apply_operator(prob, seg, dt, out.values)
         recomputed = float(np.linalg.norm(gy - out.values, axis=1).max())
         assert abs(recomputed - out.residual) <= 1e-14
 
@@ -300,6 +306,103 @@ class TestSolveWindow:
         seg = constant_segment(0.5, [0.1], dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=tol, max_iter=max_iter)
         return solve_window(prob, seg, 0.0, cfg), prob, seg, dt
+
+
+def _integral_problem():
+    op = make_dirichlet_laplacian(3, math.pi)
+    g = FunctionalAffineTerm(0.1, 0.2, sine_profile_coeffs(op, 1), "integral", y_max=5.0)
+    f = FunctionalAffineTerm(0.0, 0.3, sine_profile_coeffs(op, 2), "max", y_max=5.0)
+    return NeutralProblem(op, 0.5, 2.0, 0.5, g, f, DomainSpec("delay_mass", 5.0), 0.5)
+
+
+def _wobbly_segment(h, dt, n_modes, seed):
+    n = int(round(h / dt))
+    thetas = -h + dt * np.arange(n + 1)
+    values = np.random.default_rng(seed).uniform(-0.3, 0.3, size=(n + 1, n_modes))
+    return Segment(h, thetas, values)
+
+
+class TestWindowFrame:
+    def test_reloading_a_candidate_gives_the_same_result(self):
+        prob = _integral_problem()
+        dt, m = 0.05, 6
+        seg = _wobbly_segment(0.5, dt, 3, seed=1)
+        rng = np.random.default_rng(2)
+        a, b = rng.uniform(-0.3, 0.3, size=(2, m + 1, 3))
+        a[0] = b[0] = seg.values[-1]
+        frame = WindowFrame(prob, seg, 0.0, dt, m)
+        first = evaluate_window_operator(frame, a)
+        other = evaluate_window_operator(frame, b)
+        again = evaluate_window_operator(frame, a)
+        assert not np.array_equal(first, other)
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(first, apply_operator(prob, seg, dt, a))
+        np.testing.assert_array_equal(other, apply_operator(prob, seg, dt, b))
+
+    def test_result_values_do_not_share_the_frame_buffers(self, monkeypatch):
+        import neutraldde.solver as solver
+
+        frames = []
+
+        class RecordedFrame(WindowFrame):
+            def __init__(self, *args):
+                super().__init__(*args)
+                frames.append(self)
+
+        monkeypatch.setattr(solver, "WindowFrame", RecordedFrame)
+        prob = _integral_problem()
+        dt = 0.05
+        seg = _wobbly_segment(0.5, dt, 3, seed=1)
+        for damping in (1.0, 0.5):
+            out = solve_window(prob, seg, 0.0, SolverConfig(dt=dt, window=0.3, damping=damping))
+            assert out.converged
+            frame = frames[-1]
+            for buf in (frame.rows, frame.norms, frame.hist, frame.free, frame._squares):
+                assert not np.shares_memory(out.values, buf)
+
+    def test_drift_check_matches_the_plain_definition(self):
+        from neutraldde.solver import _drift_exceeds
+
+        prob = _integral_problem()
+        dt, m = 0.05, 4
+        seg = _wobbly_segment(0.5, dt, 3, seed=4)
+        candidate = np.random.default_rng(5).uniform(-1.0, 1.0, size=(m + 1, 3))
+        hist = seg.values
+        combined = np.vstack([hist[:-1], candidate])
+        n_h = hist.shape[0] - 1
+        drift = max(float(np.linalg.norm(combined[i : i + n_h + 1] - hist, axis=1).max())
+                    for i in range(m + 1))
+        frame = WindowFrame(prob, seg, 0.0, dt, m)
+        frame.load(candidate)
+        for radius in (np.nextafter(drift, 0.0), drift, np.nextafter(drift, np.inf),
+                       0.5 * drift, 10.0 * drift):
+            assert _drift_exceeds(frame, radius) == (drift > radius)
+
+    def test_window_invariants_are_computed_once_per_attempt(self, monkeypatch):
+        import neutraldde.continuation as continuation
+        import neutraldde.solver as solver
+        from neutraldde import continue_solution
+        from neutraldde.config import build_run, parse_config
+        from neutraldde.scenarios import get_scenario
+
+        calls = {"attempts": 0, "grid": 0, "eval_g": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(continuation, "solve_window", counted("attempts", solve_window))
+        monkeypatch.setattr(solver, "segment_on_grid", counted("grid", solver.segment_on_grid))
+        monkeypatch.setattr(NeutralProblem, "eval_g", counted("eval_g", NeutralProblem.eval_g))
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        iterations = sum(w.iterations for w in traj.windows)
+        assert calls["attempts"] >= len(traj.windows) > 1
+        assert iterations > calls["attempts"]
+        assert calls["grid"] == calls["attempts"]
+        assert calls["eval_g"] == calls["attempts"]
 
 
 class TestHeuristicWindow:
