@@ -5,10 +5,12 @@ Exit codes form a contract for scripted studies:
 * 0 — a mathematically meaningful terminus was reached (including a
       solver-failure event, which is a reported outcome, not a crash);
 * 2 — configuration or argument problems (schema violations, bad grids,
-      a missing config file or scenario, inadmissible initial data, a term
-      argument outside its declared range, non-finite term values met by
-      the admission checks, a declared argument range that no sampled
-      history fits, a fine reference for ``study`` that cannot be trusted);
+      config values out of range, nan values, infinite grid or span
+      values, a missing config file or scenario, inadmissible initial
+      data, a term argument outside its declared range, non-finite term
+      values met by the admission checks, a declared argument range that
+      no sampled history fits, a fine reference for ``study`` that cannot
+      be trusted);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
@@ -111,7 +113,7 @@ def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
     if n_coeffs > n_modes:
         print(f"warning: n_coeffs clipped from {n_coeffs} to {n_modes}", file=sys.stderr)
         n_coeffs = n_modes
-    header = "t,norm,functional," + ",".join(f"c{k + 1}" for k in range(n_coeffs))
+    header = ",".join(["t", "norm", "functional"] + [f"c{k + 1}" for k in range(n_coeffs)])
     times = traj.path.times()
     stack = SegmentStack(prob.h, traj.path.dt, traj.path.values)
     functionals = np.full(times.size, math.nan)

@@ -2,7 +2,9 @@
 
 A run is described by five sections; every key is validated against the
 schema below, unknown keys are errors, and messages carry the offending line
-number where one can be found.
+number where one can be found.  A numeric key set to nan is an error; inf
+is kept wherever the value's own range admits it (``trust_radius``,
+``g_y_max``).
 
 ::
 
@@ -42,14 +44,12 @@ number where one can be found.
     table = ...                  # rows "theta v1 v2 ...", theta in [-h, 0]
 
     [solver]
-    dt = 1e-2
-    window = 0.5
-    tol = 1e-10
-    max_iter = 200
+    dt = 1e-2                    # grid step; must divide h, T and window
+    window = 0.5                 # largest window; halved on failure down to dt
+    tol = 1e-10                  # optional from here on: SolverConfig's
+    max_iter = 200               # defaults apply to every key left out
     trust_radius = 100.0
-    min_window =                 # optional, defaults to dt
     damping = 1.0
-    boundary_tol =               # optional, defaults to 1e-9*l
 
     [output]
     csv = run.csv                # empty: no file written
@@ -61,13 +61,14 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SchemaError
-from .history import Segment
+from .history import Segment, segment_on_grid
 from .problem import (
     DomainSpec,
     FunctionalAffineTerm,
@@ -94,10 +95,7 @@ _SCHEMA = {
         "f_window", "f_kappa", "f_fns",
     },
     "initial": {"family", "coeffs", "amps", "rates", "table"},
-    "solver": {
-        "dt", "window", "tol", "max_iter", "trust_radius", "min_window",
-        "damping", "boundary_tol",
-    },
+    "solver": {"dt", "window", "tol", "max_iter", "trust_radius", "damping"},
     "output": {"csv", "n_coeffs", "diagnostics"},
 }
 _REQUIRED_SECTIONS = ("operator", "problem", "initial", "solver")
@@ -174,9 +172,12 @@ def _parse_float(cfg: RunConfig, section: str, key: str, default=None, required=
             raise _fail(cfg.text, section, key, "required value missing")
         return default
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise _fail(cfg.text, section, key, f"not a number: {value!r}") from None
+        number = math.nan
+    if math.isnan(number):
+        raise _fail(cfg.text, section, key, f"not a number: {value!r}")
+    return number
 
 
 def _parse_int(cfg: RunConfig, section: str, key: str, default=None, required=False):
@@ -198,9 +199,12 @@ def _parse_floats(cfg: RunConfig, section: str, key: str, required=False):
             raise _fail(cfg.text, section, key, "required value missing")
         return None
     try:
-        return np.array([float(v) for v in value.split()])
+        numbers = [float(v) for v in value.split()]
     except ValueError:
-        raise _fail(cfg.text, section, key, f"not a number list: {value!r}") from None
+        numbers = [math.nan]
+    if any(map(math.isnan, numbers)):
+        raise _fail(cfg.text, section, key, f"not a number list: {value!r}")
+    return np.array(numbers)
 
 
 def _parse_bool(cfg: RunConfig, section: str, key: str, default: bool) -> bool:
@@ -372,8 +376,7 @@ def _build_initial(cfg: RunConfig, op: SpectralOperator, h: float, dt: float) ->
             table_seg = Segment(h, arr[:, 0], arr[:, 1:])
         except ValueError as exc:
             raise _fail(cfg.text, "initial", "table", str(exc)) from None
-        values = np.vstack([table_seg.value_at(th) for th in thetas])
-        return Segment(h, thetas, values)
+        return Segment(h, thetas, segment_on_grid(table_seg, dt))
     raise _fail(cfg.text, "initial", "family", f"unknown family {family!r}")
 
 
@@ -402,30 +405,27 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
     dt = dt_override if dt_override is not None else _parse_float(
         cfg, "solver", "dt", required=True)
     window = _parse_float(cfg, "solver", "window", required=True)
+    # keys left out take SolverConfig's defaults
+    settings = {"tol": _parse_float(cfg, "solver", "tol"),
+                "max_iter": _parse_int(cfg, "solver", "max_iter"),
+                "trust_radius": _parse_float(cfg, "solver", "trust_radius"),
+                "damping": _parse_float(cfg, "solver", "damping")}
     try:
-        solver = SolverConfig(
-            dt=dt,
-            window=window,
-            tol=_parse_float(cfg, "solver", "tol", 1e-10),
-            max_iter=_parse_int(cfg, "solver", "max_iter", 200),
-            trust_radius=_parse_float(cfg, "solver", "trust_radius", 100.0),
-            min_window=_parse_float(cfg, "solver", "min_window"),
-            damping=_parse_float(cfg, "solver", "damping", 1.0),
-            boundary_tol=_parse_float(cfg, "solver", "boundary_tol"),
-        )
-        solver.validate_delay(h)
-        ratio = T / dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"dt={dt} must divide the horizon T={T}")
+        solver = SolverConfig(dt=dt, window=window,
+                              **{k: v for k, v in settings.items() if v is not None})
+        solver.validate_grid(h, T)
     except ValueError as exc:
         raise SchemaError(f"[solver] {exc}") from exc
 
-    if h <= 0 or T <= 0:
-        raise SchemaError("[problem] h and T must be positive")
-    problem = NeutralProblem(op, h, T, alpha, g, f, domain, mg_bound)
+    try:
+        problem = NeutralProblem(op, h, T, alpha, g, f, domain, mg_bound)
+    except ValueError as exc:
+        raise SchemaError(f"[problem] {exc}") from exc
     initial = _build_initial(cfg, op, h, solver.dt)
 
     n_coeffs = _parse_int(cfg, "output", "n_coeffs", op.n_modes)
+    if n_coeffs < 0:
+        raise _fail(cfg.text, "output", "n_coeffs", f"must be >= 0, got {n_coeffs}")
     return BuiltRun(
         problem=problem,
         initial_segment=initial,

@@ -18,7 +18,7 @@ between grid points can be missed at coarse dt, so refine dt when the
 domain functional is oscillatory.
 
 A window that will not converge is retried with half the damping, then with
-repeatedly halved windows; only when the minimum window still fails does the
+repeatedly halved windows; only when a one-cell window still fails does the
 run stop with a solver-failure event.  That terminus is deliberately
 distinct from a boundary hit: failure of the iteration is a numerical
 statement, not a statement about the domain.
@@ -47,7 +47,7 @@ class TerminationEvent:
     kind "boundary_hit":    the domain functional reached a boundary
                             component (detail: upper_mass / vanishing /
                             sup_band), at a time refined by bisection.
-    kind "solver_failure":  no window converged at the minimum window
+    kind "solver_failure":  no window converged, down to one grid step
                             (detail: diverged / left_trust_region /
                             numerical_blowup).
     """
@@ -85,7 +85,7 @@ def refine_boundary_time(prob: NeutralProblem, path: SolutionPath, t_inside: flo
     return 0.5 * (a + b)
 
 
-def _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol):
+def _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol=None):
     if tol_t <= 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
     if not t_inside < t_outside:
@@ -132,12 +132,11 @@ def first_exit(prob: NeutralProblem, path: SolutionPath, t: float, m: int,
 
 def _attempt_window(prob, init_seg, t0, cfg, m_cells, remaining_cells):
     """Solve one window, shrinking on failure.  Returns (result or None, failure detail)."""
-    min_cells = max(1, int(round(cfg.effective_min_window() / cfg.dt)))
     m_try = min(m_cells, remaining_cells)
     damping = cfg.damping
     last_detail = None
     while True:
-        attempt_cfg = replace(cfg, window=m_try * cfg.dt, min_window=None, damping=damping)
+        attempt_cfg = replace(cfg, window=m_try * cfg.dt, damping=damping)
         try:
             result = solve_window(prob, init_seg, t0, attempt_cfg)
         except NumericalBlowup:
@@ -150,7 +149,7 @@ def _attempt_window(prob, init_seg, t0, cfg, m_cells, remaining_cells):
         if damping > 0.5:
             damping = 0.5
             continue
-        m_next = max(min_cells, m_try // 2)
+        m_next = max(1, m_try // 2)
         if m_next == m_try:
             return None, last_detail
         m_try = m_next
@@ -162,13 +161,11 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
 
     The initial history must cover [t0 - h, t0] and classify as interior.
     The horizon must be reachable on the grid: dt divides both the delay
-    span and T - t0.
+    span and T - t0.  Every classification uses the domain's default band
+    tolerance.
     """
-    cfg.validate_delay(prob.h)
-    ratio = (prob.T - t0) / cfg.dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(f"dt={cfg.dt} must divide the horizon span {prob.T - t0}")
-    start = prob.membership(t0, init_seg, cfg.boundary_tol)
+    cfg.validate_grid(prob.h, prob.T - t0)
+    start = prob.membership(t0, init_seg)
     if not start.is_inside:
         raise InvalidInitialData(
             f"initial history classifies as {start.state}"
@@ -181,6 +178,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     n_h = hist.shape[0] - 1
     traj = Trajectory(path=path)
     refine_tol = cfg.dt * _REFINE_FRACTION
+    m = max(1, int(heuristic_window(prob, cfg) / cfg.dt + 1e-9))
 
     while True:
         done_cells = traj.path.n_times - 1 - n_h
@@ -189,30 +187,26 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         if remaining <= 0:
             traj.event = TerminationEvent("reached_horizon", prob.T)
             break
-        w = heuristic_window(prob, cfg)
-        m = max(1, int(w / cfg.dt + 1e-9))
         seg = segment_at(traj.path, t, prob.h)
         result, failure = _attempt_window(prob, seg, t, cfg, m, remaining)
         if result is None:
             traj.event = TerminationEvent("solver_failure", t, failure)
             break
         traj.windows.append(result)
-        running_sup = max(float(np.linalg.norm(traj.path.values, axis=1).max()), 1e-12)
-        new_path = extend(traj.path, result.values, tol=1e-9 * running_sup)
+        new_path = extend(traj.path, result.values)
         m_done = result.values.shape[0] - 1
 
         exit_point = None
         if prob.domain.kind != "time_only":
             # no state constraint leaves only the horizon, which the outer
             # loop handles
-            exit_point = first_exit(prob, new_path, t, m_done, cfg.boundary_tol)
+            exit_point = first_exit(prob, new_path, t, m_done)
         if exit_point is not None:
             t_i, mem = exit_point
             if mem.kind == "horizon":
                 traj.event = TerminationEvent("reached_horizon", prob.T)
             else:
-                a, b = _refine_bracket(prob, new_path, t_i - cfg.dt, t_i,
-                                       refine_tol, cfg.boundary_tol)
+                a, b = _refine_bracket(prob, new_path, t_i - cfg.dt, t_i, refine_tol)
                 traj.event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
             # keep the path through the first non-interior grid point
             keep = new_path.index_of(t_i) + 1

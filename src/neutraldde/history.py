@@ -361,7 +361,8 @@ def segment_on_grid(seg: Segment, dt: float) -> np.ndarray:
     """Segment values resampled onto the uniform theta grid -h..0 with step dt."""
     n_h = int(round(seg.h / dt))
     thetas = -seg.h + dt * np.arange(n_h + 1)
-    if seg.thetas.size == n_h + 1 and np.allclose(seg.thetas, thetas, atol=1e-12 * max(1.0, seg.h)):
+    if seg.thetas.size == n_h + 1 and np.allclose(seg.thetas, thetas, rtol=0.0,
+                                                  atol=1e-12 * max(1.0, seg.h)):
         return np.array(seg.values, dtype=float)
     return np.vstack([seg.value_at(th) for th in thetas])
 

@@ -119,8 +119,7 @@ def dense_reference_solve(prob: NeutralProblem, init_seg: Segment, t0: float,
     runs = []
     for i in range(levels):
         dt = fine_dt / 2**i
-        cfg = SolverConfig(dt=dt, window=prob.h, tol=1e-12, max_iter=500,
-                           trust_radius=1e9, damping=1.0)
+        cfg = SolverConfig(dt=dt, window=prob.h, tol=1e-12, max_iter=500, trust_radius=1e9)
         traj = continue_solution(prob, init_seg, t0, cfg)
         if traj.event.kind != "reached_horizon":
             raise OracleUnavailable(

@@ -188,8 +188,6 @@ def current_value_window() -> WindowFns:
 class ZeroTerm:
     """Identically zero term."""
 
-    family = "zero"
-
     def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
         return np.zeros(ctx.op.n_modes)
 
@@ -212,8 +210,6 @@ class FunctionalAffineTerm:
     argument: the scalar map is only defined on [0, y_max] and evaluation
     outside raises.
     """
-
-    family = "affine"
 
     def __init__(self, c0: float, c1: float, profile, functional: str = "integral",
                  window: WindowFns | None = None, y_max: float | None = None):
@@ -312,8 +308,6 @@ class FunctionalAffineTerm:
 class TimeForcingTerm:
     """Per-mode closed-form functions of time; independent of the history."""
 
-    family = "time_forcing"
-
     def __init__(self, mode_fns: list[TimeFn]):
         self.mode_fns = list(mode_fns)
 
@@ -337,8 +331,6 @@ class TimeForcingTerm:
 
 class PointDelayTerm:
     """term(t, seg) = kappa * seg(-h): linear in the oldest history value."""
-
-    family = "point_delay"
 
     def __init__(self, kappa: float):
         self.kappa = float(kappa)

@@ -30,10 +30,15 @@ iterate of that attempt shares it.  The frame computes once: the history on
 the theta grid, phi(0), the grid times, the free evolution
 S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the cell
 weights and scan factors, and a rows buffer whose first n_h rows and norms
-hold the history.  An iterate writes only its m+1 candidate rows and their
-norms into the buffer's tail, then evaluates g and f on every slice, runs
-the scan on mu g + f and takes the residual; the trust-region screen reads
-the same stored norms.
+hold the history.  Each candidate is loaded once: ``load`` writes its m+1
+rows and their norms into the buffer's tail, the trust-region screen reads
+the stored norms, and the operator then evaluates g and f on every slice of
+the same stack, runs the scan on mu g + f and takes the residual.
+
+The settings a caller can change are the ``SolverConfig`` fields and
+nothing else: the grid step, the window, and the iteration controls.  A
+window that fails is halved down to one grid step, and the domain is
+classified with the band tolerance of ``DomainSpec.default_tol``.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ class SolverConfig:
     ``trust_radius`` bounds how far any history slice of the iterate may
     drift from the window's initial history (the certified neighbourhood of
     the contraction argument); leaving it aborts the window so the caller
-    can shrink.
+    can shrink.  A failing window is halved down to one grid step.
     """
 
     dt: float
@@ -180,13 +185,11 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 200
     trust_radius: float = 100.0
-    min_window: float | None = None
     damping: float = 1.0
-    boundary_tol: float | None = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.window <= 0.0:
             raise ValueError(f"window must be positive, got {self.window}")
         if self.tol <= 0.0:
@@ -198,18 +201,17 @@ class SolverConfig:
         if self.trust_radius < 0.0:
             raise ValueError(f"trust_radius must be >= 0, got {self.trust_radius}")
         _require_divides(self.dt, self.window, "window")
-        if self.min_window is not None and self.min_window < self.dt:
-            raise ValueError("min_window must be at least one grid step")
 
-    def effective_min_window(self) -> float:
-        return self.min_window if self.min_window is not None else self.dt
-
-    def validate_delay(self, h: float) -> None:
+    def validate_grid(self, h: float, span: float) -> None:
+        """dt must divide the delay span h and the horizon span."""
         _require_divides(self.dt, h, "delay span")
+        _require_divides(self.dt, span, "horizon span")
 
 
 def _require_divides(dt: float, span: float, what: str) -> None:
     ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"the {what} {span} is not a finite multiple of dt={dt}")
     if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
         raise ValueError(f"dt={dt} must divide the {what} {span} exactly")
 
@@ -290,18 +292,17 @@ class WindowFrame:
         return SegmentStack._trusted(self.prob.h, self.dt, self.thetas, self.rows, self.norms)
 
 
-def evaluate_window_operator(frame: WindowFrame, candidate) -> np.ndarray:
-    """Apply the window fixed-point map G to a candidate trajectory.
+def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:
+    """Apply the window fixed-point map G to the candidate loaded in the frame.
 
-    ``candidate`` holds window values on t0 + i*dt, i = 0..m, with row 0 the
-    window's starting value.  The window start plays the role of time zero
-    in the integral formula; delay terms still see the true time t0 + s.
-    The value at the left endpoint is the identity phi(0) by construction
-    and is returned exactly.
+    ``stack`` is what ``frame.load(candidate)`` returned, for a candidate
+    holding window values on t0 + i*dt, i = 0..m, with row 0 the window's
+    starting value; slice i is the history the delay terms see at t0 + i*dt.
+    The window start plays the role of time zero in the integral formula;
+    delay terms still see the true time t0 + s.  The value at the left
+    endpoint is the identity phi(0) by construction and is returned exactly.
     """
     prob = frame.prob
-    # slice i of the stack is the history the delay terms see at t0 + i*dt
-    stack = frame.load(candidate)
     g_vals = prob.eval_g_window(frame.times, stack)
     f_vals = prob.eval_f_window(frame.times, stack)
     out = frame.free - g_vals
@@ -338,19 +339,17 @@ def solve_window(prob: NeutralProblem, init_seg: Segment, t0: float,
     frame = WindowFrame(prob, init_seg, t0, dt, m)
     phi0 = frame.phi0
     y = np.tile(phi0, (m + 1, 1))
-
-    def leaves_trust(values) -> bool:
-        frame.load(values)
-        return _drift_exceeds(frame, cfg.trust_radius)
-
-    if leaves_trust(y):
+    # each candidate is loaded once: the trust check and the next iterate
+    # both read the same stack
+    stack = frame.load(y)
+    if _drift_exceeds(frame, cfg.trust_radius):
         return WindowResult(y, 0, np.inf, 0.0, "left_trust_region", t0, cfg.window)
 
     prev_residual = None
     residual = np.inf
     contraction = 0.0
     for it in range(1, cfg.max_iter + 1):
-        gy = evaluate_window_operator(frame, y)
+        gy = evaluate_window_operator(frame, stack)
         if not np.all(np.isfinite(gy)):
             raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
         residual = float(np.linalg.norm(gy - y, axis=1).max())
@@ -364,7 +363,8 @@ def solve_window(prob: NeutralProblem, init_seg: Segment, t0: float,
         else:
             y = (1.0 - cfg.damping) * y + cfg.damping * gy
         y[0] = phi0
-        if leaves_trust(y):
+        stack = frame.load(y)
+        if _drift_exceeds(frame, cfg.trust_radius):
             return WindowResult(y, it, residual, contraction, "left_trust_region", t0, cfg.window)
     return WindowResult(y, cfg.max_iter, residual, contraction, "diverged", t0, cfg.window)
 
@@ -373,7 +373,7 @@ def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
     """Initial window suggestion from the contraction budget.
 
     Picks the smallest integer k with 7/k + mg < 1 and proposes h/k, clipped
-    to the configured window and floored at the minimum window.  Advisory:
+    to the configured window and floored at one grid step.  Advisory:
     the continuation loop still shrinks adaptively on failure.
     """
     mg = prob.mg_bound
@@ -381,7 +381,7 @@ def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
         raise HypothesisViolation(f"contraction budget {mg} >= 1 admits no window")
     k = math.floor(7.0 / (1.0 - mg)) + 1
     w = min(cfg.window, prob.h / k)
-    return max(w, cfg.effective_min_window())
+    return max(w, cfg.dt)
 
 
 def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: float,

@@ -9,6 +9,7 @@ from neutraldde.continuation import TerminationEvent, Trajectory
 from neutraldde.errors import SchemaError
 from neutraldde.history import SolutionPath, integral_norm_functional, segment_at
 from neutraldde.scenarios import get_scenario, scenario_names
+from neutraldde.solver import SolverConfig
 
 SMALL_RUN = """\
 [operator]
@@ -105,6 +106,17 @@ class TestConfigParsing:
         with pytest.raises(SchemaError):
             build_run(parse_config(text))
 
+    def test_solver_keys_left_out_take_the_solver_defaults(self):
+        text = SMALL_RUN.replace("tol = 1e-12\n", "")
+        assert build_run(parse_config(text)).solver == SolverConfig(dt=0.1, window=0.2)
+
+    @pytest.mark.parametrize("line", ["min_window = 0.1", "boundary_tol = 1e-9"])
+    def test_removed_solver_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(SMALL_RUN.replace("tol = 1e-12", f"tol = 1e-12\n{line}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_heat_decay_reaches_horizon(self, tmp_path, capsys):
@@ -176,6 +188,55 @@ class TestRunCommand:
         assert main(["run", "--scenario", "no_such", "--out", str(tmp_path)]) == 2
 
 
+#: SMALL_RUN with an affine neutral term over a max window, so that the
+#: window and argument-cap keys are read; it runs to its horizon
+BAD_VALUE_BASE = SMALL_RUN.replace(
+    "g_family = zero",
+    "g_family = affine\ng_functional = max\ng_c1 = 0.05\ng_profile = modes:1.0\ng_y_max = 1e9",
+).replace("mg_bound = 0.0", "mg_bound = 0.3")
+
+
+#: (line, replacement, extra arguments): a value out of its range, not
+#: finite where it must be, or nan
+_BAD_VALUES = [
+    ("alpha = 0.5", "alpha = 0", []),
+    ("alpha = 0.5", "alpha = 2", []),
+    ("mg_bound = 0.3", "mg_bound = -1", []),
+    ("g_y_max = 1e9", "g_y_max = 1e9\ng_window = affine:-2,1,0,1", []),
+    ("T = 0.4", "T = inf", []),
+    ("h = 0.2", "h = inf", []),
+    ("window = 0.2", "window = inf", []),
+    ("dt = 0.1", "dt = inf", []),
+    ("dt = 0.1", "dt = 0.1", ["--dt", "inf"]),
+    ("tol = 1e-12", "tol = nan", []),
+    ("tol = 1e-12", "tol = 1e-12\ntrust_radius = nan", []),
+    ("l = 10.0", "l = nan", []),
+    ("g_y_max = 1e9", "g_y_max = nan", []),
+    ("coeffs = 1.0", "coeffs = nan", []),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("old, new, extra", _BAD_VALUES,
+                         ids=[" ".join([new.splitlines()[-1], *extra]) for _, new, extra in _BAD_VALUES])
+def test_out_of_range_or_non_finite_value_exits_2(tmp_path, capsys, command, old, new, extra):
+    assert old in BAD_VALUE_BASE
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BAD_VALUE_BASE.replace(old, new))
+    argv = [command, "--config", str(cfg), *extra]
+    if command == "run":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error:") and "\n" not in err
+
+
+def test_bad_value_base_runs(tmp_path):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(BAD_VALUE_BASE)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 class TestCsvFormat:
     def test_structure_and_roundtrip(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
@@ -202,6 +263,21 @@ class TestCsvFormat:
         assert "clipped" in capsys.readouterr().err
         header = (tmp_path / "tiny.csv").read_text().splitlines()[0]
         assert header == "t,norm,functional,c1"
+
+    def test_zero_coefficient_columns(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SMALL_RUN.replace("n_coeffs = 1", "n_coeffs = 0"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tiny.csv").read_text().splitlines()
+        assert lines[0] == "t,norm,functional"
+        assert all(len(line.split(",")) == 3 for line in lines[1:-2])
+
+    def test_negative_coefficient_count_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SMALL_RUN.replace("n_coeffs = 1", "n_coeffs = -1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "n_coeffs" in capsys.readouterr().err
+        assert not (tmp_path / "tiny.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

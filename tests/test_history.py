@@ -14,7 +14,7 @@ from neutraldde import (
     segment_at,
     sup_norm,
 )
-from neutraldde.history import _GRID_EPS
+from neutraldde.history import _GRID_EPS, segment_on_grid
 
 
 def scalar_path(t_start, dt, samples):
@@ -65,6 +65,18 @@ class TestSegmentAt:
         seg = segment_at(path, 0.5, 1.0)
         i0 = path.index_of(-0.5)
         np.testing.assert_array_equal(seg.values, path.values[i0 : i0 + 21])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, 2e-7])
+def test_segment_on_grid_matches_pointwise_interpolation(offset):
+    # nodes moved off the grid by more than rounding are interpolated, not copied
+    h, dt = 1.0, 0.1
+    grid = -h + dt * np.arange(11)
+    thetas = grid.copy()
+    thetas[1:-1] += offset
+    seg = Segment(h, thetas, np.column_stack([np.exp(thetas), thetas**2]))
+    want = np.vstack([seg.value_at(th) for th in grid])
+    np.testing.assert_array_equal(segment_on_grid(seg, dt), want)
 
 
 class TestSupNorm:

@@ -40,7 +40,8 @@ def constant_segment(h, vec, dt):
 
 def apply_operator(prob, seg, dt, candidate):
     """The window operator on a fresh frame at t0 = 0 sized to the candidate."""
-    return evaluate_window_operator(WindowFrame(prob, seg, 0.0, dt, len(candidate) - 1), candidate)
+    frame = WindowFrame(prob, seg, 0.0, dt, len(candidate) - 1)
+    return evaluate_window_operator(frame, frame.load(candidate))
 
 
 def homogeneous_problem(mu=(1.0,), h=0.5, T=2.0):
@@ -331,9 +332,9 @@ class TestWindowFrame:
         a, b = rng.uniform(-0.3, 0.3, size=(2, m + 1, 3))
         a[0] = b[0] = seg.values[-1]
         frame = WindowFrame(prob, seg, 0.0, dt, m)
-        first = evaluate_window_operator(frame, a)
-        other = evaluate_window_operator(frame, b)
-        again = evaluate_window_operator(frame, a)
+        first = evaluate_window_operator(frame, frame.load(a))
+        other = evaluate_window_operator(frame, frame.load(b))
+        again = evaluate_window_operator(frame, frame.load(a))
         assert not np.array_equal(first, other)
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, apply_operator(prob, seg, dt, a))
@@ -404,6 +405,31 @@ class TestWindowFrame:
         assert calls["grid"] == calls["attempts"]
         assert calls["eval_g"] == calls["attempts"]
 
+    def test_each_candidate_is_loaded_once(self, monkeypatch):
+        import neutraldde.continuation as continuation
+        from neutraldde import continue_solution
+        from neutraldde.config import build_run, parse_config
+        from neutraldde.scenarios import get_scenario
+
+        calls = {"attempts": 0, "loads": 0}
+        load = WindowFrame.load
+
+        def counted_load(self, candidate):
+            calls["loads"] += 1
+            return load(self, candidate)
+
+        def counted_solve(*args):
+            calls["attempts"] += 1
+            return solve_window(*args)
+
+        monkeypatch.setattr(WindowFrame, "load", counted_load)
+        monkeypatch.setattr(continuation, "solve_window", counted_solve)
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        # every attempt converged, so each loaded candidate was one iterate
+        assert calls["attempts"] == len(traj.windows) > 1
+        assert calls["loads"] == sum(w.iterations for w in traj.windows)
+
 
 class TestHeuristicWindow:
     def test_half_contraction_budget(self):
@@ -456,8 +482,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt=0.03, window=0.1)
         cfg = SolverConfig(dt=0.02, window=0.1)
-        with pytest.raises(ValueError):
-            cfg.validate_delay(0.05)
+        cfg.validate_grid(0.1, 2.0)
+        with pytest.raises(ValueError, match="delay span"):
+            cfg.validate_grid(0.05, 2.0)
+        with pytest.raises(ValueError, match="horizon span"):
+            cfg.validate_grid(0.1, 2.01)
+        with pytest.raises(ValueError, match="horizon span"):
+            cfg.validate_grid(0.1, math.inf)
 
     def test_damping_range(self):
         with pytest.raises(ValueError):
