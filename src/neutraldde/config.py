@@ -2,9 +2,10 @@
 
 A run is described by five sections; every key is validated against the
 schema below, unknown keys are errors, and messages carry the offending line
-number where one can be found.  A numeric key set to nan is an error; inf
-is kept wherever the value's own range admits it (``trust_radius``,
-``g_y_max``).
+number where one can be found.  A numeric key set to nan is an error, and
+so is a nan in any list (``coeffs``, ``table`` rows, ``*_profile``,
+``*_window``, ``*_fns``); inf is kept wherever the value's own range admits
+it (``trust_radius``, ``g_y_max``).
 
 ::
 
@@ -192,6 +193,14 @@ def _parse_int(cfg: RunConfig, section: str, key: str, default=None, required=Fa
         raise _fail(cfg.text, section, key, f"not an integer: {value!r}") from None
 
 
+def _floats(text: str, sep: str | None = None) -> list[float]:
+    """The numbers of a ``sep``-separated config list; ValueError on a nan or non-number."""
+    numbers = [float(v) for v in text.split(sep)]
+    if any(map(math.isnan, numbers)):
+        raise ValueError(f"nan is not a value: {text!r}")
+    return numbers
+
+
 def _parse_floats(cfg: RunConfig, section: str, key: str, required=False):
     value = cfg.get(section, key)
     if value is None or value == "":
@@ -199,12 +208,9 @@ def _parse_floats(cfg: RunConfig, section: str, key: str, required=False):
             raise _fail(cfg.text, section, key, "required value missing")
         return None
     try:
-        numbers = [float(v) for v in value.split()]
+        return np.array(_floats(value))
     except ValueError:
-        numbers = [math.nan]
-    if any(map(math.isnan, numbers)):
-        raise _fail(cfg.text, section, key, f"not a number list: {value!r}")
-    return np.array(numbers)
+        raise _fail(cfg.text, section, key, f"not a number list: {value!r}") from None
 
 
 def _parse_bool(cfg: RunConfig, section: str, key: str, default: bool) -> bool:
@@ -253,7 +259,7 @@ def _parse_profile(cfg: RunConfig, prefix: str, op: SpectralOperator) -> np.ndar
     kind, _, rest = spec.partition(":")
     if kind == "modes":
         try:
-            coeffs = np.array([float(v) for v in rest.split()])
+            coeffs = np.array(_floats(rest))
         except ValueError:
             raise _fail(cfg.text, "problem", f"{prefix}_profile",
                         f"bad mode coefficients {rest!r}") from None
@@ -267,7 +273,8 @@ def _parse_profile(cfg: RunConfig, prefix: str, op: SpectralOperator) -> np.ndar
             raise _fail(cfg.text, "problem", f"{prefix}_profile",
                         "sine profile is sine:<mode>:<amplitude>")
         try:
-            k, amp = int(parts[0]), float(parts[1])
+            k = int(parts[0])
+            (amp,) = _floats(parts[1])
             return sine_profile_coeffs(op, k, amp)
         except ValueError as exc:
             raise _fail(cfg.text, "problem", f"{prefix}_profile", str(exc)) from None
@@ -283,7 +290,7 @@ def _parse_window(cfg: RunConfig, prefix: str, h: float) -> WindowFns:
     kind, _, rest = spec.partition(":")
     if kind == "affine":
         try:
-            b0, b1, a0, a1 = (float(v) for v in rest.split(","))
+            b0, b1, a0, a1 = _floats(rest, ",")
             return WindowFns(b0, b1, a0, a1)
         except ValueError:
             raise _fail(cfg.text, "problem", f"{prefix}_window",
@@ -301,7 +308,7 @@ def _parse_time_fns(cfg: RunConfig, prefix: str, op: SpectralOperator) -> list[T
         part = part.strip()
         kind, _, rest = part.partition(":")
         try:
-            params = tuple(float(v) for v in rest.split(",")) if rest else ()
+            params = tuple(_floats(rest, ",")) if rest else ()
             fns.append(TimeFn(kind, params))
         except ValueError as exc:
             raise _fail(cfg.text, "problem", f"{prefix}_fns", f"{part!r}: {exc}") from None
@@ -365,7 +372,7 @@ def _build_initial(cfg: RunConfig, op: SpectralOperator, h: float, dt: float) ->
             if not line:
                 continue
             try:
-                rows.append([float(v) for v in line.split()])
+                rows.append(_floats(line))
             except ValueError:
                 raise _fail(cfg.text, "initial", "table", f"bad row {line!r}") from None
         arr = np.array(rows)

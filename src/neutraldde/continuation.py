@@ -6,6 +6,10 @@ domain.  The first non-interior point triggers bisection refinement of the
 crossing time and ends the run with a boundary event; reaching the horizon
 ends it there.
 
+The initial ``Segment`` is put on the theta grid once per run.  As dt divides
+the delay span, each window then takes the path's last n_h+1 rows as its
+history; ``segment_at`` serves only the flagged points and the bisection.
+
 The classification runs in two stages.  One batch pass evaluates the domain
 functional of every new point's history slice at once and flags the points
 that might not be interior, including those within a rounding margin of a
@@ -130,15 +134,15 @@ def first_exit(prob: NeutralProblem, path: SolutionPath, t: float, m: int,
     return None
 
 
-def _attempt_window(prob, init_seg, t0, cfg, m_cells, remaining_cells):
-    """Solve one window, shrinking on failure.  Returns (result or None, failure detail)."""
+def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):
+    """Solve one window from its grid rows, halving on failure: (result or None, detail)."""
     m_try = min(m_cells, remaining_cells)
     damping = cfg.damping
     last_detail = None
     while True:
         attempt_cfg = replace(cfg, window=m_try * cfg.dt, damping=damping)
         try:
-            result = solve_window(prob, init_seg, t0, attempt_cfg)
+            result = solve_window(prob, hist, t0, attempt_cfg)
         except NumericalBlowup:
             result = None
             last_detail = "numerical_blowup"
@@ -187,8 +191,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         if remaining <= 0:
             traj.event = TerminationEvent("reached_horizon", prob.T)
             break
-        seg = segment_at(traj.path, t, prob.h)
-        result, failure = _attempt_window(prob, seg, t, cfg, m, remaining)
+        result, failure = _attempt_window(prob, traj.path.values[-(n_h + 1):], t, cfg, m, remaining)
         if result is None:
             traj.event = TerminationEvent("solver_failure", t, failure)
             break

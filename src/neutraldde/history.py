@@ -17,6 +17,8 @@ from .errors import StitchingError
 
 #: Relative slack when matching times to grid indices.
 _GRID_EPS = 1e-9
+#: Largest overlap mismatch ``extend`` accepts between a window and the path.
+_STITCH_TOL = 1e-8
 
 
 class SolutionPath:
@@ -329,12 +331,13 @@ class SegmentStack:
         return out
 
 
-def segment_at(path: SolutionPath, t: float, h: float, n_theta: int | None = None) -> Segment:
+def segment_at(path: SolutionPath, t: float, h: float) -> Segment:
     """Sample the history slice u(t + theta) from the path.
 
-    ``n_theta`` intervals over [-h, 0] (default h/dt, the grid-aligned
-    choice); values off the path grid are linearly interpolated.  The whole
-    window [t - h, t] must be covered by the path.
+    The theta nodes split [-h, 0] into round(h/dt) steps, the path's own
+    grid when dt divides h; values between path nodes, as at an off-grid
+    t, are linearly interpolated.  The whole window [t - h, t] must be
+    covered by the path.
     """
     if h <= 0.0:
         raise ValueError(f"delay span must be positive, got {h}")
@@ -343,10 +346,7 @@ def segment_at(path: SolutionPath, t: float, h: float, n_theta: int | None = Non
         raise ValueError(
             f"segment window [{t - h}, {t}] outside path range [{path.t_start}, {path.t_end}]"
         )
-    if n_theta is None:
-        n_theta = max(1, int(round(h / path.dt)))
-    if n_theta < 1:
-        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
+    n_theta = max(1, int(round(h / path.dt)))
     thetas = np.linspace(-h, 0.0, n_theta + 1)
     pos = np.clip((t - path.t_start + thetas) / path.dt, 0.0, path.n_times - 1.0)
     base = np.minimum(pos.astype(int), path.n_times - 2)
@@ -367,17 +367,17 @@ def segment_on_grid(seg: Segment, dt: float) -> np.ndarray:
     return np.vstack([seg.value_at(th) for th in thetas])
 
 
-def extend(path: SolutionPath, new_values, tol: float = 1e-8) -> SolutionPath:
+def extend(path: SolutionPath, new_values) -> SolutionPath:
     """Append window values whose first row overlaps the current endpoint.
 
-    The overlap row replaces the stored endpoint; a mismatch beyond ``tol``
-    means the window was solved from a different state and is refused.
+    The overlap row replaces the stored endpoint.  A mismatch beyond
+    ``_STITCH_TOL`` is refused: the window was solved from another state.
     """
     new_values = np.asarray(new_values, dtype=float)
     if new_values.ndim != 2 or new_values.shape[1] != path.values.shape[1]:
         raise StitchingError("new values must be (n, n_modes) matching the path")
     jump = float(np.linalg.norm(new_values[0] - path.values[-1]))
-    if jump > tol:
-        raise StitchingError(f"overlap mismatch {jump:.3e} exceeds stitching tolerance {tol:.3e}")
+    if jump > _STITCH_TOL:
+        raise StitchingError(f"overlap mismatch {jump:.3e} exceeds the stitching tolerance")
     merged = np.vstack([path.values[:-1], new_values])
     return SolutionPath(path.t_start, path.dt, merged)

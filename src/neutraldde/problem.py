@@ -8,8 +8,8 @@ A problem couples the diagonal generator with two delay terms:
   contract.
 * ``f`` — the ordinary forcing term, merely measurable in t.
 
-Both come from a closed registry of parametric families, so Lipschitz and
-envelope metadata are available analytically and the configuration stays
+Both come from a closed registry of parametric families, so Lipschitz
+metadata is available analytically and the configuration stays
 declarative.  The admissible domain tracks either the delay mass
 (integral of the history norm) or the pointwise norm band, with the final
 time as an additional boundary component.
@@ -55,11 +55,8 @@ class SineGrid:
     synthesis invert each other for every resolvable mode.
     """
 
-    def __init__(self, basis: DirichletSineBasis, n_modes: int, n_points: int | None = None):
-        if n_points is None:
-            n_points = DEFAULT_GRID_FACTOR * n_modes
-        if n_points < n_modes:
-            raise ValueError(f"grid size {n_points} cannot resolve {n_modes} modes")
+    def __init__(self, basis: DirichletSineBasis, n_modes: int):
+        n_points = DEFAULT_GRID_FACTOR * n_modes
         L = basis.length
         self.n_points = n_points
         self.dx = L / (n_points + 1)
@@ -79,11 +76,11 @@ class SineGrid:
         return self.modes @ coeffs
 
 
-def project_spatial(op: SpectralOperator, samples, n_points: int | None = None) -> np.ndarray:
-    """Project grid samples onto the operator's sine eigenbasis."""
+def project_spatial(op: SpectralOperator, samples) -> np.ndarray:
+    """Project samples on the ``SineGrid`` of the operator's modes onto its sine eigenbasis."""
     if not isinstance(op.basis, DirichletSineBasis):
         raise ValueError("spatial projection requires a sine eigenbasis")
-    grid = SineGrid(op.basis, op.n_modes, n_points)
+    grid = SineGrid(op.basis, op.n_modes)
     return grid.project(samples)
 
 
@@ -197,9 +194,6 @@ class ZeroTerm:
     def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
         return 0.0
 
-    def envelope(self, ctx: "EvalContext", t: float, R: float) -> float:
-        return 0.0
-
 
 class FunctionalAffineTerm:
     """term(t, seg) = (c0 + c1*y) * profile, with y a scalar history functional.
@@ -272,13 +266,6 @@ class FunctionalAffineTerm:
         prof_alpha = float(np.linalg.norm(ctx.op.mu**alpha * self.profile))
         return abs(self.c1) * self.functional_sup_lipschitz(h) * prof_alpha
 
-    def envelope(self, ctx: "EvalContext", t: float, R: float) -> float:
-        cap = self.functional_sup_lipschitz(ctx.h) * R
-        if self.y_max is not None:
-            cap = min(cap, self.y_max)
-        prof = float(np.linalg.norm(self.profile))
-        return (abs(self.c0) + abs(self.c1) * cap) * prof
-
     # --- pointwise metadata for the spatial smallness condition ---
 
     def _profile_sups(self, ctx: "EvalContext") -> tuple[float, float]:
@@ -325,9 +312,6 @@ class TimeForcingTerm:
     def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
         return 0.0
 
-    def envelope(self, ctx: "EvalContext", t: float, R: float) -> float:
-        return float(np.linalg.norm([fn(t) for fn in self.mode_fns]))
-
 
 class PointDelayTerm:
     """term(t, seg) = kappa * seg(-h): linear in the oldest history value."""
@@ -344,9 +328,6 @@ class PointDelayTerm:
 
     def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
         return abs(self.kappa) * float(np.max(ctx.op.mu**alpha))
-
-    def envelope(self, ctx: "EvalContext", t: float, R: float) -> float:
-        return abs(self.kappa) * R
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +379,6 @@ class EvalContext:
     """What a nonlinearity family needs to evaluate: operator and bounds."""
 
     op: SpectralOperator
-    h: float
     default_y_cap: float
 
 
@@ -431,7 +411,7 @@ class NeutralProblem:
         self.domain = domain
         self.mg_bound = float(mg_bound)
         default_cap = domain.l if domain.l is not None else 1.0
-        self._ctx = EvalContext(op=op, h=self.h, default_y_cap=default_cap)
+        self._ctx = EvalContext(op=op, default_y_cap=default_cap)
         if isinstance(g, FunctionalAffineTerm) and g.window is not None:
             g.window.validate(self.h, self.T)
         if isinstance(f, FunctionalAffineTerm) and f.window is not None:
@@ -462,10 +442,6 @@ class NeutralProblem:
     def g_alpha_lipschitz(self) -> float:
         """Analytic bound on the neutral term's contraction constant."""
         return self.g.alpha_lipschitz(self._ctx, self.alpha, self.h)
-
-    def f_envelope(self, t: float, R: float) -> float:
-        """Bound on the forcing norm over histories with sup-norm <= R."""
-        return self.f.envelope(self._ctx, t, R)
 
     def domain_functional(self, seg: Segment) -> float:
         """The scalar the domain watches: delay mass, or the pointwise max norm.
@@ -610,8 +586,7 @@ def _random_segment(rng: np.random.Generator, prob: NeutralProblem, thetas: np.n
     return seg.scaled(target / current)
 
 
-def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int,
-                          n_theta: int | None = None) -> float:
+def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> float:
     """Sampled lower bound on the neutral term's Lipschitz constant.
 
     Ratios ||g(t, s1) - g(t, s2)||_alpha / sup-norm(s1 - s2) over random
@@ -623,12 +598,8 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int,
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    if n_theta is None:
-        n_theta = 16
-    if n_theta < 1:
-        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
-    # every sampled segment shares this grid: strictly increasing from -h to 0
-    thetas = np.linspace(-prob.h, 0.0, n_theta + 1)
+    # every sampled segment shares this grid of 16 cells, strictly increasing from -h to 0
+    thetas = np.linspace(-prob.h, 0.0, 16 + 1)
     best = 0.0
     formed = 0
     for i in range(n_samples):

@@ -26,14 +26,16 @@ over time steps would cost one interpreter pass per cell, which dominates
 on windows of a few hundred cells and few modes.
 
 Each window attempt builds one ``WindowFrame``, and every fixed-point
-iterate of that attempt shares it.  The frame computes once: the history on
-the theta grid, phi(0), the grid times, the free evolution
-S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the cell
-weights and scan factors, and a rows buffer whose first n_h rows and norms
-hold the history.  Each candidate is loaded once: ``load`` writes its m+1
-rows and their norms into the buffer's tail, the trust-region screen reads
-the stored norms, and the operator then evaluates g and f on every slice of
-the same stack, runs the scan on mu g + f and takes the residual.
+iterate of that attempt shares it.  The frame takes the window's history as
+its n_h+1 grid rows: dt divides the delay span, so every delayed value is a
+row of the path and nothing is resampled.  It computes once: phi(0), the
+grid times, the free evolution S(s)(phi(0) + g(t0, phi)) (the only scalar g
+call of the attempt), the cell weights and scan factors, and a rows buffer
+whose first n_h rows and norms hold the history.  Each candidate is loaded
+once: ``load`` writes its m+1 rows and their norms into the buffer's tail,
+the trust-region screen reads the stored norms, and the operator then
+evaluates g and f on every slice of the same stack, runs the scan on
+mu g + f and takes the residual.
 
 The settings a caller can change are the ``SolverConfig`` fields and
 nothing else: the grid step, the window, and the iteration controls.  A
@@ -50,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalBlowup
-from .history import Segment, SegmentStack, segment_on_grid
+from .history import Segment, SegmentStack
 from .problem import NeutralProblem
 from .spectral import SpectralOperator
 
@@ -236,29 +238,33 @@ class WindowResult:
 class WindowFrame:
     """What one window attempt's iterates share, computed once per attempt.
 
-    The window starts at t0 with the history ``init_seg`` and has m cells.
-    The frame holds the history on the theta grid (``hist``), the grid
-    times, phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the cell
-    weights and scan factors of the memory integral, and one rows buffer
-    whose first n_h rows are the history and whose last m+1 rows hold the
-    candidate, with the row norms beside it.  ``load`` writes a candidate
-    into the tail and returns a stack over the buffers; that stack is valid
-    until the next ``load``.
+    The window starts at t0 and has m cells.  It takes the window's grid
+    rows ``hist``: the (n_h+1, n_modes) values u(t0 - h + k*dt), k = 0..n_h,
+    with n_h = h/dt.  The frame holds them, the theta grid, the grid times,
+    phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the cell weights
+    and scan factors of the memory integral, and one rows buffer whose first
+    n_h rows are the history and whose last m+1 rows hold the candidate,
+    with the row norms beside it.  ``load`` writes a candidate into the tail
+    and returns a stack over the buffers; that stack is valid until the
+    next ``load``.
     """
 
-    def __init__(self, prob: NeutralProblem, init_seg: Segment, t0: float, dt: float, m: int):
+    def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int):
         if m < 1:
             raise ValueError(f"a window needs at least one cell, got m={m}")
+        self.n_h = int(round(prob.h / dt))
+        n_modes = prob.op.n_modes
+        self.hist = np.asarray(hist, dtype=float)
+        if self.hist.shape != (self.n_h + 1, n_modes):
+            raise ValueError(f"history must be ({self.n_h + 1}, {n_modes}) grid rows, "
+                             f"got {self.hist.shape}")
         self.prob = prob
         self.t0 = t0
         self.dt = dt
         self.m = m
-        self.hist = segment_on_grid(init_seg, dt)
-        self.n_h = self.hist.shape[0] - 1
         self.thetas = -prob.h + dt * np.arange(self.n_h + 1)
         self.times = t0 + dt * np.arange(m + 1)
         self.phi0 = self.hist[-1]
-        n_modes = self.hist.shape[1]
         self.rows = np.empty((self.n_h + m + 1, n_modes))
         self.rows[: self.n_h] = self.hist[:-1]
         hist_norms = np.linalg.norm(self.hist, axis=1)
@@ -329,14 +335,13 @@ def _drift_exceeds(frame: WindowFrame, radius: float) -> bool:
     return False
 
 
-def solve_window(prob: NeutralProblem, init_seg: Segment, t0: float,
-                 cfg: SolverConfig) -> WindowResult:
-    """Damped fixed-point iteration of the window operator from a constant warm start."""
+def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig) -> WindowResult:
+    """Damped fixed-point iteration from the window's grid rows ``hist``, warm-started at phi(0)."""
     dt = cfg.dt
     m = int(round(cfg.window / dt))
     if m < 1:
         raise ValueError(f"window {cfg.window} shorter than one grid step {dt}")
-    frame = WindowFrame(prob, init_seg, t0, dt, m)
+    frame = WindowFrame(prob, hist, t0, dt, m)
     phi0 = frame.phi0
     y = np.tile(phi0, (m + 1, 1))
     # each candidate is loaded once: the trust check and the next iterate
@@ -384,7 +389,7 @@ def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
     return max(w, cfg.dt)
 
 
-def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: float,
+def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
                                values, dt: float, n_pairs: int, seed: int) -> float:
     """Measured Lipschitz ratio of the pure neutral part over candidate pairs.
 
@@ -393,12 +398,12 @@ def sample_neutral_contraction(prob: NeutralProblem, init_seg: Segment, t0: floa
 
         sup_s ||g(t, y1_s) - g(t, y2_s)|| / sup_s ||y1(s) - y2(s)||
 
-    (plain coefficient norms).  For an admissible problem this stays below
-    the declared contraction budget.
+    (plain coefficient norms) on the window with grid rows ``hist``.  For an
+    admissible problem this stays below the declared contraction budget.
     """
     values = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
-    frame = WindowFrame(prob, init_seg, t0, dt, values.shape[0] - 1)
+    frame = WindowFrame(prob, hist, t0, dt, values.shape[0] - 1)
     scale = 0.01 * (1.0 + float(np.linalg.norm(values, axis=1).max()))
     best = 0.0
     for _ in range(n_pairs):

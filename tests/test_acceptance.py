@@ -146,7 +146,7 @@ def test_criterion_5_neutral_contraction_diagnostic(parabolic_run):
         assert w.converged
         init_seg = segment_at(traj.path, w.t0, prob.h)
         ratio = sample_neutral_contraction(
-            prob, init_seg, w.t0, w.values, built.solver.dt, n_pairs=50, seed=100 + i
+            prob, init_seg.values, w.t0, w.values, built.solver.dt, n_pairs=50, seed=100 + i
         )
         assert ratio <= budget, f"window at t0={w.t0}: ratio {ratio:.4f} > {budget:.4f}"
     report(5, f"pure neutral part stays below {budget:.3f} over 50 pairs in "

@@ -189,11 +189,14 @@ class TestRunCommand:
 
 
 #: SMALL_RUN with an affine neutral term over a max window, so that the
-#: window and argument-cap keys are read; it runs to its horizon
+#: window and argument-cap keys are read, and with its one rate mu = 1 given
+#: as the sine operator on (0, pi), so that sine profiles are admitted; it
+#: runs to its horizon
 BAD_VALUE_BASE = SMALL_RUN.replace(
     "g_family = zero",
     "g_family = affine\ng_functional = max\ng_c1 = 0.05\ng_profile = modes:1.0\ng_y_max = 1e9",
-).replace("mg_bound = 0.0", "mg_bound = 0.3")
+).replace("mg_bound = 0.0", "mg_bound = 0.3").replace(
+    "type = explicit\nmu = 1.0", "type = dirichlet_sine\nn_modes = 1\nlength = 3.141592653589793")
 
 
 #: (line, replacement, extra arguments): a value out of its range, not
@@ -213,12 +216,18 @@ _BAD_VALUES = [
     ("l = 10.0", "l = nan", []),
     ("g_y_max = 1e9", "g_y_max = nan", []),
     ("coeffs = 1.0", "coeffs = nan", []),
+    ("family = constant\ncoeffs = 1.0",
+     "family = table\ntable =\n  -0.2 1.0\n  -0.1 1.0\n  0.0 nan", []),
+    ("f_family = zero", "f_family = time_forcing\nf_fns = const:nan", []),
+    ("g_profile = modes:1.0", "g_profile = modes:nan", []),
+    ("g_profile = modes:1.0", "g_profile = sine:1:nan", []),
+    ("g_y_max = 1e9", "g_y_max = 1e9\ng_window = affine:nan,1,0,1", []),
 ]
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("old, new, extra", _BAD_VALUES,
-                         ids=[" ".join([new.splitlines()[-1], *extra]) for _, new, extra in _BAD_VALUES])
+                         ids=[" ".join([new.splitlines()[-1].strip(), *extra]) for _, new, extra in _BAD_VALUES])
 def test_out_of_range_or_non_finite_value_exits_2(tmp_path, capsys, command, old, new, extra):
     assert old in BAD_VALUE_BASE
     cfg = tmp_path / "bad.cfg"

@@ -37,12 +37,14 @@ class TestSegmentAt:
         assert np.all(seg.values == 3.5)
 
     def test_linear_data_is_exact(self):
-        # u(s) = s sampled on the grid; linear interpolation reproduces 1 + theta
+        # u(s) = s sampled on the grid; at the off-grid time t = 1.03 every
+        # node lies inside a cell, and linear interpolation reproduces t + theta
         dt = 0.1
         times = -1.0 + dt * np.arange(31)
         path = scalar_path(-1.0, dt, times)
-        seg = segment_at(path, 1.0, 1.0, n_theta=40)  # off-grid thetas too
-        np.testing.assert_allclose(seg.values[:, 0], 1.0 + seg.thetas, atol=1e-12)
+        seg = segment_at(path, 1.03, 1.0)
+        assert seg.thetas.size == 11
+        np.testing.assert_allclose(seg.values[:, 0], 1.03 + seg.thetas, atol=1e-12)
 
     def test_window_before_path_start_rejected(self):
         path = scalar_path(0.0, 0.1, np.zeros(11))
@@ -154,11 +156,11 @@ class TestExtend:
     def test_overlap_mismatch_rejected(self):
         path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
         with pytest.raises(StitchingError):
-            extend(path, np.array([[4.0], [5.0]]), tol=1e-8)
+            extend(path, np.array([[4.0], [5.0]]))
 
     def test_overlap_row_kept_from_new_window(self):
         path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        out = extend(path, np.array([[3.0 + 1e-10], [4.0]]), tol=1e-8)
+        out = extend(path, np.array([[3.0 + 1e-10], [4.0]]))
         assert out.values[2, 0] == 3.0 + 1e-10
 
 

@@ -149,18 +149,6 @@ class TestEvalF:
         seg = constant_segment(1.0, [123.0])
         np.testing.assert_allclose(prob.eval_f(2.0, seg), [2.0])
 
-    def test_forcing_envelope_bounds_samples(self):
-        op = make_dirichlet_laplacian(2, math.pi)
-        f = FunctionalAffineTerm(0.3, 0.7, sine_profile_coeffs(op, 2), "integral", y_max=5.0)
-        prob = simple_problem(op, ZeroTerm(), f)
-        rng = np.random.default_rng(5)
-        R = 1.5
-        for _ in range(50):
-            vals = rng.uniform(-1.0, 1.0, size=(9, 2))
-            vals *= R / max(np.linalg.norm(vals, axis=1).max(), 1e-9)
-            seg = Segment(1.0, np.linspace(-1, 0, 9), vals)
-            t = float(rng.uniform(0.0, prob.T))
-            assert np.linalg.norm(prob.eval_f(t, seg)) <= prob.f_envelope(t, R) + 1e-12
 
 
 class TestMaxWindowFunctional:

@@ -26,6 +26,7 @@ from neutraldde import (
     make_manufactured,
     sample_neutral_contraction,
     semigroup_convolution,
+    segment_at,
     sine_profile_coeffs,
     solve_window,
 )
@@ -40,7 +41,7 @@ def constant_segment(h, vec, dt):
 
 def apply_operator(prob, seg, dt, candidate):
     """The window operator on a fresh frame at t0 = 0 sized to the candidate."""
-    frame = WindowFrame(prob, seg, 0.0, dt, len(candidate) - 1)
+    frame = WindowFrame(prob, seg.values, 0.0, dt, len(candidate) - 1)
     return evaluate_window_operator(frame, frame.load(candidate))
 
 
@@ -250,7 +251,7 @@ class TestSolveWindow:
         dt = 0.01
         seg = constant_segment(0.5, [1.0, 0.5], dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12)
-        out = solve_window(prob, seg, 0.0, cfg)
+        out = solve_window(prob, seg.values, 0.0, cfg)
         assert out.converged
         assert out.iterations <= 2
         times = dt * np.arange(11)
@@ -264,7 +265,7 @@ class TestSolveWindow:
         for dt in [1e-2, 5e-3]:
             seg = case.initial_segment(dt)
             cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12, max_iter=100)
-            out = solve_window(case.problem, seg, 0.0, cfg)
+            out = solve_window(case.problem, seg.values, 0.0, cfg)
             assert out.converged
             times = dt * np.arange(out.values.shape[0])
             exact = case.exact_values(times)
@@ -277,7 +278,7 @@ class TestSolveWindow:
         dt = 0.01
         seg = constant_segment(0.5, [1.0], dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12, trust_radius=0.0)
-        out = solve_window(prob, seg, 0.0, cfg)
+        out = solve_window(prob, seg.values, 0.0, cfg)
         assert out.status == "left_trust_region"
 
     def test_reported_residual_is_reproducible(self):
@@ -306,7 +307,7 @@ class TestSolveWindow:
         dt = 1e-2
         seg = constant_segment(0.5, [0.1], dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=tol, max_iter=max_iter)
-        return solve_window(prob, seg, 0.0, cfg), prob, seg, dt
+        return solve_window(prob, seg.values, 0.0, cfg), prob, seg, dt
 
 
 def _integral_problem():
@@ -331,7 +332,7 @@ class TestWindowFrame:
         rng = np.random.default_rng(2)
         a, b = rng.uniform(-0.3, 0.3, size=(2, m + 1, 3))
         a[0] = b[0] = seg.values[-1]
-        frame = WindowFrame(prob, seg, 0.0, dt, m)
+        frame = WindowFrame(prob, seg.values, 0.0, dt, m)
         first = evaluate_window_operator(frame, frame.load(a))
         other = evaluate_window_operator(frame, frame.load(b))
         again = evaluate_window_operator(frame, frame.load(a))
@@ -355,7 +356,8 @@ class TestWindowFrame:
         dt = 0.05
         seg = _wobbly_segment(0.5, dt, 3, seed=1)
         for damping in (1.0, 0.5):
-            out = solve_window(prob, seg, 0.0, SolverConfig(dt=dt, window=0.3, damping=damping))
+            out = solve_window(prob, seg.values, 0.0,
+                               SolverConfig(dt=dt, window=0.3, damping=damping))
             assert out.converged
             frame = frames[-1]
             for buf in (frame.rows, frame.norms, frame.hist, frame.free, frame._squares):
@@ -373,7 +375,7 @@ class TestWindowFrame:
         n_h = hist.shape[0] - 1
         drift = max(float(np.linalg.norm(combined[i : i + n_h + 1] - hist, axis=1).max())
                     for i in range(m + 1))
-        frame = WindowFrame(prob, seg, 0.0, dt, m)
+        frame = WindowFrame(prob, seg.values, 0.0, dt, m)
         frame.load(candidate)
         for radius in (np.nextafter(drift, 0.0), drift, np.nextafter(drift, np.inf),
                        0.5 * drift, 10.0 * drift):
@@ -381,7 +383,6 @@ class TestWindowFrame:
 
     def test_window_invariants_are_computed_once_per_attempt(self, monkeypatch):
         import neutraldde.continuation as continuation
-        import neutraldde.solver as solver
         from neutraldde import continue_solution
         from neutraldde.config import build_run, parse_config
         from neutraldde.scenarios import get_scenario
@@ -395,15 +396,69 @@ class TestWindowFrame:
             return wrapper
 
         monkeypatch.setattr(continuation, "solve_window", counted("attempts", solve_window))
-        monkeypatch.setattr(solver, "segment_on_grid", counted("grid", solver.segment_on_grid))
+        monkeypatch.setattr(continuation, "segment_on_grid",
+                            counted("grid", continuation.segment_on_grid))
         monkeypatch.setattr(NeutralProblem, "eval_g", counted("eval_g", NeutralProblem.eval_g))
         built = build_run(parse_config(get_scenario("mass_growth")))
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
         iterations = sum(w.iterations for w in traj.windows)
         assert calls["attempts"] >= len(traj.windows) > 1
         assert iterations > calls["attempts"]
-        assert calls["grid"] == calls["attempts"]
+        # the initial segment is put on the grid once per run, at the API edge
+        assert calls["grid"] == 1
         assert calls["eval_g"] == calls["attempts"]
+
+    def test_windows_take_path_rows_without_sampling_segments(self, monkeypatch):
+        import neutraldde.continuation as continuation
+        from neutraldde import continue_solution
+        from neutraldde.config import build_run, parse_config
+        from neutraldde.scenarios import get_scenario
+
+        calls = {"segment_at": 0}
+
+        def counted_segment_at(*args):
+            calls["segment_at"] += 1
+            return segment_at(*args)
+
+        monkeypatch.setattr(continuation, "segment_at", counted_segment_at)
+        built = build_run(parse_config(get_scenario("manufactured_decay")))
+        assert built.problem.domain.kind == "time_only"
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        assert traj.event.kind == "reached_horizon" and len(traj.windows) > 1
+        assert calls["segment_at"] == 0
+
+    def test_window_rows_equal_the_sampled_segment(self, monkeypatch):
+        # the path rows each window gets are bitwise the plain reference:
+        # segment_at on the finished path at the window's start
+        import neutraldde.continuation as continuation
+        from neutraldde import continue_solution
+        from neutraldde.config import build_run, parse_config
+        from neutraldde.scenarios import get_scenario
+
+        handed = []
+
+        def recorded_solve(prob, hist, t0, cfg):
+            handed.append((t0, np.array(hist)))
+            return solve_window(prob, hist, t0, cfg)
+
+        monkeypatch.setattr(continuation, "solve_window", recorded_solve)
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        prob = built.problem
+        traj = continue_solution(prob, built.initial_segment, 0.0, built.solver)
+        assert len(handed) == len(traj.windows) > 1
+        for (t0, hist), w in zip(handed, traj.windows):
+            assert t0 == w.t0
+            np.testing.assert_array_equal(hist, segment_at(traj.path, t0, prob.h).values)
+
+    def test_history_of_the_wrong_shape_rejected(self):
+        prob = _integral_problem()
+        dt = 0.05
+        hist = _wobbly_segment(0.5, dt, 3, seed=1).values
+        WindowFrame(prob, hist, 0.0, dt, 4)
+        for bad in (hist[1:], hist[:, :2], _wobbly_segment(0.5, 0.025, 3, seed=1).values,
+                    hist[None]):
+            with pytest.raises(ValueError, match="grid rows"):
+                WindowFrame(prob, bad, 0.0, dt, 4)
 
     def test_each_candidate_is_loaded_once(self, monkeypatch):
         import neutraldde.continuation as continuation
@@ -471,9 +526,9 @@ class TestNeutralContraction:
         dt = 0.01
         seg = constant_segment(1.0, [0.3, 0.0, 0.0, 0.0], dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-10)
-        out = solve_window(prob, seg, 0.0, cfg)
+        out = solve_window(prob, seg.values, 0.0, cfg)
         assert out.converged
-        ratio = sample_neutral_contraction(prob, seg, 0.0, out.values, dt, 50, seed=6)
+        ratio = sample_neutral_contraction(prob, seg.values, 0.0, out.values, dt, 50, seed=6)
         assert ratio <= prob.mg_bound + 0.01
 
 
