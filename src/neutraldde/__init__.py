@@ -43,7 +43,6 @@ from .problem import (
     current_value_window,
     estimate_lipschitz_mg,
     full_history_window,
-    project_spatial,
     sine_profile_coeffs,
 )
 from .solver import (

@@ -10,7 +10,9 @@ Exit codes form a contract for scripted studies:
       data, a term argument outside its declared range, non-finite term
       values met by the admission checks, a declared argument range that
       no sampled history fits, a fine reference for ``study`` that cannot
-      be trusted);
+      be trusted, a negative ``--seed``, a repeated ``study`` step or one
+      that is not a whole multiple of the reference step, the smallest
+      step / 4);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
@@ -177,9 +179,21 @@ def cmd_study(args) -> int:
     if len(dts) < 3:
         print("need at least three dt values for a study", file=sys.stderr)
         return 2
+    if len(set(dts)) < len(dts):
+        # a repeated step would divide the order column by log(1) = 0
+        print(f"bad --dts list: a step is repeated in {args.dts!r}", file=sys.stderr)
+        return 2
+    fine_dt = dts[-1] / 4.0
+    for dt in dts:
+        # each run is compared with every (dt / fine_dt)-th reference row;
+        # steps that are not positive and finite fail the config's dt check
+        ratio = dt / fine_dt if fine_dt > 0.0 else math.nan
+        if math.isfinite(ratio) and abs(ratio - round(ratio)) > 1e-12 * ratio:
+            print(f"bad --dts list: step {dt:g} is not a whole multiple of the reference "
+                  f"step {fine_dt:g} (the smallest step / 4)", file=sys.stderr)
+            return 2
     cfg = _load_config(args)
 
-    fine_dt = dts[-1] / 4.0
     # history at the finest internal grid so its interpolation error
     # does not floor the extrapolated reference
     built_ref = build_run(cfg, dt_override=fine_dt / 4.0)
@@ -222,6 +236,17 @@ def cmd_list_scenarios(_args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neutraldde",
@@ -233,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", help="path to a config file")
         src.add_argument("--scenario", help="name of a bundled scenario")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed for checks")
+        p.add_argument("--seed", type=_seed, default=0, help="sampling seed for checks")
         p.add_argument("--dt", type=float, default=None, help="override the solver grid step")
         if with_out:
             p.add_argument("--out", default=".", help="output directory for artifacts")

@@ -78,18 +78,19 @@ class Trajectory:
 
 
 def refine_boundary_time(prob: NeutralProblem, path: SolutionPath, t_inside: float,
-                         t_outside: float, tol_t: float,
-                         boundary_tol: float | None = None) -> float:
+                         t_outside: float, tol_t: float) -> float:
     """Bisect the interpolated path between an interior and an exterior time.
 
-    Returns the midpoint of the final bracket; the bracket width is at most
-    ``tol_t`` (or the initial width, if already smaller).
+    Each probe is ``membership`` of the ``segment_at`` segment, at the
+    domain's default tolerance.  Returns the midpoint of the final bracket;
+    the bracket width is at most ``tol_t`` (or the initial width, if already
+    smaller).
     """
-    a, b = _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol)
+    a, b = _refine_bracket(prob, path, t_inside, t_outside, tol_t)
     return 0.5 * (a + b)
 
 
-def _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol=None):
+def _refine_bracket(prob, path, t_inside, t_outside, tol_t):
     if tol_t <= 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
     if not t_inside < t_outside:
@@ -98,8 +99,7 @@ def _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol=None):
         raise ValueError("invalid bracket: endpoints must be adjacent grid times")
 
     def classify(t: float):
-        seg = segment_at(path, t, prob.h)
-        return prob.membership(t, seg, boundary_tol)
+        return prob.membership(t, segment_at(path, t, prob.h))
 
     if not classify(t_inside).is_inside:
         raise ValueError(f"invalid bracket: t_inside={t_inside} does not classify as interior")
@@ -115,20 +115,22 @@ def _refine_bracket(prob, path, t_inside, t_outside, tol_t, boundary_tol=None):
     return a, b
 
 
-def first_exit(prob: NeutralProblem, path: SolutionPath, t: float, m: int,
-               tol: float | None = None) -> tuple[float, Membership] | None:
+def first_exit(prob: NeutralProblem, path: SolutionPath, t: float,
+               m: int) -> tuple[float, Membership] | None:
     """First of the grid times t + i*dt, i = 1..m, that is not interior.
 
-    One batch pass over the path's last n_h + m rows flags every slice that
-    might not be interior; ``membership`` on a ``segment_at`` segment then
-    decides the flagged ones in order.  Returns (time, membership) or None.
+    One batch pass (``exit_candidates``) over the path's last n_h + m rows
+    flags every slice that might not be interior; ``membership`` on a
+    ``segment_at`` segment then decides the flagged ones in order.  Both
+    read the domain functional and use the domain's default tolerance.
+    Returns (time, membership) or None.
     """
     n_h = int(round(prob.h / path.dt))
     stack = SegmentStack(prob.h, path.dt, path.values[-(n_h + m):])
     times = t + path.dt * np.arange(1, m + 1)
-    for i in np.flatnonzero(prob.exit_candidates(times, stack, tol)).tolist():
+    for i in np.flatnonzero(prob.exit_candidates(times, stack)).tolist():
         t_i = t + (i + 1) * path.dt
-        mem = prob.membership(t_i, segment_at(path, t_i, prob.h), tol)
+        mem = prob.membership(t_i, segment_at(path, t_i, prob.h))
         if not mem.is_inside:
             return t_i, mem
     return None

@@ -17,8 +17,9 @@ time as an additional boundary component.
 Every family evaluates one segment (``evaluate``) or all the slices of a
 ``SegmentStack`` at once (``evaluate_window``); the scalar path is the
 reference the batch path is tested against.  The same holds for the domain:
-``domain_functional``/``membership`` on one segment, ``domain_functionals``/
-``exit_candidates`` on a stack.
+``membership`` classifies one segment by its ``domain_functional``, and
+``exit_candidates`` flags the slices of a stack by their
+``domain_functionals``; the two differ only in those sums.
 """
 
 from __future__ import annotations
@@ -38,50 +39,12 @@ from .history import (
 )
 from .spectral import DirichletSineBasis, SpectralOperator
 
-DEFAULT_GRID_FACTOR = 4
 #: Absolute tolerance of the final-time boundary test.
 TIME_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# spatial quadrature grid (sine basis only)
-
-
-class SineGrid:
-    """Uniform interior grid on (0, L) with trapezoid weights.
-
-    With x_j = j*L/(N+1) the sampled orthonormal sine modes are exactly
-    orthonormal under the discrete inner product dx * sum, so projection and
-    synthesis invert each other for every resolvable mode.
-    """
-
-    def __init__(self, basis: DirichletSineBasis, n_modes: int):
-        n_points = DEFAULT_GRID_FACTOR * n_modes
-        L = basis.length
-        self.n_points = n_points
-        self.dx = L / (n_points + 1)
-        self.x = self.dx * np.arange(1, n_points + 1)
-        k = np.arange(1, n_modes + 1)
-        # (n_points, n_modes): column k holds sqrt(2/L) sin(k pi x / L) on the grid
-        self.modes = math.sqrt(2.0 / L) * np.sin(np.outer(self.x, k) * math.pi / L)
-
-    def project(self, samples) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (self.n_points,):
-            raise ValueError(f"expected {self.n_points} samples, got shape {samples.shape}")
-        return self.dx * (self.modes.T @ samples)
-
-    def synthesize(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        return self.modes @ coeffs
-
-
-def project_spatial(op: SpectralOperator, samples) -> np.ndarray:
-    """Project samples on the ``SineGrid`` of the operator's modes onto its sine eigenbasis."""
-    if not isinstance(op.basis, DirichletSineBasis):
-        raise ValueError("spatial projection requires a sine eigenbasis")
-    grid = SineGrid(op.basis, op.n_modes)
-    return grid.project(samples)
+# spatial profiles (sine basis only)
 
 
 def sine_profile_coeffs(op: SpectralOperator, k: int, amplitude: float = 1.0) -> np.ndarray:
@@ -143,16 +106,9 @@ class WindowFns:
     alpha0: float
     alpha1: float
 
-    def window_at(self, t: float, h: float) -> tuple[float, float]:
-        lo = self.beta0 + self.beta1 * t - t
-        hi = self.alpha0 + self.alpha1 * t - t
-        eps = 1e-9 * max(1.0, h)
-        if lo > hi + eps or lo < -h - eps or hi > eps:
-            raise ValueError(f"window [{lo}, {hi}] at t={t} leaves [-{h}, 0]")
-        return max(lo, -h), min(hi, 0.0)
-
     def windows_at(self, times: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """``window_at`` for every entry of an array of times."""
+        """Window edges [lo, hi] in segment coordinates, clipped to [-h, 0], at
+        every entry of an array of times; raises when one leaves [-h, 0]."""
         lo = self.beta0 + self.beta1 * times - times
         hi = self.alpha0 + self.alpha1 * times - times
         eps = 1e-9 * max(1.0, h)
@@ -164,8 +120,7 @@ class WindowFns:
 
     def validate(self, h: float, T: float) -> None:
         # All constraints are affine in t, so the endpoints decide.
-        for t in (0.0, T):
-            self.window_at(t, h)
+        self.windows_at(np.array([0.0, T]), h)
 
 
 def full_history_window(h: float) -> WindowFns:
@@ -223,7 +178,7 @@ class FunctionalAffineTerm:
             if self.window is None:
                 lo, hi = -seg.h, 0.0
             else:
-                lo, hi = self.window.window_at(t, seg.h)
+                (lo,), (hi,) = self.window.windows_at(np.array([t]), seg.h)
             y = max_norm_functional(seg, lo, hi)
         self._check_argument(y)
         return y
@@ -462,59 +417,50 @@ class NeutralProblem:
             return stack.sup_norms()
         return stack.current_norms()
 
-    def exit_candidates(self, times, stack: SegmentStack, tol: float | None = None) -> np.ndarray:
+    def exit_candidates(self, times, stack: SegmentStack) -> np.ndarray:
         """Mask of the slices that ``membership`` might not classify as inside.
 
-        The batch functionals differ from the scalar ones by summation order,
-        so slices within a rounding margin of a band edge are flagged too: an
-        unflagged slice is certainly interior, and ``membership`` decides
-        the flagged ones.
+        ``domain_functionals`` gives each slice's value; the band rule is
+        ``membership``'s at the domain's default tolerance.  The batch sums
+        differ from the scalar ones by summation order, so slices within a
+        rounding margin of a band edge are flagged too: an unflagged slice is
+        certainly interior, and ``membership`` decides the flagged ones.
         """
-        if tol is None:
-            tol = self.domain.default_tol()
         flags = self.T - np.asarray(times, dtype=float) <= TIME_TOL
         if self.domain.kind == "time_only":
             return flags
-        if self.domain.kind == "delay_mass":
-            top = bottom = stack.integral_norms()
-        else:
-            top, bottom = stack.sup_norms(), stack.min_norms()
+        top = self.domain_functionals(stack)
+        bottom = top if self.domain.kind == "delay_mass" else stack.min_norms()
         margin = stack.integral_error_bound()
+        tol = self.domain.default_tol()
         l = self.domain.l
         return flags | (top >= l - tol - margin) | (bottom <= tol + margin)
 
-    def membership(self, t: float, seg: Segment, tol: float | None = None) -> Membership:
+    def membership(self, t: float, seg: Segment) -> Membership:
         """Classify (t, seg) as inside, on the boundary of, or outside the domain.
 
-        Band violations outrank the final-time test, mirroring the boundary
-        decomposition of the admissible region.
+        The value is ``domain_functional(seg)``.  On a band domain it is
+        outside when value - l exceeds tol and on the edge when |value - l|
+        does not (kind "upper_mass" for the delay mass, "sup_band" for the
+        norm band), and on the "vanishing" edge when the delay mass, or the
+        smallest node norm, is at most tol; tol is the domain's default
+        tolerance.  Band violations outrank the final-time test, mirroring
+        the boundary decomposition of the admissible region.
         """
-        if tol is None:
+        value = self.domain_functional(seg)
+        if self.domain.kind != "time_only":
             tol = self.domain.default_tol()
-        if self.domain.kind == "delay_mass":
-            F = integral_norm_functional(seg)
             l = self.domain.l
-            if F > l + tol:
-                return Membership("outside", "upper_mass", F)
-            if abs(F - l) <= tol:
-                return Membership("boundary", "upper_mass", F)
-            if F <= tol:
-                return Membership("boundary", "vanishing", F)
-            value = F
-        elif self.domain.kind == "sup_band":
-            norms = seg.node_norms()
-            m_hi = float(norms.max())
-            m_lo = float(norms.min())
-            l = self.domain.l
-            if m_hi > l + tol:
-                return Membership("outside", "sup_band", m_hi)
-            if abs(m_hi - l) <= tol:
-                return Membership("boundary", "sup_band", m_hi)
-            if m_lo <= tol:
-                return Membership("boundary", "vanishing", m_lo)
-            value = m_hi
-        else:
-            value = float(np.linalg.norm(seg.values[-1]))
+            edge = "upper_mass" if self.domain.kind == "delay_mass" else "sup_band"
+            # value - l, not l + tol: the two tests then split at the same
+            # rounded difference and leave no gap just past l + tol
+            if value - l > tol:
+                return Membership("outside", edge, value)
+            if abs(value - l) <= tol:
+                return Membership("boundary", edge, value)
+            bottom = value if self.domain.kind == "delay_mass" else float(seg.node_norms().min())
+            if bottom <= tol:
+                return Membership("boundary", "vanishing", bottom)
         if t > self.T + TIME_TOL:
             return Membership("outside", "horizon", value)
         if self.T - t <= TIME_TOL:

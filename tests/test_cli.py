@@ -348,6 +348,16 @@ class TestStudyCommand:
     def test_requires_three_dts(self):
         assert main(["study", "--scenario", "heat_decay", "--dts", "0.01,0.005"]) == 2
 
+    # 0.02 is not a whole multiple of the reference step 0.0125 / 4, and a
+    # repeated step has no order
+    @pytest.mark.parametrize("dts, named", [("0.1,0.02,0.0125", "0.02 "),
+                                            ("0.01,0.01,0.005", "repeated")])
+    def test_bad_step_lists_exit_2(self, capsys, dts, named):
+        code = main(["study", "--scenario", "manufactured_decay", "--dts", dts])
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("bad --dts list:") and named in err and "\n" not in err
+
     def test_homogeneous_study_reports_floor(self, capsys):
         code = main(["study", "--scenario", "heat_decay", "--dts", "0.01,0.005,0.0025"])
         out = capsys.readouterr().out
@@ -400,6 +410,16 @@ class TestStudyCommand:
         assert orders, f"no order column found in:\n{out}"
         for order in orders:
             assert 1.9 <= order <= 2.1
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
+    argv = [command, "--scenario", "heat_decay", "--seed", "-1"]
+    argv += {"run": ["--out", str(tmp_path)], "check": [], "study": ["--dts", "0.1,0.05,0.025"]}[command]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_list_scenarios(capsys):

@@ -28,13 +28,11 @@ from neutraldde import (
     full_history_window,
     integral_norm_functional,
     make_dirichlet_laplacian,
-    project_spatial,
     segment_at,
     sine_profile_coeffs,
     sup_norm,
 )
 from neutraldde.continuation import first_exit
-from neutraldde.problem import SineGrid
 
 
 def slice_segment(stack, i):
@@ -52,43 +50,6 @@ def simple_problem(op, g, f, domain=None, mg_bound=0.5, h=1.0, T=2.0, alpha=0.5)
     if domain is None:
         domain = DomainSpec("time_only")
     return NeutralProblem(op, h, T, alpha, g, f, domain, mg_bound)
-
-
-class TestProjectSpatial:
-    def test_orthonormal_mode_projects_to_unit_coefficient(self):
-        op = make_dirichlet_laplacian(3, math.pi)
-        grid = SineGrid(op.basis, op.n_modes)
-        samples = math.sqrt(2.0 / math.pi) * np.sin(grid.x)
-        got = project_spatial(op, samples)
-        np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-8)
-
-    def test_zero_samples(self):
-        op = make_dirichlet_laplacian(2, math.pi)
-        got = project_spatial(op, np.zeros(8))
-        np.testing.assert_array_equal(got, np.zeros(2))
-
-    def test_second_mode(self):
-        op = make_dirichlet_laplacian(3, math.pi)
-        grid = SineGrid(op.basis, op.n_modes)
-        samples = math.sqrt(2.0 / math.pi) * np.sin(2.0 * grid.x)
-        got = project_spatial(op, samples)
-        np.testing.assert_allclose(got, [0.0, 1.0, 0.0], atol=1e-8)
-
-    def test_parseval_on_resolvable_modes(self):
-        op = make_dirichlet_laplacian(4, 2.0)
-        grid = SineGrid(op.basis, op.n_modes)
-        rng = np.random.default_rng(0)
-        coeffs = rng.normal(size=4)
-        samples = grid.synthesize(coeffs)
-        # discrete L2 inner product equals the coefficient inner product
-        discrete = grid.dx * float(np.sum(samples * samples))
-        assert discrete == pytest.approx(float(np.sum(coeffs**2)), rel=1e-8)
-        np.testing.assert_allclose(grid.project(samples), coeffs, atol=1e-12)
-
-    def test_sample_count_must_match(self):
-        op = make_dirichlet_laplacian(2, 1.0)
-        with pytest.raises(ValueError):
-            project_spatial(op, np.zeros(5))
 
 
 class TestEvalG:
@@ -229,16 +190,24 @@ class TestMembership:
         mid = Segment(1.0, thetas, np.full((5, 1), 0.5))
         assert prob.membership(0.5, mid).is_inside
 
-    def test_enlarging_tol_never_un_flags_boundary(self):
+    def test_band_states_follow_the_value_at_the_domain_tolerance(self):
+        # states rank vanishing < inside < upper edge < outside as the delay
+        # mass grows, and the edge band is the domain's default tolerance
         prob = self.make()
+        rank = {("boundary", "vanishing"): 0, ("inside", None): 1,
+                ("boundary", "upper_mass"): 2, ("outside", "upper_mass"): 3}
         rng = np.random.default_rng(11)
-        tols = [1e-12, 1e-9, 1e-6, 1e-3]
-        for _ in range(200):
-            seg = constant_segment(1.0, [float(rng.uniform(0.0, 1.2))])
-            states = [prob.membership(1.0, seg, tol).state for tol in tols]
-            for coarse, fine in zip(states[1:], states[:-1]):
-                if fine in ("boundary", "outside"):
-                    assert coarse != "inside"
+        values = np.sort(np.concatenate([rng.uniform(0.0, 1.2, 200),
+                                         1.0 + np.arange(-3, 4) * 1e-9, [0.0, 1e-9]]))
+        ranks = [rank[mem.state, mem.kind] for mem in
+                 (prob.membership(1.0, constant_segment(1.0, [v])) for v in values)]
+        assert ranks == sorted(ranks) and set(ranks) == {0, 1, 2, 3}
+        op = SpectralOperator([1.0])
+        F = prob.domain_functional(constant_segment(1.0, [0.5]))
+        for l, state in ((F * (1.0 - 2e-9), "outside"), (F, "boundary"),
+                         (F * (1.0 + 2e-9), "inside")):
+            band = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l))
+            assert band.membership(1.0, constant_segment(1.0, [0.5])).state == state
 
 
 class TestHypothesisChecks:
@@ -402,12 +371,12 @@ def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
     path = SolutionPath(0.0, dt, stack.values)
     t = 1.0
     kind = data.draw(st.sampled_from(["delay_mass", "sup_band"]))
-    tol = data.draw(st.sampled_from([None, 1e-12, 1e-6]))
-    # put the band edge on a computed value, give or take the tolerance, so
-    # grid points land on the edge, just inside it and just outside it
+    # put the band edge on a computed value, give or take the domain's
+    # tolerance, so grid points land on the edge, just inside it and just
+    # outside it
     seg = segment_at(path, t + data.draw(st.integers(1, m)) * dt, 1.0)
     edge = integral_norm_functional(seg) if kind == "delay_mass" else sup_norm(seg)
-    width = tol if tol is not None else 1e-9 * max(edge, 1e-3)
+    width = 1e-9 * max(edge, 1e-3)
     l = max(edge + data.draw(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])) * width, 1e-3)
     T = data.draw(st.sampled_from([t + j * dt for j in range(1, m + 1)] + [10.0]))
     op = SpectralOperator(np.ones(stack.values.shape[1]))
@@ -416,18 +385,34 @@ def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
     expected = None
     for i in range(1, m + 1):
         t_i = t + i * dt
-        mem = prob.membership(t_i, segment_at(path, t_i, prob.h), tol)
+        mem = prob.membership(t_i, segment_at(path, t_i, prob.h))
         if not mem.is_inside:
             expected = (t_i, mem)
             break
-    assert first_exit(prob, path, t, m, tol) == expected
+    assert first_exit(prob, path, t, m) == expected
+
+
+def _edge_between(batch, scalar):
+    """A band width l that puts the edge l - tol in (batch, scalar], as the
+    scan and ``membership`` compute it at tol = the domain's tolerance; None
+    when no l within a few ulps of scalar / (1 - 1e-9) does."""
+    l = scalar / (1.0 - 1e-9)
+    for _ in range(8):
+        l = np.nextafter(l, 0.0)
+    for _ in range(16):
+        tol = DomainSpec("delay_mass", l).default_tol()
+        if abs(scalar - l) <= tol and not batch >= l - tol:
+            return l
+        l = np.nextafter(l, np.inf)
+    return None
 
 
 def test_scan_confirms_points_the_batch_sum_rounds_inside():
-    # a rising history whose last slice has a batch delay mass one
-    # rounding below the trapezoid's; the band edge then goes where only the
-    # trapezoid value touches it, so only the rounding margin flags the point
-    dt, m, tol = 0.01, 20, 1e-6
+    # a rising history whose last slice has a batch delay mass one rounding
+    # below the trapezoid's; the band edge then goes where the trapezoid
+    # value is on the edge and the batch value interior, so only the
+    # rounding margin flags the point
+    dt, m = 0.01, 20
     rng = np.random.default_rng(0)
     for _ in range(200):
         values = np.linspace(0.1, 1.0, 100 + m + 1)[:, None] + rng.uniform(0, 1e-3, (100 + m + 1, 1))
@@ -435,18 +420,16 @@ def test_scan_confirms_points_the_batch_sum_rounds_inside():
         t_last = 1.0 + m * dt
         scalar = integral_norm_functional(segment_at(path, t_last, 1.0))
         batch = SegmentStack(1.0, dt, values[-(100 + m):]).integral_norms()[-1]
-        if batch < scalar:
+        l = _edge_between(batch, scalar) if batch < scalar else None
+        if l is not None:
             break
     else:
-        pytest.fail("no slice whose batch sum rounds below the trapezoid")
-    l = scalar + tol
-    while abs(scalar - l) > tol:
-        l = np.nextafter(l, 0.0)
-    assert abs(batch - l) > tol  # the batch value alone would read as interior
+        pytest.fail("no slice whose batch sum alone reads as interior at the edge")
     op = SpectralOperator([1.0])
     prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l), T=10.0)
-    assert first_exit(prob, path, 1.0, m, tol) == (t_last, prob.membership(
-        t_last, segment_at(path, t_last, 1.0), tol))
+    mem = prob.membership(t_last, segment_at(path, t_last, 1.0))
+    assert (mem.state, mem.kind) == ("boundary", "upper_mass")
+    assert first_exit(prob, path, 1.0, m) == (t_last, mem)
 
 
 @settings(max_examples=60, deadline=None)
