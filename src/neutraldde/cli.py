@@ -103,6 +103,11 @@ def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> None:
             raise HypothesisViolation(f"smallness value {smallness.value:.6g} >= 1")
 
 
+#: Rows per formatted block: one % per block is as fast as one over the whole
+#: table, and the block's floats and text stay small beside the path.
+_CSV_BLOCK_ROWS = 1024
+
+
 def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
     """Write the trajectory as CSV: t, norm, domain functional, coefficients.
 
@@ -122,9 +127,15 @@ def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
     functionals[stack.n_h :] = prob.domain_functionals(stack)
     table = np.column_stack([times, stack.norms, functionals, traj.path.values[:, :n_coeffs]])
     footer = f"# event={traj.event.label()}\n# tau={traj.tau:.17g}"
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted with one
+    # % per block of rows instead of one per row
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, footer=footer,
-                   comments="")
+        fh.write(header + "\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        fh.write(footer + "\n")
 
 
 def _summarize(traj: Trajectory) -> None:

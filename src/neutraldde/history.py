@@ -10,6 +10,7 @@ off-grid times use linear interpolation without drift.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,6 +189,25 @@ class _RangeMax:
         return out
 
 
+class _Edge(NamedTuple):
+    """One edge of every slice's window, resolved against the theta grid."""
+
+    rows: np.ndarray  # the row whose stored norm is the edge's, where it snaps to a node
+    inner: np.ndarray  # the slices whose edge lies strictly inside a cell
+    left: np.ndarray  # the left row of each such cell
+    w: np.ndarray  # and the edge's weight on its right row, as a column
+
+
+class WindowEdges(NamedTuple):
+    """The windows [lo[i], hi[i]] of ``SegmentStack.resolve``, ready to gather."""
+
+    lo: _Edge
+    hi: _Edge
+    some: np.ndarray  # the slices with grid nodes strictly inside their window
+    first: np.ndarray  # the rows of the first and last of those nodes
+    last: np.ndarray
+
+
 class SegmentStack:
     """The history slices of consecutive grid times as windows of one array.
 
@@ -198,6 +218,16 @@ class SegmentStack:
     mass comes from blockwise sums of trapezoid cells (equal up to summation
     order), and window maxima come from exactly interpolated endpoints plus
     a sparse-table range maximum over the interior nodes.
+
+    A window maximum takes two steps.  ``resolve`` checks and clips the
+    windows and finds what depends on them and the grid alone: each edge's
+    cell and weight (the rows where it snaps to a node, the rows and weights
+    where it lies strictly inside a cell) and the rows of the interior nodes.
+    ``gather`` reads the stored norms at those rows, interpolates the inner
+    edges and takes the range maximum.  ``max_norms`` does both on every
+    call.  A stack that a ``WindowFrame`` loads carries its frame's store of
+    resolved edges, so ``window_edges`` resolves each window once per frame
+    and every candidate the frame loads only gathers.
     """
 
     def __init__(self, h: float, dt: float, values):
@@ -213,13 +243,16 @@ class SegmentStack:
         self.n_windows = values.shape[0] - self.n_h
         self.thetas = -self.h + self.dt * np.arange(self.n_h + 1)
         self.norms = np.linalg.norm(values, axis=1)
+        self._times = None
+        self._edges = None
 
     @classmethod
     def _trusted(cls, h: float, dt: float, thetas: np.ndarray, values: np.ndarray,
-                 norms: np.ndarray) -> "SegmentStack":
+                 norms: np.ndarray, times: np.ndarray, edges: dict) -> "SegmentStack":
         # Solver-internal constructor: rows, theta grid and row norms come
         # from a caller that already holds them consistent.  The stack reads
         # the arrays in place, so it is valid until the caller rewrites them.
+        # ``edges`` is the caller's store of windows resolved at ``times``.
         obj = object.__new__(cls)
         obj.h = h
         obj.dt = dt
@@ -228,6 +261,8 @@ class SegmentStack:
         obj.n_windows = values.shape[0] - obj.n_h
         obj.thetas = thetas
         obj.norms = norms
+        obj._times = times
+        obj._edges = edges
         return obj
 
     @cached_property
@@ -292,6 +327,20 @@ class SegmentStack:
 
     def max_norms(self, lo, hi) -> np.ndarray:
         """``max_norm_functional`` of slice i over [lo[i], hi[i]], for every i."""
+        return self.gather(self.resolve(lo, hi))
+
+    def window_edges(self, key, times, windows) -> WindowEdges:
+        """``resolve(*windows(times, h))``, looked up by ``key`` when the stack
+        carries its frame's store and ``times`` are the frame's times."""
+        if self._edges is None or times is not self._times:
+            return self.resolve(*windows(times, self.h))
+        edges = self._edges.get(key)
+        if edges is None:
+            edges = self._edges[key] = self.resolve(*windows(times, self.h))
+        return edges
+
+    def resolve(self, lo, hi) -> WindowEdges:
+        """Check and clip the windows [lo[i], hi[i]] and locate them on the grid."""
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n_windows,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n_windows,))
         eps = _GRID_EPS * max(1.0, self.h)
@@ -301,33 +350,41 @@ class SegmentStack:
             raise ValueError(f"a window leaves [-{self.h}, 0]")
         lo = np.maximum(lo, -self.h)
         hi = np.minimum(hi, 0.0)
-        best = np.maximum(self._interpolated_norms(lo), self._interpolated_norms(hi))
         # interior nodes: thetas[a..b] are the ones strictly inside (lo, hi)
         a = np.searchsorted(self.thetas, lo, side="right")
         b = np.searchsorted(self.thetas, hi, side="left") - 1
         some = np.flatnonzero(a <= b)
-        if some.size:
-            inner = self._max_table.query(some + a[some], some + b[some])
-            best[some] = np.maximum(best[some], inner)
-        return best
+        return WindowEdges(self._edge(lo), self._edge(hi), some, some + a[some], some + b[some])
 
-    def _interpolated_norms(self, theta: np.ndarray) -> np.ndarray:
-        # the norm of Segment.value_at for slice i at theta[i]: an edge that
-        # snaps to a node reads that node's stored norm, and only the edges
-        # strictly inside a cell are interpolated and normed
+    def _edge(self, theta: np.ndarray) -> _Edge:
+        # where Segment.value_at for slice i reads at theta[i]: an edge that
+        # snaps to a node reads that node, any other interpolates its cell
         th = self.thetas
         theta = np.minimum(np.maximum(theta, th[0]), th[-1])
         j = np.searchsorted(th, theta, side="right") - 1
         j = np.minimum(np.maximum(j, 0), th.size - 2)
         w = (theta - th[j]) / (th[j + 1] - th[j])
         rows = np.arange(self.n_windows) + j
-        out = self.norms[rows + (w >= 1.0 - _GRID_EPS)]
         inner = np.flatnonzero((w > _GRID_EPS) & (w < 1.0 - _GRID_EPS))
-        if inner.size:
-            wi = w[inner, None]
-            left = self.values[rows[inner]]
-            right = self.values[rows[inner] + 1]
-            out[inner] = np.linalg.norm((1.0 - wi) * left + wi * right, axis=1)
+        return _Edge(rows + (w >= 1.0 - _GRID_EPS), inner, rows[inner], w[inner, None])
+
+    def gather(self, edges: WindowEdges) -> np.ndarray:
+        """The window maximum of every slice over windows ``resolve`` located."""
+        best = np.maximum(self._edge_norms(edges.lo), self._edge_norms(edges.hi))
+        if edges.some.size:
+            inner = self._max_table.query(edges.first, edges.last)
+            best[edges.some] = np.maximum(best[edges.some], inner)
+        return best
+
+    def _edge_norms(self, edge: _Edge) -> np.ndarray:
+        # the stored norm where the edge snaps to a node; only the edges
+        # strictly inside a cell are interpolated and normed
+        out = self.norms[edge.rows]
+        if edge.inner.size:
+            w = edge.w
+            left = self.values[edge.left]
+            right = self.values[edge.left + 1]
+            out[edge.inner] = np.linalg.norm((1.0 - w) * left + w * right, axis=1)
         return out
 
 

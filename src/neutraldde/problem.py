@@ -116,7 +116,9 @@ class WindowFns:
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"window [{lo[i]}, {hi[i]}] at t={times[i]} leaves [-{h}, 0]")
-        return np.maximum(lo, -h), np.minimum(hi, 0.0)
+        hi = np.minimum(hi, 0.0)
+        # lo may pass hi within the slack; clipping it there keeps lo <= hi
+        return np.minimum(np.maximum(lo, -h), hi), hi
 
     def validate(self, h: float, T: float) -> None:
         # All constraints are affine in t, so the endpoints decide.
@@ -188,13 +190,15 @@ class FunctionalAffineTerm:
         if self.functional == "integral":
             y = stack.integral_norms()
         else:
-            if self.window is None:
-                lo, hi = -stack.h, 0.0
-            else:
-                lo, hi = self.window.windows_at(np.asarray(times, dtype=float), stack.h)
-            y = stack.max_norms(lo, hi)
+            y = stack.gather(stack.window_edges(self.window, times, self._windows))
         self._check_argument(y)
         return y
+
+    def _windows(self, times, h: float):
+        # the running-max window of every slice in segment coordinates
+        if self.window is None:
+            return -h, 0.0
+        return self.window.windows_at(np.asarray(times, dtype=float), h)
 
     def _check_argument(self, y) -> None:
         # y is one functional value or an array of them; the first overrun is reported

@@ -31,11 +31,14 @@ its n_h+1 grid rows: dt divides the delay span, so every delayed value is a
 row of the path and nothing is resampled.  It computes once: phi(0), the
 grid times, the free evolution S(s)(phi(0) + g(t0, phi)) (the only scalar g
 call of the attempt), the cell weights and scan factors, and a rows buffer
-whose first n_h rows and norms hold the history.  Each candidate is loaded
-once: ``load`` writes its m+1 rows and their norms into the buffer's tail,
-the trust-region screen reads the stored norms, and the operator then
-evaluates g and f on every slice of the same stack, runs the scan on
-mu g + f and takes the residual.
+whose first n_h rows and norms hold the history.  It also holds the
+running-max window edges its first iterate resolves: the windows, their
+cells, weights and interior-node bounds depend on the grid times alone, so
+every later iterate only gathers norms at the resolved rows.  Each
+candidate is loaded once: ``load`` writes its m+1 rows and their norms into
+the buffer's tail, the trust-region screen reads the stored norms, and the
+operator then evaluates g and f on every slice of the same stack, runs the
+scan on mu g + f and takes the residual.
 
 The settings a caller can change are the ``SolverConfig`` fields and
 nothing else: the grid step, the window, and the iteration controls.  A
@@ -246,7 +249,11 @@ class WindowFrame:
     n_h rows are the history and whose last m+1 rows hold the candidate,
     with the row norms beside it.  ``load`` writes a candidate into the tail
     and returns a stack over the buffers; that stack is valid until the
-    next ``load``.
+    next ``load``.  ``edges`` holds the running-max window edges resolved
+    at the frame's grid times, keyed by the term's ``WindowFns`` (None for
+    the full window).  Every stack the frame loads shares it, so each window
+    is resolved by the first iterate that needs it and gathered by the rest.
+    Terms are shared across frames and runs, so the edges live here only.
     """
 
     def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int):
@@ -275,6 +282,7 @@ class WindowFrame:
         mu = prob.op.mu
         self.w0, self.w1 = cell_weights(mu, dt)
         self.factors = _scan_factors(mu, dt, m + 1)
+        self.edges: dict = {}
 
     @cached_property
     def free(self) -> np.ndarray:
@@ -295,7 +303,8 @@ class WindowFrame:
         np.multiply(tail, tail, out=self._squares)
         np.add.reduce(self._squares, axis=1, out=tail_norms)
         np.sqrt(tail_norms, out=tail_norms)
-        return SegmentStack._trusted(self.prob.h, self.dt, self.thetas, self.rows, self.norms)
+        return SegmentStack._trusted(self.prob.h, self.dt, self.thetas, self.rows, self.norms,
+                                     self.times, self.edges)
 
 
 def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:

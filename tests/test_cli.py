@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from neutraldde.cli import export_csv, main
 from neutraldde.config import build_run, parse_config
 from neutraldde.continuation import TerminationEvent, Trajectory
 from neutraldde.errors import SchemaError
-from neutraldde.history import SolutionPath, integral_norm_functional, segment_at
+from neutraldde.history import SegmentStack, SolutionPath, integral_norm_functional, segment_at
 from neutraldde.scenarios import get_scenario, scenario_names
 from neutraldde.solver import SolverConfig
 
@@ -137,6 +138,18 @@ class TestRunCommand:
         tau = float(tau_line.split("=")[1])
         t_star = math.log(1.0 / (0.1 * (1.0 - math.exp(-1.0))))
         assert abs(tau - t_star) <= 2e-3
+
+    def test_window_closing_at_the_current_value_runs(self, tmp_path, capsys):
+        # f's window [beta(t) - t, alpha(t) - t] closes to theta = 0 at T,
+        # where beta(T) - T rounds past alpha(T) - T = 0 within the slack
+        text = get_scenario("mass_growth")
+        edited = text.replace("T = 3.5", "T = 2.5").replace(
+            "f_window = current", "f_window = affine:-0.15,1.06,0.0,1.0")
+        assert edited.count("2.5") > text.count("2.5") and "affine:" in edited
+        cfg = tmp_path / "closing.cfg"
+        cfg.write_text(edited)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "reached_horizon" in capsys.readouterr().out
 
     def test_declared_budget_above_one_exits_3(self, tmp_path, capsys):
         text = get_scenario("parabolic_delay_mass").replace(
@@ -287,6 +300,40 @@ class TestCsvFormat:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "n_coeffs" in capsys.readouterr().err
         assert not (tmp_path / "tiny.csv").exists()
+
+    @pytest.mark.parametrize("n_coeffs", [0, 2, 6])
+    def test_block_writer_matches_savetxt(self, tmp_path, capsys, monkeypatch, n_coeffs):
+        # a 4-mode path with nan, signed, subnormal and +-1e300 entries (whose
+        # rows have infinite norms), written with none, some and more than
+        # all of its coefficient columns, in blocks of 4 rows and a last
+        # block of 1
+        import neutraldde.cli as cli
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
+        prob = build_run(parse_config(SMALL_RUN)).problem
+        dt = 0.1
+        values = np.random.default_rng(8).normal(size=(9, 4))
+        values[2, 1] = math.nan
+        values[3] = [-0.0, -2.5, 5e-324, -1e-310]
+        values[5, 0] = 1e300
+        values[6, 3] = -1e300
+        path = SolutionPath(-prob.h, dt, values)
+        traj = Trajectory(path, event=TerminationEvent("reached_horizon", path.t_end), tau=path.t_end)
+        out = tmp_path / "table.csv"
+        with np.errstate(over="ignore"):
+            export_csv(traj, prob, out, n_coeffs)
+            stack = SegmentStack(prob.h, dt, values)
+        functionals = np.full(9, math.nan)
+        functionals[stack.n_h :] = prob.domain_functionals(stack)
+        k = min(n_coeffs, 4)
+        table = np.column_stack([path.times(), stack.norms, functionals, values[:, :k]])
+        assert np.isnan(table).any() and np.isinf(table).any()
+        assert (table == 1e300).any() == (k > 0)
+        reference = io.StringIO()
+        np.savetxt(reference, table, fmt="%.17g", delimiter=",",
+                   header=",".join(["t", "norm", "functional"] + [f"c{j + 1}" for j in range(k)]),
+                   footer=f"# event=reached_horizon\n# tau={path.t_end:.17g}", comments="")
+        assert out.read_bytes() == reference.getvalue().encode()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -141,6 +141,23 @@ class TestMaxWindowFunctional:
             WindowFns(beta0=-2.0, beta1=1.0, alpha0=0.0, alpha1=1.0).windows_at(
                 np.array([0.0, 0.5]), 1.0)
 
+    def test_window_closing_at_the_current_value_keeps_lo_at_most_hi(self):
+        # beta(t) = -0.15 + 1.06 t reaches alpha(t) = t at T = 2.5, where
+        # beta - t rounds to 4.4e-16 > alpha - t = 0, inside the slack
+        window = WindowFns(beta0=-0.15, beta1=1.06, alpha0=0.0, alpha1=1.0)
+        window.validate(1.0, 2.5)
+        times = np.array([2.4, 2.5])
+        assert window.beta0 + window.beta1 * times[-1] - times[-1] > 0.0
+        lo, hi = window.windows_at(times, 1.0)
+        assert np.all(lo <= hi) and lo[-1] == hi[-1] == 0.0
+        term = FunctionalAffineTerm(0.0, 1.0, np.ones(2), "max", window=window)
+        stack = SegmentStack(1.0, 0.1, np.random.default_rng(6).normal(size=(12, 2)))
+        got = term.functional_values(times, stack)
+        want = [term.functional_value(float(t), slice_segment(stack, i))
+                for i, t in enumerate(times)]
+        np.testing.assert_array_equal(got, want)
+        assert got[-1] == stack.current_norms()[-1]
+
 
 class TestMembership:
     def make(self, l=1.0, h=1.0, T=2.0):

@@ -11,25 +11,31 @@ from neutraldde import (
     HypothesisViolation,
     NeutralProblem,
     Segment,
+    SegmentStack,
     SolverConfig,
     SpectralOperator,
     TimeFn,
     TimeForcingTerm,
+    WindowFns,
     WindowFrame,
     ZeroTerm,
     cell_weights,
+    current_value_window,
     evaluate_window_operator,
     exp_convolution,
+    full_history_window,
     generator_convolution,
     heuristic_window,
     make_dirichlet_laplacian,
     make_manufactured,
+    max_norm_functional,
     sample_neutral_contraction,
     semigroup_convolution,
     segment_at,
     sine_profile_coeffs,
     solve_window,
 )
+from neutraldde.history import _GRID_EPS
 
 
 def constant_segment(h, vec, dt):
@@ -484,6 +490,80 @@ class TestWindowFrame:
         # every attempt converged, so each loaded candidate was one iterate
         assert calls["attempts"] == len(traj.windows) > 1
         assert calls["loads"] == sum(w.iterations for w in traj.windows)
+
+    def test_window_edges_are_resolved_once_per_attempt(self, monkeypatch):
+        import neutraldde.continuation as continuation
+        from neutraldde import continue_solution
+        from neutraldde.config import build_run, parse_config
+        from neutraldde.scenarios import get_scenario
+
+        calls = {"attempts": 0, "windows_at": 0, "resolve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        assert built.problem.f.window == current_value_window()
+        monkeypatch.setattr(continuation, "solve_window", counted("attempts", solve_window))
+        monkeypatch.setattr(WindowFns, "windows_at", counted("windows_at", WindowFns.windows_at))
+        monkeypatch.setattr(SegmentStack, "resolve", counted("resolve", SegmentStack.resolve))
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        iterations = sum(w.iterations for w in traj.windows)
+        assert calls["attempts"] >= len(traj.windows) > 1
+        # f's running-max window, the only one, is resolved by each attempt's
+        # first iterate and gathered by the rest
+        assert calls["windows_at"] == calls["resolve"] == calls["attempts"] < iterations
+
+
+#: beta(t) = -0.9 + 1.3 t, alpha(t) = -0.1 + 0.7 t: on t in [0, 1] the window
+#: [-0.9 + 0.3 t, -0.1 - 0.3 t] moves and shrinks inside [-1, 0]
+MOVING_WINDOW = WindowFns(beta0=-0.9, beta1=1.3, alpha0=-0.1, alpha1=0.7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_frame_resolved_window_maxima_match_the_reference(data):
+    # Two frames of one problem at different t0 and several candidates per
+    # frame, loaded in turn: the edges each frame resolves once must give
+    # what a fresh stack and the scalar functional give on every load.
+    n_h = data.draw(st.sampled_from([4, 5, 8, 10]))
+    dt = 1.0 / n_h
+    m = data.draw(st.integers(1, n_h // 2))
+    n_modes = data.draw(st.integers(1, 3))
+    # t0 apart by at least 0.1, so the moving window's edges differ between frames
+    t0s = [data.draw(st.floats(0.0, 0.2)), data.draw(st.floats(0.3, 0.5))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    thetas = -1.0 + dt * np.arange(n_h + 1)
+    # fixed edges on a node, within half the snapping slack of one, or
+    # strictly inside a cell
+    offsets = st.sampled_from([0.0, 0.5 * _GRID_EPS, -0.5 * _GRID_EPS, 0.3, 0.7])
+    edges = sorted(min(max(float(thetas[data.draw(st.integers(0, n_h))])
+                           + data.draw(offsets) * dt, -1.0), 0.0) for _ in range(2))
+    windows = [None, full_history_window(1.0), current_value_window(), MOVING_WINDOW,
+               WindowFns(beta0=edges[0], beta1=1.0, alpha0=edges[1], alpha1=1.0)]
+    terms = [FunctionalAffineTerm(0.0, 1.0, np.ones(n_modes), "max", window=w) for w in windows]
+    op = SpectralOperator(np.arange(1.0, n_modes + 1.0))
+    prob = NeutralProblem(op, 1.0, 1.0, 0.5, ZeroTerm(), ZeroTerm(),
+                          DomainSpec("time_only"), 0.0)
+    hist = rng.uniform(-2.0, 2.0, size=(n_h + 1, n_modes))
+    frames = [WindowFrame(prob, hist, t0, dt, m) for t0 in t0s]
+    for _ in range(3):
+        for frame in frames:
+            stack = frame.load(rng.uniform(-2.0, 2.0, size=(m + 1, n_modes)))
+            fresh = SegmentStack(1.0, dt, stack.values.copy())
+            for w, term in zip(windows, terms):
+                got = term.functional_values(frame.times, stack)
+                lo, hi = (-1.0, 0.0) if w is None else w.windows_at(frame.times, 1.0)
+                lo, hi = np.broadcast_to(lo, (m + 1,)), np.broadcast_to(hi, (m + 1,))
+                np.testing.assert_array_equal(got, fresh.max_norms(lo, hi))
+                for i in range(m + 1):
+                    seg = Segment._trusted(1.0, thetas, fresh.values[i : i + n_h + 1])
+                    want = max_norm_functional(seg, lo[i], hi[i])
+                    # endpoint norms may sum the modes in another order
+                    assert got[i] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 class TestHeuristicWindow:
