@@ -6,13 +6,14 @@ Exit codes form a contract for scripted studies:
       solver-failure event, which is a reported outcome, not a crash);
 * 2 — configuration or argument problems (schema violations, bad grids,
       config values out of range, nan values, infinite grid or span
-      values, a missing config file or scenario, inadmissible initial
-      data, a term argument outside its declared range, non-finite term
-      values met by the admission checks, a declared argument range that
-      no sampled history fits, a fine reference for ``study`` that cannot
-      be trusted, a negative ``--seed``, a repeated ``study`` step or one
-      that is not a whole multiple of the reference step, the smallest
-      step / 4);
+      values, a delay, horizon or window span shorter than one grid step,
+      a band width ``l`` that is not finite, a missing config file or
+      scenario, inadmissible initial data, a term argument outside its
+      declared range, non-finite term values met by the admission checks,
+      a declared argument range that no sampled history fits, a fine
+      reference for ``study`` that cannot be trusted, a negative
+      ``--seed``, a repeated ``study`` step or one that is not a whole
+      multiple of the reference step, the smallest step / 4);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
@@ -45,6 +46,7 @@ from .history import SegmentStack, segment_at  # noqa: F401 -- perfbench traces 
 from .oracle import dense_reference_solve
 from .problem import estimate_lipschitz_mg, spatial_smallness_check
 from .scenarios import get_scenario, scenario_description, scenario_names
+from .solver import _require_divides
 
 
 class _ConfigError(Exception):
@@ -151,15 +153,14 @@ def _summarize(traj: Trajectory) -> None:
 
 def cmd_run(args) -> int:
     built = build_run(_load_config(args), dt_override=args.dt)
-    _check_hypotheses(built, args.seed, verbose=built.diagnostics)
+    _check_hypotheses(built, args.seed)
     traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
 
-    if built.diagnostics:
-        for w in traj.windows:
-            print(
-                f"  window t0={w.t0:.6g} width={w.window:.6g} iters={w.iterations} "
-                f"residual={w.residual:.3e} contraction={w.contraction_estimate:.3f}"
-            )
+    for w in traj.windows:
+        print(
+            f"  window t0={w.t0:.6g} width={w.window:.6g} iters={w.iterations} "
+            f"residual={w.residual:.3e} contraction={w.contraction_estimate:.3f}"
+        )
     _summarize(traj)
 
     if built.csv_path is not None:
@@ -195,13 +196,15 @@ def cmd_study(args) -> int:
         print(f"bad --dts list: a step is repeated in {args.dts!r}", file=sys.stderr)
         return 2
     fine_dt = dts[-1] / 4.0
-    for dt in dts:
+    if fine_dt > 0.0:
         # each run is compared with every (dt / fine_dt)-th reference row;
-        # steps that are not positive and finite fail the config's dt check
-        ratio = dt / fine_dt if fine_dt > 0.0 else math.nan
-        if math.isfinite(ratio) and abs(ratio - round(ratio)) > 1e-12 * ratio:
-            print(f"bad --dts list: step {dt:g} is not a whole multiple of the reference "
-                  f"step {fine_dt:g} (the smallest step / 4)", file=sys.stderr)
+        # a step that is not positive fails the config's dt check
+        try:
+            for dt in dts:
+                _require_divides(fine_dt, dt, "step")
+        except ValueError as exc:
+            print(f"bad --dts list: {exc}; the reference step is the smallest step / 4",
+                  file=sys.stderr)
             return 2
     cfg = _load_config(args)
 

@@ -2,10 +2,12 @@
 
 A run is described by five sections; every key is validated against the
 schema below, unknown keys are errors, and messages carry the offending line
-number where one can be found.  A numeric key set to nan is an error, and
-so is a nan in any list (``coeffs``, ``table`` rows, ``*_profile``,
-``*_window``, ``*_fns``); inf is kept wherever the value's own range admits
-it (``trust_radius``, ``g_y_max``).
+number where one can be found.  One reader, ``_value``, reads every number,
+number list and required text; a key left out or empty takes its default.
+A numeric key set to nan is an error, and so is a nan in any list
+(``coeffs``, ``table`` rows, ``*_profile``, ``*_window``, ``*_fns``); inf
+is kept wherever the value's own range admits it (``trust_radius``,
+``g_y_max``).
 
 ::
 
@@ -14,7 +16,6 @@ it (``trust_radius``, ``g_y_max``).
     n_modes = 8
     length = 3.141592653589793   # dirichlet_sine: interval length
     mu = 1.0 4.0 9.0             # explicit: decay rates, nondecreasing
-    gap = 1.0                    # optional; must equal the smallest rate
 
     [problem]
     h = 1.0                      # delay span
@@ -22,7 +23,7 @@ it (``trust_radius``, ``g_y_max``).
     alpha = 0.5                  # fractional exponent of the neutral norm
     mg_bound = 0.07              # declared contraction budget, < 1
     domain = delay_mass          # delay_mass | sup_band | time_only
-    l = 1.0                      # band width (band domains)
+    l = 1.0                      # band width (band domains), finite
     g_family = affine            # zero | affine | point_delay | time_forcing
     g_functional = integral      # integral | max        (affine)
     g_c0 = 0.0                   # affine: value c0 + c1*y
@@ -45,17 +46,15 @@ it (``trust_radius``, ``g_y_max``).
     table = ...                  # rows "theta v1 v2 ...", theta in [-h, 0]
 
     [solver]
-    dt = 1e-2                    # grid step; must divide h, T and window
+    dt = 1e-2                    # grid step; h, T and window are n*dt, n >= 1
     window = 0.5                 # largest window; halved on failure down to dt
     tol = 1e-10                  # optional from here on: SolverConfig's
     max_iter = 200               # defaults apply to every key left out
     trust_radius = 100.0
-    damping = 1.0
 
     [output]
     csv = run.csv                # empty: no file written
     n_coeffs = 3                 # coefficient columns to emit
-    diagnostics = true
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ from .solver import SolverConfig
 from .spectral import SpectralOperator, make_dirichlet_laplacian
 
 _SCHEMA = {
-    "operator": {"type", "n_modes", "length", "mu", "gap"},
+    "operator": {"type", "n_modes", "length", "mu"},
     "problem": {
         "h", "T", "alpha", "mg_bound", "domain", "l",
         "g_family", "g_functional", "g_c0", "g_c1", "g_profile", "g_y_max",
@@ -96,8 +95,8 @@ _SCHEMA = {
         "f_window", "f_kappa", "f_fns",
     },
     "initial": {"family", "coeffs", "amps", "rates", "table"},
-    "solver": {"dt", "window", "tol", "max_iter", "trust_radius", "damping"},
-    "output": {"csv", "n_coeffs", "diagnostics"},
+    "solver": {"dt", "window", "tol", "max_iter", "trust_radius"},
+    "output": {"csv", "n_coeffs"},
 }
 _REQUIRED_SECTIONS = ("operator", "problem", "initial", "solver")
 
@@ -122,7 +121,6 @@ class BuiltRun:
     solver: SolverConfig
     csv_path: str | None
     n_coeffs: int
-    diagnostics: bool
 
 
 def _line_of(text: str, key: str, section: str) -> int | None:
@@ -166,33 +164,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(raw=raw, text=text)
 
 
-def _parse_float(cfg: RunConfig, section: str, key: str, default=None, required=False):
-    value = cfg.get(section, key)
-    if value is None or value == "":
-        if required:
-            raise _fail(cfg.text, section, key, "required value missing")
-        return default
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if math.isnan(number):
-        raise _fail(cfg.text, section, key, f"not a number: {value!r}")
-    return number
-
-
-def _parse_int(cfg: RunConfig, section: str, key: str, default=None, required=False):
-    value = cfg.get(section, key)
-    if value is None or value == "":
-        if required:
-            raise _fail(cfg.text, section, key, "required value missing")
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise _fail(cfg.text, section, key, f"not an integer: {value!r}") from None
-
-
 def _floats(text: str, sep: str | None = None) -> list[float]:
     """The numbers of a ``sep``-separated config list; ValueError on a nan or non-number."""
     numbers = [float(v) for v in text.split(sep)]
@@ -201,61 +172,66 @@ def _floats(text: str, sep: str | None = None) -> list[float]:
     return numbers
 
 
-def _parse_floats(cfg: RunConfig, section: str, key: str, required=False):
-    value = cfg.get(section, key)
-    if value is None or value == "":
+def _number(text: str) -> float:
+    """One config number; ValueError on a nan or non-number."""
+    number = float(text)
+    if math.isnan(number):
+        raise ValueError(f"nan is not a value: {text!r}")
+    return number
+
+
+#: (conversion, what a value that fails it is not) per kind of value
+_KINDS = {
+    float: (_number, "not a number"),
+    int: (int, "not an integer"),
+    list: (lambda text: np.array(_floats(text)), "not a number list"),
+    str: (str, None),
+}
+
+
+def _value(cfg: RunConfig, section: str, key: str, kind, default=None, required=False):
+    """``key`` read as ``kind``: float, int, list (of floats, as an array) or str.
+
+    A key left out or set empty gives ``default``, or fails when ``required``.
+    """
+    text = cfg.get(section, key)
+    if not text:
         if required:
             raise _fail(cfg.text, section, key, "required value missing")
-        return None
-    try:
-        return np.array(_floats(value))
-    except ValueError:
-        raise _fail(cfg.text, section, key, f"not a number list: {value!r}") from None
-
-
-def _parse_bool(cfg: RunConfig, section: str, key: str, default: bool) -> bool:
-    value = cfg.get(section, key)
-    if value is None or value == "":
         return default
-    if value.lower() in ("true", "yes", "on", "1"):
-        return True
-    if value.lower() in ("false", "no", "off", "0"):
-        return False
-    raise _fail(cfg.text, section, key, f"not a boolean: {value!r}")
+    convert, not_a = _KINDS[kind]
+    try:
+        return convert(text)
+    except ValueError:
+        raise _fail(cfg.text, section, key, f"{not_a}: {text!r}") from None
 
 
 def _build_operator(cfg: RunConfig) -> SpectralOperator:
     kind = cfg.get("operator", "type", "dirichlet_sine")
     if kind == "dirichlet_sine":
-        n_modes = _parse_int(cfg, "operator", "n_modes", required=True)
-        length = _parse_float(cfg, "operator", "length", required=True)
+        n_modes = _value(cfg, "operator", "n_modes", int, required=True)
+        length = _value(cfg, "operator", "length", float, required=True)
         try:
             op = make_dirichlet_laplacian(n_modes, length)
         except ValueError as exc:
             raise SchemaError(f"[operator] {exc}") from exc
     elif kind == "explicit":
-        mu = _parse_floats(cfg, "operator", "mu", required=True)
+        mu = _value(cfg, "operator", "mu", list, required=True)
         try:
             op = SpectralOperator(mu)
         except ValueError as exc:
             raise SchemaError(f"[operator] {exc}") from exc
-        n_modes = _parse_int(cfg, "operator", "n_modes")
+        n_modes = _value(cfg, "operator", "n_modes", int)
         if n_modes is not None and n_modes != op.n_modes:
             raise _fail(cfg.text, "operator", "n_modes",
                         f"does not match the {op.n_modes} explicit rates")
     else:
         raise _fail(cfg.text, "operator", "type", f"unknown operator type {kind!r}")
-    gap = _parse_float(cfg, "operator", "gap")
-    if gap is not None and abs(gap - op.gap) > 1e-12 * max(1.0, op.gap):
-        raise _fail(cfg.text, "operator", "gap",
-                    f"declared gap {gap} must equal the smallest decay rate {op.gap}")
     return op
 
 
 def _parse_profile(cfg: RunConfig, prefix: str, op: SpectralOperator) -> np.ndarray:
-    spec = cfg.get("problem", f"{prefix}_profile")
-    if spec is None or spec == "":
-        raise _fail(cfg.text, "problem", f"{prefix}_profile", "required for the affine family")
+    spec = _value(cfg, "problem", f"{prefix}_profile", str, required=True)
     kind, _, rest = spec.partition(":")
     if kind == "modes":
         try:
@@ -299,10 +275,7 @@ def _parse_window(cfg: RunConfig, prefix: str, h: float) -> WindowFns:
 
 
 def _parse_time_fns(cfg: RunConfig, prefix: str, op: SpectralOperator) -> list[TimeFn]:
-    spec = cfg.get("problem", f"{prefix}_fns")
-    if spec is None or spec == "":
-        raise _fail(cfg.text, "problem", f"{prefix}_fns",
-                    "required for the time_forcing family")
+    spec = _value(cfg, "problem", f"{prefix}_fns", str, required=True)
     fns = []
     for part in spec.split(";"):
         part = part.strip()
@@ -329,15 +302,15 @@ def _build_term(cfg: RunConfig, prefix: str, op: SpectralOperator, h: float):
                         f"unknown functional {functional!r}")
         window = _parse_window(cfg, prefix, h) if functional == "max" else None
         return FunctionalAffineTerm(
-            c0=_parse_float(cfg, "problem", f"{prefix}_c0", 0.0),
-            c1=_parse_float(cfg, "problem", f"{prefix}_c1", 0.0),
+            c0=_value(cfg, "problem", f"{prefix}_c0", float, 0.0),
+            c1=_value(cfg, "problem", f"{prefix}_c1", float, 0.0),
             profile=_parse_profile(cfg, prefix, op),
             functional=functional,
             window=window,
-            y_max=_parse_float(cfg, "problem", f"{prefix}_y_max"),
+            y_max=_value(cfg, "problem", f"{prefix}_y_max", float),
         )
     if family == "point_delay":
-        kappa = _parse_float(cfg, "problem", f"{prefix}_kappa", required=True)
+        kappa = _value(cfg, "problem", f"{prefix}_kappa", float, required=True)
         return PointDelayTerm(kappa)
     if family == "time_forcing":
         return TimeForcingTerm(_parse_time_fns(cfg, prefix, op))
@@ -349,23 +322,21 @@ def _build_initial(cfg: RunConfig, op: SpectralOperator, h: float, dt: float) ->
     n_h = int(round(h / dt))
     thetas = -h + dt * np.arange(n_h + 1)
     if family == "constant":
-        coeffs = _parse_floats(cfg, "initial", "coeffs", required=True)
+        coeffs = _value(cfg, "initial", "coeffs", list, required=True)
         if coeffs.size != op.n_modes:
             raise _fail(cfg.text, "initial", "coeffs",
                         f"needs {op.n_modes} values, got {coeffs.size}")
         return Segment(h, thetas, np.tile(coeffs, (n_h + 1, 1)))
     if family == "exp":
-        amps = _parse_floats(cfg, "initial", "amps", required=True)
-        rates = _parse_floats(cfg, "initial", "rates", required=True)
+        amps = _value(cfg, "initial", "amps", list, required=True)
+        rates = _value(cfg, "initial", "rates", list, required=True)
         if amps.size != op.n_modes or rates.size != op.n_modes:
             raise _fail(cfg.text, "initial", "amps",
                         f"amps and rates both need {op.n_modes} values")
         values = amps[None, :] * np.exp(np.outer(thetas, rates))
         return Segment(h, thetas, values)
     if family == "table":
-        raw = cfg.get("initial", "table")
-        if not raw:
-            raise _fail(cfg.text, "initial", "table", "required for the table family")
+        raw = _value(cfg, "initial", "table", str, required=True)
         rows = []
         for line in raw.splitlines():
             line = line.strip()
@@ -395,12 +366,12 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
     """
     op = _build_operator(cfg)
 
-    h = _parse_float(cfg, "problem", "h", required=True)
-    T = _parse_float(cfg, "problem", "T", required=True)
-    alpha = _parse_float(cfg, "problem", "alpha", 0.5)
-    mg_bound = _parse_float(cfg, "problem", "mg_bound", required=True)
+    h = _value(cfg, "problem", "h", float, required=True)
+    T = _value(cfg, "problem", "T", float, required=True)
+    alpha = _value(cfg, "problem", "alpha", float, 0.5)
+    mg_bound = _value(cfg, "problem", "mg_bound", float, required=True)
     domain_kind = cfg.get("problem", "domain", "time_only")
-    l = _parse_float(cfg, "problem", "l")
+    l = _value(cfg, "problem", "l", float)
     try:
         domain = DomainSpec(domain_kind, l)
     except ValueError as exc:
@@ -409,14 +380,13 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
     g = _build_term(cfg, "g", op, h)
     f = _build_term(cfg, "f", op, h)
 
-    dt = dt_override if dt_override is not None else _parse_float(
-        cfg, "solver", "dt", required=True)
-    window = _parse_float(cfg, "solver", "window", required=True)
+    dt = dt_override if dt_override is not None else _value(
+        cfg, "solver", "dt", float, required=True)
+    window = _value(cfg, "solver", "window", float, required=True)
     # keys left out take SolverConfig's defaults
-    settings = {"tol": _parse_float(cfg, "solver", "tol"),
-                "max_iter": _parse_int(cfg, "solver", "max_iter"),
-                "trust_radius": _parse_float(cfg, "solver", "trust_radius"),
-                "damping": _parse_float(cfg, "solver", "damping")}
+    settings = {"tol": _value(cfg, "solver", "tol", float),
+                "max_iter": _value(cfg, "solver", "max_iter", int),
+                "trust_radius": _value(cfg, "solver", "trust_radius", float)}
     try:
         solver = SolverConfig(dt=dt, window=window,
                               **{k: v for k, v in settings.items() if v is not None})
@@ -430,7 +400,7 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
         raise SchemaError(f"[problem] {exc}") from exc
     initial = _build_initial(cfg, op, h, solver.dt)
 
-    n_coeffs = _parse_int(cfg, "output", "n_coeffs", op.n_modes)
+    n_coeffs = _value(cfg, "output", "n_coeffs", int, op.n_modes)
     if n_coeffs < 0:
         raise _fail(cfg.text, "output", "n_coeffs", f"must be >= 0, got {n_coeffs}")
     return BuiltRun(
@@ -439,5 +409,4 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
         solver=solver,
         csv_path=cfg.get("output", "csv") or None,
         n_coeffs=n_coeffs,
-        diagnostics=_parse_bool(cfg, "output", "diagnostics", True),
     )

@@ -21,11 +21,12 @@ a non-monotone functional that enters and leaves the boundary band strictly
 between grid points can be missed at coarse dt, so refine dt when the
 domain functional is oscillatory.
 
-A window that will not converge is retried with half the damping, then with
-repeatedly halved windows; only when a one-cell window still fails does the
-run stop with a solver-failure event.  That terminus is deliberately
-distinct from a boundary hit: failure of the iteration is a numerical
-statement, not a statement about the domain.
+A window is first solved undamped (damping 1).  One that will not converge
+is retried with damping 0.5, then with repeatedly halved windows at that
+damping; only when a one-cell window still fails does the run stop with a
+solver-failure event.  That terminus is deliberately distinct from a
+boundary hit: failure of the iteration is a numerical statement, not a
+statement about the domain.
 """
 
 from __future__ import annotations
@@ -139,12 +140,12 @@ def first_exit(prob: NeutralProblem, path: SolutionPath, t: float,
 def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):
     """Solve one window from its grid rows, halving on failure: (result or None, detail)."""
     m_try = min(m_cells, remaining_cells)
-    damping = cfg.damping
+    damping = 1.0
     last_detail = None
     while True:
-        attempt_cfg = replace(cfg, window=m_try * cfg.dt, damping=damping)
+        attempt_cfg = replace(cfg, window=m_try * cfg.dt)
         try:
-            result = solve_window(prob, hist, t0, attempt_cfg)
+            result = solve_window(prob, hist, t0, attempt_cfg, damping)
         except NumericalBlowup:
             result = None
             last_detail = "numerical_blowup"

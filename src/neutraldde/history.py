@@ -54,20 +54,6 @@ class SolutionPath:
             raise ValueError(f"time {t} is not a grid point of this path")
         return i
 
-    def value_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between neighbouring grid values."""
-        pos = (t - self.t_start) / self.dt
-        if pos < -_GRID_EPS or pos > self.n_times - 1 + _GRID_EPS:
-            raise ValueError(f"time {t} outside path range [{self.t_start}, {self.t_end}]")
-        pos = min(max(pos, 0.0), float(self.n_times - 1))
-        i = min(int(pos), self.n_times - 2)
-        w = pos - i
-        if w <= _GRID_EPS:
-            return self.values[i].copy()
-        if w >= 1.0 - _GRID_EPS:
-            return self.values[i + 1].copy()
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
-
 
 class Segment:
     """History slice theta -> u(t + theta) on theta in [-h, 0].

@@ -309,8 +309,8 @@ class DomainSpec:
         if self.kind not in ("delay_mass", "sup_band", "time_only"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind != "time_only":
-            if self.l is None or self.l <= 0.0:
-                raise ValueError("band domains need a positive width l")
+            if self.l is None or not 0.0 < self.l < math.inf:
+                raise ValueError(f"band domains need a positive finite width l, got {self.l}")
 
     def default_tol(self) -> float:
         return 1e-9 * self.l if self.l is not None else 1e-9

@@ -37,7 +37,6 @@ window = 0.1
 tol = 1e-12
 max_iter = 100
 trust_radius = 100.0
-damping = 1.0
 
 [output]
 csv = heat_decay.csv
@@ -77,7 +76,6 @@ window = 0.5
 tol = 1e-10
 max_iter = 200
 trust_radius = 100.0
-damping = 1.0
 
 [output]
 csv = mass_growth.csv
@@ -122,7 +120,6 @@ window = 0.5
 tol = 1e-11
 max_iter = 200
 trust_radius = 100.0
-damping = 1.0
 
 [output]
 csv = parabolic_delay_mass.csv
@@ -165,7 +162,6 @@ window = 0.5
 tol = 1e-11
 max_iter = 200
 trust_radius = 100.0
-damping = 1.0
 
 [output]
 csv = parabolic_max.csv
@@ -206,7 +202,6 @@ window = 0.5
 tol = 1e-9
 max_iter = 200
 trust_radius = 100.0
-damping = 1.0
 
 [output]
 csv = manufactured_decay.csv

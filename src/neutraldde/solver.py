@@ -41,9 +41,10 @@ operator then evaluates g and f on every slice of the same stack, runs the
 scan on mu g + f and takes the residual.
 
 The settings a caller can change are the ``SolverConfig`` fields and
-nothing else: the grid step, the window, and the iteration controls.  A
-window that fails is halved down to one grid step, and the domain is
-classified with the band tolerance of ``DomainSpec.default_tol``.
+nothing else: the grid step, the window, and the iteration controls; the
+damping d is set per attempt by the continuation's retry ladder.  A window
+that fails is halved down to one grid step, and the domain is classified
+with the band tolerance of ``DomainSpec.default_tol``.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 200
     trust_radius: float = 100.0
-    damping: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
@@ -201,8 +201,6 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.trust_radius < 0.0:
             raise ValueError(f"trust_radius must be >= 0, got {self.trust_radius}")
         _require_divides(self.dt, self.window, "window")
@@ -217,6 +215,8 @@ def _require_divides(dt: float, span: float, what: str) -> None:
     ratio = span / dt
     if not math.isfinite(ratio):
         raise ValueError(f"the {what} {span} is not a finite multiple of dt={dt}")
+    if round(ratio) < 1:
+        raise ValueError(f"the {what} {span} is shorter than one grid step dt={dt}")
     if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
         raise ValueError(f"dt={dt} must divide the {what} {span} exactly")
 
@@ -344,12 +344,17 @@ def _drift_exceeds(frame: WindowFrame, radius: float) -> bool:
     return False
 
 
-def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig) -> WindowResult:
-    """Damped fixed-point iteration from the window's grid rows ``hist``, warm-started at phi(0)."""
+def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
+                 damping: float = 1.0) -> WindowResult:
+    """Damped fixed-point iteration from the window's grid rows ``hist``, warm-started at phi(0).
+
+    Each iterate is y <- (1 - damping) y + damping G(y), with damping in
+    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     dt = cfg.dt
     m = int(round(cfg.window / dt))
-    if m < 1:
-        raise ValueError(f"window {cfg.window} shorter than one grid step {dt}")
     frame = WindowFrame(prob, hist, t0, dt, m)
     phi0 = frame.phi0
     y = np.tile(phi0, (m + 1, 1))
@@ -372,10 +377,10 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig) -> Wi
         if residual <= cfg.tol:
             return WindowResult(y, it, residual, contraction, "converged", t0, cfg.window)
         prev_residual = residual
-        if cfg.damping == 1.0:
+        if damping == 1.0:
             y = gy
         else:
-            y = (1.0 - cfg.damping) * y + cfg.damping * gy
+            y = (1.0 - damping) * y + damping * gy
         y[0] = phi0
         stack = frame.load(y)
         if _drift_exceeds(frame, cfg.trust_radius):

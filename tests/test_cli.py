@@ -102,21 +102,44 @@ class TestConfigParsing:
         with pytest.raises(SchemaError):
             build_run(parse_config(text))
 
-    def test_declared_gap_must_match_smallest_rate(self):
-        text = SMALL_RUN.replace("mu = 1.0", "mu = 1.0\ngap = 0.5")
-        with pytest.raises(SchemaError):
-            build_run(parse_config(text))
-
     def test_solver_keys_left_out_take_the_solver_defaults(self):
         text = SMALL_RUN.replace("tol = 1e-12\n", "")
         assert build_run(parse_config(text)).solver == SolverConfig(dt=0.1, window=0.2)
 
-    @pytest.mark.parametrize("line", ["min_window = 0.1", "boundary_tol = 1e-9"])
-    def test_removed_solver_keys_are_unknown(self, tmp_path, capsys, line):
+    # (the line a removed key follows, the key's line); the operator's gap
+    # is its smallest rate and the per-window lines always print
+    _REMOVED_KEYS = [("tol = 1e-12", "min_window = 0.1"), ("tol = 1e-12", "boundary_tol = 1e-9"),
+                     ("tol = 1e-12", "damping = 1.0"), ("mu = 1.0", "gap = 0.5"),
+                     ("n_coeffs = 1", "diagnostics = true")]
+
+    @pytest.mark.parametrize("anchor, line", _REMOVED_KEYS,
+                             ids=[line for _, line in _REMOVED_KEYS])
+    def test_removed_solver_keys_are_unknown(self, tmp_path, capsys, anchor, line):
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(SMALL_RUN.replace("tol = 1e-12", f"tol = 1e-12\n{line}"))
+        cfg.write_text(SMALL_RUN.replace(anchor, f"{anchor}\n{line}"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    # (line, replacement, how the error goes on after "schema error: "): one
+    # case per message of the value reader; in SMALL_RUN h is on line 6,
+    # f_family on 13, coeffs on 17 and tol on 22
+    _UNREADABLE = [
+        ("tol = 1e-12", "tol = abc", "line 22: [solver] tol: not a number: 'abc'"),
+        ("tol = 1e-12", "tol = 1e-12\nmax_iter = 2.5",
+         "line 23: [solver] max_iter: not an integer: '2.5'"),
+        ("coeffs = 1.0", "coeffs = 0.1 x", "line 17: [initial] coeffs: not a number list: '0.1 x'"),
+        ("h = 0.2", "h =", "line 6: [problem] h: required value missing"),
+        ("f_family = zero", "f_family = time_forcing\nf_fns =", "line 14: [problem] f_fns: required"),
+    ]
+
+    @pytest.mark.parametrize("old, new, message", _UNREADABLE,
+                             ids=[new.splitlines()[-1] for _, new, _ in _UNREADABLE])
+    def test_unreadable_value_names_its_line(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_RUN.replace(old, new))
+        assert main(["check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"schema error: {message}") and "\n" not in err
 
 
 class TestRunCommand:
@@ -235,6 +258,12 @@ _BAD_VALUES = [
     ("g_profile = modes:1.0", "g_profile = modes:nan", []),
     ("g_profile = modes:1.0", "g_profile = sine:1:nan", []),
     ("g_y_max = 1e9", "g_y_max = 1e9\ng_window = affine:nan,1,0,1", []),
+    # spans shorter than one grid step round to 0 steps, and an infinite
+    # band width makes the band tolerance infinite
+    ("h = 0.2", "h = 1e-300", []),
+    ("window = 0.2", "window = 1e-300", []),
+    ("T = 0.4", "T = 1e-300", []),
+    ("l = 10.0", "l = inf", []),
 ]
 
 

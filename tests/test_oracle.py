@@ -146,7 +146,7 @@ class TestCompare:
         coarse = SolutionPath(0.0, 0.1, np.exp(-0.1 * np.arange(11))[:, None])
         fine_dt = 0.0125
         fine_times = fine_dt * np.arange(81)
-        interp = np.vstack([coarse.value_at(t) for t in fine_times])
+        interp = np.interp(fine_times, coarse.times(), coarse.values[:, 0])[:, None]
         a = SolutionPath(0.0, fine_dt, np.exp(-fine_times)[:, None])
         b = SolutionPath(0.0, fine_dt, interp)
         out = compare(a, b)

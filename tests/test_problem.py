@@ -227,6 +227,16 @@ class TestMembership:
             assert band.membership(1.0, constant_segment(1.0, [0.5])).state == state
 
 
+    @pytest.mark.parametrize("kind", ["delay_mass", "sup_band"])
+    def test_band_width_must_be_positive_and_finite(self, kind):
+        # an infinite l makes the band tolerance 1e-9 l infinite, which
+        # would put every history on the band edge
+        for l in (None, 0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite width"):
+                DomainSpec(kind, l)
+        assert DomainSpec(kind, 1e300).default_tol() < math.inf
+
+
 class TestHypothesisChecks:
     def test_smallness_rejects_reference_values(self):
         out = check_neutral_smallness(1.0, 1.0, 0.5, math.pi)

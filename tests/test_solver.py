@@ -362,8 +362,7 @@ class TestWindowFrame:
         dt = 0.05
         seg = _wobbly_segment(0.5, dt, 3, seed=1)
         for damping in (1.0, 0.5):
-            out = solve_window(prob, seg.values, 0.0,
-                               SolverConfig(dt=dt, window=0.3, damping=damping))
+            out = solve_window(prob, seg.values, 0.0, SolverConfig(dt=dt, window=0.3), damping)
             assert out.converged
             frame = frames[-1]
             for buf in (frame.rows, frame.norms, frame.hist, frame.free, frame._squares):
@@ -443,9 +442,9 @@ class TestWindowFrame:
 
         handed = []
 
-        def recorded_solve(prob, hist, t0, cfg):
+        def recorded_solve(prob, hist, t0, cfg, damping):
             handed.append((t0, np.array(hist)))
-            return solve_window(prob, hist, t0, cfg)
+            return solve_window(prob, hist, t0, cfg, damping)
 
         monkeypatch.setattr(continuation, "solve_window", recorded_solve)
         built = build_run(parse_config(get_scenario("mass_growth")))
@@ -624,9 +623,20 @@ class TestSolverConfig:
             cfg.validate_grid(0.1, 2.01)
         with pytest.raises(ValueError, match="horizon span"):
             cfg.validate_grid(0.1, math.inf)
+        # a span shorter than one step rounds to 0 steps, which would pass
+        # the whole-multiple test
+        with pytest.raises(ValueError, match="shorter than one grid step"):
+            SolverConfig(dt=0.02, window=1e-300)
+        with pytest.raises(ValueError, match="delay span .* shorter"):
+            cfg.validate_grid(1e-300, 2.0)
+        with pytest.raises(ValueError, match="horizon span .* shorter"):
+            cfg.validate_grid(0.1, 1e-300)
 
     def test_damping_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(dt=0.01, window=0.1, damping=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(dt=0.01, window=0.1, damping=1.5)
+        prob = _integral_problem()
+        dt = 0.05
+        seg = _wobbly_segment(0.5, dt, 3, seed=1)
+        cfg = SolverConfig(dt=dt, window=0.3)
+        for damping in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="damping"):
+                solve_window(prob, seg.values, 0.0, cfg, damping)
