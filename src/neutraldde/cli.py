@@ -12,8 +12,9 @@ Exit codes form a contract for scripted studies:
       declared range, non-finite term values met by the admission checks,
       a declared argument range that no sampled history fits, a fine
       reference for ``study`` that cannot be trusted, a negative
-      ``--seed``, a repeated ``study`` step or one that is not a whole
-      multiple of the reference step, the smallest step / 4);
+      ``--seed``, a ``study`` step that is not positive and finite, is
+      repeated or is not a whole multiple of the reference step, the
+      smallest step / 4);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
@@ -124,7 +125,7 @@ def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
         n_coeffs = n_modes
     header = ",".join(["t", "norm", "functional"] + [f"c{k + 1}" for k in range(n_coeffs)])
     times = traj.path.times()
-    stack = SegmentStack(prob.h, traj.path.dt, traj.path.values)
+    stack = SegmentStack(prob.h, traj.path.dt, traj.path.values, traj.path.t_start + prob.h)
     functionals = np.full(times.size, math.nan)
     functionals[stack.n_h :] = prob.domain_functionals(stack)
     table = np.column_stack([times, stack.norms, functionals, traj.path.values[:, :n_coeffs]])
@@ -183,11 +184,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_study(args) -> int:
+    texts = args.dts.split(",")
     try:
-        dts = sorted((float(v) for v in args.dts.split(",")), reverse=True)
+        steps = [float(v) for v in texts]
     except ValueError:
         print(f"bad --dts list: {args.dts!r}", file=sys.stderr)
         return 2
+    # checked before sorting, so the step is named as written and no nan is sorted
+    bad = [text.strip() for text, dt in zip(texts, steps) if not 0.0 < dt < math.inf]
+    if bad:
+        print(f"bad --dts list: step {bad[0]!r} is not positive and finite", file=sys.stderr)
+        return 2
+    dts = sorted(steps, reverse=True)
     if len(dts) < 3:
         print("need at least three dt values for a study", file=sys.stderr)
         return 2
@@ -196,16 +204,14 @@ def cmd_study(args) -> int:
         print(f"bad --dts list: a step is repeated in {args.dts!r}", file=sys.stderr)
         return 2
     fine_dt = dts[-1] / 4.0
-    if fine_dt > 0.0:
-        # each run is compared with every (dt / fine_dt)-th reference row;
-        # a step that is not positive fails the config's dt check
-        try:
-            for dt in dts:
-                _require_divides(fine_dt, dt, "step")
-        except ValueError as exc:
-            print(f"bad --dts list: {exc}; the reference step is the smallest step / 4",
-                  file=sys.stderr)
-            return 2
+    # each run is compared with every (dt / fine_dt)-th reference row
+    try:
+        for dt in dts:
+            _require_divides(fine_dt, dt, "step")
+    except ValueError as exc:
+        print(f"bad --dts list: {exc}; the reference step is the smallest step / 4",
+              file=sys.stderr)
+        return 2
     cfg = _load_config(args)
 
     # history at the finest internal grid so its interpolation error

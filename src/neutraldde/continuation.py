@@ -127,9 +127,8 @@ def first_exit(prob: NeutralProblem, path: SolutionPath, t: float,
     Returns (time, membership) or None.
     """
     n_h = int(round(prob.h / path.dt))
-    stack = SegmentStack(prob.h, path.dt, path.values[-(n_h + m):])
-    times = t + path.dt * np.arange(1, m + 1)
-    for i in np.flatnonzero(prob.exit_candidates(times, stack)).tolist():
+    stack = SegmentStack(prob.h, path.dt, path.values[-(n_h + m):], t + path.dt)
+    for i in np.flatnonzero(prob.exit_candidates(stack)).tolist():
         t_i = t + (i + 1) * path.dt
         mem = prob.membership(t_i, segment_at(path, t_i, prob.h))
         if not mem.is_inside:

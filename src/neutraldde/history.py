@@ -152,27 +152,22 @@ def max_norm_functional(seg: Segment, lo: float, hi: float) -> float:
 class _RangeMax:
     """Sparse table over ``x``: the max of x[a..b] for whole arrays of inclusive bounds.
 
-    Level k holds the maxima of the runs of length 2^k; a query of length n
-    takes the larger of two overlapping runs of length 2^floor(log2 n).
+    Column i of row k of ``table`` is the max of the run x[i : i + 2^k]
+    (padding where the run leaves x); a query of length n takes the larger
+    of two overlapping runs of length 2^floor(log2 n): two gathers per call.
     """
 
     def __init__(self, x: np.ndarray, longest: int):
-        self.levels = [x]
-        span = 1
-        while 2 * span <= longest:
-            prev = self.levels[-1]
-            self.levels.append(np.maximum(prev[:-span], prev[span:]))
-            span *= 2
+        self.table = np.full((longest.bit_length(), x.size), -np.inf)
+        self.table[0] = x
+        for k in range(1, len(self.table)):
+            span, prev = 1 << (k - 1), self.table[k - 1]
+            np.maximum(prev[:-span], prev[span:], out=self.table[k, :-span])
 
     def query(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # frexp(n) = (m, e) with n = m * 2^e and 0.5 <= m < 1: floor(log2 n) = e - 1
         k = np.frexp((b - a + 1).astype(float))[1] - 1
-        out = np.empty(a.shape)
-        for level in np.unique(k):
-            sel = k == level
-            row = self.levels[level]
-            out[sel] = np.maximum(row[a[sel]], row[b[sel] - (1 << int(level)) + 1])
-        return out
+        return np.maximum(self.table[k, a], self.table[k, b - (1 << k) + 1])
 
 
 class _Edge(NamedTuple):
@@ -197,13 +192,13 @@ class WindowEdges(NamedTuple):
 class SegmentStack:
     """The history slices of consecutive grid times as windows of one array.
 
-    Row j of ``values`` is u(t_first - h + j*dt), so slice i -- the segment
-    at t_first + i*dt -- is rows i..i+n_h on the theta grid -h + dt*arange.
-    The batch functionals evaluate every slice at once and agree with the
-    scalar ones applied to slice i: node norms are taken once, the delay
-    mass comes from blockwise sums of trapezoid cells (equal up to summation
-    order), and window maxima come from exactly interpolated endpoints plus
-    a sparse-table range maximum over the interior nodes.
+    Row j of ``values`` is u(t_first - h + j*dt), so slice i, the segment at
+    ``times[i]`` = t_first + i*dt, is rows i..i+n_h on the theta grid
+    -h + dt*arange.  The batch functionals evaluate every slice at once and
+    agree with the scalar ones applied to slice i: node norms are taken
+    once, the delay mass comes from blockwise sums of trapezoid cells (equal
+    up to summation order), and window maxima come from exactly interpolated
+    endpoints plus a sparse-table range maximum over the interior nodes.
 
     A window maximum takes two steps.  ``resolve`` checks and clips the
     windows and finds what depends on them and the grid alone: each edge's
@@ -211,12 +206,12 @@ class SegmentStack:
     where it lies strictly inside a cell) and the rows of the interior nodes.
     ``gather`` reads the stored norms at those rows, interpolates the inner
     edges and takes the range maximum.  ``max_norms`` does both on every
-    call.  A stack that a ``WindowFrame`` loads carries its frame's store of
-    resolved edges, so ``window_edges`` resolves each window once per frame
-    and every candidate the frame loads only gathers.
+    call.  ``window_edges`` resolves a term's window at the slice times once
+    per store of resolved edges.  A stack that a ``WindowFrame`` loads shares
+    its frame's times and store, so every later candidate only gathers.
     """
 
-    def __init__(self, h: float, dt: float, values):
+    def __init__(self, h: float, dt: float, values, t_first: float = 0.0):
         values = np.asarray(values, dtype=float)
         self.h = float(h)
         self.dt = float(dt)
@@ -229,8 +224,8 @@ class SegmentStack:
         self.n_windows = values.shape[0] - self.n_h
         self.thetas = -self.h + self.dt * np.arange(self.n_h + 1)
         self.norms = np.linalg.norm(values, axis=1)
-        self._times = None
-        self._edges = None
+        self.times = float(t_first) + self.dt * np.arange(self.n_windows)
+        self._edges = {}
 
     @classmethod
     def _trusted(cls, h: float, dt: float, thetas: np.ndarray, values: np.ndarray,
@@ -247,7 +242,7 @@ class SegmentStack:
         obj.n_windows = values.shape[0] - obj.n_h
         obj.thetas = thetas
         obj.norms = norms
-        obj._times = times
+        obj.times = times
         obj._edges = edges
         return obj
 
@@ -315,14 +310,13 @@ class SegmentStack:
         """``max_norm_functional`` of slice i over [lo[i], hi[i]], for every i."""
         return self.gather(self.resolve(lo, hi))
 
-    def window_edges(self, key, times, windows) -> WindowEdges:
-        """``resolve(*windows(times, h))``, looked up by ``key`` when the stack
-        carries its frame's store and ``times`` are the frame's times."""
-        if self._edges is None or times is not self._times:
-            return self.resolve(*windows(times, self.h))
-        edges = self._edges.get(key)
+    def window_edges(self, window) -> WindowEdges:
+        """``resolve`` of a term's ``WindowFns`` at the slice times, or of the
+        whole slice for None; each window is resolved once per edge store."""
+        edges = self._edges.get(window)
         if edges is None:
-            edges = self._edges[key] = self.resolve(*windows(times, self.h))
+            lo, hi = (-self.h, 0.0) if window is None else window.windows_at(self.times, self.h)
+            edges = self._edges[window] = self.resolve(lo, hi)
         return edges
 
     def resolve(self, lo, hi) -> WindowEdges:

@@ -14,9 +14,11 @@ declarative.  The admissible domain tracks either the delay mass
 (integral of the history norm) or the pointwise norm band, with the final
 time as an additional boundary component.
 
-Every family evaluates one segment (``evaluate``) or all the slices of a
-``SegmentStack`` at once (``evaluate_window``); the scalar path is the
-reference the batch path is tested against.  The same holds for the domain:
+A term is a map of time and history alone, g(t, u_t): ``evaluate(t, seg)``
+takes one segment and ``evaluate_window(stack)`` every slice of a
+``SegmentStack`` at its slice times; the scalar path is the reference the
+batch path is tested against.  ``NeutralProblem`` checks each term's width
+against the operator once.  The same holds for the domain:
 ``membership`` classifies one segment by its ``domain_functional``, and
 ``exit_candidates`` flags the slices of a stack by their
 ``domain_functionals``; the two differ only in those sums.
@@ -142,13 +144,13 @@ def current_value_window() -> WindowFns:
 class ZeroTerm:
     """Identically zero term."""
 
-    def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
-        return np.zeros(ctx.op.n_modes)
+    def evaluate(self, t: float, seg: Segment) -> np.ndarray:
+        return np.zeros(seg.n_modes)
 
-    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
-        return np.zeros((stack.n_windows, ctx.op.n_modes))
+    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
+        return np.zeros_like(stack.oldest())
 
-    def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
+    def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
         return 0.0
 
 
@@ -185,20 +187,14 @@ class FunctionalAffineTerm:
         self._check_argument(y)
         return y
 
-    def functional_values(self, times, stack: SegmentStack) -> np.ndarray:
+    def functional_values(self, stack: SegmentStack) -> np.ndarray:
         """``functional_value`` of every slice of the stack at its time."""
         if self.functional == "integral":
             y = stack.integral_norms()
         else:
-            y = stack.gather(stack.window_edges(self.window, times, self._windows))
+            y = stack.gather(stack.window_edges(self.window))
         self._check_argument(y)
         return y
-
-    def _windows(self, times, h: float):
-        # the running-max window of every slice in segment coordinates
-        if self.window is None:
-            return -h, 0.0
-        return self.window.windows_at(np.asarray(times, dtype=float), h)
 
     def _check_argument(self, y) -> None:
         # y is one functional value or an array of them; the first overrun is reported
@@ -210,44 +206,41 @@ class FunctionalAffineTerm:
                     f"declared argument range [0, {self.y_max:.6g}]"
                 )
 
-    def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
+    def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         return (self.c0 + self.c1 * self.functional_value(t, seg)) * self.profile
 
-    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
-        scale = self.c0 + self.c1 * self.functional_values(times, stack)
+    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
+        scale = self.c0 + self.c1 * self.functional_values(stack)
         return scale[:, None] * self.profile[None, :]
 
-    def functional_sup_lipschitz(self, h: float) -> float:
-        # |y(seg1) - y(seg2)| <= LipF * sup-norm distance of the segments
-        return h if self.functional == "integral" else 1.0
-
-    def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
-        prof_alpha = float(np.linalg.norm(ctx.op.mu**alpha * self.profile))
-        return abs(self.c1) * self.functional_sup_lipschitz(h) * prof_alpha
+    def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
+        # |y(seg1) - y(seg2)| <= lip_y * sup-norm distance of the segments
+        lip_y = h if self.functional == "integral" else 1.0
+        return abs(self.c1) * lip_y * float(np.linalg.norm(op.mu**alpha * self.profile))
 
     # --- pointwise metadata for the spatial smallness condition ---
 
-    def _profile_sups(self, ctx: "EvalContext") -> tuple[float, float]:
+    def _profile_sups(self, op: SpectralOperator) -> tuple[float, float]:
         """Upper bounds on sup|p| and sup|p'| for the synthesized profile."""
-        basis = ctx.op.basis
+        basis = op.basis
         if not isinstance(basis, DirichletSineBasis):
             raise ValueError("pointwise profile bounds require a sine eigenbasis")
         L = basis.length
-        k = np.arange(1, ctx.op.n_modes + 1)
+        k = np.arange(1, op.n_modes + 1)
         amp = np.abs(self.profile) * math.sqrt(2.0 / L)
         p0 = float(np.sum(amp))
         p1 = float(np.sum(amp * k * math.pi / L))
         return p0, p1
 
-    def gradient_bound(self, ctx: "EvalContext") -> float:
-        """sup over x and admissible y of |d/dx term|."""
-        _, p1 = self._profile_sups(ctx)
-        y_hi = self.y_max if self.y_max is not None else ctx.default_y_cap
+    def gradient_bound(self, op: SpectralOperator, y_cap: float) -> float:
+        """sup over x and y in [0, y_max] (else [0, y_cap]) of |d/dx term|."""
+        _, p1 = self._profile_sups(op)
+        y_hi = self.y_max if self.y_max is not None else y_cap
         return max(abs(self.c0), abs(self.c0 + self.c1 * y_hi)) * p1
 
-    def scalar_y_lipschitz(self, ctx: "EvalContext") -> float:
+    def scalar_y_lipschitz(self, op: SpectralOperator) -> float:
         """Lipschitz constant in y of value plus gradient, uniformly in (t, x)."""
-        p0, p1 = self._profile_sups(ctx)
+        p0, p1 = self._profile_sups(op)
         return abs(self.c1) * (p0 + p1)
 
 
@@ -257,18 +250,13 @@ class TimeForcingTerm:
     def __init__(self, mode_fns: list[TimeFn]):
         self.mode_fns = list(mode_fns)
 
-    def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
-        if len(self.mode_fns) != ctx.op.n_modes:
-            raise ValueError("one time function per mode required")
+    def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         return np.array([fn(t) for fn in self.mode_fns])
 
-    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
-        if len(self.mode_fns) != ctx.op.n_modes:
-            raise ValueError("one time function per mode required")
-        times = np.asarray(times, dtype=float)
-        return np.column_stack([fn(times) for fn in self.mode_fns])
+    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
+        return np.column_stack([fn(stack.times) for fn in self.mode_fns])
 
-    def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
+    def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
         return 0.0
 
 
@@ -278,15 +266,15 @@ class PointDelayTerm:
     def __init__(self, kappa: float):
         self.kappa = float(kappa)
 
-    def evaluate(self, ctx: "EvalContext", t: float, seg: Segment) -> np.ndarray:
+    def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         # the theta grid starts exactly at -h, so the oldest value is row 0
         return self.kappa * seg.values[0]
 
-    def evaluate_window(self, ctx: "EvalContext", times, stack: SegmentStack) -> np.ndarray:
+    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
         return self.kappa * stack.oldest()
 
-    def alpha_lipschitz(self, ctx: "EvalContext", alpha: float, h: float) -> float:
-        return abs(self.kappa) * float(np.max(ctx.op.mu**alpha))
+    def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
+        return abs(self.kappa) * float(np.max(op.mu**alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +321,12 @@ class Membership:
 # the problem object
 
 
-@dataclass
-class EvalContext:
-    """What a nonlinearity family needs to evaluate: operator and bounds."""
-
-    op: SpectralOperator
-    default_y_cap: float
-
-
 class NeutralProblem:
     """The full problem: generator, delay terms, admissible domain, horizon.
 
     ``mg_bound`` is the declared contraction budget of the neutral term; it
-    must be < 1 for the windowed iteration to be admissible at all.
+    must be < 1 for the windowed iteration to be admissible at all.  Terms
+    are checked here once: one profile coefficient or time function per mode.
     """
 
     def __init__(self, op: SpectralOperator, h: float, T: float, alpha: float,
@@ -369,12 +350,15 @@ class NeutralProblem:
         self.f = f
         self.domain = domain
         self.mg_bound = float(mg_bound)
-        default_cap = domain.l if domain.l is not None else 1.0
-        self._ctx = EvalContext(op=op, default_y_cap=default_cap)
-        if isinstance(g, FunctionalAffineTerm) and g.window is not None:
-            g.window.validate(self.h, self.T)
-        if isinstance(f, FunctionalAffineTerm) and f.window is not None:
-            f.window.validate(self.h, self.T)
+        for what, term in (("neutral term", g), ("forcing term", f)):
+            if isinstance(term, FunctionalAffineTerm) and term.profile.shape != (op.n_modes,):
+                raise ValueError(f"{what} profile needs {op.n_modes} coefficients, "
+                                 f"got shape {term.profile.shape}")
+            if isinstance(term, TimeForcingTerm) and len(term.mode_fns) != op.n_modes:
+                raise ValueError(f"{what} needs {op.n_modes} time functions, one per mode, "
+                                 f"got {len(term.mode_fns)}")
+            if getattr(term, "window", None) is not None:
+                term.window.validate(self.h, self.T)
 
     def eval_g(self, t: float, seg: Segment) -> np.ndarray:
         return self._finite("neutral term", self.g.evaluate, t, seg)
@@ -382,25 +366,25 @@ class NeutralProblem:
     def eval_f(self, t: float, seg: Segment) -> np.ndarray:
         return self._finite("forcing term", self.f.evaluate, t, seg)
 
-    def eval_g_window(self, times, stack: SegmentStack) -> np.ndarray:
+    def eval_g_window(self, stack: SegmentStack) -> np.ndarray:
         """``eval_g`` of every slice of the stack at its time: (n_windows, n_modes)."""
-        return self._finite("neutral term", self.g.evaluate_window, times, stack)
+        return self._finite("neutral term", self.g.evaluate_window, stack)
 
-    def eval_f_window(self, times, stack: SegmentStack) -> np.ndarray:
+    def eval_f_window(self, stack: SegmentStack) -> np.ndarray:
         """``eval_f`` of every slice of the stack at its time: (n_windows, n_modes)."""
-        return self._finite("forcing term", self.f.evaluate_window, times, stack)
+        return self._finite("forcing term", self.f.evaluate_window, stack)
 
     def _finite(self, what: str, evaluate, *args) -> np.ndarray:
         # overflow is reported as NumericalBlowup, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out = evaluate(self._ctx, *args)
+            out = evaluate(*args)
         if not np.all(np.isfinite(out)):
             raise NumericalBlowup(f"{what} produced non-finite coefficients")
         return out
 
     def g_alpha_lipschitz(self) -> float:
         """Analytic bound on the neutral term's contraction constant."""
-        return self.g.alpha_lipschitz(self._ctx, self.alpha, self.h)
+        return self.g.alpha_lipschitz(self.op, self.alpha, self.h)
 
     def domain_functional(self, seg: Segment) -> float:
         """The scalar the domain watches: delay mass, or the pointwise max norm.
@@ -421,7 +405,7 @@ class NeutralProblem:
             return stack.sup_norms()
         return stack.current_norms()
 
-    def exit_candidates(self, times, stack: SegmentStack) -> np.ndarray:
+    def exit_candidates(self, stack: SegmentStack) -> np.ndarray:
         """Mask of the slices that ``membership`` might not classify as inside.
 
         ``domain_functionals`` gives each slice's value; the band rule is
@@ -430,7 +414,7 @@ class NeutralProblem:
         rounding margin of a band edge are flagged too: an unflagged slice is
         certainly interior, and ``membership`` decides the flagged ones.
         """
-        flags = self.T - np.asarray(times, dtype=float) <= TIME_TOL
+        flags = self.T - stack.times <= TIME_TOL
         if self.domain.kind == "time_only":
             return flags
         top = self.domain_functionals(stack)
@@ -497,8 +481,8 @@ def spatial_smallness_check(prob: NeutralProblem) -> SmallnessCheck | None:
         return None
     if not isinstance(prob.op.basis, DirichletSineBasis):
         return None
-    L = g.gradient_bound(prob._ctx)
-    mg = g.scalar_y_lipschitz(prob._ctx)
+    L = g.gradient_bound(prob.op, prob.domain.l if prob.domain.l is not None else 1.0)
+    mg = g.scalar_y_lipschitz(prob.op)
     return check_neutral_smallness(prob.h, L, mg, prob.op.basis.length)
 
 

@@ -36,7 +36,6 @@ dt = 0.01
 window = 0.1
 tol = 1e-12
 max_iter = 100
-trust_radius = 100.0
 
 [output]
 csv = heat_decay.csv
@@ -73,9 +72,6 @@ coeffs = 0.1
 [solver]
 dt = 0.001
 window = 0.5
-tol = 1e-10
-max_iter = 200
-trust_radius = 100.0
 
 [output]
 csv = mass_growth.csv
@@ -118,8 +114,6 @@ coeffs = 0.3 0 0 0 0 0 0 0
 dt = 0.01
 window = 0.5
 tol = 1e-11
-max_iter = 200
-trust_radius = 100.0
 
 [output]
 csv = parabolic_delay_mass.csv
@@ -160,8 +154,6 @@ coeffs = 0.25 0 0
 dt = 0.01
 window = 0.5
 tol = 1e-11
-max_iter = 200
-trust_radius = 100.0
 
 [output]
 csv = parabolic_max.csv
@@ -200,8 +192,6 @@ rates = -0.5
 dt = 0.001
 window = 0.5
 tol = 1e-9
-max_iter = 200
-trust_radius = 100.0
 
 [output]
 csv = manufactured_decay.csv

@@ -248,12 +248,12 @@ class WindowFrame:
     and scan factors of the memory integral, and one rows buffer whose first
     n_h rows are the history and whose last m+1 rows hold the candidate,
     with the row norms beside it.  ``load`` writes a candidate into the tail
-    and returns a stack over the buffers; that stack is valid until the
-    next ``load``.  ``edges`` holds the running-max window edges resolved
-    at the frame's grid times, keyed by the term's ``WindowFns`` (None for
-    the full window).  Every stack the frame loads shares it, so each window
-    is resolved by the first iterate that needs it and gathered by the rest.
-    Terms are shared across frames and runs, so the edges live here only.
+    and returns a stack over the buffers at the frame's grid times; that
+    stack is valid until the next ``load``.  ``edges`` is the store of
+    running-max window edges, keyed by the term's ``WindowFns`` (None for the
+    full window), that every loaded stack shares: its ``window_edges``
+    resolves each window on the first iterate that needs it, and the rest
+    gather.  Terms are shared across frames and runs, so edges live here.
     """
 
     def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int):
@@ -318,8 +318,8 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     endpoint is the identity phi(0) by construction and is returned exactly.
     """
     prob = frame.prob
-    g_vals = prob.eval_g_window(frame.times, stack)
-    f_vals = prob.eval_f_window(frame.times, stack)
+    g_vals = prob.eval_g_window(stack)
+    f_vals = prob.eval_f_window(stack)
     out = frame.free - g_vals
     out += _product_scan(prob.op.mu * g_vals + f_vals, frame.w0, frame.w1, frame.factors)
     out[0] = frame.phi0
@@ -430,8 +430,8 @@ def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
         denom = float(np.linalg.norm(y1 - y2, axis=1).max())
         if denom < 1e-14:
             continue
-        g1 = prob.eval_g_window(frame.times, frame.load(y1))
-        g2 = prob.eval_g_window(frame.times, frame.load(y2))
+        g1 = prob.eval_g_window(frame.load(y1))
+        g2 = prob.eval_g_window(frame.load(y2))
         num = float(np.linalg.norm(g1 - g2, axis=1).max())
         best = max(best, num / denom)
     return best

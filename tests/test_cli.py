@@ -424,10 +424,14 @@ class TestStudyCommand:
     def test_requires_three_dts(self):
         assert main(["study", "--scenario", "heat_decay", "--dts", "0.01,0.005"]) == 2
 
-    # 0.02 is not a whole multiple of the reference step 0.0125 / 4, and a
-    # repeated step has no order
+    # 0.02 is not a whole multiple of the reference step 0.0125 / 4, a
+    # repeated step has no order, and a step that is not positive and finite
+    # is named as written, not as the reference step derived from it
     @pytest.mark.parametrize("dts, named", [("0.1,0.02,0.0125", "0.02 "),
-                                            ("0.01,0.01,0.005", "repeated")])
+                                            ("0.01,0.01,0.005", "repeated"),
+                                            ("0.1,0.05,-0.01", "'-0.01'"),
+                                            ("0.1, 0 ,0.05", "'0'"),
+                                            ("0.1,0.05,nan", "'nan'")])
     def test_bad_step_lists_exit_2(self, capsys, dts, named):
         code = main(["study", "--scenario", "manufactured_decay", "--dts", dts])
         err = capsys.readouterr().err.strip()

@@ -14,7 +14,7 @@ from neutraldde import (
     segment_at,
     sup_norm,
 )
-from neutraldde.history import _GRID_EPS, segment_on_grid
+from neutraldde.history import _GRID_EPS, _RangeMax, segment_on_grid
 
 
 def scalar_path(t_start, dt, samples):
@@ -306,6 +306,28 @@ def test_stack_slices_are_overlapping_rows():
     assert stack.integral_norms()[2] == pytest.approx(integral_norm_functional(seg), rel=1e-15)
     np.testing.assert_array_equal(stack.oldest(), values[:3])
     np.testing.assert_array_equal(stack.current_norms(), np.linalg.norm(values[3:], axis=1))
+
+
+def test_stack_carries_its_slice_times():
+    values = np.arange(14.0).reshape(7, 2)
+    assert np.array_equal(SegmentStack(0.3, 0.1, values).times, 0.1 * np.arange(4))
+    stack = SegmentStack(0.3, 0.1, values, 2.5)
+    assert np.array_equal(stack.times, 2.5 + 0.1 * np.arange(stack.n_windows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_range_max_answers_mixed_lengths_in_one_call(data):
+    n = data.draw(st.integers(1, 40))
+    longest = data.draw(st.integers(1, n))
+    x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    bounds = data.draw(st.lists(
+        st.integers(0, n - 1).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(a, min(n, a + longest) - 1))),
+        min_size=1, max_size=20))
+    a, b = (np.array(side) for side in zip(*bounds))
+    got = _RangeMax(x, longest).query(a, b)
+    np.testing.assert_array_equal(got, [x[i : j + 1].max() for i, j in bounds])
 
 
 def test_stack_rejects_short_arrays_and_bad_windows():

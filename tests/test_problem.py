@@ -151,12 +151,33 @@ class TestMaxWindowFunctional:
         lo, hi = window.windows_at(times, 1.0)
         assert np.all(lo <= hi) and lo[-1] == hi[-1] == 0.0
         term = FunctionalAffineTerm(0.0, 1.0, np.ones(2), "max", window=window)
-        stack = SegmentStack(1.0, 0.1, np.random.default_rng(6).normal(size=(12, 2)))
-        got = term.functional_values(times, stack)
+        stack = SegmentStack(1.0, 0.1, np.random.default_rng(6).normal(size=(12, 2)), 2.4)
+        np.testing.assert_array_equal(stack.times, times)
+        got = term.functional_values(stack)
         want = [term.functional_value(float(t), slice_segment(stack, i))
                 for i, t in enumerate(times)]
         np.testing.assert_array_equal(got, want)
         assert got[-1] == stack.current_norms()[-1]
+
+
+class TestTermWidths:
+    """Each term is checked against the operator once, when the problem is built."""
+
+    @pytest.mark.parametrize("n_coeffs", [1, 2])
+    @pytest.mark.parametrize("slot", ["g", "f"])
+    def test_profile_of_the_wrong_width_rejected(self, n_coeffs, slot):
+        op = SpectralOperator([1.0, 4.0, 9.0])
+        term = FunctionalAffineTerm(0.1, 0.2, np.ones(n_coeffs))
+        terms = {"g": ZeroTerm(), "f": ZeroTerm(), slot: term}
+        with pytest.raises(ValueError, match="3 coefficients"):
+            simple_problem(op, terms["g"], terms["f"])
+
+    @pytest.mark.parametrize("n_fns", [2, 4])
+    def test_time_forcing_needs_one_function_per_mode(self, n_fns):
+        op = SpectralOperator([1.0, 4.0, 9.0])
+        forcing = TimeForcingTerm([TimeFn("const", (1.0,))] * n_fns)
+        with pytest.raises(ValueError, match="one per mode"):
+            simple_problem(op, ZeroTerm(), forcing)
 
 
 class TestMembership:
@@ -355,7 +376,8 @@ def unit_delay_stacks(draw):
         st.floats(-2.0, 2.0), min_size=rows * n_modes, max_size=rows * n_modes,
     ))).reshape(rows, n_modes)
     t0 = draw(st.floats(0.0, 1.0 - (n_windows - 1) * dt))
-    return t0 + dt * np.arange(n_windows), SegmentStack(1.0, dt, values)
+    stack = SegmentStack(1.0, dt, values, t0)
+    return stack.times, stack
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,7 +388,7 @@ def test_batch_terms_match_scalar_evaluation(case):
     for name, term in family_cases(op.n_modes).items():
         prob = simple_problem(op, term, term, T=1.0)
         for batch, scalar in ((prob.eval_g_window, prob.eval_g), (prob.eval_f_window, prob.eval_f)):
-            got = batch(times, stack)
+            got = batch(stack)
             assert got.shape == (stack.n_windows, op.n_modes), name
             want = np.array([scalar(float(t), slice_segment(stack, i)) for i, t in enumerate(times)])
             np.testing.assert_allclose(got, want, rtol=8 * EPS,
@@ -477,7 +499,7 @@ def test_batch_argument_overrun_raises_like_scalar(case, data):
         except DomainViolation:
             overruns += 1
     with pytest.raises(DomainViolation) if overruns else nullcontext():
-        prob.eval_g_window(times, stack)
+        prob.eval_g_window(stack)
 
 
 def test_batch_non_finite_values_raise_blowup():
@@ -486,4 +508,4 @@ def test_batch_non_finite_values_raise_blowup():
     prob = simple_problem(op, g, ZeroTerm())
     stack = SegmentStack(1.0, 0.25, np.ones((6, 1)))
     with pytest.raises(NumericalBlowup):
-        prob.eval_g_window(np.array([0.0, 0.25]), stack)
+        prob.eval_g_window(stack)

@@ -455,6 +455,19 @@ class TestWindowFrame:
             assert t0 == w.t0
             np.testing.assert_array_equal(hist, segment_at(traj.path, t0, prob.h).values)
 
+    def test_loaded_stacks_carry_the_frame_times(self):
+        # a time forcing on a frame's stack reads the frame's grid times
+        op = SpectralOperator([1.0, 2.0])
+        fns = [TimeFn("poly", (0.5, 2.0)), TimeFn("exp", (1.0, -0.3))]
+        prob = NeutralProblem(op, 0.5, 2.0, 0.5, ZeroTerm(), TimeForcingTerm(fns),
+                              DomainSpec("time_only"), 0.0)
+        dt, m = 0.05, 4
+        frame = WindowFrame(prob, np.ones((11, 2)), 0.35, dt, m)
+        stack = frame.load(np.ones((m + 1, 2)))
+        assert stack.times is frame.times
+        np.testing.assert_array_equal(prob.eval_f_window(stack),
+                                      np.column_stack([fn(frame.times) for fn in fns]))
+
     def test_history_of_the_wrong_shape_rejected(self):
         prob = _integral_problem()
         dt = 0.05
@@ -554,7 +567,7 @@ def test_frame_resolved_window_maxima_match_the_reference(data):
             stack = frame.load(rng.uniform(-2.0, 2.0, size=(m + 1, n_modes)))
             fresh = SegmentStack(1.0, dt, stack.values.copy())
             for w, term in zip(windows, terms):
-                got = term.functional_values(frame.times, stack)
+                got = term.functional_values(stack)
                 lo, hi = (-1.0, 0.0) if w is None else w.windows_at(frame.times, 1.0)
                 lo, hi = np.broadcast_to(lo, (m + 1,)), np.broadcast_to(hi, (m + 1,))
                 np.testing.assert_array_equal(got, fresh.max_norms(lo, hi))
