@@ -7,14 +7,14 @@ Exit codes form a contract for scripted studies:
 * 2 — configuration or argument problems (schema violations, bad grids,
       config values out of range, nan values, infinite grid or span
       values, a delay, horizon or window span shorter than one grid step,
-      a band width ``l`` that is not finite, a missing config file or
-      scenario, inadmissible initial data, a term argument outside its
-      declared range, non-finite term values met by the admission checks,
-      a declared argument range that no sampled history fits, a fine
-      reference for ``study`` that cannot be trusted, a negative
-      ``--seed``, a ``study`` step that is not positive and finite, is
-      repeated or is not a whole multiple of the reference step, the
-      smallest step / 4);
+      a band width ``l`` that is not finite or is set on a ``time_only``
+      domain, a missing config file or scenario, inadmissible initial
+      data, a term argument outside its declared range, non-finite term
+      values met by the admission checks, a declared argument range that no
+      sampled history fits, a fine reference for ``study`` that cannot be
+      trusted, a negative ``--seed``, a ``study`` step that is not positive
+      and finite, is repeated or is not a whole multiple of the reference
+      step, the smallest step / 4);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.
@@ -43,11 +43,10 @@ from .errors import (
     OracleUnavailable,
     SchemaError,
 )
-from .history import SegmentStack, segment_at  # noqa: F401 -- perfbench traces cli.segment_at
+from .history import SegmentStack, _require_divides, segment_at  # noqa: F401 -- perfbench traces cli.segment_at
 from .oracle import dense_reference_solve
 from .problem import estimate_lipschitz_mg, spatial_smallness_check
 from .scenarios import get_scenario, scenario_description, scenario_names
-from .solver import _require_divides
 
 
 class _ConfigError(Exception):

@@ -8,18 +8,17 @@ ends it there.
 
 The initial ``Segment`` is put on the theta grid once per run.  As dt divides
 the delay span, each window then takes the path's last n_h+1 rows as its
-history; ``segment_at`` serves only the flagged points and the bisection.
+history; ``segment_at`` serves only the bisection.
 
-The classification runs in two stages.  One batch pass evaluates the domain
-functional of every new point's history slice at once and flags the points
-that might not be interior, including those within a rounding margin of a
-band edge.  The scalar ``membership`` then decides the flagged points in
-order, and the same scalar classification drives the bisection, so the
-event is the one a point-by-point scan would find.  Membership is still only
-sampled at grid resolution before the bisection sharpens it: an excursion of
-a non-monotone functional that enters and leaves the boundary band strictly
-between grid points can be missed at coarse dt, so refine dt when the
-domain functional is oscillatory.
+Each grid point is decided once, on its batch domain functional: one
+``first_exit_slice`` pass applies ``membership``'s rule to every new
+point's history slice, on the same float the CSV's functional column
+prints.  The off-grid probes of the bisection are decided by
+``membership`` on a ``segment_at`` segment.  Membership is still only
+sampled at grid resolution before the bisection sharpens it: an excursion
+of a non-monotone functional that enters and leaves the boundary band
+strictly between grid points can be missed at coarse dt, so refine dt when
+the domain functional is oscillatory.
 
 A window is first solved undamped (damping 1).  One that will not converge
 is retried with damping 0.5, then with repeatedly halved windows at that
@@ -32,8 +31,6 @@ statement about the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import InvalidInitialData, NumericalBlowup
 from .history import SegmentStack, SolutionPath, Segment, extend, segment_at, segment_on_grid
@@ -87,29 +84,25 @@ def refine_boundary_time(prob: NeutralProblem, path: SolutionPath, t_inside: flo
     the bracket width is at most ``tol_t`` (or the initial width, if already
     smaller).
     """
-    a, b = _refine_bracket(prob, path, t_inside, t_outside, tol_t)
-    return 0.5 * (a + b)
-
-
-def _refine_bracket(prob, path, t_inside, t_outside, tol_t):
     if tol_t <= 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
     if not t_inside < t_outside:
         raise ValueError(f"invalid bracket: need t_inside < t_outside, got [{t_inside}, {t_outside}]")
     if t_outside - t_inside > path.dt * (1.0 + 1e-6):
         raise ValueError("invalid bracket: endpoints must be adjacent grid times")
-
-    def classify(t: float):
-        return prob.membership(t, segment_at(path, t, prob.h))
-
-    if not classify(t_inside).is_inside:
+    if not prob.membership(t_inside, segment_at(path, t_inside, prob.h)).is_inside:
         raise ValueError(f"invalid bracket: t_inside={t_inside} does not classify as interior")
-    if classify(t_outside).is_inside:
+    if prob.membership(t_outside, segment_at(path, t_outside, prob.h)).is_inside:
         raise ValueError(f"invalid bracket: t_outside={t_outside} classifies as interior")
-    a, b = t_inside, t_outside
+    a, b = _refine_bracket(prob, path, t_inside, t_outside, tol_t)
+    return 0.5 * (a + b)
+
+
+def _refine_bracket(prob, path, a, b, tol_t):
+    # the scan's bracket is taken as found: its ends were decided on the grid
     while b - a > tol_t:
         mid = 0.5 * (a + b)
-        if classify(mid).is_inside:
+        if prob.membership(mid, segment_at(path, mid, prob.h)).is_inside:
             a = mid
         else:
             b = mid
@@ -120,20 +113,22 @@ def first_exit(prob: NeutralProblem, path: SolutionPath, t: float,
                m: int) -> tuple[float, Membership] | None:
     """First of the grid times t + i*dt, i = 1..m, that is not interior.
 
-    One batch pass (``exit_candidates``) over the path's last n_h + m rows
-    flags every slice that might not be interior; ``membership`` on a
-    ``segment_at`` segment then decides the flagged ones in order.  Both
-    read the domain functional and use the domain's default tolerance.
-    Returns (time, membership) or None.
+    One ``first_exit_slice`` call decides every point on its batch domain
+    functional, the float the CSV's functional column prints, at the
+    domain's default tolerance.  Returns (time, membership) or None.
     """
     n_h = int(round(prob.h / path.dt))
-    stack = SegmentStack(prob.h, path.dt, path.values[-(n_h + m):], t + path.dt)
-    for i in np.flatnonzero(prob.exit_candidates(stack)).tolist():
-        t_i = t + (i + 1) * path.dt
-        mem = prob.membership(t_i, segment_at(path, t_i, prob.h))
-        if not mem.is_inside:
-            return t_i, mem
-    return None
+    first = path.n_times - n_h - m  # the oldest row of the slice at t + dt
+    # the stack starts a whole number of n_h-row blocks after the path's
+    # first row, as the export's does, so its block sums are the export's
+    offset = first % n_h
+    start = first - offset
+    stack = SegmentStack(prob.h, path.dt, path.values[start:], t + (1 - offset) * path.dt)
+    hit = prob.first_exit_slice(stack, offset)
+    if hit is None:
+        return None
+    i, mem = hit
+    return t + (i - offset + 1) * path.dt, mem
 
 
 def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):

@@ -22,6 +22,17 @@ _GRID_EPS = 1e-9
 _STITCH_TOL = 1e-8
 
 
+def _require_divides(dt: float, span: float, what: str) -> None:
+    """dt must divide the span a whole number of times, at least once."""
+    ratio = span / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"the {what} {span} is not a finite multiple of dt={dt}")
+    if round(ratio) < 1:
+        raise ValueError(f"the {what} {span} is shorter than one grid step dt={dt}")
+    if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
+        raise ValueError(f"dt={dt} must divide the {what} {span} exactly")
+
+
 class SolutionPath:
     """Coefficient trajectory on the uniform grid t_start + i*dt, i = 0..n-1."""
 
@@ -194,11 +205,14 @@ class SegmentStack:
 
     Row j of ``values`` is u(t_first - h + j*dt), so slice i, the segment at
     ``times[i]`` = t_first + i*dt, is rows i..i+n_h on the theta grid
-    -h + dt*arange.  The batch functionals evaluate every slice at once and
-    agree with the scalar ones applied to slice i: node norms are taken
-    once, the delay mass comes from blockwise sums of trapezoid cells (equal
-    up to summation order), and window maxima come from exactly interpolated
-    endpoints plus a sparse-table range maximum over the interior nodes.
+    -h + dt*arange; dt must divide h.  The batch functionals evaluate every
+    slice at once and agree with the scalar ones applied to slice i: node
+    norms are taken once, the delay mass comes from blockwise sums of
+    trapezoid cells (equal up to summation order; stacks whose first rows
+    are a whole number of n_h rows apart give a slice the same sum), and
+    window maxima come from exactly interpolated endpoints plus a
+    sparse-table range maximum over the interior nodes.  The exit scan
+    decides grid points on these sums, ``segment_at`` the off-grid times.
 
     A window maximum takes two steps.  ``resolve`` checks and clips the
     windows and finds what depends on them and the grid alone: each edge's
@@ -213,11 +227,10 @@ class SegmentStack:
 
     def __init__(self, h: float, dt: float, values, t_first: float = 0.0):
         values = np.asarray(values, dtype=float)
+        _require_divides(dt, h, "delay span")
         self.h = float(h)
         self.dt = float(dt)
         self.n_h = int(round(self.h / self.dt))
-        if self.n_h < 1:
-            raise ValueError(f"delay span {h} is shorter than one grid step {dt}")
         if values.ndim != 2 or values.shape[0] < self.n_h + 1:
             raise ValueError(f"need a (>= {self.n_h + 1}, n_modes) array of history rows")
         self.values = values
@@ -287,14 +300,6 @@ class SegmentStack:
         out = suffix[b, r] + prefix[b + 1, r]
         out.flags.writeable = False
         return out
-
-    def integral_error_bound(self) -> float:
-        """Bound on |integral_norms()[i] - integral_norm_functional(slice i)|.
-
-        Both are rounded sums of at most n rows' cells, so 8 n eps times the
-        stack's total delay mass covers the rounding of either.
-        """
-        return 8.0 * np.finfo(float).eps * self.values.shape[0] * self.dt * self.norms.sum()
 
     def sup_norms(self) -> np.ndarray:
         """``sup_norm`` of every slice."""

@@ -18,10 +18,11 @@ A term is a map of time and history alone, g(t, u_t): ``evaluate(t, seg)``
 takes one segment and ``evaluate_window(stack)`` every slice of a
 ``SegmentStack`` at its slice times; the scalar path is the reference the
 batch path is tested against.  ``NeutralProblem`` checks each term's width
-against the operator once.  The same holds for the domain:
-``membership`` classifies one segment by its ``domain_functional``, and
-``exit_candidates`` flags the slices of a stack by their
-``domain_functionals``; the two differ only in those sums.
+against the operator once.  The domain has one rule, applied to one
+segment's ``domain_functional`` by ``membership`` and to every slice's
+``domain_functionals`` by ``first_exit_slice``: grid points are decided on
+the batch sums, and the off-grid bisection probes by ``membership`` on a
+``segment_at`` segment.
 """
 
 from __future__ import annotations
@@ -287,7 +288,8 @@ class DomainSpec:
 
     kind "delay_mass": the integral of the history norm must stay in (0, l).
     kind "sup_band":   every pointwise history norm must stay in (0, l).
-    kind "time_only":  no state constraint; only the final time bounds the run.
+    kind "time_only":  no state constraint; only the final time bounds the run,
+                       and it takes no width l.
     """
 
     kind: str
@@ -296,9 +298,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in ("delay_mass", "sup_band", "time_only"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind != "time_only":
-            if self.l is None or not 0.0 < self.l < math.inf:
-                raise ValueError(f"band domains need a positive finite width l, got {self.l}")
+        if self.kind == "time_only" and self.l is not None:
+            raise ValueError(f"time_only domains take no width l, got {self.l}")
+        if self.kind != "time_only" and (self.l is None or not 0.0 < self.l < math.inf):
+            raise ValueError(f"band domains need a positive finite width l, got {self.l}")
 
     def default_tol(self) -> float:
         return 1e-9 * self.l if self.l is not None else 1e-9
@@ -405,24 +408,25 @@ class NeutralProblem:
             return stack.sup_norms()
         return stack.current_norms()
 
-    def exit_candidates(self, stack: SegmentStack) -> np.ndarray:
-        """Mask of the slices that ``membership`` might not classify as inside.
+    def first_exit_slice(self, stack: SegmentStack, first: int) -> tuple[int, Membership] | None:
+        """The first slice from ``first`` on that ``membership``'s rule does
+        not classify as inside, with its ``Membership``, or None.
 
-        ``domain_functionals`` gives each slice's value; the band rule is
-        ``membership``'s at the domain's default tolerance.  The batch sums
-        differ from the scalar ones by summation order, so slices within a
-        rounding margin of a band edge are flagged too: an unflagged slice is
-        certainly interior, and ``membership`` decides the flagged ones.
+        The rule reads each slice's ``domain_functionals`` value, smallest
+        node norm and time; the mask below negates its inside branch.
         """
-        flags = self.T - stack.times <= TIME_TOL
-        if self.domain.kind == "time_only":
-            return flags
-        top = self.domain_functionals(stack)
-        bottom = top if self.domain.kind == "delay_mass" else stack.min_norms()
-        margin = stack.integral_error_bound()
-        tol = self.domain.default_tol()
-        l = self.domain.l
-        return flags | (top >= l - tol - margin) | (bottom <= tol + margin)
+        value = self.domain_functionals(stack)[first:]
+        bottom = stack.min_norms()[first:] if self.domain.kind == "sup_band" else value
+        times = stack.times[first:]
+        out = self.T - times <= TIME_TOL
+        if self.domain.kind != "time_only":
+            tol = self.domain.default_tol()
+            out |= (value - self.domain.l >= -tol) | (bottom <= tol)
+        hits = np.flatnonzero(out)
+        if hits.size == 0:
+            return None
+        i = int(hits[0])
+        return first + i, self._classify(float(times[i]), float(value[i]), float(bottom[i]))
 
     def membership(self, t: float, seg: Segment) -> Membership:
         """Classify (t, seg) as inside, on the boundary of, or outside the domain.
@@ -436,6 +440,11 @@ class NeutralProblem:
         the boundary decomposition of the admissible region.
         """
         value = self.domain_functional(seg)
+        bottom = float(seg.node_norms().min()) if self.domain.kind == "sup_band" else value
+        return self._classify(t, value, bottom)
+
+    def _classify(self, t: float, value: float, bottom: float) -> Membership:
+        # membership's rule; bottom is the delay mass or the smallest node norm
         if self.domain.kind != "time_only":
             tol = self.domain.default_tol()
             l = self.domain.l
@@ -446,7 +455,6 @@ class NeutralProblem:
                 return Membership("outside", edge, value)
             if abs(value - l) <= tol:
                 return Membership("boundary", edge, value)
-            bottom = value if self.domain.kind == "delay_mass" else float(seg.node_norms().min())
             if bottom <= tol:
                 return Membership("boundary", "vanishing", bottom)
         if t > self.T + TIME_TOL:

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalBlowup
-from .history import Segment, SegmentStack
+from .history import Segment, SegmentStack, _require_divides
 from .problem import NeutralProblem
 from .spectral import SpectralOperator
 
@@ -209,16 +209,6 @@ class SolverConfig:
         """dt must divide the delay span h and the horizon span."""
         _require_divides(self.dt, h, "delay span")
         _require_divides(self.dt, span, "horizon span")
-
-
-def _require_divides(dt: float, span: float, what: str) -> None:
-    ratio = span / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"the {what} {span} is not a finite multiple of dt={dt}")
-    if round(ratio) < 1:
-        raise ValueError(f"the {what} {span} is shorter than one grid step dt={dt}")
-    if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
-        raise ValueError(f"dt={dt} must divide the {what} {span} exactly")
 
 
 @dataclass

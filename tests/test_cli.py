@@ -223,6 +223,19 @@ class TestRunCommand:
     def test_unknown_scenario_exits_2(self, tmp_path):
         assert main(["run", "--scenario", "no_such", "--out", str(tmp_path)]) == 2
 
+    def test_csv_functional_column_decides_the_event(self, tmp_path):
+        # the exit scan reads the floats the functional column prints: the
+        # last row is the first one with t >= 0 on the band edge
+        assert main(["run", "--scenario", "mass_growth", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "mass_growth.csv").read_text().splitlines()
+        assert lines[-2] == "# event=boundary_hit:upper_mass"
+        rows = np.array([[float(v) for v in line.split(",")[:3]] for line in lines[1:-2]])
+        functional = rows[rows[:, 0] >= 0.0, 2]
+        domain = build_run(parse_config(get_scenario("mass_growth"))).problem.domain
+        tol = domain.default_tol()
+        assert functional[-1] - domain.l >= -tol
+        assert np.all(functional[:-1] - domain.l < -tol)
+
 
 #: SMALL_RUN with an affine neutral term over a max window, so that the
 #: window and argument-cap keys are read, and with its one rate mu = 1 given
@@ -418,6 +431,22 @@ class TestCheckCommand:
         assert main(["check", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:") and "inadmissible" in err and "\n" not in err
+
+    @pytest.mark.parametrize("l", ["1.0", "1e6"])
+    def test_width_on_a_time_only_domain_exits_2(self, tmp_path, capsys, l):
+        # l is read by no scan on a time_only domain; it would only size the
+        # smallness gate's argument cap and the admission samples
+        text = (get_scenario("parabolic_delay_mass")
+                .replace("domain = delay_mass\nl = 1.0", f"domain = time_only\nl = {l}")
+                .replace("g_y_max = 1.0\n", ""))
+        assert "time_only" in text and "g_y_max" not in text
+        cfg = tmp_path / "time_only.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "[problem] domain" in err
+        cfg.write_text(text.replace(f"\nl = {l}", ""))
+        assert main(["check", "--config", str(cfg)]) == 0
 
 
 class TestStudyCommand:

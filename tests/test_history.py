@@ -16,6 +16,8 @@ from neutraldde import (
 )
 from neutraldde.history import _GRID_EPS, _RangeMax, segment_on_grid
 
+from batch_rounding import integral_error_bound
+
 
 def scalar_path(t_start, dt, samples):
     return SolutionPath(t_start, dt, np.asarray(samples, dtype=float)[:, None])
@@ -246,7 +248,7 @@ def test_stack_integral_and_extremes_match_scalar(stack):
     sups = stack.sup_norms()
     mins = stack.min_norms()
     assert integrals.shape == sups.shape == mins.shape == (stack.n_windows,)
-    tol = stack.integral_error_bound()
+    tol = integral_error_bound(stack)
     for i in range(stack.n_windows):
         seg = slice_segment(stack, i)
         assert abs(integrals[i] - integral_norm_functional(seg)) <= tol
@@ -328,6 +330,26 @@ def test_range_max_answers_mixed_lengths_in_one_call(data):
     a, b = (np.array(side) for side in zip(*bounds))
     got = _RangeMax(x, longest).query(a, b)
     np.testing.assert_array_equal(got, [x[i : j + 1].max() for i, j in bounds])
+
+
+def test_stack_rejects_a_step_that_does_not_divide_the_delay():
+    # with dt = 0.3 the theta grid would stop at -0.1, short of -h, and a
+    # unit history's delay mass would read 0.9 instead of 1
+    with pytest.raises(ValueError, match="must divide the delay span"):
+        SegmentStack(1.0, 0.3, np.ones((5, 1)))
+    assert SegmentStack(0.9, 0.3, np.ones((5, 1))).integral_norms() == pytest.approx([0.9, 0.9])
+
+
+@pytest.mark.parametrize("n_h", [1, 3, 8])
+def test_stacks_a_whole_number_of_delays_apart_sum_alike(n_h):
+    # the block sums depend on where a slice sits within a block of n_h
+    # rows counted from the stack's first row: stacks that start a whole
+    # number of blocks apart give every shared slice the same float
+    values = np.random.default_rng(5).uniform(0.0, 1.0, size=(6 * n_h + 4, 2))
+    whole = SegmentStack(n_h * 0.1, 0.1, values).integral_norms()
+    for k in range(1, 4):
+        part = SegmentStack(n_h * 0.1, 0.1, values[k * n_h :]).integral_norms()
+        assert np.array_equal(part, whole[k * n_h :])
 
 
 def test_stack_rejects_short_arrays_and_bad_windows():

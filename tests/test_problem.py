@@ -33,6 +33,9 @@ from neutraldde import (
     sup_norm,
 )
 from neutraldde.continuation import first_exit
+from neutraldde.problem import Membership
+
+from batch_rounding import integral_error_bound
 
 
 def slice_segment(stack, i):
@@ -247,6 +250,13 @@ class TestMembership:
             band = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l))
             assert band.membership(1.0, constant_segment(1.0, [0.5])).state == state
 
+    def test_time_only_domain_takes_no_width(self):
+        # l would be read nowhere by the scan, yet the admission checks
+        # would still size their samples by it
+        for l in (1.0, 1e6):
+            with pytest.raises(ValueError, match="take no width"):
+                DomainSpec("time_only", l)
+        assert DomainSpec("time_only").l is None
 
     @pytest.mark.parametrize("kind", ["delay_mass", "sup_band"])
     def test_band_width_must_be_positive_and_finite(self, kind):
@@ -392,7 +402,7 @@ def test_batch_terms_match_scalar_evaluation(case):
             assert got.shape == (stack.n_windows, op.n_modes), name
             want = np.array([scalar(float(t), slice_segment(stack, i)) for i, t in enumerate(times)])
             np.testing.assert_allclose(got, want, rtol=8 * EPS,
-                                       atol=stack.integral_error_bound(), err_msg=name)
+                                       atol=integral_error_bound(stack), err_msg=name)
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,7 +415,7 @@ def test_batch_domain_functionals_match_scalar(case):
         got = prob.domain_functionals(stack)
         want = [prob.domain_functional(slice_segment(stack, i)) for i in range(stack.n_windows)]
         np.testing.assert_allclose(got, want, rtol=4 * EPS,
-                                   atol=stack.integral_error_bound(), err_msg=kind)
+                                   atol=integral_error_bound(stack), err_msg=kind)
 
 
 @settings(max_examples=80, deadline=None)
@@ -431,54 +441,66 @@ def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
     op = SpectralOperator(np.ones(stack.values.shape[1]))
     prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec(kind, l), T=T)
 
+    # the reference: membership's rule on each slice's batch value and
+    # smallest node norm, one slice at a time
+    values = prob.domain_functionals(stack)
     expected = None
     for i in range(1, m + 1):
         t_i = t + i * dt
-        mem = prob.membership(t_i, segment_at(path, t_i, prob.h))
+        bottom = values[i] if kind == "delay_mass" else slice_segment(stack, i).node_norms().min()
+        mem = prob._classify(t_i, float(values[i]), float(bottom))
         if not mem.is_inside:
             expected = (t_i, mem)
             break
     assert first_exit(prob, path, t, m) == expected
 
 
-def _edge_between(batch, scalar):
-    """A band width l that puts the edge l - tol in (batch, scalar], as the
-    scan and ``membership`` compute it at tol = the domain's tolerance; None
-    when no l within a few ulps of scalar / (1 - 1e-9) does."""
-    l = scalar / (1.0 - 1e-9)
-    for _ in range(8):
-        l = np.nextafter(l, 0.0)
-    for _ in range(16):
-        tol = DomainSpec("delay_mass", l).default_tol()
-        if abs(scalar - l) <= tol and not batch >= l - tol:
-            return l
-        l = np.nextafter(l, np.inf)
-    return None
-
-
-def test_scan_confirms_points_the_batch_sum_rounds_inside():
-    # a rising history whose last slice has a batch delay mass one rounding
-    # below the trapezoid's; the band edge then goes where the trapezoid
-    # value is on the edge and the batch value interior, so only the
-    # rounding margin flags the point
+def test_scan_decides_a_band_edge_on_the_batch_value():
+    # a rising history: the delay mass grows by about 0.0075 a step, so an
+    # edge on the last slice's batch value leaves every earlier slice inside
     dt, m = 0.01, 20
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        values = np.linspace(0.1, 1.0, 100 + m + 1)[:, None] + rng.uniform(0, 1e-3, (100 + m + 1, 1))
-        path = SolutionPath(0.0, dt, values)
-        t_last = 1.0 + m * dt
-        scalar = integral_norm_functional(segment_at(path, t_last, 1.0))
-        batch = SegmentStack(1.0, dt, values[-(100 + m):]).integral_norms()[-1]
-        l = _edge_between(batch, scalar) if batch < scalar else None
-        if l is not None:
-            break
-    else:
-        pytest.fail("no slice whose batch sum alone reads as interior at the edge")
+    values = np.linspace(0.1, 1.0, 100 + m + 1)[:, None]
+    path = SolutionPath(0.0, dt, values)
+    last = float(SegmentStack(1.0, dt, values).integral_norms()[-1])
+
+    def on_edge(l):
+        # membership's upper test: not inside once value - l >= -tol
+        return last - l >= -DomainSpec("delay_mass", l).default_tol()
+
+    # the largest l that still puts the last slice on the edge
+    l = last / (1.0 - 1e-9)
+    while not on_edge(l):
+        l = np.nextafter(l, 0.0)
+    while on_edge(np.nextafter(l, np.inf)):
+        l = np.nextafter(l, np.inf)
     op = SpectralOperator([1.0])
-    prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l), T=10.0)
-    mem = prob.membership(t_last, segment_at(path, t_last, 1.0))
-    assert (mem.state, mem.kind) == ("boundary", "upper_mass")
-    assert first_exit(prob, path, 1.0, m) == (t_last, mem)
+    t_last = 1.0 + m * dt
+    edge = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l), T=10.0)
+    assert first_exit(edge, path, 1.0, m) == (t_last, Membership("boundary", "upper_mass", last))
+    # the slice before it is inside
+    assert first_exit(edge, SolutionPath(0.0, dt, values[:-1]), 1.0, m - 1) is None
+    # and one ulp more of l puts the last slice inside too
+    wider = DomainSpec("delay_mass", float(np.nextafter(l, np.inf)))
+    assert first_exit(simple_problem(op, ZeroTerm(), ZeroTerm(), domain=wider, T=10.0),
+                      path, 1.0, m) is None
+
+
+def test_scan_and_membership_split_an_exact_tie_alike():
+    # value - l == -tol exactly is on the edge for both.  l is picked so that
+    # its tolerance is 2^-30; on a norm band of one mode the value is a
+    # node's absolute value, so l - 2^-30 is met exactly
+    tol = 2.0**-30
+    l = tol / 1e-9
+    while DomainSpec("sup_band", l).default_tol() != tol:
+        l = float(np.nextafter(l, np.inf))
+    values = np.full((6, 1), 0.5)
+    values[-1] = l - tol
+    path = SolutionPath(0.0, 0.25, values)
+    op = SpectralOperator([1.0])
+    prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("sup_band", l), T=10.0)
+    mem = prob.membership(1.25, segment_at(path, 1.25, 1.0))
+    assert (mem.state, mem.kind, mem.value - l) == ("boundary", "sup_band", -tol)
+    assert first_exit(prob, path, 1.0, 1) == (1.25, mem)
 
 
 @settings(max_examples=60, deadline=None)
