@@ -35,7 +35,8 @@ is kept wherever the value's own range admits it (``trust_radius``,
                                  # window evaluates slightly past the edge)
     g_window = full              # full | current | affine:b0,b1,a0,a1  (max)
     g_kappa = 0.25               # point_delay weight
-    g_fns = const:0.0            # time_forcing: per-mode, ';'-separated
+    g_fns = const:0.0            # time_forcing: per-mode, ';'-separated,
+                                 # const:c | poly:c0,c1,... | exp:amp,rate
     f_family = ...               # same keys with the f_ prefix
 
     [initial]
@@ -333,7 +334,9 @@ def _build_initial(cfg: RunConfig, op: SpectralOperator, h: float, dt: float) ->
         if amps.size != op.n_modes or rates.size != op.n_modes:
             raise _fail(cfg.text, "initial", "amps",
                         f"amps and rates both need {op.n_modes} values")
-        values = amps[None, :] * np.exp(np.outer(thetas, rates))
+        # an overflow leaves non-finite values, which continue_solution rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = amps[None, :] * np.exp(np.outer(thetas, rates))
         return Segment(h, thetas, values)
     if family == "table":
         raw = _value(cfg, "initial", "table", str, required=True)

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import InvalidInitialData, NumericalBlowup
 from .history import SegmentStack, SolutionPath, Segment, extend, segment_at, segment_on_grid
 from .problem import Membership, NeutralProblem
@@ -160,12 +162,15 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
                       cfg: SolverConfig) -> Trajectory:
     """Advance from (t0, init_seg) until the trajectory leaves the domain.
 
-    The initial history must cover [t0 - h, t0] and classify as interior.
-    The horizon must be reachable on the grid: dt divides both the delay
-    span and T - t0.  Every classification uses the domain's default band
-    tolerance.
+    The initial history must cover [t0 - h, t0], be finite and classify as
+    interior.  The horizon must be reachable on the grid: dt divides both
+    the delay span and T - t0.  Every classification uses the domain's
+    default band tolerance.
     """
     cfg.validate_grid(prob.h, prob.T - t0)
+    # every band comparison with nan is false, so nan would classify as inside
+    if not np.all(np.isfinite(init_seg.values)):
+        raise InvalidInitialData("initial history has non-finite values")
     start = prob.membership(t0, init_seg)
     if not start.is_inside:
         raise InvalidInitialData(

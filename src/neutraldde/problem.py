@@ -18,11 +18,13 @@ A term is a map of time and history alone, g(t, u_t): ``evaluate(t, seg)``
 takes one segment and ``evaluate_window(stack)`` every slice of a
 ``SegmentStack`` at its slice times; the scalar path is the reference the
 batch path is tested against.  ``NeutralProblem`` checks each term's width
-against the operator once.  The domain has one rule, applied to one
-segment's ``domain_functional`` by ``membership`` and to every slice's
-``domain_functionals`` by ``first_exit_slice``: grid points are decided on
-the batch sums, and the off-grid bisection probes by ``membership`` on a
-``segment_at`` segment.
+against the operator once, and its scalar ``eval_g``/``eval_f`` report
+non-finite values as ``NumericalBlowup``; the window solver calls
+``evaluate_window`` directly and checks only G(y).  The domain has one
+rule, applied to one segment's ``domain_functional`` by ``membership`` and
+to every slice's ``domain_functionals`` by ``first_exit_slice``: grid
+points are decided on the batch sums, and the off-grid bisection probes by
+``membership`` on a ``segment_at`` segment.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ class TimeFn:
     def __post_init__(self):
         if self.kind not in ("const", "poly", "exp"):
             raise ValueError(f"unknown time function kind {self.kind!r}")
+        if self.kind == "const" and len(self.params) != 1:
+            raise ValueError(f"const time function takes one value, got {len(self.params)}")
+        if self.kind == "poly" and not self.params:
+            raise ValueError("poly time function needs at least one coefficient")
         if self.kind == "exp" and len(self.params) != 2:
             raise ValueError("exp time function needs (amplitude, rate)")
 
@@ -368,14 +374,6 @@ class NeutralProblem:
 
     def eval_f(self, t: float, seg: Segment) -> np.ndarray:
         return self._finite("forcing term", self.f.evaluate, t, seg)
-
-    def eval_g_window(self, stack: SegmentStack) -> np.ndarray:
-        """``eval_g`` of every slice of the stack at its time: (n_windows, n_modes)."""
-        return self._finite("neutral term", self.g.evaluate_window, stack)
-
-    def eval_f_window(self, stack: SegmentStack) -> np.ndarray:
-        """``eval_f`` of every slice of the stack at its time: (n_windows, n_modes)."""
-        return self._finite("forcing term", self.f.evaluate_window, stack)
 
     def _finite(self, what: str, evaluate, *args) -> np.ndarray:
         # overflow is reported as NumericalBlowup, not as a numpy warning

@@ -37,8 +37,10 @@ cells, weights and interior-node bounds depend on the grid times alone, so
 every later iterate only gathers norms at the resolved rows.  Each
 candidate is loaded once: ``load`` writes its m+1 rows and their norms into
 the buffer's tail, the trust-region screen reads the stored norms, and the
-operator then evaluates g and f on every slice of the same stack, runs the
-scan on mu g + f and takes the residual.
+operator then calls each term's ``evaluate_window`` on the same stack and
+runs the scan on mu g + f.  A non-finite row of g or f reaches G(y) through
+a positive weight, so ``solve_window`` tests only G(y), once per iterate,
+under one ``errstate`` per attempt.
 
 The settings a caller can change are the ``SolverConfig`` fields and
 nothing else: the grid step, the window, and the iteration controls; the
@@ -197,11 +199,11 @@ class SolverConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.window <= 0.0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.trust_radius < 0.0:
+        if not self.trust_radius >= 0.0:
             raise ValueError(f"trust_radius must be >= 0, got {self.trust_radius}")
         _require_divides(self.dt, self.window, "window")
 
@@ -306,10 +308,11 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     The window start plays the role of time zero in the integral formula;
     delay terms still see the true time t0 + s.  The value at the left
     endpoint is the identity phi(0) by construction and is returned exactly.
+    Non-finite values are returned as they are; ``solve_window`` checks them.
     """
     prob = frame.prob
-    g_vals = prob.eval_g_window(stack)
-    f_vals = prob.eval_f_window(stack)
+    g_vals = prob.g.evaluate_window(stack)
+    f_vals = prob.f.evaluate_window(stack)
     out = frame.free - g_vals
     out += _product_scan(prob.op.mu * g_vals + f_vals, frame.w0, frame.w1, frame.factors)
     out[0] = frame.phi0
@@ -334,6 +337,7 @@ def _drift_exceeds(frame: WindowFrame, radius: float) -> bool:
     return False
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
                  damping: float = 1.0) -> WindowResult:
     """Damped fixed-point iteration from the window's grid rows ``hist``, warm-started at phi(0).
@@ -393,6 +397,7 @@ def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
     return max(w, cfg.dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
                                values, dt: float, n_pairs: int, seed: int) -> float:
     """Measured Lipschitz ratio of the pure neutral part over candidate pairs.
@@ -420,8 +425,10 @@ def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
         denom = float(np.linalg.norm(y1 - y2, axis=1).max())
         if denom < 1e-14:
             continue
-        g1 = prob.eval_g_window(frame.load(y1))
-        g2 = prob.eval_g_window(frame.load(y2))
+        g1 = prob.g.evaluate_window(frame.load(y1))
+        g2 = prob.g.evaluate_window(frame.load(y2))
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+            raise NumericalBlowup("neutral term produced non-finite coefficients")
         num = float(np.linalg.norm(g1 - g2, axis=1).max())
         best = max(best, num / denom)
     return best

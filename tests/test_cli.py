@@ -207,6 +207,18 @@ class TestRunCommand:
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_initial_history_exits_2(self, tmp_path, capsys):
+        # 0 * e^1000 is nan at theta = -h, and nan fails every band test:
+        # classified by membership alone, the run reported a vanishing exit
+        text = get_scenario("mass_growth").replace(
+            "family = constant\ncoeffs = 0.1", "family = exp\namps = 0.0\nrates = -1000")
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("invalid initial data:") and "\n" not in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -261,6 +273,7 @@ _BAD_VALUES = [
     ("dt = 0.1", "dt = inf", []),
     ("dt = 0.1", "dt = 0.1", ["--dt", "inf"]),
     ("tol = 1e-12", "tol = nan", []),
+    ("tol = 1e-12", "tol = inf", []),
     ("tol = 1e-12", "tol = 1e-12\ntrust_radius = nan", []),
     ("l = 10.0", "l = nan", []),
     ("g_y_max = 1e9", "g_y_max = nan", []),
@@ -268,6 +281,9 @@ _BAD_VALUES = [
     ("family = constant\ncoeffs = 1.0",
      "family = table\ntable =\n  -0.2 1.0\n  -0.1 1.0\n  0.0 nan", []),
     ("f_family = zero", "f_family = time_forcing\nf_fns = const:nan", []),
+    ("f_family = zero", "f_family = time_forcing\nf_fns = const", []),
+    ("f_family = zero", "f_family = time_forcing\nf_fns = poly", []),
+    ("f_family = zero", "f_family = time_forcing\nf_fns = const:1,2", []),
     ("g_profile = modes:1.0", "g_profile = modes:nan", []),
     ("g_profile = modes:1.0", "g_profile = sine:1:nan", []),
     ("g_y_max = 1e9", "g_y_max = 1e9\ng_window = affine:nan,1,0,1", []),

@@ -140,6 +140,17 @@ class TestBoundaryExit:
         with pytest.raises(InvalidInitialData):
             continue_solution(prob, seg, 0.0, SolverConfig(dt=dt, window=0.5))
 
+    @pytest.mark.parametrize("kind, l", [("delay_mass", 1.0), ("time_only", None)])
+    def test_non_finite_initial_history_rejected(self, kind, l):
+        # every band comparison with nan is false, so membership alone would
+        # classify this history as interior
+        prob = homogeneous_problem(domain=DomainSpec(kind, l))
+        dt = 1e-2
+        seg = constant_segment(0.5, [0.1, 0.1], dt)
+        seg.values[0] = math.nan
+        with pytest.raises(InvalidInitialData, match="non-finite"):
+            continue_solution(prob, seg, 0.0, SolverConfig(dt=dt, window=0.5))
+
 
 class TestSupBandRun:
     def test_runs_to_horizon_across_many_windows(self):
@@ -186,6 +197,20 @@ class TestSolverFailure:
         assert traj.event.kind == "solver_failure"
         assert traj.event.detail == "left_trust_region"
         assert traj.tau == pytest.approx(0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, l", [("time_only", None), ("delay_mass", 1e3)])
+    def test_overflow_during_the_solve_reports_numerical_blowup(self, kind, l):
+        # an unbounded trust region lets the 1e300 gain overflow the second
+        # iterate; the overflow ends the run, and no warning reaches the caller
+        f = FunctionalAffineTerm(0.0, 1e300, [1.0], "integral")
+        prob = NeutralProblem(SpectralOperator([1.0]), 1.0, 2.0, 0.5, ZeroTerm(), f,
+                              DomainSpec(kind, l), 0.0)
+        dt = 0.1
+        cfg = SolverConfig(dt=dt, window=0.5, trust_radius=math.inf)
+        traj = continue_solution(prob, constant_segment(1.0, [1.0], dt), 0.0, cfg)
+        assert traj.event.label() == "solver_failure:numerical_blowup"
+        assert traj.tau == 0.0
 
 
 class TestRefineBoundaryTime:

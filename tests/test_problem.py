@@ -12,7 +12,6 @@ from neutraldde import (
     FunctionalAffineTerm,
     HypothesisViolation,
     NeutralProblem,
-    NumericalBlowup,
     PointDelayTerm,
     Segment,
     SegmentStack,
@@ -113,6 +112,14 @@ class TestEvalF:
         seg = constant_segment(1.0, [123.0])
         np.testing.assert_allclose(prob.eval_f(2.0, seg), [2.0])
 
+    @pytest.mark.parametrize("kind, params", [
+        ("const", ()), ("const", (1.0, 2.0)), ("poly", ()),
+        ("exp", (1.0,)), ("exp", (1.0, 2.0, 3.0)),
+    ])
+    def test_time_fn_takes_the_values_its_kind_needs(self, kind, params):
+        # const takes one value, poly at least one coefficient, exp two
+        with pytest.raises(ValueError, match=kind):
+            TimeFn(kind, params)
 
 
 class TestMaxWindowFunctional:
@@ -397,7 +404,8 @@ def test_batch_terms_match_scalar_evaluation(case):
     op = SpectralOperator(np.arange(1.0, stack.values.shape[1] + 1.0))
     for name, term in family_cases(op.n_modes).items():
         prob = simple_problem(op, term, term, T=1.0)
-        for batch, scalar in ((prob.eval_g_window, prob.eval_g), (prob.eval_f_window, prob.eval_f)):
+        for batch, scalar in ((prob.g.evaluate_window, prob.eval_g),
+                              (prob.f.evaluate_window, prob.eval_f)):
             got = batch(stack)
             assert got.shape == (stack.n_windows, op.n_modes), name
             want = np.array([scalar(float(t), slice_segment(stack, i)) for i, t in enumerate(times)])
@@ -521,13 +529,4 @@ def test_batch_argument_overrun_raises_like_scalar(case, data):
         except DomainViolation:
             overruns += 1
     with pytest.raises(DomainViolation) if overruns else nullcontext():
-        prob.eval_g_window(stack)
-
-
-def test_batch_non_finite_values_raise_blowup():
-    op = SpectralOperator([1.0])
-    g = FunctionalAffineTerm(1e300, 0.0, np.array([1e10]), "integral")
-    prob = simple_problem(op, g, ZeroTerm())
-    stack = SegmentStack(1.0, 0.25, np.ones((6, 1)))
-    with pytest.raises(NumericalBlowup):
-        prob.eval_g_window(stack)
+        prob.g.evaluate_window(stack)

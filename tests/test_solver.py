@@ -465,7 +465,7 @@ class TestWindowFrame:
         frame = WindowFrame(prob, np.ones((11, 2)), 0.35, dt, m)
         stack = frame.load(np.ones((m + 1, 2)))
         assert stack.times is frame.times
-        np.testing.assert_array_equal(prob.eval_f_window(stack),
+        np.testing.assert_array_equal(prob.f.evaluate_window(stack),
                                       np.column_stack([fn(frame.times) for fn in fns]))
 
     def test_history_of_the_wrong_shape_rejected(self):
@@ -644,6 +644,16 @@ class TestSolverConfig:
             cfg.validate_grid(1e-300, 2.0)
         with pytest.raises(ValueError, match="horizon span .* shorter"):
             cfg.validate_grid(0.1, 1e-300)
+
+    def test_tol_and_trust_radius_ranges(self):
+        # an infinite tol accepts the warm start; nan fails every comparison
+        for tol in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                SolverConfig(dt=0.02, window=0.1, tol=tol)
+        for radius in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="trust_radius"):
+                SolverConfig(dt=0.02, window=0.1, trust_radius=radius)
+        assert SolverConfig(dt=0.02, window=0.1, trust_radius=math.inf).trust_radius == math.inf
 
     def test_damping_range(self):
         prob = _integral_problem()
