@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import BuiltRun, RunConfig, build_run, parse_config
-from .continuation import Trajectory, continue_solution
+from .continuation import Trajectory, check_initial_history, continue_solution
 from .errors import (
     DomainViolation,
     HypothesisViolation,
@@ -180,6 +180,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     built = build_run(_load_config(args), dt_override=args.dt)
     _check_hypotheses(built, args.seed)
+    # the initial data ``run`` would refuse
+    check_initial_history(built.problem, built.initial_segment, 0.0)
     print("hypothesis checks passed")
     return 0
 
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_check = sub.add_parser("check", help="run only the hypothesis checks")
+    p_check = sub.add_parser("check", help="run only the hypothesis and initial-data checks")
     add_common(p_check, with_out=False)
     p_check.set_defaults(func=cmd_check)
 

@@ -158,6 +158,19 @@ def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):
         m_try = m_next
 
 
+def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float) -> None:
+    """Raise InvalidInitialData unless the history is finite and interior at t0."""
+    # every band comparison with nan is false, so nan would classify as inside
+    if not np.all(np.isfinite(init_seg.values)):
+        raise InvalidInitialData("initial history has non-finite values")
+    start = prob.membership(t0, init_seg)
+    if not start.is_inside:
+        raise InvalidInitialData(
+            f"initial history classifies as {start.state}"
+            + (f" ({start.kind})" if start.kind else "")
+        )
+
+
 def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
                       cfg: SolverConfig) -> Trajectory:
     """Advance from (t0, init_seg) until the trajectory leaves the domain.
@@ -168,15 +181,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     default band tolerance.
     """
     cfg.validate_grid(prob.h, prob.T - t0)
-    # every band comparison with nan is false, so nan would classify as inside
-    if not np.all(np.isfinite(init_seg.values)):
-        raise InvalidInitialData("initial history has non-finite values")
-    start = prob.membership(t0, init_seg)
-    if not start.is_inside:
-        raise InvalidInitialData(
-            f"initial history classifies as {start.state}"
-            + (f" ({start.kind})" if start.kind else "")
-        )
+    check_initial_history(prob, init_seg, t0)
 
     hist = segment_on_grid(init_seg, cfg.dt)
     path = SolutionPath(t0 - prob.h, cfg.dt, hist)

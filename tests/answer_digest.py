@@ -9,7 +9,9 @@ prints, one line per item:
   its ``csv:`` line, and the sha256 of the CSV it writes;
 * the three benchmark workloads at seeds 7 and 11: the event, ``tau.hex()``,
   the refinement width, the sha256 of the path values, and each window's
-  t0, width, iterations, status, residual and contraction;
+  t0, width, iterations, status, residual and contraction; then the sup
+  distance of the path to a ``tol = 1e-14`` solve of the same input by the
+  same checkout, so two checkouts' accuracy can be compared by hand;
 * ``exit_fine`` at seeds 0..39 and dt 0.001 and 0.0005: the event, tau and
   width.
 
@@ -25,12 +27,15 @@ import io
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
 SWEEP_SEEDS = range(40)
 SWEEP_DTS = (0.001, 0.0005)
+#: Fixed-point tolerance of the reference solve each workload path is measured against.
+REFERENCE_TOL = 1e-14
 
 
 def _sha(data: bytes) -> str:
@@ -48,6 +53,8 @@ def main(argv: list[str]) -> int:
     import bootstrap  # pins BLAS to one thread before numpy loads
 
     bootstrap.prepare()
+    import numpy as np
+
     sys.path.insert(0, str(src))
     import neutraldde
     import workloads
@@ -60,9 +67,10 @@ def main(argv: list[str]) -> int:
         print(f"cannot import neutraldde from {src}", file=sys.stderr)
         return 2
 
-    def solve(config: str):
+    def solve(config: str, tol: float | None = None):
         built = build_run(parse_config(config))
-        return continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        solver = built.solver if tol is None else replace(built.solver, tol=tol)
+        return continue_solution(built.problem, built.initial_segment, 0.0, solver)
 
     with tempfile.TemporaryDirectory() as out:
         for name in scenario_names():
@@ -77,13 +85,20 @@ def main(argv: list[str]) -> int:
 
     for workload, generate in workloads.GENERATORS.items():
         for seed in SEEDS:
-            traj = solve(generate(seed).config)
+            config = generate(seed).config
+            traj = solve(config)
             path = _sha(traj.path.values.tobytes())
             print(f"workload {workload} seed={seed} {_event(traj)} path={path}")
             for w in traj.windows:
                 print(f"  window t0={w.t0!r} width={w.window!r} iters={w.iterations} "
                       f"status={w.status} residual={w.residual!r} "
                       f"contraction={w.contraction_estimate!r}")
+            fine = solve(config, REFERENCE_TOL).path.values
+            if fine.shape == traj.path.values.shape:
+                dist = f"{np.linalg.norm(traj.path.values - fine, axis=1).max():.3e}"
+            else:
+                dist = f"paths differ in shape {traj.path.values.shape} {fine.shape}"
+            print(f"workload {workload} seed={seed} sup distance to tol={REFERENCE_TOL!r}: {dist}")
 
     for dt in SWEEP_DTS:
         for seed in SWEEP_SEEDS:

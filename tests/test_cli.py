@@ -448,6 +448,19 @@ class TestCheckCommand:
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:") and "inadmissible" in err and "\n" not in err
 
+    # a history outside the delay-mass band, and one whose exp overflows to
+    # 0 * inf = nan on [-h, 0]: ``check`` refuses what ``run`` refuses
+    @pytest.mark.parametrize("initial", ["family = constant\ncoeffs = 5.0",
+                                         "family = exp\namps = 0.0\nrates = -1000"])
+    def test_initial_data_that_run_rejects_exits_2(self, tmp_path, capsys, initial):
+        text = get_scenario("mass_growth").replace("family = constant\ncoeffs = 0.1", initial)
+        assert initial in text
+        cfg = tmp_path / "initial.cfg"
+        cfg.write_text(text)
+        for command in (["check"], ["run", "--out", str(tmp_path)]):
+            assert main(command + ["--config", str(cfg)]) == 2
+            assert capsys.readouterr().err.startswith("invalid initial data:")
+
     @pytest.mark.parametrize("l", ["1.0", "1e6"])
     def test_width_on_a_time_only_domain_exits_2(self, tmp_path, capsys, l):
         # l is read by no scan on a time_only domain; it would only size the

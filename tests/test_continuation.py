@@ -22,6 +22,8 @@ from neutraldde import (
     refine_boundary_time,
     segment_at,
 )
+from neutraldde.config import build_run, parse_config
+from neutraldde.scenarios import get_scenario
 
 
 def constant_segment(h, vec, dt):
@@ -263,3 +265,16 @@ class TestRefineBoundaryTime:
         prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
         with pytest.raises(ValueError):
             refine_boundary_time(prob, path, 1.1, 1.0, tol_t=1e-6)
+
+
+# Total fixed-point iterates of each bundled scenario, bounded between the
+# counts with the history-extrapolated window start (91, 68, 53, 68, 60) and
+# with the flat phi(0) start (192, 135, 85, 68, 60).  heat_decay and
+# manufactured_decay do not read their own window, so every window takes two.
+@pytest.mark.parametrize("name, bound", [("mass_growth", 100), ("parabolic_max", 80),
+                                         ("parabolic_delay_mass", 60), ("heat_decay", 68),
+                                         ("manufactured_decay", 60)])
+def test_bundled_scenario_iterates_stay_bounded(name, bound):
+    built = build_run(parse_config(get_scenario(name)))
+    traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+    assert sum(w.iterations for w in traj.windows) <= bound

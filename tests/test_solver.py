@@ -35,7 +35,10 @@ from neutraldde import (
     sine_profile_coeffs,
     solve_window,
 )
+from neutraldde import solver
+from neutraldde.errors import DomainViolation
 from neutraldde.history import _GRID_EPS
+from neutraldde.solver import _WARM_DEGREE, _drift_exceeds, _warm_start
 
 
 def constant_segment(h, vec, dt):
@@ -328,6 +331,81 @@ def _wobbly_segment(h, dt, n_modes, seed):
     thetas = -h + dt * np.arange(n + 1)
     values = np.random.default_rng(seed).uniform(-0.3, 0.3, size=(n + 1, n_modes))
     return Segment(h, thetas, values)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("degree", range(_WARM_DEGREE + 1))
+    def test_continues_a_polynomial_history(self, degree):
+        h, dt, m = 0.5, 0.01, 10
+        coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, size=(degree + 1, 2))
+        poly = lambda t: np.power.outer(t, np.arange(degree + 1)) @ coeffs
+        hist = poly(-h + dt * np.arange(int(round(h / dt)) + 1))
+        guess = _warm_start(hist, m, _WARM_DEGREE)
+        np.testing.assert_allclose(guess, poly(dt * np.arange(m + 1)), rtol=0.0, atol=1e-12)
+        assert np.array_equal(guess[0], hist[-1])
+
+    def test_degree_zero_is_the_flat_start(self):
+        hist = np.random.default_rng(0).uniform(-1.0, 1.0, size=(51, 3))
+        assert np.array_equal(_warm_start(hist, 7, 0), np.tile(hist[-1], (8, 1)))
+
+    def test_a_short_history_lowers_the_degree(self):
+        # two rows hold a line, whatever the degree asked for
+        hist = np.array([[1.0], [3.0]])
+        assert np.array_equal(_warm_start(hist, 3, _WARM_DEGREE)[:, 0], [3.0, 5.0, 7.0, 9.0])
+
+    @staticmethod
+    def _kinked_history(h, dt):
+        # flat at 0, then a parabola over the last five rows up to phi(0) = 1:
+        # its extrapolation climbs to 12.25 over ten cells
+        n_h = int(round(h / dt))
+        hist = np.zeros((n_h + 1, 1))
+        hist[-5:, 0] = (np.arange(5) / 4.0) ** 2
+        return hist
+
+    def _runs_as_the_flat_start(self, prob, hist, cfg, monkeypatch):
+        out = solve_window(prob, hist, 0.0, cfg)
+        monkeypatch.setattr(solver, "_WARM_DEGREE", 0)
+        flat = solve_window(prob, hist, 0.0, cfg)
+        assert out.converged
+        assert out.iterations == flat.iterations
+        assert np.array_equal(out.values, flat.values)
+
+    def test_guess_outside_the_trust_region_falls_back_to_phi0(self, monkeypatch):
+        prob = homogeneous_problem(mu=(1.0,))
+        dt = 0.01
+        hist = self._kinked_history(prob.h, dt)
+        cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12, trust_radius=3.0)
+        frame = WindowFrame(prob, hist, 0.0, dt, 10)
+        frame.load(_warm_start(hist, 10, _WARM_DEGREE))
+        assert _drift_exceeds(frame, cfg.trust_radius)
+        self._runs_as_the_flat_start(prob, hist, cfg, monkeypatch)
+
+    def test_guess_past_y_max_falls_back_to_phi0(self, monkeypatch):
+        op = SpectralOperator([1.0])
+        f = FunctionalAffineTerm(0.0, 0.5, np.array([1.0]), "max",
+                                 window=current_value_window(), y_max=2.0)
+        prob = NeutralProblem(op, 0.5, 2.0, 0.5, ZeroTerm(), f, DomainSpec("time_only"), 0.0)
+        dt = 0.01
+        hist = self._kinked_history(prob.h, dt)
+        cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12)
+        frame = WindowFrame(prob, hist, 0.0, dt, 10)
+        stack = frame.load(_warm_start(hist, 10, _WARM_DEGREE))
+        assert not _drift_exceeds(frame, cfg.trust_radius)
+        with pytest.raises(DomainViolation):
+            evaluate_window_operator(frame, stack)
+        self._runs_as_the_flat_start(prob, hist, cfg, monkeypatch)
+
+    def test_guess_is_not_returned_unmapped(self):
+        # G ignores the candidate here, so its first image is the exact
+        # fixed point and the second iterate confirms it
+        prob = homogeneous_problem(mu=(1.0,))
+        dt = 0.01
+        thetas = -prob.h + dt * np.arange(51)
+        seg = Segment(prob.h, thetas, np.exp(-thetas)[:, None])
+        # the guess continues e^-t, within 1e-6 of the solution from the start
+        out = solve_window(prob, seg.values, 0.0, SolverConfig(dt=dt, window=0.1, tol=1e-6))
+        assert out.iterations == 2 and out.residual == 0.0
+        assert np.array_equal(out.values, apply_operator(prob, seg, dt, out.values))
 
 
 class TestWindowFrame:
