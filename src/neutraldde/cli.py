@@ -45,7 +45,7 @@ from .errors import (
     OracleUnavailable,
     SchemaError,
 )
-from .history import SegmentStack, _require_divides, segment_at  # noqa: F401 -- perfbench traces cli.segment_at
+from .history import _require_divides, segment_at  # noqa: F401 -- perfbench traces cli.segment_at
 from .oracle import dense_reference_solve
 from .problem import estimate_lipschitz_mg, spatial_smallness_check
 from .scenarios import get_scenario, scenario_description, scenario_names
@@ -112,13 +112,13 @@ def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> None:
 _CSV_BLOCK_ROWS = 1024
 
 
-def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
+def export_csv(traj: Trajectory, path: Path, n_coeffs: int) -> None:
     """Write the trajectory as CSV: t, norm, domain functional, coefficients.
 
-    The functional column holds the domain's scalar once a full history is
-    available (t >= t0) and nan before that.  Two trailing comment lines
-    record the event kind and the exit time; floats carry 17 significant
-    digits so a reread reproduces them exactly.
+    The functional column holds ``traj.functionals``, the values the exit
+    scan decided each point on (t >= t0), and nan before t0.  Two trailing
+    comment lines record the event kind and the exit time; floats carry 17
+    significant digits so a reread reproduces them exactly.
     """
     n_modes = traj.path.values.shape[1]
     if n_coeffs > n_modes:
@@ -126,10 +126,10 @@ def export_csv(traj: Trajectory, prob, path: Path, n_coeffs: int) -> None:
         n_coeffs = n_modes
     header = ",".join(["t", "norm", "functional"] + [f"c{k + 1}" for k in range(n_coeffs)])
     times = traj.path.times()
-    stack = SegmentStack(prob.h, traj.path.dt, traj.path.values, traj.path.t_start + prob.h)
     functionals = np.full(times.size, math.nan)
-    functionals[stack.n_h :] = prob.domain_functionals(stack)
-    table = np.column_stack([times, stack.norms, functionals, traj.path.values[:, :n_coeffs]])
+    functionals[times.size - traj.functionals.size :] = traj.functionals
+    norms = np.linalg.norm(traj.path.values, axis=1)
+    table = np.column_stack([times, norms, functionals, traj.path.values[:, :n_coeffs]])
     footer = f"# event={traj.event.label()}\n# tau={traj.tau:.17g}"
     # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted with one
     # % per block of rows instead of one per row
@@ -169,7 +169,7 @@ def cmd_run(args) -> int:
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            export_csv(traj, built.problem, out_dir / built.csv_path, built.n_coeffs)
+            export_csv(traj, out_dir / built.csv_path, built.n_coeffs)
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return 4
@@ -277,25 +277,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_out=True):
+    def add_common(p, with_dt=True):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", help="path to a config file")
         src.add_argument("--scenario", help="name of a bundled scenario")
         p.add_argument("--seed", type=_seed, default=0, help="sampling seed for checks")
-        p.add_argument("--dt", type=float, default=None, help="override the solver grid step")
-        if with_out:
-            p.add_argument("--out", default=".", help="output directory for artifacts")
+        if with_dt:
+            p.add_argument("--dt", type=float, default=None, help="override the solver grid step")
 
     p_run = sub.add_parser("run", help="solve and continue to the domain exit")
     add_common(p_run)
+    p_run.add_argument("--out", default=".", help="output directory for artifacts")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run only the hypothesis and initial-data checks")
-    add_common(p_check, with_out=False)
+    add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
-    p_study = sub.add_parser("study", help="convergence study against a fine reference")
-    add_common(p_study)
+    # a study sets its own steps and writes no file; --dt is no prefix of --dts
+    p_study = sub.add_parser("study", allow_abbrev=False,
+                             help="convergence table at the --dts steps against a fine reference")
+    add_common(p_study, with_dt=False)
     p_study.add_argument("--dts", required=True, help="comma-separated grid steps (>= 3)")
     p_study.set_defaults(func=cmd_study)
 

@@ -10,15 +10,16 @@ The initial ``Segment`` is put on the theta grid once per run.  As dt divides
 the delay span, each window then takes the path's last n_h+1 rows as its
 history; ``segment_at`` serves only the bisection.
 
-Each grid point is decided once, on its batch domain functional: one
-``first_exit_slice`` pass applies ``membership``'s rule to every new
-point's history slice, on the same float the CSV's functional column
-prints.  The off-grid probes of the bisection are decided by
-``membership`` on a ``segment_at`` segment.  Membership is still only
-sampled at grid resolution before the bisection sharpens it: an excursion
-of a non-monotone functional that enters and leaves the boundary band
-strictly between grid points can be missed at coarse dt, so refine dt when
-the domain functional is oscillatory.
+Each grid point is decided once: ``solve_window`` returns the stack of the
+window's history and values, one ``first_exit_slice`` pass applies
+``membership``'s rule to its new slices, and their domain functionals,
+through the first point that is not interior, are the trajectory's
+``functionals``, which the CSV prints.  The off-grid probes of the
+bisection are decided by ``membership`` on a ``segment_at`` segment.
+Membership is still only sampled at grid resolution before the bisection
+sharpens it: an excursion of a non-monotone functional that enters and
+leaves the boundary band strictly between grid points can be missed at
+coarse dt, so refine dt when the domain functional is oscillatory.
 
 A window is first solved undamped (damping 1).  One that will not converge
 is retried with damping 0.5, then with repeatedly halved windows at that
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidInitialData, NumericalBlowup
 from .history import SegmentStack, SolutionPath, Segment, extend, segment_at, segment_on_grid
-from .problem import Membership, NeutralProblem
+from .problem import NeutralProblem
 from .solver import SolverConfig, WindowResult, heuristic_window, solve_window
 
 #: Default bisection width for boundary-crossing refinement, in grid steps.
@@ -69,9 +70,11 @@ class TerminationEvent:
 
 @dataclass
 class Trajectory:
-    """Computed path plus per-window diagnostics and the termination event."""
+    """Computed path plus per-window diagnostics and the termination event;
+    ``functionals[k]`` is the domain functional that decided t0 + k*dt."""
 
     path: SolutionPath
+    functionals: np.ndarray
     windows: list[WindowResult] = field(default_factory=list)
     event: TerminationEvent | None = None
     tau: float = 0.0
@@ -109,28 +112,6 @@ def _refine_bracket(prob, path, a, b, tol_t):
         else:
             b = mid
     return a, b
-
-
-def first_exit(prob: NeutralProblem, path: SolutionPath, t: float,
-               m: int) -> tuple[float, Membership] | None:
-    """First of the grid times t + i*dt, i = 1..m, that is not interior.
-
-    One ``first_exit_slice`` call decides every point on its batch domain
-    functional, the float the CSV's functional column prints, at the
-    domain's default tolerance.  Returns (time, membership) or None.
-    """
-    n_h = int(round(prob.h / path.dt))
-    first = path.n_times - n_h - m  # the oldest row of the slice at t + dt
-    # the stack starts a whole number of n_h-row blocks after the path's
-    # first row, as the export's does, so its block sums are the export's
-    offset = first % n_h
-    start = first - offset
-    stack = SegmentStack(prob.h, path.dt, path.values[start:], t + (1 - offset) * path.dt)
-    hit = prob.first_exit_slice(stack, offset)
-    if hit is None:
-        return None
-    i, mem = hit
-    return t + (i - offset + 1) * path.dt, mem
 
 
 def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):
@@ -185,44 +166,43 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
 
     hist = segment_on_grid(init_seg, cfg.dt)
     path = SolutionPath(t0 - prob.h, cfg.dt, hist)
+    functionals = [prob.domain_functionals(SegmentStack(prob.h, cfg.dt, hist, t0))]
+    windows = []
     horizon_cells = int(round((prob.T - t0) / cfg.dt))
     n_h = hist.shape[0] - 1
-    traj = Trajectory(path=path)
     refine_tol = cfg.dt * _REFINE_FRACTION
     m = max(1, int(heuristic_window(prob, cfg) / cfg.dt + 1e-9))
 
     while True:
-        done_cells = traj.path.n_times - 1 - n_h
+        done_cells = path.n_times - 1 - n_h
         remaining = horizon_cells - done_cells
         t = t0 + done_cells * cfg.dt
+        # the scan's absolute horizon test can round past the last node at large T
         if remaining <= 0:
-            traj.event = TerminationEvent("reached_horizon", prob.T)
+            event = TerminationEvent("reached_horizon", prob.T)
             break
-        result, failure = _attempt_window(prob, traj.path.values[-(n_h + 1):], t, cfg, m, remaining)
+        result, failure = _attempt_window(prob, path.values[-(n_h + 1):], t, cfg, m, remaining)
         if result is None:
-            traj.event = TerminationEvent("solver_failure", t, failure)
+            event = TerminationEvent("solver_failure", t, failure)
             break
-        traj.windows.append(result)
-        new_path = extend(traj.path, result.values)
-        m_done = result.values.shape[0] - 1
+        stack = result.stack  # over the solver's buffers, which the kept result drops
+        windows.append(replace(result, stack=None))
+        path = extend(path, result.values)
+        scanned = prob.domain_functionals(stack)
+        hit = prob.first_exit_slice(stack)
+        if hit is None:
+            functionals.append(scanned[1:])
+            continue
+        i, mem = hit
+        functionals.append(scanned[1 : i + 1])
+        t_i = t + i * cfg.dt
+        if mem.kind == "horizon":
+            event = TerminationEvent("reached_horizon", prob.T)
+        else:
+            a, b = _refine_bracket(prob, path, t_i - cfg.dt, t_i, refine_tol)
+            event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
+        # keep the path through the first non-interior grid point
+        path = SolutionPath(path.t_start, cfg.dt, path.values[: path.index_of(t_i) + 1])
+        break
 
-        exit_point = None
-        if prob.domain.kind != "time_only":
-            # no state constraint leaves only the horizon, which the outer
-            # loop handles
-            exit_point = first_exit(prob, new_path, t, m_done)
-        if exit_point is not None:
-            t_i, mem = exit_point
-            if mem.kind == "horizon":
-                traj.event = TerminationEvent("reached_horizon", prob.T)
-            else:
-                a, b = _refine_bracket(prob, new_path, t_i - cfg.dt, t_i, refine_tol)
-                traj.event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
-            # keep the path through the first non-interior grid point
-            keep = new_path.index_of(t_i) + 1
-            traj.path = SolutionPath(new_path.t_start, cfg.dt, new_path.values[:keep])
-            break
-        traj.path = new_path
-
-    traj.tau = traj.event.time
-    return traj
+    return Trajectory(path, np.concatenate(functionals), windows, event, event.time)

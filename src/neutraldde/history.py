@@ -208,11 +208,11 @@ class SegmentStack:
     -h + dt*arange; dt must divide h.  The batch functionals evaluate every
     slice at once and agree with the scalar ones applied to slice i: node
     norms are taken once, the delay mass comes from blockwise sums of
-    trapezoid cells (equal up to summation order; stacks whose first rows
-    are a whole number of n_h rows apart give a slice the same sum), and
-    window maxima come from exactly interpolated endpoints plus a
-    sparse-table range maximum over the interior nodes.  The exit scan
-    decides grid points on these sums, ``segment_at`` the off-grid times.
+    trapezoid cells (equal up to summation order), and window maxima come
+    from exactly interpolated endpoints plus a sparse-table range maximum
+    over the interior nodes.  The exit scan decides each grid point on the
+    stack the window solver loaded for it, and off-grid times on
+    ``segment_at`` segments.
 
     A window maximum takes two steps.  ``resolve`` checks and clips the
     windows and finds what depends on them and the grid alone: each edge's

@@ -23,8 +23,8 @@ non-finite values as ``NumericalBlowup``; the window solver calls
 ``evaluate_window`` directly and checks only G(y).  The domain has one
 rule, applied to one segment's ``domain_functional`` by ``membership`` and
 to every slice's ``domain_functionals`` by ``first_exit_slice``: grid
-points are decided on the batch sums, and the off-grid bisection probes by
-``membership`` on a ``segment_at`` segment.
+points are decided on the stack of the window that computed them, and the
+off-grid bisection probes by ``membership`` on a ``segment_at`` segment.
 """
 
 from __future__ import annotations
@@ -406,16 +406,17 @@ class NeutralProblem:
             return stack.sup_norms()
         return stack.current_norms()
 
-    def first_exit_slice(self, stack: SegmentStack, first: int) -> tuple[int, Membership] | None:
-        """The first slice from ``first`` on that ``membership``'s rule does
-        not classify as inside, with its ``Membership``, or None.
+    def first_exit_slice(self, stack: SegmentStack) -> tuple[int, Membership] | None:
+        """The first slice after slice 0, the window's start, that
+        ``membership``'s rule does not classify as inside, with its
+        ``Membership``, or None.
 
         The rule reads each slice's ``domain_functionals`` value, smallest
         node norm and time; the mask below negates its inside branch.
         """
-        value = self.domain_functionals(stack)[first:]
-        bottom = stack.min_norms()[first:] if self.domain.kind == "sup_band" else value
-        times = stack.times[first:]
+        value = self.domain_functionals(stack)[1:]
+        bottom = stack.min_norms()[1:] if self.domain.kind == "sup_band" else value
+        times = stack.times[1:]
         out = self.T - times <= TIME_TOL
         if self.domain.kind != "time_only":
             tol = self.domain.default_tol()
@@ -424,7 +425,7 @@ class NeutralProblem:
         if hits.size == 0:
             return None
         i = int(hits[0])
-        return first + i, self._classify(float(times[i]), float(value[i]), float(bottom[i]))
+        return i + 1, self._classify(float(times[i]), float(value[i]), float(bottom[i]))
 
     def membership(self, t: float, seg: Segment) -> Membership:
         """Classify (t, seg) as inside, on the boundary of, or outside the domain.

@@ -232,7 +232,8 @@ class SolverConfig:
 
 @dataclass
 class WindowResult:
-    """Outcome of one window solve: grid values plus iteration diagnostics."""
+    """Outcome of one window solve: grid values plus iteration diagnostics,
+    and once converged the ``stack`` its values were last loaded into."""
 
     values: np.ndarray
     iterations: int
@@ -241,6 +242,7 @@ class WindowResult:
     status: str  # "converged" | "diverged" | "left_trust_region"
     t0: float = 0.0
     window: float = 0.0
+    stack: SegmentStack | None = None
 
     @property
     def converged(self) -> bool:
@@ -434,7 +436,7 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         # an image of G, and a G that ignores the candidate gives its exact
         # fixed point
         if residual <= cfg.tol and not (guessed and it == 1):
-            return WindowResult(y, it, residual, contraction, "converged", t0, cfg.window)
+            return WindowResult(y, it, residual, contraction, "converged", t0, cfg.window, stack)
         prev_residual = residual
         if damping == 1.0:
             y = gy

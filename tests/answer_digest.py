@@ -6,7 +6,9 @@ Imports ``neutraldde`` from ``CHECKOUT/src`` (default: this checkout) and
 prints, one line per item:
 
 * each bundled scenario: the sha256 of ``neutraldde run`` stdout without
-  its ``csv:`` line, and the sha256 of the CSV it writes;
+  its ``csv:`` line, and of the CSV it writes in two parts: its
+  ``functional`` column, and everything else (the other columns, the
+  header and the event and tau lines);
 * the three benchmark workloads at seeds 7 and 11: the event, ``tau.hex()``,
   the refinement width, the sha256 of the path values, and each window's
   t0, width, iterations, status, residual and contraction; then the sup
@@ -47,6 +49,18 @@ def _event(traj) -> str:
     return f"event={ev.label()} tau={traj.tau.hex()} width={ev.refinement_width!r}"
 
 
+def _csv_digest(text: str) -> str:
+    # the functional column is the third field of the header and data rows
+    functional, rest = [], []
+    for line in text.splitlines():
+        fields = line.split(",")
+        if not line.startswith("#") and len(fields) >= 3:
+            functional.append(fields.pop(2))
+        rest.append(",".join(fields))
+    column, other = ("\n".join(lines).encode() for lines in (functional, rest))
+    return f"functional={_sha(column)} rest={_sha(other)}"
+
+
 def main(argv: list[str]) -> int:
     src = (Path(argv[0]) if argv else HERE).resolve() / "src"
     sys.path.insert(0, str(HERE / "perfbench"))
@@ -80,8 +94,8 @@ def main(argv: list[str]) -> int:
             lines = stdout.getvalue().splitlines(keepends=True)
             csvs = [line.split(":", 1)[1].strip() for line in lines if line.startswith("csv:")]
             text = "".join(line for line in lines if not line.startswith("csv:"))
-            csv = _sha(Path(csvs[0]).read_bytes()) if csvs else "none"
-            print(f"scenario {name} exit={code} stdout={_sha(text.encode())} csv={csv}")
+            csv = _csv_digest(Path(csvs[0]).read_text()) if csvs else "csv=none"
+            print(f"scenario {name} exit={code} stdout={_sha(text.encode())} {csv}")
 
     for workload, generate in workloads.GENERATORS.items():
         for seed in SEEDS:

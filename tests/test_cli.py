@@ -6,7 +6,7 @@ import pytest
 
 from neutraldde.cli import export_csv, main
 from neutraldde.config import build_run, parse_config
-from neutraldde.continuation import TerminationEvent, Trajectory
+from neutraldde.continuation import TerminationEvent, Trajectory, continue_solution
 from neutraldde.errors import SchemaError
 from neutraldde.history import SegmentStack, SolutionPath, integral_norm_functional, segment_at
 from neutraldde.scenarios import get_scenario, scenario_names
@@ -376,15 +376,16 @@ class TestCsvFormat:
         values[5, 0] = 1e300
         values[6, 3] = -1e300
         path = SolutionPath(-prob.h, dt, values)
-        traj = Trajectory(path, event=TerminationEvent("reached_horizon", path.t_end), tau=path.t_end)
-        out = tmp_path / "table.csv"
         with np.errstate(over="ignore"):
-            export_csv(traj, prob, out, n_coeffs)
-            stack = SegmentStack(prob.h, dt, values)
-        functionals = np.full(9, math.nan)
-        functionals[stack.n_h :] = prob.domain_functionals(stack)
+            functionals = prob.domain_functionals(SegmentStack(prob.h, dt, values))
+            traj = Trajectory(path, functionals, event=TerminationEvent("reached_horizon", path.t_end),
+                              tau=path.t_end)
+            out = tmp_path / "table.csv"
+            export_csv(traj, out, n_coeffs)
+            norms = np.linalg.norm(values, axis=1)
         k = min(n_coeffs, 4)
-        table = np.column_stack([path.times(), stack.norms, functionals, values[:, :k]])
+        table = np.column_stack([path.times(), norms, np.r_[[math.nan] * 2, functionals],
+                                 values[:, :k]])
         assert np.isnan(table).any() and np.isinf(table).any()
         assert (table == 1e300).any() == (k > 0)
         reference = io.StringIO()
@@ -393,6 +394,45 @@ class TestCsvFormat:
                    footer=f"# event=reached_horizon\n# tau={path.t_end:.17g}", comments="")
         assert out.read_bytes() == reference.getvalue().encode()
 
+    @pytest.mark.parametrize("name", ["mass_growth", "parabolic_max", "manufactured_decay"])
+    def test_functional_column_prints_each_windows_scan_values(self, tmp_path, name):
+        # one scenario per domain kind: the column is traj.functionals, bit
+        # for bit; the t0 entry is the functional of the initial rows, and
+        # each window's new points take the functionals of a stack over that
+        # window's rows alone
+        built = build_run(parse_config(get_scenario(name)))
+        prob, dt = built.problem, built.solver.dt
+        traj = continue_solution(prob, built.initial_segment, 0.0, built.solver)
+        out = tmp_path / "run.csv"
+        export_csv(traj, out, n_coeffs=1)
+        n_h = round(prob.h / dt)
+        column = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:-2]]
+        assert np.isnan(column[:n_h]).all()
+        assert np.array_equal(column[n_h:], traj.functionals)
+        assert traj.functionals.size == traj.path.n_times - n_h
+        values = traj.path.values
+        start = prob.domain_functionals(SegmentStack(prob.h, dt, values[: n_h + 1], 0.0))
+        assert np.array_equal(traj.functionals[:1], start)
+        for w in traj.windows:
+            k = traj.path.index_of(w.t0) - n_h
+            rows = values[k : k + n_h + w.values.shape[0]]
+            fresh = prob.domain_functionals(SegmentStack(prob.h, dt, rows, w.t0))[1:]
+            got = traj.functionals[k + 1 : k + 1 + fresh.size]
+            assert got.size and np.array_equal(got, fresh[: got.size])
+
+    def test_solver_failure_in_the_first_window_writes_the_t0_functional(self, tmp_path):
+        # the first step leaves a trust region of 1e-9, down to one cell
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text(SMALL_RUN.replace("tol = 1e-12", "tol = 1e-12\ntrust_radius = 1e-9"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tiny.csv").read_text().splitlines()
+        assert lines[-2] == "# event=solver_failure:left_trust_region"
+        rows = [line.split(",") for line in lines[1:-2]]
+        assert [float(row[0]) for row in rows] == pytest.approx([-0.2, -0.1, 0.0])
+        assert [row[2] for row in rows[:2]] == ["nan", "nan"]
+        # the delay mass of the constant history 1 over h = 0.2
+        assert float(rows[2][2]) == pytest.approx(0.2, rel=1e-15)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -400,20 +440,24 @@ class TestCsvFormat:
         assert (a / "heat_decay.csv").read_bytes() == (b / "heat_decay.csv").read_bytes()
 
     def test_functional_column_keeps_relative_precision_on_long_decay(self, tmp_path):
-        # delay mass falling from 0.2 to 1e-18 over 40000 rows: each row's
-        # value must stay accurate relative to its own mass, not the path's
-        prob = build_run(parse_config(SMALL_RUN)).problem
-        dt = 0.001
-        times = -prob.h + dt * np.arange(40001)
-        path = SolutionPath(-prob.h, dt, np.exp(-times)[:, None])
-        traj = Trajectory(path, event=TerminationEvent("reached_horizon", path.t_end), tau=path.t_end)
-        out = tmp_path / "decay.csv"
-        export_csv(traj, prob, out, n_coeffs=1)
-        rows = [l.split(",") for l in out.read_text().splitlines()[1:-2]]
-        n_h = round(prob.h / dt)
-        for i in list(range(n_h, len(rows), 997)) + [len(rows) - 1]:
-            want = integral_norm_functional(segment_at(path, times[i], prob.h))
-            assert float(rows[i][2]) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # a run whose delay mass falls from 0.2 to 5.5e-9 over 1000 rows,
+        # just above its vanishing edge 2.5e-10: each row's value must stay
+        # accurate relative to its own mass, not the run's
+        text = (SMALL_RUN.replace("mu = 1.0", "mu = 20.0").replace("T = 0.4", "T = 1.0")
+                .replace("l = 10.0", "l = 0.25").replace("dt = 0.1", "dt = 0.001"))
+        cfg = tmp_path / "decay.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "tiny.csv").read_text().splitlines()
+        assert lines[-2] == "# event=reached_horizon"
+        # %.17g rereads the one coefficient, and so the path, exactly
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:-2]])
+        h = 0.2
+        path = SolutionPath(rows[0, 0], 0.001, rows[:, 3:])
+        functional = rows[rows[:, 0] >= 0.0, 2]
+        assert functional[-1] < 1e-7 * functional[0]
+        want = [integral_norm_functional(segment_at(path, t, h)) for t in rows[rows[:, 0] >= 0.0, 0]]
+        np.testing.assert_allclose(functional, want, rtol=1e-12, atol=0.0)
 
 
 class TestCheckCommand:
@@ -548,6 +592,16 @@ class TestStudyCommand:
         assert orders, f"no order column found in:\n{out}"
         for order in orders:
             assert 1.9 <= order <= 2.1
+
+
+@pytest.mark.parametrize("option", [["--dt", "-5"], ["--out", "x"]])
+def test_study_takes_no_step_or_output_option(capsys, option):
+    # a study sets its own steps and writes only its table
+    argv = ["study", "--scenario", "manufactured_decay", "--dts", "0.1,0.05,0.025", *option]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert option[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "check", "study"])

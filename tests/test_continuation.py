@@ -83,6 +83,16 @@ class TestReachedHorizon:
             np.testing.assert_array_equal(w.values[0], traj.path.values[i])
 
 
+def test_kept_windows_hold_no_stack():
+    # a converged window's stack reads its frame's buffers; the trajectory
+    # keeps only the values and statistics
+    prob, _ = growth_problem()
+    traj = continue_solution(prob, constant_segment(1.0, [0.1], 0.01), 0.0,
+                             SolverConfig(dt=0.01, window=0.25, tol=1e-12))
+    assert traj.event.kind == "boundary_hit" and len(traj.windows) > 1
+    assert all(w.converged and w.stack is None for w in traj.windows)
+
+
 class TestBoundaryExit:
     def test_growth_hits_upper_mass_at_closed_form_time(self):
         prob, t_star = growth_problem()

@@ -31,7 +31,6 @@ from neutraldde import (
     sine_profile_coeffs,
     sup_norm,
 )
-from neutraldde.continuation import first_exit
 from neutraldde.problem import Membership
 
 from batch_rounding import integral_error_bound
@@ -434,14 +433,15 @@ def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
     m = stack.n_windows - 1
     if m < 1:
         return
-    # the path holds the history up to t = 1 and a window of m steps after it
+    # slice 0 is the window start t, and slices 1..m are a window of m steps
+    # after it; as a path from time 0, its history ends at time 1
+    t = float(stack.times[0])
     path = SolutionPath(0.0, dt, stack.values)
-    t = 1.0
     kind = data.draw(st.sampled_from(["delay_mass", "sup_band"]))
     # put the band edge on a computed value, give or take the domain's
     # tolerance, so grid points land on the edge, just inside it and just
     # outside it
-    seg = segment_at(path, t + data.draw(st.integers(1, m)) * dt, 1.0)
+    seg = segment_at(path, 1.0 + data.draw(st.integers(1, m)) * dt, 1.0)
     edge = integral_norm_functional(seg) if kind == "delay_mass" else sup_norm(seg)
     width = 1e-9 * max(edge, 1e-3)
     l = max(edge + data.draw(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])) * width, 1e-3)
@@ -458,9 +458,9 @@ def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
         bottom = values[i] if kind == "delay_mass" else slice_segment(stack, i).node_norms().min()
         mem = prob._classify(t_i, float(values[i]), float(bottom))
         if not mem.is_inside:
-            expected = (t_i, mem)
+            expected = (i, mem)
             break
-    assert first_exit(prob, path, t, m) == expected
+    assert prob.first_exit_slice(stack) == expected
 
 
 def test_scan_decides_a_band_edge_on_the_batch_value():
@@ -468,8 +468,8 @@ def test_scan_decides_a_band_edge_on_the_batch_value():
     # edge on the last slice's batch value leaves every earlier slice inside
     dt, m = 0.01, 20
     values = np.linspace(0.1, 1.0, 100 + m + 1)[:, None]
-    path = SolutionPath(0.0, dt, values)
-    last = float(SegmentStack(1.0, dt, values).integral_norms()[-1])
+    stack = SegmentStack(1.0, dt, values, 1.0)
+    last = float(stack.integral_norms()[-1])
 
     def on_edge(l):
         # membership's upper test: not inside once value - l >= -tol
@@ -482,15 +482,14 @@ def test_scan_decides_a_band_edge_on_the_batch_value():
     while on_edge(np.nextafter(l, np.inf)):
         l = np.nextafter(l, np.inf)
     op = SpectralOperator([1.0])
-    t_last = 1.0 + m * dt
     edge = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l), T=10.0)
-    assert first_exit(edge, path, 1.0, m) == (t_last, Membership("boundary", "upper_mass", last))
+    assert edge.first_exit_slice(stack) == (m, Membership("boundary", "upper_mass", last))
     # the slice before it is inside
-    assert first_exit(edge, SolutionPath(0.0, dt, values[:-1]), 1.0, m - 1) is None
+    assert edge.first_exit_slice(SegmentStack(1.0, dt, values[:-1], 1.0)) is None
     # and one ulp more of l puts the last slice inside too
     wider = DomainSpec("delay_mass", float(np.nextafter(l, np.inf)))
-    assert first_exit(simple_problem(op, ZeroTerm(), ZeroTerm(), domain=wider, T=10.0),
-                      path, 1.0, m) is None
+    assert simple_problem(op, ZeroTerm(), ZeroTerm(), domain=wider,
+                          T=10.0).first_exit_slice(stack) is None
 
 
 def test_scan_and_membership_split_an_exact_tie_alike():
@@ -508,7 +507,7 @@ def test_scan_and_membership_split_an_exact_tie_alike():
     prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("sup_band", l), T=10.0)
     mem = prob.membership(1.25, segment_at(path, 1.25, 1.0))
     assert (mem.state, mem.kind, mem.value - l) == ("boundary", "sup_band", -tol)
-    assert first_exit(prob, path, 1.0, 1) == (1.25, mem)
+    assert prob.first_exit_slice(SegmentStack(1.0, 0.25, values, 1.0)) == (1, mem)
 
 
 @settings(max_examples=60, deadline=None)
