@@ -46,6 +46,7 @@ from .problem import (
     sine_profile_coeffs,
 )
 from .solver import (
+    RunFrame,
     SolverConfig,
     WindowFrame,
     WindowResult,

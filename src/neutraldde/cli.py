@@ -128,8 +128,7 @@ def export_csv(traj: Trajectory, path: Path, n_coeffs: int) -> None:
     times = traj.path.times()
     functionals = np.full(times.size, math.nan)
     functionals[times.size - traj.functionals.size :] = traj.functionals
-    norms = np.linalg.norm(traj.path.values, axis=1)
-    table = np.column_stack([times, norms, functionals, traj.path.values[:, :n_coeffs]])
+    table = np.column_stack([times, traj.path.norms, functionals, traj.path.values[:, :n_coeffs]])
     footer = f"# event={traj.event.label()}\n# tau={traj.tau:.17g}"
     # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted with one
     # % per block of rows instead of one per row

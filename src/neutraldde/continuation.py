@@ -7,8 +7,13 @@ crossing time and ends the run with a boundary event; reaching the horizon
 ends it there.
 
 The initial ``Segment`` is put on the theta grid once per run.  As dt divides
-the delay span, each window then takes the path's last n_h+1 rows as its
-history; ``segment_at`` serves only the bisection.
+the delay span, each window then takes the path's last n_h+1 rows and their
+norms as its history; ``segment_at`` serves only the bisection.  One
+``RunFrame`` per run holds what every window shares (the theta grid, the cell
+weights, and per window width the scan factors and decay table), and dies
+with the run.  ``extend`` appends each converged window, with the row norms
+of the stack it converged on, into the free rows of the path's buffer, which
+doubles when full; no attempt writes a row the run has committed.
 
 Each grid point is decided once: ``solve_window`` returns the stack of the
 window's history and values, one ``first_exit_slice`` pass applies
@@ -38,7 +43,7 @@ import numpy as np
 from .errors import InvalidInitialData, NumericalBlowup
 from .history import SegmentStack, SolutionPath, Segment, extend, segment_at, segment_on_grid
 from .problem import NeutralProblem
-from .solver import SolverConfig, WindowResult, heuristic_window, solve_window
+from .solver import RunFrame, SolverConfig, WindowResult, heuristic_window, solve_window
 
 #: Default bisection width for boundary-crossing refinement, in grid steps.
 _REFINE_FRACTION = 1.0 / 256.0
@@ -114,7 +119,7 @@ def _refine_bracket(prob, path, a, b, tol_t):
     return a, b
 
 
-def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):
+def _attempt_window(prob, hist, hist_norms, t0, cfg, run, m_cells, remaining_cells):
     """Solve one window from its grid rows, halving on failure: (result or None, detail)."""
     m_try = min(m_cells, remaining_cells)
     damping = 1.0
@@ -122,7 +127,7 @@ def _attempt_window(prob, hist, t0, cfg, m_cells, remaining_cells):
     while True:
         attempt_cfg = replace(cfg, window=m_try * cfg.dt)
         try:
-            result = solve_window(prob, hist, t0, attempt_cfg, damping)
+            result = solve_window(prob, hist, t0, attempt_cfg, damping, run, hist_norms)
         except NumericalBlowup:
             result = None
             last_detail = "numerical_blowup"
@@ -168,6 +173,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     path = SolutionPath(t0 - prob.h, cfg.dt, hist)
     functionals = [prob.domain_functionals(SegmentStack(prob.h, cfg.dt, hist, t0))]
     windows = []
+    run = RunFrame(prob, cfg.dt)
     horizon_cells = int(round((prob.T - t0) / cfg.dt))
     n_h = hist.shape[0] - 1
     refine_tol = cfg.dt * _REFINE_FRACTION
@@ -181,13 +187,14 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         if remaining <= 0:
             event = TerminationEvent("reached_horizon", prob.T)
             break
-        result, failure = _attempt_window(prob, path.values[-(n_h + 1):], t, cfg, m, remaining)
+        result, failure = _attempt_window(prob, path.values[-(n_h + 1):], path.norms[-(n_h + 1):],
+                                          t, cfg, run, m, remaining)
         if result is None:
             event = TerminationEvent("solver_failure", t, failure)
             break
         stack = result.stack  # over the solver's buffers, which the kept result drops
         windows.append(replace(result, stack=None))
-        path = extend(path, result.values)
+        path = extend(path, result.values, stack.current_norms())
         scanned = prob.domain_functionals(stack)
         hit = prob.first_exit_slice(stack)
         if hit is None:
@@ -202,7 +209,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
             a, b = _refine_bracket(prob, path, t_i - cfg.dt, t_i, refine_tol)
             event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
         # keep the path through the first non-interior grid point
-        path = SolutionPath(path.t_start, cfg.dt, path.values[: path.index_of(t_i) + 1])
+        path = path.head(path.index_of(t_i) + 1)
         break
 
     return Trajectory(path, np.concatenate(functionals), windows, event, event.time)

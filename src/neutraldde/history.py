@@ -9,6 +9,7 @@ off-grid times use linear interpolation without drift.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -33,22 +34,72 @@ def _require_divides(dt: float, span: float, what: str) -> None:
         raise ValueError(f"dt={dt} must divide the {what} {span} exactly")
 
 
+def _row_norms(values: np.ndarray) -> np.ndarray:
+    # a row whose squares overflow has an infinite norm, as in the solver
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(values, axis=1)
+
+
+class _PathBuffer:
+    """Rows and row norms that a path shares with the paths extended from it.
+
+    Rows from ``filled`` on are free: ``extend`` writes a window there, in
+    place, only when the path it extends ends at ``filled``.
+    """
+
+    def __init__(self, rows: np.ndarray, norms: np.ndarray, filled: int):
+        self.rows = rows
+        self.norms = norms
+        self.filled = filled
+
+
 class SolutionPath:
-    """Coefficient trajectory on the uniform grid t_start + i*dt, i = 0..n-1."""
+    """Coefficient trajectory on the uniform grid t_start + i*dt, i = 0..n-1.
+
+    ``values`` and ``norms`` (the row norms) are read-only views of the first
+    n rows of a buffer.  ``extend`` writes each window into the free rows
+    past the buffer's fill mark and doubles the buffer when it is full, so
+    appending costs O(new rows) on average, not a copy of the whole path.
+    """
 
     def __init__(self, t_start: float, dt: float, values):
-        values = np.asarray(values, dtype=float)
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        values = np.array(values, dtype=float)  # a copy: the rows and norms stay paired
+        if not math.isfinite(t_start):
+            raise ValueError(f"t_start must be finite, got {t_start}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("values must be a (n_times >= 2, n_modes) array")
         self.t_start = float(t_start)
         self.dt = float(dt)
-        self.values = values
+        self._buf = _PathBuffer(values, _row_norms(values), values.shape[0])
+        self._n = values.shape[0]
+
+    @classmethod
+    def _over(cls, t_start: float, dt: float, buf: _PathBuffer, n: int) -> "SolutionPath":
+        # a path over the first n rows of a buffer that already holds them
+        obj = object.__new__(cls)
+        obj.t_start = t_start
+        obj.dt = dt
+        obj._buf = buf
+        obj._n = n
+        return obj
+
+    @property
+    def values(self) -> np.ndarray:
+        view = self._buf.rows[: self._n]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def norms(self) -> np.ndarray:
+        view = self._buf.norms[: self._n]
+        view.flags.writeable = False
+        return view
 
     @property
     def n_times(self) -> int:
-        return self.values.shape[0]
+        return self._n
 
     @property
     def t_end(self) -> float:
@@ -56,6 +107,12 @@ class SolutionPath:
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_times)
+
+    def head(self, n: int) -> "SolutionPath":
+        """The path through its first n grid points; it shares this path's rows."""
+        if not 2 <= n <= self._n:
+            raise ValueError(f"a head needs 2..{self._n} grid points, got {n}")
+        return SolutionPath._over(self.t_start, self.dt, self._buf, n)
 
     def index_of(self, t: float) -> int:
         """Exact grid index of t; raises if t is off-grid."""
@@ -160,6 +217,14 @@ def max_norm_functional(seg: Segment, lo: float, hi: float) -> float:
     return best
 
 
+def _first_block_sums(dt: float, norms: np.ndarray) -> np.ndarray:
+    """Block 0 of ``SegmentStack.integral_norms``: the trapezoid cells of the
+    first slice's n_h+1 node norms, summed from each cell to the last (adding
+    from the last)."""
+    cells = 0.5 * dt * (norms[:-1] + norms[1:])
+    return np.cumsum(cells[::-1])[::-1]
+
+
 class _RangeMax:
     """Sparse table over ``x``: the max of x[a..b] for whole arrays of inclusive bounds.
 
@@ -239,14 +304,18 @@ class SegmentStack:
         self.norms = np.linalg.norm(values, axis=1)
         self.times = float(t_first) + self.dt * np.arange(self.n_windows)
         self._edges = {}
+        self._history_sums = None
 
     @classmethod
     def _trusted(cls, h: float, dt: float, thetas: np.ndarray, values: np.ndarray,
-                 norms: np.ndarray, times: np.ndarray, edges: dict) -> "SegmentStack":
+                 norms: np.ndarray, times: np.ndarray, edges: dict,
+                 history_sums: np.ndarray | None) -> "SegmentStack":
         # Solver-internal constructor: rows, theta grid and row norms come
         # from a caller that already holds them consistent.  The stack reads
         # the arrays in place, so it is valid until the caller rewrites them.
-        # ``edges`` is the caller's store of windows resolved at ``times``.
+        # ``edges`` is the caller's store of windows resolved at ``times``;
+        # ``history_sums``, when given, is ``_first_block_sums`` of the
+        # first n_h+1 norms.
         obj = object.__new__(cls)
         obj.h = h
         obj.dt = dt
@@ -257,6 +326,7 @@ class SegmentStack:
         obj.norms = norms
         obj.times = times
         obj._edges = edges
+        obj._history_sums = history_sums
         return obj
 
     @cached_property
@@ -281,21 +351,31 @@ class SegmentStack:
         The trapezoid cells are summed within blocks of n_h cells, so slice
         i = b*n_h + r is the sum of block b from cell r on plus the first r
         cells of block b+1.  No difference of long running sums is taken, and
-        each slice's rounding stays relative to the mass near it.
+        each slice's rounding stays relative to the mass near it.  Block 0
+        reads only the first slice: a stack that a ``WindowFrame`` loads takes
+        its sums from the frame, which adds them once per window.
         """
         return self._integral_norms
 
     @cached_property
     def _integral_norms(self) -> np.ndarray:
         n_h = self.n_h
-        cells = 0.5 * self.dt * (self.norms[:-1] + self.norms[1:])
+        # block 0 is the first slice's cells; the rest follow in blocks of
+        # n_h, zero padded, and slice i = b*n_h + r reads suffix[b, r] and
+        # prefix[b+1, r]
+        suffix0 = self._history_sums
+        if suffix0 is None:
+            suffix0 = _first_block_sums(self.dt, self.norms[: n_h + 1])
+        cells = 0.5 * self.dt * (self.norms[n_h:-1] + self.norms[n_h + 1 :])
         n_blocks = cells.size // n_h + 2
-        blocks = np.zeros(n_blocks * n_h)
-        blocks[: cells.size] = cells
-        blocks = blocks.reshape(n_blocks, n_h)
-        suffix = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
+        rest = np.zeros((n_blocks - 1) * n_h)
+        rest[: cells.size] = cells
+        rest = rest.reshape(n_blocks - 1, n_h)
+        suffix = np.empty((n_blocks, n_h))
+        suffix[0] = suffix0
+        suffix[1:] = np.cumsum(rest[:, ::-1], axis=1)[:, ::-1]
         prefix = np.zeros((n_blocks, n_h))
-        np.cumsum(blocks[:, :-1], axis=1, out=prefix[:, 1:])
+        np.cumsum(rest[:, :-1], axis=1, out=prefix[1:, 1:])
         b, r = np.divmod(np.arange(self.n_windows), n_h)
         out = suffix[b, r] + prefix[b + 1, r]
         out.flags.writeable = False
@@ -409,17 +489,44 @@ def segment_on_grid(seg: Segment, dt: float) -> np.ndarray:
     return np.vstack([seg.value_at(th) for th in thetas])
 
 
-def extend(path: SolutionPath, new_values) -> SolutionPath:
+def extend(path: SolutionPath, new_values, norms=None) -> SolutionPath:
     """Append window values whose first row overlaps the current endpoint.
 
     The overlap row replaces the stored endpoint.  A mismatch beyond
-    ``_STITCH_TOL`` is refused: the window was solved from another state.
+    ``_STITCH_TOL``, or one that is not finite, is refused: the window was
+    solved from another state.  ``norms`` are the row norms of
+    ``new_values``, taken here when not given.
+
+    The rows go into the free rows of the path's buffer when the path ends
+    at the buffer's fill mark, the overlap row equals the endpoint and the
+    buffer has room.  Otherwise they go into a copy of twice the size, so
+    extending an older path never changes a path extended from it, and no
+    extension changes the path it extends.
     """
     new_values = np.asarray(new_values, dtype=float)
-    if new_values.ndim != 2 or new_values.shape[1] != path.values.shape[1]:
-        raise StitchingError("new values must be (n, n_modes) matching the path")
-    jump = float(np.linalg.norm(new_values[0] - path.values[-1]))
-    if jump > _STITCH_TOL:
-        raise StitchingError(f"overlap mismatch {jump:.3e} exceeds the stitching tolerance")
-    merged = np.vstack([path.values[:-1], new_values])
-    return SolutionPath(path.t_start, path.dt, merged)
+    buf, n = path._buf, path.n_times
+    if new_values.ndim != 2 or new_values.shape[0] < 1 or new_values.shape[1] != buf.rows.shape[1]:
+        raise StitchingError("new values must be (n >= 1, n_modes) matching the path")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is refused as nan
+        jump = float(np.linalg.norm(new_values[0] - buf.rows[n - 1]))
+    if not jump <= _STITCH_TOL:
+        raise StitchingError(f"overlap mismatch {jump:.3e} is not within the stitching tolerance")
+    if norms is None:
+        norms = _row_norms(new_values)
+    elif np.shape(norms) != new_values.shape[:1]:
+        raise ValueError(f"need one norm per new row, got shape {np.shape(norms)}")
+    k = n - 1 + new_values.shape[0]
+    if buf.filled == n and jump == 0.0 and k <= buf.rows.shape[0]:
+        start = n  # the overlap row is the endpoint already
+    else:
+        start = n - 1
+        size = max(k, 2 * start)
+        rows = np.empty((size, new_values.shape[1]))
+        rows[:start] = buf.rows[:start]
+        row_norms = np.empty(size)
+        row_norms[:start] = buf.norms[:start]
+        buf = _PathBuffer(rows, row_norms, start)
+    buf.rows[start:k] = new_values[start - n + 1 :]
+    buf.norms[start:k] = norms[start - n + 1 :]
+    buf.filled = k
+    return SolutionPath._over(path.t_start, path.dt, buf, k)

@@ -25,12 +25,17 @@ scan: log2(m) passes, each vectorised over all nodes and modes.  A loop
 over time steps would cost one interpreter pass per cell, which dominates
 on windows of a few hundred cells and few modes.
 
-Each window attempt builds one ``WindowFrame``, and every fixed-point
-iterate of that attempt shares it.  The frame takes the window's history as
-its n_h+1 grid rows: dt divides the delay span, so every delayed value is a
-row of the path and nothing is resampled.  It computes once: phi(0), the
-grid times, the free evolution S(s)(phi(0) + g(t0, phi)) (the only scalar g
-call of the attempt), the cell weights and scan factors, and a rows buffer
+The work is set up at three levels.  Per run, a ``RunFrame`` holds the
+theta grid and the cell weights, which depend on the problem and dt alone.
+Per window width m, which only the halving ladder changes, it also holds the
+node offsets dt*arange(m+1), the decay table e^(-mu s) of the free evolution
+and the scan factors.  Per attempt, one ``WindowFrame`` is shared by every
+fixed-point iterate.  It takes the window's history as its n_h+1 grid rows
+and their norms, which a run reads from its path's norm column: dt divides
+the delay span, so every delayed value is a row of the path and nothing is
+resampled.  It computes once: phi(0), the grid times, the free evolution
+S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the
+history's block of trapezoid sums for the delay masses, and a rows buffer
 whose first n_h rows and norms hold the history.  It also holds the
 running-max window edges its first iterate resolves: the windows, their
 cells, weights and interior-node bounds depend on the grid times alone, so
@@ -66,11 +71,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainViolation, HypothesisViolation, NumericalBlowup
-from .history import Segment, SegmentStack, _require_divides
+from .history import Segment, SegmentStack, _first_block_sums, _require_divides
 from .problem import NeutralProblem
 from .spectral import SpectralOperator
 
@@ -249,59 +255,109 @@ class WindowResult:
         return self.status == "converged"
 
 
+class _WidthTables(NamedTuple):
+    """What every window of m cells shares within a run."""
+
+    offsets: np.ndarray  # dt * arange(m+1), the node offsets s from t0
+    decay: np.ndarray  # e^(-mu s) at every node and mode
+    factors: list[np.ndarray]  # the scan factors of m+1 nodes
+
+
+class RunFrame:
+    """What every window attempt of one run shares, for a problem and a grid step.
+
+    The theta grid and the cell weights of the memory integral depend on
+    the problem and dt alone and are built once per run.  The node offsets
+    dt*arange(m+1), the decay table e^(-mu s) of the free evolution and the
+    scan factors depend on the window width m as well, which only the
+    continuation's halving ladder changes; ``width(m)`` builds them on the
+    first attempt of that width and keeps them.  The tables live on the
+    frame and go with it, never in a module- or operator-level cache.
+    """
+
+    def __init__(self, prob: NeutralProblem, dt: float):
+        self.prob = prob
+        self.dt = dt
+        self.n_h = int(round(prob.h / dt))
+        self.thetas = -prob.h + dt * np.arange(self.n_h + 1)
+        self.w0, self.w1 = cell_weights(prob.op.mu, dt)
+        self._widths: dict[int, _WidthTables] = {}
+
+    def width(self, m: int) -> _WidthTables:
+        """The tables of windows of m cells, built once per width."""
+        tables = self._widths.get(m)
+        if tables is None:
+            mu = self.prob.op.mu
+            offsets = self.dt * np.arange(m + 1)
+            tables = self._widths[m] = _WidthTables(
+                offsets, np.exp(-np.outer(offsets, mu)), _scan_factors(mu, self.dt, m + 1))
+        return tables
+
+
 class WindowFrame:
     """What one window attempt's iterates share, computed once per attempt.
 
     The window starts at t0 and has m cells.  It takes the window's grid
     rows ``hist``: the (n_h+1, n_modes) values u(t0 - h + k*dt), k = 0..n_h,
-    with n_h = h/dt.  The frame holds them, the theta grid, the grid times,
-    phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the cell weights
-    and scan factors of the memory integral, and one rows buffer whose first
-    n_h rows are the history and whose last m+1 rows hold the candidate,
-    with the row norms beside it.  ``load`` writes a candidate into the tail
-    and returns a stack over the buffers at the frame's grid times; that
-    stack is valid until the next ``load``.  ``edges`` is the store of
-    running-max window edges, keyed by the term's ``WindowFns`` (None for the
-    full window), that every loaded stack shares: its ``window_edges``
-    resolves each window on the first iterate that needs it, and the rest
-    gather.  Terms are shared across frames and runs, so edges live here.
+    with n_h = h/dt, and their row norms ``hist_norms`` (taken here when not
+    given; a run passes its path's norm column).  What depends on the
+    problem, dt and m alone comes from the run's ``RunFrame`` (a fresh one
+    when none is given): the theta grid, the cell weights, the scan factors
+    and the decay table.  Per attempt the frame holds the history, the grid
+    times, phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the
+    history's block of trapezoid sums for the delay masses, and one rows
+    buffer whose first n_h rows are the history and whose last m+1 rows
+    hold the candidate, with the row norms beside it.  ``load`` writes a
+    candidate into the tail and returns a stack over the buffers at the
+    frame's grid times; that stack is valid until the next ``load``.
+    ``edges`` is the store of running-max window edges, keyed by the term's
+    ``WindowFns`` (None for the full window), that every loaded stack
+    shares: its ``window_edges`` resolves each window on the first iterate
+    that needs it, and the rest gather.  Terms are shared across frames and
+    runs, so edges live here.
     """
 
-    def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int):
+    def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int,
+                 run: RunFrame | None = None, hist_norms=None):
         if m < 1:
             raise ValueError(f"a window needs at least one cell, got m={m}")
-        self.n_h = int(round(prob.h / dt))
+        if run is None:
+            run = RunFrame(prob, dt)
+        elif run.prob is not prob or run.dt != dt:
+            raise ValueError("the run frame belongs to another problem or grid step")
+        self.n_h = run.n_h
         n_modes = prob.op.n_modes
         self.hist = np.asarray(hist, dtype=float)
         if self.hist.shape != (self.n_h + 1, n_modes):
             raise ValueError(f"history must be ({self.n_h + 1}, {n_modes}) grid rows, "
                              f"got {self.hist.shape}")
+        if hist_norms is None:
+            hist_norms = np.linalg.norm(self.hist, axis=1)
         self.prob = prob
+        self.run = run
         self.t0 = t0
         self.dt = dt
         self.m = m
-        self.thetas = -prob.h + dt * np.arange(self.n_h + 1)
-        self.times = t0 + dt * np.arange(m + 1)
+        self.tables = run.width(m)
+        self.times = t0 + self.tables.offsets
         self.phi0 = self.hist[-1]
         self.rows = np.empty((self.n_h + m + 1, n_modes))
         self.rows[: self.n_h] = self.hist[:-1]
-        hist_norms = np.linalg.norm(self.hist, axis=1)
         self.norms = np.empty(self.n_h + m + 1)
         self.norms[: self.n_h] = hist_norms[:-1]
         self.hist_sup = float(hist_norms.max())
+        # the first slice's block of delay-mass sums holds while a candidate
+        # starts at a row of phi(0)'s norm, as every iterate of solve_window does
+        self._phi0_norm = hist_norms[-1]
+        self._history_sums = _first_block_sums(dt, hist_norms)
         self._squares = np.empty((m + 1, n_modes))
-        mu = prob.op.mu
-        self.w0, self.w1 = cell_weights(mu, dt)
-        self.factors = _scan_factors(mu, dt, m + 1)
         self.edges: dict = {}
 
     @cached_property
     def free(self) -> np.ndarray:
         """S(s)(phi(0) + g(t0, phi)) at every window node; g reads the initial history."""
-        g_init = self.prob.eval_g(self.t0, Segment._trusted(self.prob.h, self.thetas, self.hist))
-        s_times = self.dt * np.arange(self.m + 1)
-        decay = np.exp(-np.outer(s_times, self.prob.op.mu))
-        return decay * (self.phi0 + g_init)[None, :]
+        g_init = self.prob.eval_g(self.t0, Segment._trusted(self.prob.h, self.run.thetas, self.hist))
+        return self.tables.decay * (self.phi0 + g_init)[None, :]
 
     def load(self, candidate) -> SegmentStack:
         """Write the candidate's m+1 rows and their norms; the stack over all rows."""
@@ -314,8 +370,9 @@ class WindowFrame:
         np.multiply(tail, tail, out=self._squares)
         np.add.reduce(self._squares, axis=1, out=tail_norms)
         np.sqrt(tail_norms, out=tail_norms)
-        return SegmentStack._trusted(self.prob.h, self.dt, self.thetas, self.rows, self.norms,
-                                     self.times, self.edges)
+        sums = self._history_sums if tail_norms[0] == self._phi0_norm else None
+        return SegmentStack._trusted(self.prob.h, self.dt, self.run.thetas, self.rows,
+                                     self.norms, self.times, self.edges, sums)
 
 
 def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:
@@ -333,7 +390,8 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     g_vals = prob.g.evaluate_window(stack)
     f_vals = prob.f.evaluate_window(stack)
     out = frame.free - g_vals
-    out += _product_scan(prob.op.mu * g_vals + f_vals, frame.w0, frame.w1, frame.factors)
+    run = frame.run
+    out += _product_scan(prob.op.mu * g_vals + f_vals, run.w0, run.w1, frame.tables.factors)
     out[0] = frame.phi0
     return out
 
@@ -401,18 +459,21 @@ def _first_candidate(frame: WindowFrame, radius: float):
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
-                 damping: float = 1.0) -> WindowResult:
+                 damping: float = 1.0, run: RunFrame | None = None,
+                 hist_norms=None) -> WindowResult:
     """Damped fixed-point iteration from the window's grid rows ``hist``.
 
     The first candidate extrapolates the history (``_first_candidate``);
     each iterate is y <- (1 - damping) y + damping G(y), with damping in
-    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.
+    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.  ``run``
+    and ``hist_norms`` go to the ``WindowFrame``: a run passes its
+    ``RunFrame`` and its path's norms of the ``hist`` rows.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     dt = cfg.dt
     m = int(round(cfg.window / dt))
-    frame = WindowFrame(prob, hist, t0, dt, m)
+    frame = WindowFrame(prob, hist, t0, dt, m, run, hist_norms)
     phi0 = frame.phi0
     # each candidate is loaded once: the trust check and the next iterate
     # both read the same stack

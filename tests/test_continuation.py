@@ -21,9 +21,11 @@ from neutraldde import (
     make_dirichlet_laplacian,
     refine_boundary_time,
     segment_at,
+    solve_window,
 )
 from neutraldde.config import build_run, parse_config
-from neutraldde.scenarios import get_scenario
+from neutraldde.history import extend
+from neutraldde.scenarios import get_scenario, scenario_names
 
 
 def constant_segment(h, vec, dt):
@@ -223,6 +225,108 @@ class TestSolverFailure:
         traj = continue_solution(prob, constant_segment(1.0, [1.0], dt), 0.0, cfg)
         assert traj.event.label() == "solver_failure:numerical_blowup"
         assert traj.tau == 0.0
+
+
+def _overshoot_case():
+    # g = 1.5 |u(t)|: the undamped iterate overshoots by a factor -1.5 and
+    # diverges, the damped one (factor -0.25) converges.  The declared budget
+    # is not g's constant; only the retry ladder is under test.
+    g = FunctionalAffineTerm(0.0, 1.5, [1.0], "max", window=current_value_window(), y_max=1e9)
+    f = FunctionalAffineTerm(0.0, 2.0, [1.0], "max", window=current_value_window(), y_max=1e9)
+    prob = NeutralProblem(SpectralOperator([1.0]), 1.0, 2.0, 0.5, g, f,
+                          DomainSpec("time_only"), 0.5)
+    return prob, constant_segment(1.0, [0.1], 0.01), SolverConfig(dt=0.01, window=0.5, tol=1e-12)
+
+
+def _drift_case():
+    # a 6-cell window drifts past the trust radius, a 3-cell one stays inside
+    prob = homogeneous_problem(mu=(1.0,), T=1.0)
+    cfg = SolverConfig(dt=0.01, window=0.12, tol=1e-12, trust_radius=0.03)
+    return prob, constant_segment(0.5, [1.0], 0.01), cfg
+
+
+def _tiny_trust_case():
+    prob = homogeneous_problem(domain=DomainSpec("delay_mass", 10.0))
+    cfg = SolverConfig(dt=0.01, window=0.1, tol=1e-12, trust_radius=1e-9)
+    return prob, constant_segment(0.5, [1.0, 0.5], 0.01), cfg
+
+
+def _overflow_case():
+    f = FunctionalAffineTerm(0.0, 1e300, [1.0], "integral")
+    prob = NeutralProblem(SpectralOperator([1.0]), 1.0, 2.0, 0.5, ZeroTerm(), f,
+                          DomainSpec("time_only"), 0.0)
+    cfg = SolverConfig(dt=0.1, window=0.5, trust_radius=math.inf)
+    return prob, constant_segment(1.0, [1.0], 0.1), cfg
+
+
+def _undamped_diverged_then_damped_converged(traj, attempts):
+    return ((1.0, "diverged") in {(d, s) for d, _, s in attempts}
+            and (0.5, "converged") in {(d, s) for d, _, s in attempts} and len(traj.windows) > 1)
+
+
+def _halved_after_failing(traj, attempts):
+    first_m = attempts[0][1]
+    return (any(s == "left_trust_region" and m == first_m for _, m, s in attempts)
+            and any(s == "converged" and m < first_m for _, m, s in attempts)
+            and len(traj.windows) > 1)
+
+
+class TestRunBuffer:
+    """No window attempt changes a row or norm of a path the run committed."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case, failed", [
+        (_overshoot_case, _undamped_diverged_then_damped_converged),
+        (_drift_case, _halved_after_failing),
+        (_tiny_trust_case,
+         lambda traj, _: traj.event.label() == "solver_failure:left_trust_region"),
+        (_overflow_case,
+         lambda traj, _: traj.event.label() == "solver_failure:numerical_blowup"),
+    ], ids=["damping_retry", "halving", "left_trust_region", "numerical_blowup"])
+    def test_failed_attempts_leave_committed_rows(self, monkeypatch, case, failed):
+        import neutraldde.continuation as continuation
+
+        committed, attempts = [], []
+
+        def commit(path):
+            committed.append((path, path.values.tobytes(), path.norms.tobytes()))
+            return path
+
+        def check_committed():
+            for path, values, norms in committed:
+                assert path.values.tobytes() == values and path.norms.tobytes() == norms
+
+        def watched_solve(prob, hist, t0, cfg, damping, run, hist_norms):
+            status = "numerical_blowup"
+            try:
+                result = solve_window(prob, hist, t0, cfg, damping, run, hist_norms)
+                status = result.status
+                return result
+            finally:
+                attempts.append((damping, round(cfg.window / cfg.dt), status))
+                check_committed()
+
+        monkeypatch.setattr(continuation, "SolutionPath", lambda *args: commit(SolutionPath(*args)))
+        monkeypatch.setattr(continuation, "extend", lambda *args: commit(extend(*args)))
+        monkeypatch.setattr(continuation, "solve_window", watched_solve)
+        prob, seg, cfg = case()
+        traj = continue_solution(prob, seg, 0.0, cfg)
+        assert failed(traj, attempts)
+        assert len(committed) == len(traj.windows) + 1
+        check_committed()
+        last = committed[-1][0]
+        assert traj.path.values.tobytes() == last.values.tobytes()
+        assert traj.path.norms.tobytes() == np.linalg.norm(last.values, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_path_norm_column_is_the_row_norms(name):
+    # the column is filled from each window's converged stack, bit for bit
+    # what the plain norm of the finished path gives
+    built = build_run(parse_config(get_scenario(name)))
+    traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+    assert len(traj.windows) > 1
+    assert traj.path.norms.tobytes() == np.linalg.norm(traj.path.values, axis=1).tobytes()
 
 
 class TestRefineBoundaryTime:

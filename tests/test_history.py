@@ -164,6 +164,59 @@ class TestExtend:
         path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
         out = extend(path, np.array([[3.0 + 1e-10], [4.0]]))
         assert out.values[2, 0] == 3.0 + 1e-10
+        assert path.values[2, 0] == 3.0  # the extended path keeps its endpoint
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_overlap_rejected(self, bad):
+        # nan > tol is False, so a plain threshold test let a nan overlap through
+        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
+        with pytest.raises(StitchingError):
+            extend(path, np.array([[bad], [4.0]]))
+        with pytest.raises(StitchingError):
+            extend(scalar_path(0.0, 0.1, [1.0, 2.0, bad]), np.array([[bad], [4.0]]))
+
+    def test_successive_extends_match_a_vstack_reference(self):
+        # 300 windows of 1-7 rows: in-place growth, doubling, and the copies
+        # an overlap row that differs from the endpoint forces
+        rng = np.random.default_rng(3)
+        ref = rng.normal(size=(5, 3))
+        path = SolutionPath(-0.5, 0.1, ref)
+        for k in range(300):
+            new = rng.normal(size=(int(rng.integers(1, 8)), 3))
+            new[0] = ref[-1] + (1e-10 if k % 7 == 0 else 0.0)
+            norms = None if k % 2 else np.linalg.norm(new, axis=1)
+            path = extend(path, new, norms)
+            ref = np.vstack([ref[:-1], new])
+            assert path.values.tobytes() == ref.tobytes()
+            assert path.norms.tobytes() == np.linalg.norm(ref, axis=1).tobytes()
+        assert path.t_end == pytest.approx(-0.5 + 0.1 * (ref.shape[0] - 1))
+
+    def test_extending_an_older_path_leaves_newer_ones_unchanged(self):
+        older = scalar_path(0.0, 0.1, np.arange(1.0, 11.0))
+        mid = extend(older, np.array([[10.0], [11.0]]))  # a copy with spare rows
+        newer = extend(mid, np.array([[11.0], [12.0], [13.0]]))
+        assert np.shares_memory(newer.values, mid.values)  # grown in place
+        kept = newer.values.copy(), newer.norms.copy(), mid.values.copy(), older.values.copy()
+        # mid no longer ends at its buffer's fill mark, and older's buffer is full
+        branch = extend(mid, np.array([[11.0], [-12.0]]))
+        other = extend(older, np.array([[10.0], [-11.0], [-12.0]]))
+        for path, want in zip((newer, mid, older), (kept[0], kept[2], kept[3])):
+            np.testing.assert_array_equal(path.values, want)
+        np.testing.assert_array_equal(newer.norms, kept[1])
+        np.testing.assert_array_equal(branch.values[-3:, 0], [10, 11, -12])
+        np.testing.assert_array_equal(other.values[-3:, 0], [10, -11, -12])
+        np.testing.assert_array_equal(branch.norms, np.abs(branch.values[:, 0]))
+
+    def test_path_rows_and_norms_are_read_only(self):
+        path = extend(scalar_path(0.0, 0.1, [1.0, 2.0, 3.0]), np.array([[3.0], [4.0]]))
+        for view in (path.values, path.norms, path.head(2).values):
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+
+    def test_norms_must_match_the_new_rows(self):
+        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="one norm per new row"):
+            extend(path, np.array([[3.0], [4.0]]), np.ones(3))
 
 
 segment_pair = st.integers(min_value=2, max_value=30).flatmap(
@@ -220,6 +273,30 @@ def test_path_invariants_enforced():
         SolutionPath(0.0, 0.1, np.zeros((1, 2)))
     with pytest.raises(ValueError):
         SolutionPath(0.0, -0.1, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan, np.inf])
+def test_path_step_must_be_positive_and_finite(dt):
+    # a nan or infinite step passed `dt <= 0` and made every time nan
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        SolutionPath(0.0, dt, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf])
+def test_path_start_must_be_finite(t_start):
+    with pytest.raises(ValueError, match="t_start must be finite"):
+        SolutionPath(t_start, 0.1, np.zeros((3, 2)))
+
+
+def test_path_head_shares_rows_and_norms():
+    path = SolutionPath(0.0, 0.1, np.arange(8.0).reshape(4, 2))
+    head = path.head(3)
+    assert head.n_times == 3 and head.t_end == pytest.approx(0.2)
+    assert np.shares_memory(head.values, path.values)
+    np.testing.assert_array_equal(head.norms, path.norms[:3])
+    for n in (1, 5):
+        with pytest.raises(ValueError):
+            path.head(n)
 
 
 EPS = np.finfo(float).eps

@@ -10,6 +10,7 @@ from neutraldde import (
     FunctionalAffineTerm,
     HypothesisViolation,
     NeutralProblem,
+    RunFrame,
     Segment,
     SegmentStack,
     SolverConfig,
@@ -520,9 +521,9 @@ class TestWindowFrame:
 
         handed = []
 
-        def recorded_solve(prob, hist, t0, cfg, damping):
+        def recorded_solve(prob, hist, t0, cfg, damping, run, hist_norms):
             handed.append((t0, np.array(hist)))
-            return solve_window(prob, hist, t0, cfg, damping)
+            return solve_window(prob, hist, t0, cfg, damping, run, hist_norms)
 
         monkeypatch.setattr(continuation, "solve_window", recorded_solve)
         built = build_run(parse_config(get_scenario("mass_growth")))
@@ -606,6 +607,72 @@ class TestWindowFrame:
         # f's running-max window, the only one, is resolved by each attempt's
         # first iterate and gathered by the rest
         assert calls["windows_at"] == calls["resolve"] == calls["attempts"] < iterations
+
+    def test_run_tables_are_built_once_per_run_and_width(self, monkeypatch):
+        import neutraldde.continuation as continuation
+        from neutraldde import continue_solution
+        from neutraldde.config import build_run, parse_config
+        from neutraldde.scenarios import get_scenario
+
+        calls = {"cell_weights": 0, "scan_factors": 0}
+        widths = set()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recorded_solve(prob, hist, t0, cfg, *rest):
+            widths.add(round(cfg.window / cfg.dt))
+            return solve_window(prob, hist, t0, cfg, *rest)
+
+        monkeypatch.setattr(solver, "cell_weights", counted("cell_weights", solver.cell_weights))
+        monkeypatch.setattr(solver, "_scan_factors", counted("scan_factors", solver._scan_factors))
+        monkeypatch.setattr(continuation, "solve_window", recorded_solve)
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        assert len(traj.windows) > 1 and len(widths) == 1
+        assert calls == {"cell_weights": 1, "scan_factors": 1}
+
+        # a 6-cell window leaves the trust region and is halved to 3 cells;
+        # the last window is 4 cells
+        calls.update(cell_weights=0, scan_factors=0)
+        widths.clear()
+        prob = homogeneous_problem(T=1.0)
+        cfg = SolverConfig(dt=0.01, window=0.12, tol=1e-12, trust_radius=0.03)
+        traj = continue_solution(prob, constant_segment(0.5, [1.0], 0.01), 0.0, cfg)
+        assert traj.event.kind == "reached_horizon"
+        assert widths == {3, 4, 6} and len(traj.windows) > len(widths)
+        assert calls == {"cell_weights": 1, "scan_factors": len(widths)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_frame_delay_masses_match_a_fresh_stack(data):
+    # A frame adds the history's block of trapezoid sums once: every load
+    # must give what a fresh public stack over the same rows gives.  Two
+    # frames of one run with their own histories, three candidates each in
+    # turn, some starting at phi(0)'s norm as a run's iterates do and some
+    # not; m = 1, m + 1 < n_h and m + 1 > n_h.
+    n_h = data.draw(st.sampled_from([3, 4, 5, 8, 10]))
+    dt = 1.0 / n_h
+    n_modes = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    prob = NeutralProblem(SpectralOperator(np.arange(1.0, n_modes + 1.0)), 1.0, 1.0, 0.5,
+                          ZeroTerm(), ZeroTerm(), DomainSpec("time_only"), 0.0)
+    run = RunFrame(prob, dt)
+    for m in (1, data.draw(st.integers(1, n_h - 2)), data.draw(st.integers(n_h, 3 * n_h))):
+        frames = [WindowFrame(prob, rng.uniform(-2.0, 2.0, size=(n_h + 1, n_modes)), t0, dt, m,
+                              run) for t0 in (0.0, 0.5)]
+        for _ in range(3):
+            for frame in frames:
+                candidate = rng.uniform(-2.0, 2.0, size=(m + 1, n_modes))
+                if data.draw(st.booleans()):
+                    candidate[0] = frame.phi0
+                got = frame.load(candidate).integral_norms()
+                fresh = SegmentStack(1.0, dt, frame.rows.copy()).integral_norms()
+                assert got.tobytes() == fresh.tobytes()
 
 
 #: beta(t) = -0.9 + 1.3 t, alpha(t) = -0.1 + 0.7 t: on t in [0, 1] the window
