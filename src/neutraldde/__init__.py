@@ -46,12 +46,8 @@ from .problem import (
     sine_profile_coeffs,
 )
 from .solver import (
-    RunFrame,
     SolverConfig,
-    WindowFrame,
     WindowResult,
-    cell_weights,
-    evaluate_window_operator,
     exp_convolution,
     generator_convolution,
     heuristic_window,

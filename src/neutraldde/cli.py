@@ -6,17 +6,17 @@ Exit codes form a contract for scripted studies:
       solver-failure event, which is a reported outcome, not a crash);
 * 2 — configuration or argument problems (schema violations, bad grids,
       config values out of range, nan values, infinite grid or span
-      values or ``tol``, a delay, horizon or window span shorter than one
-      grid step, a band width ``l`` that is not finite or is set on a
-      ``time_only`` domain, a time function with the wrong number of
-      values, a missing config file or scenario, inadmissible or
-      non-finite initial data, a term argument outside its declared
-      range, non-finite term values met by the admission checks, a
-      declared argument range that no sampled history fits, a fine
-      reference for ``study`` that cannot be trusted, a negative
-      ``--seed``, a ``study`` step that is not positive and finite, is
-      repeated or is not a whole multiple of the reference step, the
-      smallest step / 4);
+      values or ``tol``, a delay, horizon or window span shorter than
+      one grid step, a delay span of more than 10**7 grid steps, a band
+      width ``l`` that is not finite or is set on a ``time_only``
+      domain, a time function with the wrong number of values, a missing
+      config file or scenario, inadmissible or non-finite initial data,
+      a term argument outside its declared range, non-finite term values
+      met by the admission checks, a declared argument range that no
+      sampled history fits, a fine reference for ``study`` that cannot
+      be trusted, a negative ``--seed``, a ``study`` step that is not
+      positive and finite, is repeated or is not a whole multiple of the
+      reference step, the smallest step / 4);
 * 3 — a structural hypothesis failed (contraction budget exceeded, the
       smallness condition rejected the problem);
 * 4 — output I/O failed.

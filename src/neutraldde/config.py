@@ -6,8 +6,8 @@ number where one can be found.  One reader, ``_value``, reads every number,
 number list and required text; a key left out or empty takes its default.
 A numeric key set to nan is an error, and so is a nan in any list
 (``coeffs``, ``table`` rows, ``*_profile``, ``*_window``, ``*_fns``); inf
-is kept wherever the value's own range admits it (``trust_radius``,
-``g_y_max``).
+is kept wherever the value's own range admits it (``trust_radius``, and
+``*_y_max``, where it sets no cap).
 
 ::
 
@@ -47,7 +47,8 @@ is kept wherever the value's own range admits it (``trust_radius``,
     table = ...                  # rows "theta v1 v2 ...", theta in [-h, 0]
 
     [solver]
-    dt = 1e-2                    # grid step; h, T and window are n*dt, n >= 1
+    dt = 1e-2                    # grid step; h, T and window are n*dt, n >= 1,
+                                 # and h is at most 10**7 steps
     window = 0.5                 # largest window; halved on failure down to dt
     tol = 1e-10                  # optional from here on: SolverConfig's
     max_iter = 200               # defaults apply to every key left out

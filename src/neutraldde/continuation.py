@@ -9,11 +9,12 @@ ends it there.
 The initial ``Segment`` is put on the theta grid once per run.  As dt divides
 the delay span, each window then takes the path's last n_h+1 rows and their
 norms as its history; ``segment_at`` serves only the bisection.  One
-``RunFrame`` per run holds what every window shares (the theta grid, the cell
-weights, and per window width the scan factors and decay table), and dies
-with the run.  ``extend`` appends each converged window, with the row norms
-of the stack it converged on, into the free rows of the path's buffer, which
-doubles when full; no attempt writes a row the run has committed.
+``RunFrame`` per run, built at the first window's width, holds what every
+window shares (the theta grid, the cell weights, the scan factors and the
+decay table), and dies with the run.  ``extend`` appends each converged
+window, with the row norms of the stack it converged on, into the free rows
+of the path's buffer, which doubles when full; no attempt writes a row the
+run has committed.
 
 Each grid point is decided once: ``solve_window`` returns the stack of the
 window's history and values, one ``first_exit_slice`` pass applies
@@ -173,11 +174,11 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     path = SolutionPath(t0 - prob.h, cfg.dt, hist)
     functionals = [prob.domain_functionals(SegmentStack(prob.h, cfg.dt, hist, t0))]
     windows = []
-    run = RunFrame(prob, cfg.dt)
     horizon_cells = int(round((prob.T - t0) / cfg.dt))
     n_h = hist.shape[0] - 1
     refine_tol = cfg.dt * _REFINE_FRACTION
     m = max(1, int(heuristic_window(prob, cfg) / cfg.dt + 1e-9))
+    run = RunFrame(prob, cfg.dt, m)
 
     while True:
         done_cells = path.n_times - 1 - n_h

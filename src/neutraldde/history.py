@@ -218,9 +218,9 @@ def max_norm_functional(seg: Segment, lo: float, hi: float) -> float:
 
 
 def _first_block_sums(dt: float, norms: np.ndarray) -> np.ndarray:
-    """Block 0 of ``SegmentStack.integral_norms``: the trapezoid cells of the
-    first slice's n_h+1 node norms, summed from each cell to the last (adding
-    from the last)."""
+    """One block of ``SegmentStack.integral_norms``: the trapezoid cells of a
+    slice's n_h+1 node norms, summed from each cell to the last (adding from
+    the last)."""
     cells = 0.5 * dt * (norms[:-1] + norms[1:])
     return np.cumsum(cells[::-1])[::-1]
 
@@ -350,34 +350,29 @@ class SegmentStack:
 
         The trapezoid cells are summed within blocks of n_h cells, so slice
         i = b*n_h + r is the sum of block b from cell r on plus the first r
-        cells of block b+1.  No difference of long running sums is taken, and
-        each slice's rounding stays relative to the mass near it.  Block 0
-        reads only the first slice: a stack that a ``WindowFrame`` loads takes
-        its sums from the frame, which adds them once per window.
+        cells after the block.  No difference of long running sums is taken,
+        and each slice's rounding stays relative to the mass near it.  Only
+        the blocks where slices start are summed: a stack of at most n_h
+        slices, as every window's is when the window is shorter than the
+        delay, takes one pass.  Block 0 reads only the first slice: a stack
+        that a ``WindowFrame`` loads takes its sums from the frame, which
+        adds them once per window.
         """
         return self._integral_norms
 
     @cached_property
     def _integral_norms(self) -> np.ndarray:
-        n_h = self.n_h
-        # block 0 is the first slice's cells; the rest follow in blocks of
-        # n_h, zero padded, and slice i = b*n_h + r reads suffix[b, r] and
-        # prefix[b+1, r]
-        suffix0 = self._history_sums
-        if suffix0 is None:
-            suffix0 = _first_block_sums(self.dt, self.norms[: n_h + 1])
-        cells = 0.5 * self.dt * (self.norms[n_h:-1] + self.norms[n_h + 1 :])
-        n_blocks = cells.size // n_h + 2
-        rest = np.zeros((n_blocks - 1) * n_h)
-        rest[: cells.size] = cells
-        rest = rest.reshape(n_blocks - 1, n_h)
-        suffix = np.empty((n_blocks, n_h))
-        suffix[0] = suffix0
-        suffix[1:] = np.cumsum(rest[:, ::-1], axis=1)[:, ::-1]
-        prefix = np.zeros((n_blocks, n_h))
-        np.cumsum(rest[:, :-1], axis=1, out=prefix[1:, 1:])
-        b, r = np.divmod(np.arange(self.n_windows), n_h)
-        out = suffix[b, r] + prefix[b + 1, r]
+        n_h, norms = self.n_h, self.norms
+        out = np.empty(self.n_windows)
+        for start in range(0, self.n_windows, n_h):
+            if start == 0 and self._history_sums is not None:
+                suffix = self._history_sums
+            else:
+                suffix = _first_block_sums(self.dt, norms[start : start + n_h + 1])
+            count = min(n_h, self.n_windows - start)
+            out[start : start + count] = suffix[:count]
+            after = norms[start + n_h : start + n_h + count]
+            out[start + 1 : start + count] += np.cumsum(0.5 * self.dt * (after[:-1] + after[1:]))
         out.flags.writeable = False
         return out
 

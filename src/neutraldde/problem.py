@@ -168,7 +168,7 @@ class FunctionalAffineTerm:
     [-h, 0]; "max" maximizes it over the (possibly moving) window.  The
     profile is given as eigen-coefficients.  ``y_max`` caps the functional
     argument: the scalar map is only defined on [0, y_max] and evaluation
-    outside raises.
+    outside raises; an infinite ``y_max``, like None, sets no cap.
     """
 
     def __init__(self, c0: float, c1: float, profile, functional: str = "integral",
@@ -180,7 +180,7 @@ class FunctionalAffineTerm:
         self.profile = np.asarray(profile, dtype=float)
         self.functional = functional
         self.window = window
-        self.y_max = None if y_max is None else float(y_max)
+        self.y_max = None if y_max is None or y_max == math.inf else float(y_max)
 
     def functional_value(self, t: float, seg: Segment) -> float:
         if self.functional == "integral":
@@ -527,6 +527,7 @@ def _random_segment(rng: np.random.Generator, prob: NeutralProblem, thetas: np.n
     return seg.scaled(target / current)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> float:
     """Sampled lower bound on the neutral term's Lipschitz constant.
 
@@ -534,7 +535,9 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> fl
     history pairs inside the domain.  Every third pair is an aligned scaling
     of a constant-in-theta history, the configuration that saturates the
     integral functional's Lipschitz bound; single-mode pairs cycle through
-    the spectrum so weight concentrated on fast modes is probed too.
+    the spectrum so weight concentrated on fast modes is probed too.  The
+    samples run under one ``errstate``: a pair that overflows gives a
+    non-finite ratio, not a numpy warning.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

@@ -25,11 +25,11 @@ scan: log2(m) passes, each vectorised over all nodes and modes.  A loop
 over time steps would cost one interpreter pass per cell, which dominates
 on windows of a few hundred cells and few modes.
 
-The work is set up at three levels.  Per run, a ``RunFrame`` holds the
-theta grid and the cell weights, which depend on the problem and dt alone.
-Per window width m, which only the halving ladder changes, it also holds the
-node offsets dt*arange(m+1), the decay table e^(-mu s) of the free evolution
-and the scan factors.  Per attempt, one ``WindowFrame`` is shared by every
+The work is set up at two levels.  Per run, a ``RunFrame`` holds the theta
+grid, the cell weights and, at the run's first window width, the node
+offsets, the decay table e^(-mu s) of the free evolution and the scan
+factors; a run only narrows its windows, and a narrower one reads a prefix
+of each table.  Per attempt, one ``WindowFrame`` is shared by every
 fixed-point iterate.  It takes the window's history as its n_h+1 grid rows
 and their norms, which a run reads from its path's norm column: dt divides
 the delay span, so every delayed value is a row of the path and nothing is
@@ -71,7 +71,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +81,14 @@ from .spectral import SpectralOperator
 
 #: Below this z the closed-form weights lose the 1e-10 target to cancellation.
 _SERIES_Z = 0.04
+
+#: Most grid steps the delay span may hold.  A run allocates its history of
+#: n_h + 1 rows before the first window, and each window's frame holds
+#: n_h + m + 1; the largest delay grid of any bundled scenario, benchmark
+#: workload or convergence-study reference is a few thousand steps, and a
+#: step that small on a unit delay is far below what the fixed point can
+#: resolve in double precision.
+_MAX_DELAY_CELLS = 10**7
 
 #: Degree of the history extrapolation that starts each window.  Degrees
 #: 0-6 take 192/165/140/116/89/107/130 iterates on the exit_fine workload
@@ -231,8 +238,16 @@ class SolverConfig:
         _require_divides(self.dt, self.window, "window")
 
     def validate_grid(self, h: float, span: float) -> None:
-        """dt must divide the delay span h and the horizon span."""
+        """dt must divide the delay span h and the horizon span, and h may
+        hold at most ``_MAX_DELAY_CELLS`` steps.
+
+        The horizon and the window are not bounded: the path grows as the
+        run goes, and the window is clipped to the delay.
+        """
         _require_divides(self.dt, h, "delay span")
+        if h / self.dt > _MAX_DELAY_CELLS:
+            raise ValueError(f"the delay span {h} holds {h / self.dt:.3g} steps of "
+                             f"dt={self.dt}, more than the {_MAX_DELAY_CELLS} a history may hold")
         _require_divides(self.dt, span, "horizon span")
 
 
@@ -255,43 +270,29 @@ class WindowResult:
         return self.status == "converged"
 
 
-class _WidthTables(NamedTuple):
-    """What every window of m cells shares within a run."""
-
-    offsets: np.ndarray  # dt * arange(m+1), the node offsets s from t0
-    decay: np.ndarray  # e^(-mu s) at every node and mode
-    factors: list[np.ndarray]  # the scan factors of m+1 nodes
-
-
 class RunFrame:
-    """What every window attempt of one run shares, for a problem and a grid step.
+    """What every window attempt of one run shares: a problem, a grid step
+    and windows of at most m cells.
 
-    The theta grid and the cell weights of the memory integral depend on
-    the problem and dt alone and are built once per run.  The node offsets
-    dt*arange(m+1), the decay table e^(-mu s) of the free evolution and the
-    scan factors depend on the window width m as well, which only the
-    continuation's halving ladder changes; ``width(m)`` builds them on the
-    first attempt of that width and keeps them.  The tables live on the
-    frame and go with it, never in a module- or operator-level cache.
+    Beside the theta grid and the cell weights it holds, built at width m,
+    the node offsets dt*arange(m+1), the decay table e^(-mu s) of the free
+    evolution and the scan factors.  A window of k <= m cells reads their
+    first k+1 rows and first k.bit_length() factors, bitwise what a k-cell
+    build gives.  The tables go with the frame, never into a module- or
+    operator-level cache.
     """
 
-    def __init__(self, prob: NeutralProblem, dt: float):
+    def __init__(self, prob: NeutralProblem, dt: float, m: int):
+        mu = prob.op.mu
         self.prob = prob
         self.dt = dt
+        self.m = m
         self.n_h = int(round(prob.h / dt))
         self.thetas = -prob.h + dt * np.arange(self.n_h + 1)
-        self.w0, self.w1 = cell_weights(prob.op.mu, dt)
-        self._widths: dict[int, _WidthTables] = {}
-
-    def width(self, m: int) -> _WidthTables:
-        """The tables of windows of m cells, built once per width."""
-        tables = self._widths.get(m)
-        if tables is None:
-            mu = self.prob.op.mu
-            offsets = self.dt * np.arange(m + 1)
-            tables = self._widths[m] = _WidthTables(
-                offsets, np.exp(-np.outer(offsets, mu)), _scan_factors(mu, self.dt, m + 1))
-        return tables
+        self.w0, self.w1 = cell_weights(mu, dt)
+        self.offsets = dt * np.arange(m + 1)
+        self.decay = np.exp(-np.outer(self.offsets, mu))
+        self.factors = _scan_factors(mu, dt, m + 1)
 
 
 class WindowFrame:
@@ -301,13 +302,14 @@ class WindowFrame:
     rows ``hist``: the (n_h+1, n_modes) values u(t0 - h + k*dt), k = 0..n_h,
     with n_h = h/dt, and their row norms ``hist_norms`` (taken here when not
     given; a run passes its path's norm column).  What depends on the
-    problem, dt and m alone comes from the run's ``RunFrame`` (a fresh one
-    when none is given): the theta grid, the cell weights, the scan factors
-    and the decay table.  Per attempt the frame holds the history, the grid
-    times, phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the
-    history's block of trapezoid sums for the delay masses, and one rows
-    buffer whose first n_h rows are the history and whose last m+1 rows
-    hold the candidate, with the row norms beside it.  ``load`` writes a
+    problem, dt and m alone comes from the run's ``RunFrame``, of width m
+    or more (a fresh one of width m when none is given): the theta grid,
+    the cell weights, the scan factors and the decay table.  Per attempt
+    the frame holds the history, the grid times, phi(0), the free evolution
+    S(s)(phi(0) + g(t0, phi)), the history's block of trapezoid sums for
+    the delay masses, and one rows buffer whose first n_h rows are the
+    history and whose last m+1 rows hold the candidate, with the row norms
+    beside it.  ``load`` writes a
     candidate into the tail and returns a stack over the buffers at the
     frame's grid times; that stack is valid until the next ``load``.
     ``edges`` is the store of running-max window edges, keyed by the term's
@@ -322,9 +324,9 @@ class WindowFrame:
         if m < 1:
             raise ValueError(f"a window needs at least one cell, got m={m}")
         if run is None:
-            run = RunFrame(prob, dt)
-        elif run.prob is not prob or run.dt != dt:
-            raise ValueError("the run frame belongs to another problem or grid step")
+            run = RunFrame(prob, dt, m)
+        elif run.prob is not prob or run.dt != dt or run.m < m:
+            raise ValueError("the run frame is for another problem, grid step or narrower windows")
         self.n_h = run.n_h
         n_modes = prob.op.n_modes
         self.hist = np.asarray(hist, dtype=float)
@@ -338,8 +340,8 @@ class WindowFrame:
         self.t0 = t0
         self.dt = dt
         self.m = m
-        self.tables = run.width(m)
-        self.times = t0 + self.tables.offsets
+        self.times = t0 + run.offsets[: m + 1]
+        self.factors = run.factors[: m.bit_length()]
         self.phi0 = self.hist[-1]
         self.rows = np.empty((self.n_h + m + 1, n_modes))
         self.rows[: self.n_h] = self.hist[:-1]
@@ -357,7 +359,7 @@ class WindowFrame:
     def free(self) -> np.ndarray:
         """S(s)(phi(0) + g(t0, phi)) at every window node; g reads the initial history."""
         g_init = self.prob.eval_g(self.t0, Segment._trusted(self.prob.h, self.run.thetas, self.hist))
-        return self.tables.decay * (self.phi0 + g_init)[None, :]
+        return self.run.decay[: self.m + 1] * (self.phi0 + g_init)[None, :]
 
     def load(self, candidate) -> SegmentStack:
         """Write the candidate's m+1 rows and their norms; the stack over all rows."""
@@ -391,7 +393,7 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     f_vals = prob.f.evaluate_window(stack)
     out = frame.free - g_vals
     run = frame.run
-    out += _product_scan(prob.op.mu * g_vals + f_vals, run.w0, run.w1, frame.tables.factors)
+    out += _product_scan(prob.op.mu * g_vals + f_vals, run.w0, run.w1, frame.factors)
     out[0] = frame.phi0
     return out
 

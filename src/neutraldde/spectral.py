@@ -110,7 +110,9 @@ def make_dirichlet_laplacian(n_modes: int, length: float) -> SpectralOperator:
     if length <= 0.0:
         raise ValueError(f"interval length must be positive, got {length}")
     k = np.arange(1, n_modes + 1, dtype=float)
-    mu = (k * math.pi / length) ** 2
+    # rates past the float range overflow to inf, which SpectralOperator refuses
+    with np.errstate(over="ignore"):
+        mu = (k * math.pi / length) ** 2
     return SpectralOperator(mu, basis=DirichletSineBasis(length=float(length)))
 
 

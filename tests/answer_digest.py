@@ -10,8 +10,9 @@ prints, one line per item:
   ``functional`` column, and everything else (the other columns, the
   header and the event and tau lines);
 * the three benchmark workloads at seeds 7 and 11: the event, ``tau.hex()``,
-  the refinement width, the sha256 of the path values, and each window's
-  t0, width, iterations, status, residual and contraction; then the sup
+  the refinement width, the sha256 of the path values and of the
+  trajectory's functionals, and each window's t0, width, iterations,
+  status, residual and contraction; then the sup
   distance of the path to a ``tol = 1e-14`` solve of the same input by the
   same checkout, so two checkouts' accuracy can be compared by hand;
 * ``exit_fine`` at seeds 0..39 and dt 0.001 and 0.0005: the event, tau and
@@ -102,7 +103,9 @@ def main(argv: list[str]) -> int:
             config = generate(seed).config
             traj = solve(config)
             path = _sha(traj.path.values.tobytes())
-            print(f"workload {workload} seed={seed} {_event(traj)} path={path}")
+            functionals = _sha(traj.functionals.tobytes())
+            print(f"workload {workload} seed={seed} {_event(traj)} path={path} "
+                  f"functionals={functionals}")
             for w in traj.windows:
                 print(f"  window t0={w.t0!r} width={w.window!r} iters={w.iterations} "
                       f"status={w.status} residual={w.residual!r} "

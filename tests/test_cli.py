@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ class TestConfigParsing:
         built = build_run(parse_config(text))
         seg = built.initial_segment
         np.testing.assert_allclose(seg.values[:, 0], 2.0 * np.exp(-seg.thetas))
+
+    def test_large_horizon_and_window_stay_valid(self):
+        # only the delay span is bounded: the path grows as the run goes and
+        # the window is clipped, so neither allocates up front
+        text = SMALL_RUN.replace("T = 0.4", "T = 1e300").replace("window = 0.2", "window = 1e300")
+        built = build_run(parse_config(text))
+        assert built.problem.T == built.solver.window == 1e300
 
     def test_dt_override(self):
         built = build_run(parse_config(SMALL_RUN), dt_override=0.05)
@@ -317,6 +325,76 @@ def test_bad_value_base_runs(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
+def _argv(command, cfg, out):
+    return [command, "--config", str(cfg)] + (["--out", str(out)] if command == "run" else [])
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("key", ["g_y_max", "f_y_max"])
+def test_infinite_argument_cap_sets_no_cap(tmp_path, capsys, command, key):
+    # an argument cap of inf reads as no cap: the command prints what it
+    # prints for the config without the key
+    base = get_scenario("parabolic_delay_mass")
+    line = f"\n{key} = 1.0\n"
+    assert line in base
+    cfg = tmp_path / "cap.cfg"
+    outs = []
+    for new in (f"\n{key} = inf\n", "\n"):
+        cfg.write_text(base.replace(line, new))
+        assert main(_argv(command, cfg, tmp_path)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+#: (line, replacement, extra arguments): a delay span of more steps than a
+#: history may hold, on heat_decay (h = 0.5, dt = 0.01); none is allocated
+_LONG_DELAYS = [
+    ("dt = 0.01", "dt = 1e-300", []),
+    ("dt = 0.01", "dt = 0.01", ["--dt", "1e-300"]),
+    ("h = 0.5", "h = 1e300", []),
+]
+
+
+@pytest.mark.parametrize("old, new, extra", _LONG_DELAYS,
+                         ids=[" ".join([new, *extra]) for _, new, extra in _LONG_DELAYS])
+def test_delay_span_past_the_bound_exits_2(tmp_path, capsys, old, new, extra):
+    text = get_scenario("heat_decay")
+    assert old in text
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(_argv("run", cfg, tmp_path) + extra) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: [solver] the delay span") and "\n" not in err
+
+
+#: (scenario, line, replacement, exit code, stderr prefix): inputs that
+#: overflow in the admission samples or in the decay rates
+_OVERFLOWS = [
+    ("heat_decay", "\nl = 10.0", "\nl = 1e308", 2, "invalid initial data:"),
+    ("manufactured_decay", "g_kappa = 0.25", "g_kappa = 1e308", 3, "hypothesis failure:"),
+    ("heat_decay", "length = 3.141592653589793", "length = 1e-300", 2,
+     "schema error: [operator] decay rates must be finite"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("name, old, new, code, prefix", _OVERFLOWS,
+                         ids=[f"{name} {new.strip()}" for name, _, new, _, _ in _OVERFLOWS])
+def test_overflow_is_reported_without_a_numpy_warning(tmp_path, capsys, command, name, old,
+                                                      new, code, prefix):
+    text = get_scenario(name)
+    assert old in text
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(_argv(command, cfg, tmp_path)) == code
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(prefix) and "\n" not in err
+
+
 class TestCsvFormat:
     def test_structure_and_roundtrip(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
@@ -539,6 +617,13 @@ class TestStudyCommand:
         err = capsys.readouterr().err.strip()
         assert code == 2
         assert err.startswith("bad --dts list:") and named in err and "\n" not in err
+
+    def test_reference_step_past_the_delay_bound_exits_2(self, capsys):
+        # the reference step 1e-300 / 16 puts 8e300 steps in heat_decay's delay
+        code = main(["study", "--scenario", "heat_decay", "--dts", "4e-300,2e-300,1e-300"])
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("schema error: [solver] the delay span") and "\n" not in err
 
     def test_homogeneous_study_reports_floor(self, capsys):
         code = main(["study", "--scenario", "heat_decay", "--dts", "0.01,0.005,0.0025"])

@@ -14,7 +14,7 @@ from neutraldde import (
     segment_at,
     sup_norm,
 )
-from neutraldde.history import _GRID_EPS, _RangeMax, segment_on_grid
+from neutraldde.history import _GRID_EPS, _RangeMax, _first_block_sums, segment_on_grid
 
 from batch_rounding import integral_error_bound
 
@@ -368,6 +368,52 @@ def test_stack_window_edges_on_near_and_off_nodes_match_scalar(offset):
             for i in range(n_windows):
                 want = max_norm_functional(slice_segment(stack, i), lo, hi)
                 assert got[i] == pytest.approx(want, rel=4 * EPS, abs=0.0)
+
+
+def padded_block_integral_norms(norms, n_h, dt, history_sums=None):
+    """The delay masses of every slice by the plain padded-block formula.
+
+    Block 0 is the first slice's suffix sums; the cells after it follow in
+    zero-padded blocks of n_h, each summed from the end and from the start
+    over all n_h columns, and slice i = b*n_h + r reads suffix[b, r] and
+    prefix[b+1, r].
+    """
+    n_windows = norms.size - n_h
+    suffix0 = _first_block_sums(dt, norms[: n_h + 1]) if history_sums is None else history_sums
+    cells = 0.5 * dt * (norms[n_h:-1] + norms[n_h + 1 :])
+    n_blocks = cells.size // n_h + 2
+    rest = np.zeros((n_blocks - 1) * n_h)
+    rest[: cells.size] = cells
+    rest = rest.reshape(n_blocks - 1, n_h)
+    suffix = np.empty((n_blocks, n_h))
+    suffix[0] = suffix0
+    suffix[1:] = np.cumsum(rest[:, ::-1], axis=1)[:, ::-1]
+    prefix = np.zeros((n_blocks, n_h))
+    np.cumsum(rest[:, :-1], axis=1, out=prefix[1:, 1:])
+    b, r = np.divmod(np.arange(n_windows), n_h)
+    return suffix[b, r] + prefix[b + 1, r]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stack_integral_norms_match_the_padded_block_reference(data):
+    # one slice, fewer slices than n_h, exactly n_h + 1 (a second block of
+    # one slice), and several blocks with a partial last one; the history
+    # sums of a frame, when given, stand in for block 0
+    n_h = data.draw(st.integers(1, 12))
+    n_windows = data.draw(st.one_of(st.just(1), st.integers(1, n_h), st.just(n_h + 1),
+                                    st.integers(2 * n_h + 1, 4 * n_h + 2)))
+    dt = data.draw(st.sampled_from([0.001, 0.01, 0.03, 0.1, 0.25]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-3.0, 3.0, size=(n_h + n_windows, data.draw(st.integers(1, 3))))
+    stack = SegmentStack(n_h * dt, dt, values)
+    want = padded_block_integral_norms(stack.norms, n_h, dt)
+    assert stack.integral_norms().tobytes() == want.tobytes()
+    sums = rng.uniform(0.0, 3.0, size=n_h)
+    framed = SegmentStack._trusted(stack.h, dt, stack.thetas, values, stack.norms,
+                                   stack.times, {}, sums)
+    want = padded_block_integral_norms(stack.norms, n_h, dt, sums)
+    assert framed.integral_norms().tobytes() == want.tobytes()
 
 
 def test_stack_integral_norms_are_computed_once():

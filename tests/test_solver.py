@@ -10,7 +10,6 @@ from neutraldde import (
     FunctionalAffineTerm,
     HypothesisViolation,
     NeutralProblem,
-    RunFrame,
     Segment,
     SegmentStack,
     SolverConfig,
@@ -18,11 +17,8 @@ from neutraldde import (
     TimeFn,
     TimeForcingTerm,
     WindowFns,
-    WindowFrame,
     ZeroTerm,
-    cell_weights,
     current_value_window,
-    evaluate_window_operator,
     exp_convolution,
     full_history_window,
     generator_convolution,
@@ -39,7 +35,15 @@ from neutraldde import (
 from neutraldde import solver
 from neutraldde.errors import DomainViolation
 from neutraldde.history import _GRID_EPS
-from neutraldde.solver import _WARM_DEGREE, _drift_exceeds, _warm_start
+from neutraldde.solver import (
+    _WARM_DEGREE,
+    RunFrame,
+    WindowFrame,
+    _drift_exceeds,
+    _warm_start,
+    cell_weights,
+    evaluate_window_operator,
+)
 
 
 def constant_segment(h, vec, dt):
@@ -636,7 +640,7 @@ class TestWindowFrame:
         assert calls == {"cell_weights": 1, "scan_factors": 1}
 
         # a 6-cell window leaves the trust region and is halved to 3 cells;
-        # the last window is 4 cells
+        # the last window is 4 cells; all three read the tables of the first
         calls.update(cell_weights=0, scan_factors=0)
         widths.clear()
         prob = homogeneous_problem(T=1.0)
@@ -644,7 +648,36 @@ class TestWindowFrame:
         traj = continue_solution(prob, constant_segment(0.5, [1.0], 0.01), 0.0, cfg)
         assert traj.event.kind == "reached_horizon"
         assert widths == {3, 4, 6} and len(traj.windows) > len(widths)
-        assert calls == {"cell_weights": 1, "scan_factors": len(widths)}
+        assert calls == {"cell_weights": 1, "scan_factors": 1}
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 13])
+    def test_a_run_frame_serves_every_narrower_window_bitwise(self, m):
+        # a k-cell frame reads a prefix of the run's m-cell tables: what it
+        # holds and what G gives equal a k-cell build to the bit
+        prob = _integral_problem()
+        dt, t0 = 0.05, 0.35
+        hist = _wobbly_segment(0.5, dt, 3, seed=m).values
+        run = RunFrame(prob, dt, m)
+        rng = np.random.default_rng(m)
+        for k in range(1, m + 1):
+            own = RunFrame(prob, dt, k)
+            frame = WindowFrame(prob, hist, t0, dt, k, run)
+            fresh = WindowFrame(prob, hist, t0, dt, k)
+            assert run.decay[: k + 1].tobytes() == own.decay.tobytes()
+            assert frame.times.tobytes() == (t0 + own.offsets).tobytes()
+            assert len(frame.factors) == len(own.factors)
+            for mine, theirs in zip(frame.factors, own.factors):
+                assert mine.tobytes() == theirs.tobytes()
+            assert frame.free.tobytes() == fresh.free.tobytes()
+            candidate = rng.uniform(-0.3, 0.3, size=(k + 1, 3))
+            candidate[0] = frame.phi0
+            got = evaluate_window_operator(frame, frame.load(candidate))
+            want = evaluate_window_operator(fresh, fresh.load(candidate))
+            assert got.tobytes() == want.tobytes()
+        # a wider window, another problem or another step is refused
+        for other, step, k in ((prob, dt, m + 1), (_integral_problem(), dt, 1), (prob, 2 * dt, 1)):
+            with pytest.raises(ValueError, match="the run frame is for another problem"):
+                WindowFrame(other, hist, t0, step, k, run)
 
 
 @settings(max_examples=40, deadline=None)
@@ -661,7 +694,7 @@ def test_frame_delay_masses_match_a_fresh_stack(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     prob = NeutralProblem(SpectralOperator(np.arange(1.0, n_modes + 1.0)), 1.0, 1.0, 0.5,
                           ZeroTerm(), ZeroTerm(), DomainSpec("time_only"), 0.0)
-    run = RunFrame(prob, dt)
+    run = RunFrame(prob, dt, 3 * n_h)
     for m in (1, data.draw(st.integers(1, n_h - 2)), data.draw(st.integers(n_h, 3 * n_h))):
         frames = [WindowFrame(prob, rng.uniform(-2.0, 2.0, size=(n_h + 1, n_modes)), t0, dt, m,
                               run) for t0 in (0.0, 0.5)]
@@ -789,6 +822,14 @@ class TestSolverConfig:
             cfg.validate_grid(1e-300, 2.0)
         with pytest.raises(ValueError, match="horizon span .* shorter"):
             cfg.validate_grid(0.1, 1e-300)
+
+    def test_delay_span_holds_at_most_the_bound(self):
+        # checked on the spans alone, before anything is allocated; the
+        # horizon and the window are not bounded
+        cfg = SolverConfig(dt=1.0, window=1e300)
+        cfg.validate_grid(float(solver._MAX_DELAY_CELLS), 1e300)
+        with pytest.raises(ValueError, match="delay span .* more than"):
+            cfg.validate_grid(float(solver._MAX_DELAY_CELLS + 1), 1.0)
 
     def test_tol_and_trust_radius_ranges(self):
         # an infinite tol accepts the warm start; nan fails every comparison
