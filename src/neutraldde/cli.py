@@ -7,7 +7,9 @@ Exit codes form a contract for scripted studies:
 * 2 — configuration or argument problems (schema violations, bad grids,
       config values out of range, nan values, infinite grid or span
       values or ``tol``, a delay, horizon or window span shorter than
-      one grid step, a delay span of more than 10**7 grid steps, a band
+      one grid step, a delay span of more than 10**7 grid steps, a
+      history of more than 10**8 values (its h/dt + 1 rows times the
+      mode count, checked before anything that size is allocated), a band
       width ``l`` that is not finite or is set on a ``time_only``
       domain, a time function with the wrong number of values, a missing
       config file or scenario, inadmissible or non-finite initial data,

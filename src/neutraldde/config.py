@@ -48,7 +48,8 @@ is kept wherever the value's own range admits it (``trust_radius``, and
 
     [solver]
     dt = 1e-2                    # grid step; h, T and window are n*dt, n >= 1,
-                                 # and h is at most 10**7 steps
+                                 # h is at most 10**7 steps, and its h/dt + 1
+                                 # rows hold at most 10**8 values over all modes
     window = 0.5                 # largest window; halved on failure down to dt
     tol = 1e-10                  # optional from here on: SolverConfig's
     max_iter = 200               # defaults apply to every key left out
@@ -208,28 +209,22 @@ def _value(cfg: RunConfig, section: str, key: str, kind, default=None, required=
         raise _fail(cfg.text, section, key, f"{not_a}: {text!r}") from None
 
 
-def _build_operator(cfg: RunConfig) -> SpectralOperator:
+def _operator_builder(cfg: RunConfig):
+    """The operator's mode count and a function that builds the operator:
+    nothing of the count's size is allocated until it is called."""
     kind = cfg.get("operator", "type", "dirichlet_sine")
     if kind == "dirichlet_sine":
         n_modes = _value(cfg, "operator", "n_modes", int, required=True)
         length = _value(cfg, "operator", "length", float, required=True)
-        try:
-            op = make_dirichlet_laplacian(n_modes, length)
-        except ValueError as exc:
-            raise SchemaError(f"[operator] {exc}") from exc
-    elif kind == "explicit":
+        return n_modes, lambda: make_dirichlet_laplacian(n_modes, length)
+    if kind == "explicit":
         mu = _value(cfg, "operator", "mu", list, required=True)
-        try:
-            op = SpectralOperator(mu)
-        except ValueError as exc:
-            raise SchemaError(f"[operator] {exc}") from exc
         n_modes = _value(cfg, "operator", "n_modes", int)
-        if n_modes is not None and n_modes != op.n_modes:
+        if n_modes is not None and n_modes != mu.size:
             raise _fail(cfg.text, "operator", "n_modes",
-                        f"does not match the {op.n_modes} explicit rates")
-    else:
-        raise _fail(cfg.text, "operator", "type", f"unknown operator type {kind!r}")
-    return op
+                        f"does not match the {mu.size} explicit rates")
+        return mu.size, lambda: SpectralOperator(mu)
+    raise _fail(cfg.text, "operator", "type", f"unknown operator type {kind!r}")
 
 
 def _parse_profile(cfg: RunConfig, prefix: str, op: SpectralOperator) -> np.ndarray:
@@ -368,10 +363,28 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
     Schema-level problems raise SchemaError; hypothesis-level problems (a
     non-contractive declared budget) propagate as HypothesisViolation.
     """
-    op = _build_operator(cfg)
-
+    n_modes, build_operator = _operator_builder(cfg)
     h = _value(cfg, "problem", "h", float, required=True)
     T = _value(cfg, "problem", "T", float, required=True)
+    dt = dt_override if dt_override is not None else _value(
+        cfg, "solver", "dt", float, required=True)
+    window = _value(cfg, "solver", "window", float, required=True)
+    # keys left out take SolverConfig's defaults
+    settings = {"tol": _value(cfg, "solver", "tol", float),
+                "max_iter": _value(cfg, "solver", "max_iter", int),
+                "trust_radius": _value(cfg, "solver", "trust_radius", float)}
+    # the grid and the history's size are checked before the operator or
+    # the initial history is allocated
+    try:
+        solver = SolverConfig(dt=dt, window=window,
+                              **{k: v for k, v in settings.items() if v is not None})
+        solver.validate_grid(h, T, n_modes)
+    except ValueError as exc:
+        raise SchemaError(f"[solver] {exc}") from exc
+    try:
+        op = build_operator()
+    except ValueError as exc:
+        raise SchemaError(f"[operator] {exc}") from exc
     alpha = _value(cfg, "problem", "alpha", float, 0.5)
     mg_bound = _value(cfg, "problem", "mg_bound", float, required=True)
     domain_kind = cfg.get("problem", "domain", "time_only")
@@ -383,20 +396,6 @@ def build_run(cfg: RunConfig, dt_override: float | None = None) -> BuiltRun:
 
     g = _build_term(cfg, "g", op, h)
     f = _build_term(cfg, "f", op, h)
-
-    dt = dt_override if dt_override is not None else _value(
-        cfg, "solver", "dt", float, required=True)
-    window = _value(cfg, "solver", "window", float, required=True)
-    # keys left out take SolverConfig's defaults
-    settings = {"tol": _value(cfg, "solver", "tol", float),
-                "max_iter": _value(cfg, "solver", "max_iter", int),
-                "trust_radius": _value(cfg, "solver", "trust_radius", float)}
-    try:
-        solver = SolverConfig(dt=dt, window=window,
-                              **{k: v for k, v in settings.items() if v is not None})
-        solver.validate_grid(h, T)
-    except ValueError as exc:
-        raise SchemaError(f"[solver] {exc}") from exc
 
     try:
         problem = NeutralProblem(op, h, T, alpha, g, f, domain, mg_bound)

@@ -167,7 +167,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     the delay span and T - t0.  Every classification uses the domain's
     default band tolerance.
     """
-    cfg.validate_grid(prob.h, prob.T - t0)
+    cfg.validate_grid(prob.h, prob.T - t0, prob.op.n_modes)
     check_initial_history(prob, init_seg, t0)
 
     hist = segment_on_grid(init_seg, cfg.dt)

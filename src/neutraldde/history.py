@@ -146,15 +146,18 @@ class Segment:
         self.h = float(h)
         self.thetas = thetas
         self.values = values
+        self._norms = None
 
     @classmethod
-    def _trusted(cls, h: float, thetas, values) -> "Segment":
+    def _trusted(cls, h: float, thetas, values, norms=None) -> "Segment":
         # Solver-internal constructor: nodes already known to satisfy the
-        # invariants, skip re-validation in hot loops.
+        # invariants, skip re-validation in hot loops.  ``norms``, when
+        # given, are the row norms of ``values``, which node_norms returns.
         obj = object.__new__(cls)
         obj.h = h
         obj.thetas = thetas
         obj.values = values
+        obj._norms = norms
         return obj
 
     @property
@@ -179,6 +182,8 @@ class Segment:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
     def node_norms(self) -> np.ndarray:
+        if self._norms is not None:
+            return self._norms
         return np.linalg.norm(self.values, axis=1)
 
     def scaled(self, c: float) -> "Segment":

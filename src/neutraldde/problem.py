@@ -15,11 +15,15 @@ declarative.  The admissible domain tracks either the delay mass
 time as an additional boundary component.
 
 A term is a map of time and history alone, g(t, u_t): ``evaluate(t, seg)``
-takes one segment and ``evaluate_window(stack)`` every slice of a
-``SegmentStack`` at its slice times; the scalar path is the reference the
-batch path is tested against.  ``NeutralProblem`` checks each term's width
-against the operator once, and its scalar ``eval_g``/``eval_f`` report
-non-finite values as ``NumericalBlowup``; the window solver calls
+takes one segment and ``evaluate_window(stack, cols)`` every slice of a
+``SegmentStack`` at its slice times, on the columns ``cols`` (all by
+default); the scalar path is the reference the batch path is tested
+against.  ``support(n_modes)`` lists the columns a term can write: every
+other column of its value is 0 whatever the time and history, so the
+window solver iterates only the union of both terms' supports.
+``NeutralProblem`` checks each term's width against the operator once,
+and its scalar ``eval_g``/``eval_f`` report non-finite values as
+``NumericalBlowup``; the window solver calls
 ``evaluate_window`` directly and checks only G(y).  The domain has one
 rule, applied to one segment's ``domain_functional`` by ``membership`` and
 to every slice's ``domain_functionals`` by ``first_exit_slice``: grid
@@ -83,6 +87,11 @@ class TimeFn:
             raise ValueError("poly time function needs at least one coefficient")
         if self.kind == "exp" and len(self.params) != 2:
             raise ValueError("exp time function needs (amplitude, rate)")
+
+    def vanishes(self) -> bool:
+        """Is the function identically 0?"""
+        coeffs = self.params[:1] if self.kind == "exp" else self.params
+        return all(c == 0.0 for c in coeffs)
 
     def __call__(self, t):
         """Value at a time (a float) or at every entry of an array of times."""
@@ -151,11 +160,14 @@ def current_value_window() -> WindowFns:
 class ZeroTerm:
     """Identically zero term."""
 
+    def support(self, n_modes: int) -> np.ndarray:
+        return np.arange(0)
+
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         return np.zeros(seg.n_modes)
 
-    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
-        return np.zeros_like(stack.oldest())
+    def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
+        return np.zeros_like(stack.oldest()[:, cols])
 
     def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
         return 0.0
@@ -181,6 +193,10 @@ class FunctionalAffineTerm:
         self.functional = functional
         self.window = window
         self.y_max = None if y_max is None or y_max == math.inf else float(y_max)
+        self._cap = None if self.y_max is None else self.y_max + 1e-12 * max(1.0, self.y_max)
+
+    def support(self, n_modes: int) -> np.ndarray:
+        return np.flatnonzero(self.profile)
 
     def functional_value(self, t: float, seg: Segment) -> float:
         if self.functional == "integral":
@@ -204,21 +220,22 @@ class FunctionalAffineTerm:
         return y
 
     def _check_argument(self, y) -> None:
-        # y is one functional value or an array of them; the first overrun is reported
-        if self.y_max is not None:
-            over = np.asarray(y) > self.y_max + 1e-12 * max(1.0, self.y_max)
-            if np.any(over):
-                raise DomainViolation(
-                    f"functional value {np.ravel(y)[np.argmax(over)]:.6g} outside the "
-                    f"declared argument range [0, {self.y_max:.6g}]"
-                )
+        # y is one functional value or an array of them.  One max against the
+        # cap decides; fmax skips nan, which no comparison finds over the cap.
+        # Only an overrun looks for the first value past the cap, the one reported.
+        if self._cap is not None and np.fmax.reduce(y, axis=None) > self._cap:
+            over = np.asarray(y) > self._cap
+            raise DomainViolation(
+                f"functional value {np.ravel(y)[np.argmax(over)]:.6g} outside the "
+                f"declared argument range [0, {self.y_max:.6g}]"
+            )
 
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         return (self.c0 + self.c1 * self.functional_value(t, seg)) * self.profile
 
-    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
+    def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
         scale = self.c0 + self.c1 * self.functional_values(stack)
-        return scale[:, None] * self.profile[None, :]
+        return scale[:, None] * self.profile[None, cols]
 
     def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
         # |y(seg1) - y(seg2)| <= lip_y * sup-norm distance of the segments
@@ -257,11 +274,18 @@ class TimeForcingTerm:
     def __init__(self, mode_fns: list[TimeFn]):
         self.mode_fns = list(mode_fns)
 
+    def support(self, n_modes: int) -> np.ndarray:
+        return np.flatnonzero([not fn.vanishes() for fn in self.mode_fns])
+
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         return np.array([fn(t) for fn in self.mode_fns])
 
-    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
-        return np.column_stack([fn(stack.times) for fn in self.mode_fns])
+    def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
+        picked = np.arange(len(self.mode_fns))[cols]
+        out = np.empty((stack.times.size, picked.size))
+        for j, k in enumerate(picked):
+            out[:, j] = self.mode_fns[k](stack.times)
+        return out
 
     def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
         return 0.0
@@ -273,12 +297,15 @@ class PointDelayTerm:
     def __init__(self, kappa: float):
         self.kappa = float(kappa)
 
+    def support(self, n_modes: int) -> np.ndarray:
+        return np.arange(n_modes)
+
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         # the theta grid starts exactly at -h, so the oldest value is row 0
         return self.kappa * seg.values[0]
 
-    def evaluate_window(self, stack: SegmentStack) -> np.ndarray:
-        return self.kappa * stack.oldest()
+    def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
+        return self.kappa * stack.oldest()[:, cols]
 
     def alpha_lipschitz(self, op: SpectralOperator, alpha: float, h: float) -> float:
         return abs(self.kappa) * float(np.max(op.mu**alpha))

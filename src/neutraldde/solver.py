@@ -25,11 +25,28 @@ scan: log2(m) passes, each vectorised over all nodes and modes.  A loop
 over time steps would cost one interpreter pass per cell, which dominates
 on windows of a few hundred cells and few modes.
 
+Only the columns the delay terms write are iterated.  Each term gives its
+``support``, the columns its value can be nonzero in, and the union of
+both terms' supports is the run's active set.  In a passive column,
+outside it, g and f are 0 whatever the time and history, so there the mild
+solution S(t)(phi(0) + g(0, phi)) - g(t, u_t) plus the memory integrals is
+the free evolution S(t) phi(0), and G(y) is that whatever y.  The first
+candidate and its image hold every column, so iterate 1 and its residual
+are those of the plain iteration; the passive columns of that image are
+their fixed point, written once per attempt, and every later iterate
+writes, maps, checks and measures the active columns alone.  Row norms are
+still summed over the full row, and so are the residual's rows when three
+or more active columns sit among passive ones, so every functional, scan
+decision, residual and CSV column is what the plain iteration gives.  A
+contiguous active set, as in a run of one mode or of a point delay, which
+writes every column, is a basic slice: no column is gathered.
+
 The work is set up at two levels.  Per run, a ``RunFrame`` holds the theta
-grid, the cell weights and, at the run's first window width, the node
-offsets, the decay table e^(-mu s) of the free evolution and the scan
-factors; a run only narrows its windows, and a narrower one reads a prefix
-of each table.  Per attempt, one ``WindowFrame`` is shared by every
+grid, the active columns with their rates and cell weights and, at the
+run's first window width, the node offsets, the decay table e^(-mu s) of
+the free evolution on every column and the scan factors of the active
+ones; a run only narrows its windows, and a narrower one reads a prefix of
+each table.  Per attempt, one ``WindowFrame`` is shared by every
 fixed-point iterate.  It takes the window's history as its n_h+1 grid rows
 and their norms, which a run reads from its path's norm column: dt divides
 the delay span, so every delayed value is a row of the path and nothing is
@@ -40,12 +57,14 @@ whose first n_h rows and norms hold the history.  It also holds the
 running-max window edges its first iterate resolves: the windows, their
 cells, weights and interior-node bounds depend on the grid times alone, so
 every later iterate only gathers norms at the resolved rows.  Each
-candidate is loaded once: ``load`` writes its m+1 rows and their norms into
-the buffer's tail, the trust-region screen reads the stored norms, and the
-operator then calls each term's ``evaluate_window`` on the same stack and
-runs the scan on mu g + f.  A non-finite row of g or f reaches G(y) through
-a positive weight, so ``solve_window`` tests only G(y), once per iterate,
-under one ``errstate`` per attempt.
+candidate is loaded once: ``load`` writes its m+1 rows, of every column or
+of the active ones, and every row norm into the buffer's tail, the
+trust-region screen reads the stored norms, and the operator then calls
+each term's ``evaluate_window`` on the same stack and the active columns
+and runs the scan on mu g + f there.  A non-finite row of g or f reaches
+G(y) through a positive weight, so ``solve_window`` tests only G(y), once
+per iterate, under one ``errstate`` per attempt; the passive columns are
+tested with iterate 1.
 
 Each window starts from the polynomial of degree ``_WARM_DEGREE`` through
 its last history rows, continued over the window (Newton backward
@@ -89,6 +108,11 @@ _SERIES_Z = 0.04
 #: step that small on a unit delay is far below what the fixed point can
 #: resolve in double precision.
 _MAX_DELAY_CELLS = 10**7
+
+#: Most values the history's n_h + 1 rows may hold over all modes: 800 MB a
+#: copy, and a run keeps a few (the path, a window frame's rows).  The
+#: widest bundled or benchmark history holds under 10**6.
+_MAX_HISTORY_VALUES = 10**8
 
 #: Degree of the history extrapolation that starts each window.  Degrees
 #: 0-6 take 192/165/140/116/89/107/130 iterates on the exit_fine workload
@@ -237,17 +261,24 @@ class SolverConfig:
             raise ValueError(f"trust_radius must be >= 0, got {self.trust_radius}")
         _require_divides(self.dt, self.window, "window")
 
-    def validate_grid(self, h: float, span: float) -> None:
-        """dt must divide the delay span h and the horizon span, and h may
-        hold at most ``_MAX_DELAY_CELLS`` steps.
+    def validate_grid(self, h: float, span: float, n_modes: int = 1) -> None:
+        """dt must divide the delay span h and the horizon span, h may hold
+        at most ``_MAX_DELAY_CELLS`` steps, and its n_h + 1 rows of
+        ``n_modes`` values at most ``_MAX_HISTORY_VALUES`` values.
 
-        The horizon and the window are not bounded: the path grows as the
-        run goes, and the window is clipped to the delay.
+        Nothing is allocated.  The horizon and the window are not bounded:
+        the path grows as the run goes, and the window is clipped to the
+        delay.
         """
         _require_divides(self.dt, h, "delay span")
         if h / self.dt > _MAX_DELAY_CELLS:
             raise ValueError(f"the delay span {h} holds {h / self.dt:.3g} steps of "
                              f"dt={self.dt}, more than the {_MAX_DELAY_CELLS} a history may hold")
+        rows = round(h / self.dt) + 1
+        if rows * n_modes > _MAX_HISTORY_VALUES:
+            raise ValueError(f"a history of {rows} rows of {n_modes} modes holds "
+                             f"{rows * n_modes:.3g} values, more than the "
+                             f"{_MAX_HISTORY_VALUES} a run may hold")
         _require_divides(self.dt, span, "horizon span")
 
 
@@ -270,28 +301,49 @@ class WindowResult:
         return self.status == "converged"
 
 
+def _columns(support: np.ndarray):
+    """Index of the sorted columns ``support``: a basic slice when they are
+    contiguous (all of them, one or none included), else the array itself."""
+    if support.size == 0:
+        return slice(0, 0)
+    if support[-1] - support[0] + 1 == support.size:
+        return slice(int(support[0]), int(support[-1]) + 1)
+    return support
+
+
 class RunFrame:
     """What every window attempt of one run shares: a problem, a grid step
     and windows of at most m cells.
 
-    Beside the theta grid and the cell weights it holds, built at width m,
-    the node offsets dt*arange(m+1), the decay table e^(-mu s) of the free
-    evolution and the scan factors.  A window of k <= m cells reads their
+    ``active`` indexes the columns the delay terms can write, the union of
+    their supports, as a basic slice when it is contiguous; ``n_active``
+    counts them.  Beside the theta grid it holds the decay table e^(-mu s)
+    of the free evolution on every column, built at width m with the node
+    offsets dt*arange(m+1), and on the active columns alone the rates, the
+    cell weights and the scan factors.  A window of k <= m cells reads the
     first k+1 rows and first k.bit_length() factors, bitwise what a k-cell
     build gives.  The tables go with the frame, never into a module- or
     operator-level cache.
     """
 
     def __init__(self, prob: NeutralProblem, dt: float, m: int):
-        mu = prob.op.mu
+        n_modes = prob.op.n_modes
+        written = np.zeros(n_modes, dtype=bool)
+        written[prob.g.support(n_modes)] = True
+        written[prob.f.support(n_modes)] = True
+        support = np.flatnonzero(written)
+        self.active = _columns(support)
+        self.n_active = support.size
+        mu = prob.op.mu[self.active]
         self.prob = prob
         self.dt = dt
         self.m = m
         self.n_h = int(round(prob.h / dt))
         self.thetas = -prob.h + dt * np.arange(self.n_h + 1)
+        self.mu = mu
         self.w0, self.w1 = cell_weights(mu, dt)
         self.offsets = dt * np.arange(m + 1)
-        self.decay = np.exp(-np.outer(self.offsets, mu))
+        self.decay = np.exp(-np.outer(self.offsets, prob.op.mu))
         self.factors = _scan_factors(mu, dt, m + 1)
 
 
@@ -304,14 +356,22 @@ class WindowFrame:
     given; a run passes its path's norm column).  What depends on the
     problem, dt and m alone comes from the run's ``RunFrame``, of width m
     or more (a fresh one of width m when none is given): the theta grid,
-    the cell weights, the scan factors and the decay table.  Per attempt
-    the frame holds the history, the grid times, phi(0), the free evolution
-    S(s)(phi(0) + g(t0, phi)), the history's block of trapezoid sums for
-    the delay masses, and one rows buffer whose first n_h rows are the
-    history and whose last m+1 rows hold the candidate, with the row norms
-    beside it.  ``load`` writes a
-    candidate into the tail and returns a stack over the buffers at the
-    frame's grid times; that stack is valid until the next ``load``.
+    the active columns, their cell weights and scan factors, and the decay
+    table.  Per attempt the frame holds the history, the grid times,
+    phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the history's
+    block of trapezoid sums for the delay masses, and one rows buffer whose
+    first n_h rows are the history and whose last m+1 rows hold the
+    candidate, the window values, with the row norms beside it.
+
+    The passive columns, those outside ``run.active``, take the free
+    evolution: G(y) there is ``fixed``, phi(0) at the window start and
+    S(s)(phi(0) + g(t0, phi)) after it, whatever y.  ``load`` writes a
+    candidate of every column, or of the active columns alone; the first
+    active-only load of the attempt writes ``fixed`` into the passive
+    columns of the window values, once, and later ones leave them there.
+    Either way every row norm is the full row's sum, in the order a
+    full-width candidate gives.  ``load`` returns a stack over the buffers
+    at the frame's grid times; that stack is valid until the next ``load``.
     ``edges`` is the store of running-max window edges, keyed by the term's
     ``WindowFns`` (None for the full window), that every loaded stack
     shares: its ``window_edges`` resolves each window on the first iterate
@@ -347,26 +407,58 @@ class WindowFrame:
         self.rows[: self.n_h] = self.hist[:-1]
         self.norms = np.empty(self.n_h + m + 1)
         self.norms[: self.n_h] = hist_norms[:-1]
+        self._hist_norms = hist_norms
         self.hist_sup = float(hist_norms.max())
         # the first slice's block of delay-mass sums holds while a candidate
         # starts at a row of phi(0)'s norm, as every iterate of solve_window does
         self._phi0_norm = hist_norms[-1]
         self._history_sums = _first_block_sums(dt, hist_norms)
         self._squares = np.empty((m + 1, n_modes))
+        self._settled = False  # do the window values hold ``fixed`` in their passive columns?
         self.edges: dict = {}
 
     @cached_property
     def free(self) -> np.ndarray:
-        """S(s)(phi(0) + g(t0, phi)) at every window node; g reads the initial history."""
-        g_init = self.prob.eval_g(self.t0, Segment._trusted(self.prob.h, self.run.thetas, self.hist))
+        """S(s)(phi(0) + g(t0, phi)) at every window node; g reads the
+        initial history and its row norms."""
+        seg = Segment._trusted(self.prob.h, self.run.thetas, self.hist, self._hist_norms)
+        g_init = self.prob.eval_g(self.t0, seg)
         return self.run.decay[: self.m + 1] * (self.phi0 + g_init)[None, :]
 
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """G(y) on the passive columns, whatever y: phi(0), then the free evolution.
+
+        There g and f are 0, so G(y) is free - 0 + 0; the 0.0 added here
+        turns a -0.0 of the free evolution into the +0.0 that sum gives.
+        """
+        out = self.free + 0.0
+        out[0] = self.phi0
+        return out
+
+    def whole(self, active_values: np.ndarray) -> np.ndarray:
+        """Window values of every column: ``fixed`` beside the given active columns."""
+        if active_values.shape[1] == self.phi0.size:
+            return active_values
+        out = self.fixed.copy()
+        out[:, self.run.active] = active_values
+        return out
+
     def load(self, candidate) -> SegmentStack:
-        """Write the candidate's m+1 rows and their norms; the stack over all rows."""
+        """Write the candidate's m+1 rows, of every column or of the active
+        ones, and every row norm; the stack over all rows."""
         tail = self.rows[self.n_h :]
-        if np.shape(candidate) != tail.shape:
-            raise ValueError(f"candidate must be {tail.shape}, got {np.shape(candidate)}")
-        tail[...] = candidate
+        if np.shape(candidate) == tail.shape:
+            tail[...] = candidate
+            self._settled = False
+        elif np.shape(candidate) == (self.m + 1, self.run.n_active):
+            if not self._settled:
+                tail[...] = self.fixed
+                self._settled = True
+            tail[:, self.run.active] = candidate
+        else:
+            raise ValueError(f"candidate must be {tail.shape} or its {self.run.n_active} "
+                             f"active columns, got {np.shape(candidate)}")
         tail_norms = self.norms[self.n_h :]
         # np.linalg.norm(tail, axis=1) without its temporaries
         np.multiply(tail, tail, out=self._squares)
@@ -376,9 +468,30 @@ class WindowFrame:
         return SegmentStack._trusted(self.prob.h, self.dt, self.run.thetas, self.rows,
                                      self.norms, self.times, self.edges, sums)
 
+    def values(self) -> np.ndarray:
+        """A copy of the window values: the last loaded candidate, every column."""
+        return self.rows[self.n_h :].copy()
+
+    def residual(self, diff: np.ndarray) -> float:
+        """Largest row norm of ``diff``, of every column or of the active ones.
+
+        The passive columns of an active-only difference are 0.  A row's
+        squares summed over one or two columns are its full sum to the bit;
+        three or more among others are padded with those zeros to full rows,
+        so each row is summed as the full row sums it.
+        """
+        if 2 < diff.shape[1] < self.phi0.size:
+            full = np.zeros((diff.shape[0], self.phi0.size))
+            full[:, self.run.active] = diff
+            diff = full
+        # np.linalg.norm(diff, axis=1).max(): sqrt is monotone, so it can
+        # follow the max
+        return float(np.sqrt(np.add.reduce(diff * diff, axis=1).max()))
+
 
 def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:
-    """Apply the window fixed-point map G to the candidate loaded in the frame.
+    """Apply the window fixed-point map G, on the frame's active columns, to
+    the candidate loaded in the frame.
 
     ``stack`` is what ``frame.load(candidate)`` returned, for a candidate
     holding window values on t0 + i*dt, i = 0..m, with row 0 the window's
@@ -386,15 +499,18 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     The window start plays the role of time zero in the integral formula;
     delay terms still see the true time t0 + s.  The value at the left
     endpoint is the identity phi(0) by construction and is returned exactly.
+    The result has one column per active column, each bitwise what G on
+    every column gives there; ``frame.whole`` adds the passive ones.
     Non-finite values are returned as they are; ``solve_window`` checks them.
     """
     prob = frame.prob
-    g_vals = prob.g.evaluate_window(stack)
-    f_vals = prob.f.evaluate_window(stack)
-    out = frame.free - g_vals
     run = frame.run
-    out += _product_scan(prob.op.mu * g_vals + f_vals, run.w0, run.w1, frame.factors)
-    out[0] = frame.phi0
+    active = run.active
+    g_vals = prob.g.evaluate_window(stack, active)
+    f_vals = prob.f.evaluate_window(stack, active)
+    out = frame.free[:, active] - g_vals
+    out += _product_scan(run.mu * g_vals + f_vals, run.w0, run.w1, frame.factors)
+    out[0] = frame.phi0[active]
     return out
 
 
@@ -444,16 +560,17 @@ def _first_candidate(frame: WindowFrame, radius: float):
     The guess is kept only when it stays in the trust region and G maps it
     to finite values without leaving a term's argument range.  Otherwise
     the window runs exactly the iteration from phi(0), so the trust-region,
-    ``y_max`` and blow-up outcomes are those of the flat start.
+    ``y_max`` and blow-up outcomes are those of the flat start.  Both
+    starts and G(y) hold every column.
     """
     y = _warm_start(frame.hist, frame.m, _WARM_DEGREE)
     stack = frame.load(y)
     if not _drift_exceeds(frame, radius):
         try:
-            gy = evaluate_window_operator(frame, stack)
+            gy = frame.whole(evaluate_window_operator(frame, stack))
         except DomainViolation:
             gy = None
-        if gy is not None and np.all(np.isfinite(gy)):
+        if gy is not None and np.isfinite(gy).all():
             return y, stack, gy
     y = _warm_start(frame.hist, frame.m, 0)
     return y, frame.load(y), None
@@ -476,13 +593,14 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
     dt = cfg.dt
     m = int(round(cfg.window / dt))
     frame = WindowFrame(prob, hist, t0, dt, m, run, hist_norms)
-    phi0 = frame.phi0
+    active = frame.run.active
+    phi0 = frame.phi0[active]
     # each candidate is loaded once: the trust check and the next iterate
     # both read the same stack
     y, stack, gy = _first_candidate(frame, cfg.trust_radius)
     guessed = gy is not None
     if not guessed and _drift_exceeds(frame, cfg.trust_radius):
-        return WindowResult(y, 0, np.inf, 0.0, "left_trust_region", t0, cfg.window)
+        return WindowResult(frame.values(), 0, np.inf, 0.0, "left_trust_region", t0, cfg.window)
 
     prev_residual = None
     residual = np.inf
@@ -490,17 +608,24 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
     for it in range(1, cfg.max_iter + 1):
         if gy is None:
             gy = evaluate_window_operator(frame, stack)
-            if not np.all(np.isfinite(gy)):
+            if it == 1:
+                gy = frame.whole(gy)
+            if not np.isfinite(gy).all():
                 raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
-        residual = float(np.linalg.norm(gy - y, axis=1).max())
+        residual = frame.residual(gy - y)
         if prev_residual is not None and prev_residual > 0.0:
             contraction = residual / prev_residual
         # the guess is never returned as it stands, so a window's values are
         # an image of G, and a G that ignores the candidate gives its exact
         # fixed point
         if residual <= cfg.tol and not (guessed and it == 1):
-            return WindowResult(y, it, residual, contraction, "converged", t0, cfg.window, stack)
+            return WindowResult(frame.values(), it, residual, contraction, "converged", t0,
+                                cfg.window, stack)
         prev_residual = residual
+        if it == 1:
+            # the passive columns of G(y) are their fixed point, which the
+            # next load writes once: the iterates go on in the active ones
+            y, gy = y[:, active], gy[:, active]
         if damping == 1.0:
             y = gy
         else:
@@ -509,8 +634,10 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         gy = None
         stack = frame.load(y)
         if _drift_exceeds(frame, cfg.trust_radius):
-            return WindowResult(y, it, residual, contraction, "left_trust_region", t0, cfg.window)
-    return WindowResult(y, cfg.max_iter, residual, contraction, "diverged", t0, cfg.window)
+            return WindowResult(frame.values(), it, residual, contraction, "left_trust_region",
+                                t0, cfg.window)
+    return WindowResult(frame.values(), cfg.max_iter, residual, contraction, "diverged", t0,
+                        cfg.window)
 
 
 def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:

@@ -9,12 +9,13 @@ prints, one line per item:
   its ``csv:`` line, and of the CSV it writes in two parts: its
   ``functional`` column, and everything else (the other columns, the
   header and the event and tau lines);
-* the three benchmark workloads at seeds 7 and 11: the event, ``tau.hex()``,
-  the refinement width, the sha256 of the path values and of the
-  trajectory's functionals, and each window's t0, width, iterations,
-  status, residual and contraction; then the sup
-  distance of the path to a ``tol = 1e-14`` solve of the same input by the
-  same checkout, so two checkouts' accuracy can be compared by hand;
+* the three benchmark workloads at seeds 7 and 11, and ``modes_wide`` at
+  1024 modes, where 1 of 1024 columns is written by the delay terms: the
+  event, ``tau.hex()``, the refinement width, the sha256 of the path values
+  and of the trajectory's functionals, and each window's t0, width,
+  iterations, status, residual and contraction; then the sup distance of
+  the path to a ``tol = 1e-14`` solve of the same input by the same
+  checkout, so two checkouts' accuracy can be compared by hand;
 * ``exit_fine`` at seeds 0..39 and dt 0.001 and 0.0005: the event, tau and
   width.
 
@@ -35,6 +36,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11)
+#: Mode count of the wide ``modes_wide`` line.
+WIDE_MODES = 1024
 SWEEP_SEEDS = range(40)
 SWEEP_DTS = (0.001, 0.0005)
 #: Fixed-point tolerance of the reference solve each workload path is measured against.
@@ -98,24 +101,26 @@ def main(argv: list[str]) -> int:
             csv = _csv_digest(Path(csvs[0]).read_text()) if csvs else "csv=none"
             print(f"scenario {name} exit={code} stdout={_sha(text.encode())} {csv}")
 
-    for workload, generate in workloads.GENERATORS.items():
-        for seed in SEEDS:
-            config = generate(seed).config
-            traj = solve(config)
-            path = _sha(traj.path.values.tobytes())
-            functionals = _sha(traj.functionals.tobytes())
-            print(f"workload {workload} seed={seed} {_event(traj)} path={path} "
-                  f"functionals={functionals}")
-            for w in traj.windows:
-                print(f"  window t0={w.t0!r} width={w.window!r} iters={w.iterations} "
-                      f"status={w.status} residual={w.residual!r} "
-                      f"contraction={w.contraction_estimate!r}")
-            fine = solve(config, REFERENCE_TOL).path.values
-            if fine.shape == traj.path.values.shape:
-                dist = f"{np.linalg.norm(traj.path.values - fine, axis=1).max():.3e}"
-            else:
-                dist = f"paths differ in shape {traj.path.values.shape} {fine.shape}"
-            print(f"workload {workload} seed={seed} sup distance to tol={REFERENCE_TOL!r}: {dist}")
+    cases = [(workload, seed, generate(seed).config)
+             for workload, generate in workloads.GENERATORS.items() for seed in SEEDS]
+    cases += [(f"modes_wide n_modes={WIDE_MODES}", seed,
+               workloads.modes_wide(seed, n_modes=WIDE_MODES).config) for seed in SEEDS]
+    for workload, seed, config in cases:
+        traj = solve(config)
+        path = _sha(traj.path.values.tobytes())
+        functionals = _sha(traj.functionals.tobytes())
+        print(f"workload {workload} seed={seed} {_event(traj)} path={path} "
+              f"functionals={functionals}")
+        for w in traj.windows:
+            print(f"  window t0={w.t0!r} width={w.window!r} iters={w.iterations} "
+                  f"status={w.status} residual={w.residual!r} "
+                  f"contraction={w.contraction_estimate!r}")
+        fine = solve(config, REFERENCE_TOL).path.values
+        if fine.shape == traj.path.values.shape:
+            dist = f"{np.linalg.norm(traj.path.values - fine, axis=1).max():.3e}"
+        else:
+            dist = f"paths differ in shape {traj.path.values.shape} {fine.shape}"
+        print(f"workload {workload} seed={seed} sup distance to tol={REFERENCE_TOL!r}: {dist}")
 
     for dt in SWEEP_DTS:
         for seed in SWEEP_SEEDS:

@@ -369,6 +369,29 @@ def test_delay_span_past_the_bound_exits_2(tmp_path, capsys, old, new, extra):
     assert err.startswith("schema error: [solver] the delay span") and "\n" not in err
 
 
+#: (line, replacement): operators of more modes than a history may hold
+#: values, on heat_decay (51 history rows); each count fails before anything
+#: of its size is allocated
+_WIDE_OPERATORS = [
+    ("n_modes = 4", "n_modes = 10000000000000"),
+    ("n_modes = 4", "n_modes = 10000000000000000000000"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+@pytest.mark.parametrize("old, new", _WIDE_OPERATORS, ids=["1e13", "1e22"])
+def test_history_of_more_values_than_the_bound_exits_2(tmp_path, capsys, command, old, new):
+    text = get_scenario("heat_decay")
+    assert old in text
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(text.replace(old, new))
+    extra = ["--dts", "0.02,0.01,0.005"] if command == "study" else []
+    assert main(_argv(command, cfg, tmp_path) + extra) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("schema error: [solver] a history of") and "\n" not in err
+    assert "more than the 100000000 a run may hold" in err
+
+
 #: (scenario, line, replacement, exit code, stderr prefix): inputs that
 #: overflow in the admission samples or in the decay rates
 _OVERFLOWS = [

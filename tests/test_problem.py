@@ -412,6 +412,50 @@ def test_batch_terms_match_scalar_evaluation(case):
                                        atol=integral_error_bound(stack), err_msg=name)
 
 
+#: time functions that vanish identically, and ones that vanish nowhere on [0, 1]
+VANISHING_FNS = st.one_of(st.just(TimeFn("const", (0.0,))), st.just(TimeFn("poly", (0.0, 0.0))),
+                          st.floats(-5.0, 5.0).map(lambda r: TimeFn("exp", (0.0, r))))
+LIVE_FNS = st.sampled_from([TimeFn("const", (0.4,)), TimeFn("poly", (0.5, -0.25)),
+                            TimeFn("exp", (-0.5, 0.3))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=unit_delay_stacks(), data=st.data())
+def test_support_is_the_columns_a_term_writes(case, data):
+    # each family's support against the nonzero columns of its scalar value
+    # on every slice: what the term writes lies in its support, and an
+    # affine or time-forcing term writes all of it.  The batch value on the
+    # support's columns is bitwise those columns of the whole value.
+    times, stack = case
+    n_modes = stack.values.shape[1]
+    live = np.array(data.draw(st.lists(st.booleans(), min_size=n_modes, max_size=n_modes)))
+    weights = data.draw(st.lists(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+                                 min_size=n_modes, max_size=n_modes))
+    profile = np.where(live, weights, 0.0)
+    fns = [data.draw(LIVE_FNS if on else VANISHING_FNS) for on in live]
+    written_by_design = np.flatnonzero(live)
+    cases = {
+        "zero": (ZeroTerm(), np.arange(0)),
+        "integral": (FunctionalAffineTerm(0.3, 0.7, profile, "integral"), written_by_design),
+        "max_moving": (FunctionalAffineTerm(0.2, 0.6, profile, "max", window=MOVING_WINDOW),
+                       written_by_design),
+        "time_forcing": (TimeForcingTerm(fns), written_by_design),
+        "point_delay": (PointDelayTerm(0.25), np.arange(n_modes)),
+    }
+    for name, (term, want) in cases.items():
+        support = term.support(n_modes)
+        np.testing.assert_array_equal(support, want, err_msg=name)
+        written = np.zeros(n_modes, dtype=bool)
+        for i, t in enumerate(times):
+            written |= term.evaluate(float(t), slice_segment(stack, i)) != 0.0
+        assert set(np.flatnonzero(written)) <= set(support), name
+        if name not in ("zero", "point_delay"):
+            np.testing.assert_array_equal(np.flatnonzero(written), support, err_msg=name)
+        whole = term.evaluate_window(stack)
+        for cols in (support, slice(0, 0), slice(None), np.arange(n_modes)[::2]):
+            assert term.evaluate_window(stack, cols).tobytes() == whole[:, cols].tobytes(), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(unit_delay_stacks())
 def test_batch_domain_functionals_match_scalar(case):
@@ -508,6 +552,19 @@ def test_scan_and_membership_split_an_exact_tie_alike():
     mem = prob.membership(1.25, segment_at(path, 1.25, 1.0))
     assert (mem.state, mem.kind, mem.value - l) == ("boundary", "sup_band", -tol)
     assert prob.first_exit_slice(SegmentStack(1.0, 0.25, values, 1.0)) == (1, mem)
+
+
+def test_argument_overrun_past_a_nan_is_reported():
+    # nan is never over the cap, and does not hide an overrun after it; the
+    # first value past the cap is the one reported
+    term = FunctionalAffineTerm(0.0, 1.0, np.ones(1), "integral", y_max=2.0)
+    term._check_argument(np.array([np.nan, 1.0, 2.0 + 1e-12]))
+    term._check_argument(np.array([np.nan]))
+    term._check_argument(2.0)
+    with pytest.raises(DomainViolation, match="functional value 3 outside .*0, 2"):
+        term._check_argument(np.array([np.nan, 1.0, 3.0, 4.0]))
+    with pytest.raises(DomainViolation, match="functional value 2.5 outside"):
+        term._check_argument(2.5)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from neutraldde import (
     FunctionalAffineTerm,
     HypothesisViolation,
     NeutralProblem,
+    PointDelayTerm,
     Segment,
     SegmentStack,
     SolverConfig,
@@ -54,9 +55,10 @@ def constant_segment(h, vec, dt):
 
 
 def apply_operator(prob, seg, dt, candidate):
-    """The window operator on a fresh frame at t0 = 0 sized to the candidate."""
+    """The window operator on a fresh frame at t0 = 0 sized to the candidate,
+    every column."""
     frame = WindowFrame(prob, seg.values, 0.0, dt, len(candidate) - 1)
-    return evaluate_window_operator(frame, frame.load(candidate))
+    return frame.whole(evaluate_window_operator(frame, frame.load(candidate)))
 
 
 def homogeneous_problem(mu=(1.0,), h=0.5, T=2.0):
@@ -422,9 +424,8 @@ class TestWindowFrame:
         a, b = rng.uniform(-0.3, 0.3, size=(2, m + 1, 3))
         a[0] = b[0] = seg.values[-1]
         frame = WindowFrame(prob, seg.values, 0.0, dt, m)
-        first = evaluate_window_operator(frame, frame.load(a))
-        other = evaluate_window_operator(frame, frame.load(b))
-        again = evaluate_window_operator(frame, frame.load(a))
+        first, other, again = (frame.whole(evaluate_window_operator(frame, frame.load(c)))
+                               for c in (a, b, a))
         assert not np.array_equal(first, other)
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, apply_operator(prob, seg, dt, a))
@@ -756,6 +757,242 @@ def test_frame_resolved_window_maxima_match_the_reference(data):
                     assert got[i] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
+# ---------------------------------------------------------------------------
+# active columns: the split iteration against the plain full-width one
+
+
+def full_operator(frame, stack):
+    """G on every column, each term evaluated on all of them: the plain
+    reference the operator on the active columns is tested against."""
+    prob = frame.prob
+    mu = prob.op.mu
+    g_vals = prob.g.evaluate_window(stack)
+    f_vals = prob.f.evaluate_window(stack)
+    out = frame.free - g_vals
+    w0, w1 = cell_weights(mu, frame.dt)
+    out += solver._product_scan(mu * g_vals + f_vals, w0, w1,
+                                solver._scan_factors(mu, frame.dt, frame.m + 1))
+    out[0] = frame.phi0
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
+    """``solve_window`` with every iterate loaded, mapped, checked and
+    measured on every column: the plain reference of the split iteration.
+    Returns (values, iterations, residual, contraction, status)."""
+    m = int(round(cfg.window / cfg.dt))
+    frame = WindowFrame(prob, hist, t0, cfg.dt, m)
+    y = _warm_start(frame.hist, m, _WARM_DEGREE)
+    stack = frame.load(y)
+    gy = None
+    if not _drift_exceeds(frame, cfg.trust_radius):
+        try:
+            gy = full_operator(frame, stack)
+        except DomainViolation:
+            pass
+        if gy is not None and not np.all(np.isfinite(gy)):
+            gy = None
+    guessed = gy is not None
+    if not guessed:
+        y = _warm_start(frame.hist, m, 0)
+        stack = frame.load(y)
+    prev, contraction = None, 0.0
+    for it in range(1, cfg.max_iter + 1):
+        if gy is None:
+            gy = full_operator(frame, stack)
+            assert np.all(np.isfinite(gy))
+        residual = float(np.linalg.norm(gy - y, axis=1).max())
+        if prev is not None and prev > 0.0:
+            contraction = residual / prev
+        if residual <= cfg.tol and not (guessed and it == 1):
+            return y, it, residual, contraction, "converged"
+        prev = residual
+        y = gy if damping == 1.0 else (1.0 - damping) * y + damping * gy
+        y[0] = frame.phi0
+        gy = None
+        stack = frame.load(y)
+        assert not _drift_exceeds(frame, cfg.trust_radius)
+    return y, cfg.max_iter, residual, contraction, "diverged"
+
+
+#: (mode count, written columns): none, one, several apart, a block of three
+#: among others, and all
+ACTIVE_SETS = [(1, []), (1, [0]), (3, []), (3, [1]), (3, [0, 2]), (3, [0, 1, 2]),
+               (8, []), (8, [5]), (8, [0, 2, 3, 7]), (8, [3, 4, 5]), (8, list(range(8)))]
+#: the term pairs of a window: every family on either side
+TERM_PAIRS = ["zero/time_forcing", "integral/zero", "max/time_forcing", "integral/max_current",
+              "point_delay/time_forcing", "zero/zero"]
+
+
+def _active_problem(n_modes, written, pair):
+    """A problem on ``n_modes`` modes whose term pair ``pair`` writes the
+    columns ``written``, or None when the pair cannot: a point delay writes
+    every column and two zero terms none.  Of an affine pair, the neutral
+    term takes every other written column and the forcing the rest."""
+    live = np.isin(np.arange(n_modes), written)
+    g_name, f_name = pair.split("/")
+    if (g_name == "point_delay" and not live.all()) or (pair == "zero/zero" and live.any()):
+        return None
+    g_cols = f_cols = live
+    if pair == "integral/max_current":
+        g_cols = live & np.isin(np.arange(n_modes), written[::2])
+        f_cols = live & ~g_cols
+    weights = np.linspace(0.4, 0.1, n_modes)
+    vanishing = [TimeFn("const", (0.0,)), TimeFn("poly", (0.0, 0.0)), TimeFn("exp", (0.0, 1.5))]
+    fns = [TimeFn("exp", (0.3, -0.2 * k)) if on else vanishing[k % 3]
+           for k, on in enumerate(f_cols)]
+    h = 0.5
+    terms = {
+        "zero": ZeroTerm(),
+        "integral": FunctionalAffineTerm(0.05, 0.1, np.where(g_cols, weights, 0.0), "integral"),
+        "max": FunctionalAffineTerm(0.05, 0.1, np.where(g_cols, weights, 0.0), "max",
+                                    window=full_history_window(h)),
+        "max_current": FunctionalAffineTerm(0.0, 0.3, np.where(f_cols, weights, 0.0), "max",
+                                            window=current_value_window()),
+        "time_forcing": TimeForcingTerm(fns),
+        "point_delay": PointDelayTerm(0.2),
+    }
+    op = SpectralOperator(np.geomspace(0.5, 40.0, n_modes))
+    return NeutralProblem(op, h, 2.0, 0.5, terms[g_name], terms[f_name],
+                          DomainSpec("time_only"), 0.3)
+
+
+def _active_cases():
+    for n_modes, written in ACTIVE_SETS:
+        for pair in TERM_PAIRS:
+            if _active_problem(n_modes, written, pair) is not None:
+                yield pytest.param(n_modes, written, pair, id=f"{n_modes}-{written}-{pair}")
+
+
+@pytest.mark.parametrize("n_modes, written, pair", list(_active_cases()))
+def test_operator_on_the_active_columns_is_the_full_operator_there(n_modes, written, pair):
+    # each active column of the split G(y) is bitwise the full G(y)'s, and
+    # the passive columns of frame.whole are too, for a candidate of every
+    # column and for the same candidate loaded by its active columns once
+    # the passive ones hold their fixed point
+    prob = _active_problem(n_modes, written, pair)
+    dt, m, t0 = 0.05, 6, 0.35
+    rng = np.random.default_rng(n_modes + len(written))
+    hist = rng.uniform(-0.3, 0.3, size=(11, n_modes))
+    run = RunFrame(prob, dt, m)
+    contiguous = not written or written[-1] - written[0] + 1 == len(written)
+    assert isinstance(run.active, slice) == contiguous
+    assert np.arange(n_modes)[run.active].tolist() == written and run.n_active == len(written)
+    frame = WindowFrame(prob, hist, t0, dt, m, run)
+    for _ in range(2):
+        candidate = rng.uniform(-0.3, 0.3, size=(m + 1, n_modes))
+        candidate[0] = frame.phi0
+        want = full_operator(frame, frame.load(candidate))
+        got = evaluate_window_operator(frame, frame.load(candidate))
+        assert got.shape == (m + 1, len(written))
+        for j, k in enumerate(written):
+            assert got[:, j].tobytes() == want[:, k].tobytes()
+        assert frame.whole(got).tobytes() == want.tobytes()
+
+        settled = frame.whole(got)
+        settled[:, run.active] = candidate[:, run.active]
+        want = full_operator(frame, frame.load(settled))
+        rows, norms = frame.rows.copy(), frame.norms.copy()
+        got = evaluate_window_operator(frame, frame.load(settled[:, run.active]))
+        assert frame.rows.tobytes() == rows.tobytes() and frame.norms.tobytes() == norms.tobytes()
+        assert frame.whole(got).tobytes() == want.tobytes()
+
+    # the residual of an active-only difference sums each row as the full
+    # row, with zeros in the passive columns, does
+    for _ in range(40):
+        diff = rng.uniform(-1.0, 1.0, size=(m + 1, len(written))) * rng.uniform(
+            1e-3, 1e3, size=len(written))
+        padded = np.zeros((m + 1, n_modes))
+        padded[:, run.active] = diff
+        assert frame.residual(diff) == float(np.linalg.norm(padded, axis=1).max())
+
+
+@pytest.mark.parametrize("n_modes, written, pair", list(_active_cases()))
+def test_split_iteration_is_the_unsplit_one(n_modes, written, pair):
+    # undamped, every iterate, residual and contraction is bitwise what the
+    # full-width iteration gives; damped, the passive columns take their
+    # fixed point after the first iterate, so the answer agrees within tol
+    prob = _active_problem(n_modes, written, pair)
+    dt = 0.05
+    hist = np.random.default_rng(7).uniform(-0.3, 0.3, size=(11, n_modes))
+    cfg = SolverConfig(dt=dt, window=0.3, tol=1e-12)
+    out = solve_window(prob, hist, 0.35, cfg)
+    values, iterations, residual, contraction, status = unsplit_solve(prob, hist, 0.35, cfg)
+    assert out.status == status == "converged"
+    assert out.values.tobytes() == values.tobytes()
+    assert (out.iterations, out.residual, out.contraction_estimate) == (iterations, residual,
+                                                                       contraction)
+    damped = solve_window(prob, hist, 0.35, cfg, damping=0.5)
+    values, *_, status = unsplit_solve(prob, hist, 0.35, cfg, damping=0.5)
+    assert damped.converged and status == "converged"
+    assert float(np.abs(damped.values - values).max()) <= cfg.tol
+    passive = ~np.isin(np.arange(n_modes), written)
+    frame = WindowFrame(prob, hist, 0.35, dt, 6)
+    assert damped.values[:, passive].tobytes() == frame.fixed[:, passive].tobytes()
+
+
+def test_active_columns_of_the_bundled_scenarios():
+    # the union of the terms' supports: none for pure decay, the profile's
+    # one mode for the running maximum, and every mode for a point delay
+    from neutraldde.config import build_run, parse_config
+    from neutraldde.scenarios import get_scenario
+
+    expected = {"heat_decay": [], "parabolic_max": [0], "parabolic_delay_mass": [0],
+                "mass_growth": [0], "manufactured_decay": [0]}
+    for name, want in expected.items():
+        built = build_run(parse_config(get_scenario(name)))
+        run = RunFrame(built.problem, built.solver.dt, 1)
+        assert isinstance(run.active, slice)
+        assert np.arange(built.problem.op.n_modes)[run.active].tolist() == want, name
+
+
+def test_passive_modes_take_the_free_evolution_through_a_run(monkeypatch):
+    # parabolic_delay_mass at 64 modes with data on every mode: both terms
+    # sit on mode 1, so modes >= 2 only decay.  Their columns match
+    # c_k e^(-mu_k t), and in every window they are the frame's free
+    # evolution, bitwise, with a -0.0 of it read as +0.0 as the full G gives
+    from neutraldde import continue_solution
+    from neutraldde.config import build_run, parse_config
+    from neutraldde.scenarios import get_scenario
+
+    frames = []
+
+    class RecordedFrame(WindowFrame):
+        def __init__(self, *args):
+            super().__init__(*args)
+            frames.append(self)
+
+    monkeypatch.setattr(solver, "WindowFrame", RecordedFrame)
+    n = 64
+    k = np.arange(1, n + 1)
+    coeffs = np.where(k == 1, 0.3, 0.02 * (-1.0) ** k / k)
+    text = get_scenario("parabolic_delay_mass")
+    listed = " ".join(repr(float(c)) for c in coeffs)
+    for old, new in (("n_modes = 8", f"n_modes = {n}"),
+                     ("coeffs = 0.3 0 0 0 0 0 0 0", f"coeffs = {listed}")):
+        assert old in text
+        text = text.replace(old, new)
+    built = build_run(parse_config(text))
+    prob = built.problem
+    traj = continue_solution(prob, built.initial_segment, 0.0, built.solver)
+    assert traj.event.kind == "reached_horizon" and len(traj.windows) > 1
+    assert all(frame.run.active == slice(0, 1) for frame in frames)
+
+    times = traj.path.times()
+    exact = coeffs[1:] * np.exp(-np.outer(np.maximum(times, 0.0), prob.op.mu[1:]))
+    assert float(np.abs(traj.path.values[:, 1:] - exact).max()) <= 1e-12
+    negative_zeros = 0
+    for w in traj.windows:
+        m = int(round(w.window / built.solver.dt))
+        frame = [f for f in frames if f.t0 == w.t0 and f.m == m][-1]
+        free = frame.free[1:, 1:]
+        negative_zeros += int(np.sum((free == 0.0) & np.signbit(free)))
+        assert w.values[1:, 1:].tobytes() == (free + 0.0).tobytes()
+        assert w.values[0].tobytes() == frame.phi0.tobytes()
+    assert negative_zeros > 0
+
+
 class TestHeuristicWindow:
     def test_half_contraction_budget(self):
         prob = homogeneous_problem(mu=(1.0,), h=1.0)
@@ -830,6 +1067,17 @@ class TestSolverConfig:
         cfg.validate_grid(float(solver._MAX_DELAY_CELLS), 1e300)
         with pytest.raises(ValueError, match="delay span .* more than"):
             cfg.validate_grid(float(solver._MAX_DELAY_CELLS + 1), 1.0)
+
+    def test_history_holds_at_most_the_value_bound(self):
+        # the n_h + 1 rows times the mode count, checked before anything is
+        # allocated
+        cfg = SolverConfig(dt=1.0, window=1.0)
+        cap = solver._MAX_HISTORY_VALUES
+        cfg.validate_grid(99.0, 1.0, cap // 100)
+        with pytest.raises(ValueError, match="a history of 100 rows .* more than"):
+            cfg.validate_grid(99.0, 1.0, cap // 100 + 1)
+        with pytest.raises(ValueError, match="a history of 2 rows .* more than"):
+            cfg.validate_grid(1.0, 1.0, 10**22)
 
     def test_tol_and_trust_radius_ranges(self):
         # an infinite tol accepts the warm start; nan fails every comparison
