@@ -95,7 +95,7 @@ def refine_boundary_time(prob: NeutralProblem, path: SolutionPath, t_inside: flo
     the bracket width is at most ``tol_t`` (or the initial width, if already
     smaller).
     """
-    if tol_t <= 0.0:
+    if not tol_t > 0.0:  # negated, so that nan is refused too
         raise ValueError(f"tol_t must be positive, got {tol_t}")
     if not t_inside < t_outside:
         raise ValueError(f"invalid bracket: need t_inside < t_outside, got [{t_inside}, {t_outside}]")

@@ -200,11 +200,22 @@ def integral_norm_functional(seg: Segment) -> float:
     return float(np.trapezoid(seg.node_norms(), seg.thetas))
 
 
+def _require_finite_window(lo, hi) -> None:
+    """Refuse windows with a non-finite edge: a nan edge passes every order
+    and range comparison of the window checks."""
+    lo, hi = np.broadcast_arrays(lo, hi)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] has a non-finite edge")
+
+
 def max_norm_functional(seg: Segment, lo: float, hi: float) -> float:
     """Max of ||seg(theta)|| over the window [lo, hi], endpoints interpolated.
 
     The window is given in segment coordinates and must sit inside [-h, 0].
     """
+    _require_finite_window(lo, hi)
     eps = _GRID_EPS * max(1.0, seg.h)
     if lo > hi:
         raise ValueError(f"window must satisfy lo <= hi, got [{lo}, {hi}]")
@@ -290,9 +301,13 @@ class SegmentStack:
     where it lies strictly inside a cell) and the rows of the interior nodes.
     ``gather`` reads the stored norms at those rows, interpolates the inner
     edges and takes the range maximum.  ``max_norms`` does both on every
-    call.  ``window_edges`` resolves a term's window at the slice times once
-    per store of resolved edges.  A stack that a ``WindowFrame`` loads shares
-    its frame's times and store, so every later candidate only gathers.
+    call.  ``window_edges`` locates a term's window at the slice times once
+    per store of located edges, and resolves it only when its edges differ
+    from the last ones a run's store resolved for that window and slice
+    count.  A stack that a ``WindowFrame`` loads shares its frame's times and
+    store and its run's store: every later candidate only gathers, and a
+    window whose edges repeat across attempts, as lo = hi = 0 and the whole
+    slice do, is resolved once per run and width.
     """
 
     def __init__(self, h: float, dt: float, values, t_first: float = 0.0):
@@ -309,18 +324,20 @@ class SegmentStack:
         self.norms = np.linalg.norm(values, axis=1)
         self.times = float(t_first) + self.dt * np.arange(self.n_windows)
         self._edges = {}
+        self._run_edges = {}
         self._history_sums = None
 
     @classmethod
     def _trusted(cls, h: float, dt: float, thetas: np.ndarray, values: np.ndarray,
                  norms: np.ndarray, times: np.ndarray, edges: dict,
-                 history_sums: np.ndarray | None) -> "SegmentStack":
+                 history_sums: np.ndarray | None, run_edges: dict) -> "SegmentStack":
         # Solver-internal constructor: rows, theta grid and row norms come
         # from a caller that already holds them consistent.  The stack reads
         # the arrays in place, so it is valid until the caller rewrites them.
-        # ``edges`` is the caller's store of windows resolved at ``times``;
+        # ``edges`` is the caller's store of windows located at ``times``;
         # ``history_sums``, when given, is ``_first_block_sums`` of the
-        # first n_h+1 norms.
+        # first n_h+1 norms; ``run_edges`` is the caller's store of the last
+        # (lo, hi) resolved per window and slice count on this theta grid.
         obj = object.__new__(cls)
         obj.h = h
         obj.dt = dt
@@ -331,6 +348,7 @@ class SegmentStack:
         obj.norms = norms
         obj.times = times
         obj._edges = edges
+        obj._run_edges = run_edges
         obj._history_sums = history_sums
         return obj
 
@@ -397,17 +415,28 @@ class SegmentStack:
 
     def window_edges(self, window) -> WindowEdges:
         """``resolve`` of a term's ``WindowFns`` at the slice times, or of the
-        whole slice for None; each window is resolved once per edge store."""
+        whole slice for None.
+
+        Each window is located once per edge store.  ``resolve`` depends on
+        (lo, hi), the theta grid and the slice count alone, so windows equal
+        to the last ones resolved for this window and slice count in the run
+        store reuse their edges; others are resolved and replace them.
+        """
         edges = self._edges.get(window)
         if edges is None:
             lo, hi = (-self.h, 0.0) if window is None else window.windows_at(self.times, self.h)
-            edges = self._edges[window] = self.resolve(lo, hi)
+            key = (window, self.n_windows)
+            last = self._run_edges.get(key)
+            if last is None or not (np.array_equal(last[0], lo) and np.array_equal(last[1], hi)):
+                last = self._run_edges[key] = (lo, hi, self.resolve(lo, hi))
+            edges = self._edges[window] = last[2]
         return edges
 
     def resolve(self, lo, hi) -> WindowEdges:
         """Check and clip the windows [lo[i], hi[i]] and locate them on the grid."""
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n_windows,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n_windows,))
+        _require_finite_window(lo, hi)
         eps = _GRID_EPS * max(1.0, self.h)
         if np.any(lo > hi):
             raise ValueError("every window must satisfy lo <= hi")

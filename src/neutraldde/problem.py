@@ -42,6 +42,7 @@ from .errors import DomainViolation, HypothesisViolation, InsufficientSamples, N
 from .history import (
     Segment,
     SegmentStack,
+    _require_finite_window,
     integral_norm_functional,
     max_norm_functional,
     sup_norm,
@@ -126,12 +127,15 @@ class WindowFns:
 
     def windows_at(self, times: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Window edges [lo, hi] in segment coordinates, clipped to [-h, 0], at
-        every entry of an array of times; raises when one leaves [-h, 0]."""
+        every entry of an array of times; raises when one is not finite or
+        leaves [-h, 0]."""
         lo = self.beta0 + self.beta1 * times - times
         hi = self.alpha0 + self.alpha1 * times - times
         eps = 1e-9 * max(1.0, h)
-        bad = (lo > hi + eps) | (lo < -h - eps) | (hi > eps)
+        # negated, so that a nan edge is bad too
+        bad = ~((lo <= hi + eps) & (lo >= -h - eps) & (hi <= eps))
         if np.any(bad):
+            _require_finite_window(lo, hi)
             i = int(np.argmax(bad))
             raise ValueError(f"window [{lo[i]}, {hi[i]}] at t={times[i]} leaves [-{h}, 0]")
         hi = np.minimum(hi, 0.0)

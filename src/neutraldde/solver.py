@@ -44,38 +44,43 @@ writes every column, is a basic slice: no column is gathered.
 The work is set up at two levels.  Per run, a ``RunFrame`` holds the theta
 grid, the active columns with their rates and cell weights and, at the
 run's first window width, the node offsets, the decay table e^(-mu s) of
-the free evolution on every column and the scan factors of the active
-ones; a run only narrows its windows, and a narrower one reads a prefix of
-each table.  Per attempt, one ``WindowFrame`` is shared by every
+the free evolution on every column, the scan factors of the active ones
+and the warm start's Newton columns; a run only narrows its windows, and a
+narrower one reads a prefix of each table.  It also keeps the running-max
+window edges last resolved per window and width: their cells, weights and
+interior-node bounds depend on the windows (lo, hi), the theta grid and
+the slice count alone, so an attempt whose windows equal the stored ones
+to the bit, as lo = hi = 0 and the whole slice do on every attempt,
+reuses them.  Per attempt, one ``WindowFrame`` is shared by every
 fixed-point iterate.  It takes the window's history as its n_h+1 grid rows
 and their norms, which a run reads from its path's norm column: dt divides
 the delay span, so every delayed value is a row of the path and nothing is
 resampled.  It computes once: phi(0), the grid times, the free evolution
 S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the
 history's block of trapezoid sums for the delay masses, and a rows buffer
-whose first n_h rows and norms hold the history.  It also holds the
-running-max window edges its first iterate resolves: the windows, their
-cells, weights and interior-node bounds depend on the grid times alone, so
-every later iterate only gathers norms at the resolved rows.  Each
-candidate is loaded once: ``load`` writes its m+1 rows, of every column or
-of the active ones, and every row norm into the buffer's tail, the
-trust-region screen reads the stored norms, and the operator then calls
-each term's ``evaluate_window`` on the same stack and the active columns
-and runs the scan on mu g + f there.  A non-finite row of g or f reaches
-G(y) through a positive weight, so ``solve_window`` tests only G(y), once
-per iterate, under one ``errstate`` per attempt; the passive columns are
-tested with iterate 1.
+whose first n_h rows and norms hold the history.  Its first iterate
+locates each running-max window at the grid times and takes the run's
+edges or resolves new ones, so every later iterate only gathers norms at
+the resolved rows.  Each candidate is loaded once: ``load`` writes its m+1
+rows, of every column or of the active ones, and every row norm into the
+buffer's tail, the trust-region screen reads the stored norms, and the
+operator then calls each term's ``evaluate_window`` on the same stack and
+the active columns and runs the scan on mu g + f there.  A non-finite row
+of g or f reaches G(y) through a positive weight, so ``solve_window`` tests
+only G(y), once per iterate, under one ``errstate`` per attempt; the
+passive columns are tested with iterate 1.
 
 Each window starts from the polynomial of degree ``_WARM_DEGREE`` through
 its last history rows, continued over the window (Newton backward
 differences at spacing dt, as in the continuous extensions of Bellen &
-Zennaro, "Numerical Methods for Delay Differential Equations", 2003).  A
-degree-p guess is off by O(w^(p+1)) where the flat start phi(0) is off by
-O(w), so Picard iteration, whose error shrinks like (Lw)^k/k!, starts some
-iterates ahead.  The flat start is the same extrapolation at degree 0 and
-serves as the guard: a guess that leaves the trust region, takes a term
-past its argument range or maps to non-finite values is dropped, and the
-window iterates from phi(0) exactly as it would without a guess.  The guess
+Zennaro, "Numerical Methods for Delay Differential Equations", 2003), whose
+binomial weights the run frame builds once.  A degree-p guess is off by
+O(w^(p+1)) where the flat start phi(0) is off by O(w), so Picard
+iteration, whose error shrinks like (Lw)^k/k!, starts some iterates ahead.
+The flat start is the same extrapolation at degree 0 and serves as the
+guard: a guess that leaves the trust region, takes a term past its
+argument range or maps to non-finite values is dropped, and the window
+iterates from phi(0) exactly as it would without a guess.  The guess
 itself is never returned; G of it is iterate 1.
 
 The settings a caller can change are the ``SolverConfig`` fields and
@@ -255,8 +260,8 @@ class SolverConfig:
             raise ValueError(f"window must be positive, got {self.window}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.trust_radius >= 0.0:
             raise ValueError(f"trust_radius must be >= 0, got {self.trust_radius}")
         _require_divides(self.dt, self.window, "window")
@@ -319,11 +324,15 @@ class RunFrame:
     their supports, as a basic slice when it is contiguous; ``n_active``
     counts them.  Beside the theta grid it holds the decay table e^(-mu s)
     of the free evolution on every column, built at width m with the node
-    offsets dt*arange(m+1), and on the active columns alone the rates, the
-    cell weights and the scan factors.  A window of k <= m cells reads the
-    first k+1 rows and first k.bit_length() factors, bitwise what a k-cell
-    build gives.  The tables go with the frame, never into a module- or
-    operator-level cache.
+    offsets dt*arange(m+1), on the active columns alone the rates, the
+    cell weights and the scan factors, and the warm start's Newton columns
+    ``newton``.  A window of k <= m cells reads the first k+1 rows, first
+    k.bit_length() factors and first k Newton rows, bitwise what a k-cell
+    build gives.  ``edges`` keeps the last resolved running-max window
+    edges per window and slice count (``SegmentStack.window_edges``): an
+    attempt whose windows repeat them, as lo = hi = 0 and the whole slice
+    do, only gathers.  The tables go with the frame, never into a module-
+    or operator-level cache.
     """
 
     def __init__(self, prob: NeutralProblem, dt: float, m: int):
@@ -345,6 +354,8 @@ class RunFrame:
         self.offsets = dt * np.arange(m + 1)
         self.decay = np.exp(-np.outer(self.offsets, prob.op.mu))
         self.factors = _scan_factors(mu, dt, m + 1)
+        self.newton = _newton_columns(m, _WARM_DEGREE)
+        self.edges: dict = {}
 
 
 class WindowFrame:
@@ -372,11 +383,13 @@ class WindowFrame:
     Either way every row norm is the full row's sum, in the order a
     full-width candidate gives.  ``load`` returns a stack over the buffers
     at the frame's grid times; that stack is valid until the next ``load``.
-    ``edges`` is the store of running-max window edges, keyed by the term's
-    ``WindowFns`` (None for the full window), that every loaded stack
-    shares: its ``window_edges`` resolves each window on the first iterate
-    that needs it, and the rest gather.  Terms are shared across frames and
-    runs, so edges live here.
+    ``edges`` is the attempt's store of running-max window edges, keyed by
+    the term's ``WindowFns`` (None for the full window), that every loaded
+    stack shares with the run's store: its ``window_edges`` locates each
+    window at the grid times on the first iterate that needs it, resolving
+    it only when the run's last edges for that window and width differ, and
+    the rest gather.  Terms are shared across frames and runs, so the
+    stores live on the frames.
     """
 
     def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int,
@@ -466,7 +479,7 @@ class WindowFrame:
         np.sqrt(tail_norms, out=tail_norms)
         sums = self._history_sums if tail_norms[0] == self._phi0_norm else None
         return SegmentStack._trusted(self.prob.h, self.dt, self.run.thetas, self.rows,
-                                     self.norms, self.times, self.edges, sums)
+                                     self.norms, self.times, self.edges, sums, self.run.edges)
 
     def values(self) -> np.ndarray:
         """A copy of the window values: the last loaded candidate, every column."""
@@ -532,25 +545,41 @@ def _drift_exceeds(frame: WindowFrame, radius: float) -> bool:
     return False
 
 
-def _warm_start(hist: np.ndarray, m: int, degree: int) -> np.ndarray:
+def _newton_columns(m: int, degree: int) -> np.ndarray:
+    """C(i+k-1, k) for i = 1..m, k = 1..degree: column k-1 of a (degree, m, 1) array.
+
+    Each column is the previous one times (i+k-1)/k, rounded in that order,
+    so row i of every column depends on i alone and a prefix of rows is
+    what a narrower build gives.
+    """
+    i = np.arange(1.0, m + 1.0)[:, None]
+    out = np.empty((degree, m, 1))
+    coeff = np.ones_like(i)
+    for k in range(1, degree + 1):
+        coeff *= i + (k - 1)
+        coeff /= k
+        out[k - 1] = coeff
+    return out
+
+
+def _warm_start(hist: np.ndarray, m: int, degree: int, newton: np.ndarray) -> np.ndarray:
     """First candidate: the polynomial through the last degree+1 history rows,
     continued to the m+1 window nodes.
 
     Newton's backward form at spacing dt, p(i dt) = sum_k C(i+k-1, k) D^k,
-    with D^k the k-th backward difference of the rows at phi(0).  Row 0 is
-    phi(0) exactly, and degree 0 is the flat start.  A history of fewer
-    rows lowers the degree to what it holds.
+    with D^k the k-th backward difference of the rows at phi(0) and the
+    binomials read from ``newton`` (``_newton_columns`` of m or more rows
+    and at least ``degree`` columns).  Row 0 is phi(0) exactly, and degree 0
+    is the flat start.  A history of fewer rows lowers the degree to what
+    it holds.
     """
     degree = min(degree, hist.shape[0] - 1)
     diff = hist[hist.shape[0] - degree - 1 :]
-    y = np.tile(hist[-1], (m + 1, 1))
-    i = np.arange(1.0, m + 1.0)[:, None]
-    coeff = np.ones_like(i)
+    y = np.empty((m + 1, hist.shape[1]))
+    y[...] = hist[-1]
     for k in range(1, degree + 1):
         diff = diff[1:] - diff[:-1]
-        coeff *= i + (k - 1)
-        coeff /= k
-        y[1:] += coeff * diff[-1]
+        y[1:] += newton[k - 1, :m] * diff[-1]
     return y
 
 
@@ -563,7 +592,8 @@ def _first_candidate(frame: WindowFrame, radius: float):
     ``y_max`` and blow-up outcomes are those of the flat start.  Both
     starts and G(y) hold every column.
     """
-    y = _warm_start(frame.hist, frame.m, _WARM_DEGREE)
+    newton = frame.run.newton
+    y = _warm_start(frame.hist, frame.m, _WARM_DEGREE, newton)
     stack = frame.load(y)
     if not _drift_exceeds(frame, radius):
         try:
@@ -572,7 +602,7 @@ def _first_candidate(frame: WindowFrame, radius: float):
             gy = None
         if gy is not None and np.isfinite(gy).all():
             return y, stack, gy
-    y = _warm_start(frame.hist, frame.m, 0)
+    y = _warm_start(frame.hist, frame.m, 0, newton)
     return y, frame.load(y), None
 
 

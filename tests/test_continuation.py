@@ -373,6 +373,14 @@ class TestRefineBoundaryTime:
         with pytest.raises(ValueError):
             refine_boundary_time(prob, path, 1.0, 1.1, tol_t=1e-6)
 
+    def test_nan_tolerance_rejected(self):
+        # a nan tol_t would skip the bisection and return the unrefined midpoint
+        h, dt = 0.5, 0.1
+        path = self.linear_mass_path(dt, h)
+        prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
+        with pytest.raises(ValueError, match="tol_t must be positive"):
+            refine_boundary_time(prob, path, 1.0, 1.1, tol_t=math.nan)
+
     def test_reversed_bracket_rejected(self):
         h, dt = 0.5, 0.1
         path = self.linear_mass_path(dt, h)

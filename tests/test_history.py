@@ -411,7 +411,7 @@ def test_stack_integral_norms_match_the_padded_block_reference(data):
     assert stack.integral_norms().tobytes() == want.tobytes()
     sums = rng.uniform(0.0, 3.0, size=n_h)
     framed = SegmentStack._trusted(stack.h, dt, stack.thetas, values, stack.norms,
-                                   stack.times, {}, sums)
+                                   stack.times, {}, sums, {})
     want = padded_block_integral_norms(stack.norms, n_h, dt, sums)
     assert framed.integral_norms().tobytes() == want.tobytes()
 
@@ -473,6 +473,20 @@ def test_stacks_a_whole_number_of_delays_apart_sum_alike(n_h):
     for k in range(1, 4):
         part = SegmentStack(n_h * 0.1, 0.1, values[k * n_h :]).integral_norms()
         assert np.array_equal(part, whole[k * n_h :])
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 0.0), (-0.5, np.nan), (np.nan, np.nan),
+                                    (-np.inf, 0.0), (-0.5, np.inf)])
+def test_non_finite_window_edges_are_refused_alike(lo, hi):
+    # a nan edge passes every order and range comparison: batch and scalar
+    # refuse it, and an infinite one, with the same error
+    thetas = np.linspace(-1.0, 0.0, 11)
+    stack = SegmentStack(1.0, 0.1, np.ones((11, 1)))
+    with pytest.raises(ValueError, match="non-finite edge") as batch:
+        stack.max_norms(lo, hi)
+    with pytest.raises(ValueError, match="non-finite edge") as scalar:
+        max_norm_functional(scalar_segment(1.0, thetas, np.ones(11)), lo, hi)
+    assert str(batch.value) == str(scalar.value)
 
 
 def test_stack_rejects_short_arrays_and_bad_windows():

@@ -150,6 +150,15 @@ class TestMaxWindowFunctional:
             WindowFns(beta0=-2.0, beta1=1.0, alpha0=0.0, alpha1=1.0).windows_at(
                 np.array([0.0, 0.5]), 1.0)
 
+    @pytest.mark.parametrize("edges", [(np.nan, 1.0, 0.0, 1.0), (-0.5, 1.0, np.nan, 1.0),
+                                       (-0.5, np.nan, 0.0, 1.0)])
+    def test_window_with_a_nan_edge_rejected(self, edges):
+        window = WindowFns(*edges)
+        with pytest.raises(ValueError, match="non-finite edge"):
+            window.validate(1.0, 2.0)
+        with pytest.raises(ValueError, match="non-finite edge"):
+            window.windows_at(np.array([0.0, 0.5]), 1.0)
+
     def test_window_closing_at_the_current_value_keeps_lo_at_most_hi(self):
         # beta(t) = -0.15 + 1.06 t reaches alpha(t) = t at T = 2.5, where
         # beta - t rounds to 4.4e-16 > alpha - t = 0, inside the slack

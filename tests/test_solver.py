@@ -41,6 +41,7 @@ from neutraldde.solver import (
     RunFrame,
     WindowFrame,
     _drift_exceeds,
+    _newton_columns,
     _warm_start,
     cell_weights,
     evaluate_window_operator,
@@ -340,6 +341,27 @@ def _wobbly_segment(h, dt, n_modes, seed):
     return Segment(h, thetas, values)
 
 
+def newton_reference(hist, m, degree):
+    """The warm start as plainly defined: Newton's backward form, its
+    binomials built per call, the reference ``_warm_start`` is pinned to."""
+    degree = min(degree, hist.shape[0] - 1)
+    diff = hist[hist.shape[0] - degree - 1 :]
+    y = np.tile(hist[-1], (m + 1, 1))
+    i = np.arange(1.0, m + 1.0)[:, None]
+    coeff = np.ones_like(i)
+    for k in range(1, degree + 1):
+        diff = diff[1:] - diff[:-1]
+        coeff *= i + (k - 1)
+        coeff /= k
+        y[1:] += coeff * diff[-1]
+    return y
+
+
+def warm_start(hist, m, degree):
+    """``_warm_start`` with Newton columns of its own width."""
+    return _warm_start(hist, m, degree, _newton_columns(m, _WARM_DEGREE))
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("degree", range(_WARM_DEGREE + 1))
     def test_continues_a_polynomial_history(self, degree):
@@ -347,18 +369,32 @@ class TestWarmStart:
         coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, size=(degree + 1, 2))
         poly = lambda t: np.power.outer(t, np.arange(degree + 1)) @ coeffs
         hist = poly(-h + dt * np.arange(int(round(h / dt)) + 1))
-        guess = _warm_start(hist, m, _WARM_DEGREE)
+        guess = warm_start(hist, m, _WARM_DEGREE)
         np.testing.assert_allclose(guess, poly(dt * np.arange(m + 1)), rtol=0.0, atol=1e-12)
         assert np.array_equal(guess[0], hist[-1])
 
     def test_degree_zero_is_the_flat_start(self):
         hist = np.random.default_rng(0).uniform(-1.0, 1.0, size=(51, 3))
-        assert np.array_equal(_warm_start(hist, 7, 0), np.tile(hist[-1], (8, 1)))
+        assert np.array_equal(warm_start(hist, 7, 0), np.tile(hist[-1], (8, 1)))
 
     def test_a_short_history_lowers_the_degree(self):
         # two rows hold a line, whatever the degree asked for
         hist = np.array([[1.0], [3.0]])
-        assert np.array_equal(_warm_start(hist, 3, _WARM_DEGREE)[:, 0], [3.0, 5.0, 7.0, 9.0])
+        assert np.array_equal(warm_start(hist, 3, _WARM_DEGREE)[:, 0], [3.0, 5.0, 7.0, 9.0])
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 7, 16])
+    def test_run_frame_columns_give_the_reference_bitwise(self, m, n_modes):
+        # one run frame of width m serves every narrower window k, every
+        # degree and every history of 1-6 rows, bit for bit
+        run = RunFrame(homogeneous_problem(mu=np.arange(1.0, n_modes + 1.0)), 0.01, m)
+        rng = np.random.default_rng(100 * m + n_modes)
+        for rows in range(1, 7):
+            hist = rng.uniform(-2.0, 2.0, size=(rows, n_modes))
+            for k in range(1, m + 1):
+                for degree in range(_WARM_DEGREE + 1):
+                    got = _warm_start(hist, k, degree, run.newton)
+                    assert got.tobytes() == newton_reference(hist, k, degree).tobytes()
 
     @staticmethod
     def _kinked_history(h, dt):
@@ -383,7 +419,7 @@ class TestWarmStart:
         hist = self._kinked_history(prob.h, dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12, trust_radius=3.0)
         frame = WindowFrame(prob, hist, 0.0, dt, 10)
-        frame.load(_warm_start(hist, 10, _WARM_DEGREE))
+        frame.load(_warm_start(hist, 10, _WARM_DEGREE, frame.run.newton))
         assert _drift_exceeds(frame, cfg.trust_radius)
         self._runs_as_the_flat_start(prob, hist, cfg, monkeypatch)
 
@@ -396,7 +432,7 @@ class TestWarmStart:
         hist = self._kinked_history(prob.h, dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12)
         frame = WindowFrame(prob, hist, 0.0, dt, 10)
-        stack = frame.load(_warm_start(hist, 10, _WARM_DEGREE))
+        stack = frame.load(_warm_start(hist, 10, _WARM_DEGREE, frame.run.newton))
         assert not _drift_exceeds(frame, cfg.trust_radius)
         with pytest.raises(DomainViolation):
             evaluate_window_operator(frame, stack)
@@ -587,13 +623,19 @@ class TestWindowFrame:
         assert calls["attempts"] == len(traj.windows) > 1
         assert calls["loads"] == sum(w.iterations for w in traj.windows)
 
-    def test_window_edges_are_resolved_once_per_attempt(self, monkeypatch):
+    def test_window_edges_are_resolved_once_per_run(self, monkeypatch):
         import neutraldde.continuation as continuation
         from neutraldde import continue_solution
         from neutraldde.config import build_run, parse_config
         from neutraldde.scenarios import get_scenario
 
         calls = {"attempts": 0, "windows_at": 0, "resolve": 0}
+        widths = set()
+
+        def recorded_solve(prob, hist, t0, cfg, *rest):
+            calls["attempts"] += 1
+            widths.add(round(cfg.window / cfg.dt))
+            return solve_window(prob, hist, t0, cfg, *rest)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -603,15 +645,17 @@ class TestWindowFrame:
 
         built = build_run(parse_config(get_scenario("mass_growth")))
         assert built.problem.f.window == current_value_window()
-        monkeypatch.setattr(continuation, "solve_window", counted("attempts", solve_window))
+        monkeypatch.setattr(continuation, "solve_window", recorded_solve)
         monkeypatch.setattr(WindowFns, "windows_at", counted("windows_at", WindowFns.windows_at))
         monkeypatch.setattr(SegmentStack, "resolve", counted("resolve", SegmentStack.resolve))
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
         iterations = sum(w.iterations for w in traj.windows)
-        assert calls["attempts"] >= len(traj.windows) > 1
-        # f's running-max window, the only one, is resolved by each attempt's
-        # first iterate and gathered by the rest
-        assert calls["windows_at"] == calls["resolve"] == calls["attempts"] < iterations
+        assert calls["attempts"] >= len(traj.windows) > 1 and len(widths) == 1
+        # f's running-max window, the only one, is located by each attempt's
+        # first iterate and gathered by the rest; its edges, lo = hi = 0 on
+        # every slice, are resolved once for the run's one width
+        assert calls["windows_at"] == calls["attempts"] < iterations
+        assert calls["resolve"] == 1
 
     def test_run_tables_are_built_once_per_run_and_width(self, monkeypatch):
         import neutraldde.continuation as continuation
@@ -757,6 +801,47 @@ def test_frame_resolved_window_maxima_match_the_reference(data):
                     assert got[i] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_resolved_window_edges_match_a_fresh_resolve(data):
+    # One run's attempts in the order a march gives them: a window halved on
+    # failure, accepted windows at the run's width and a last window cut at
+    # the horizon, two loads each.  Every gather must be what a fresh
+    # resolve of the same windows gives, to the bit; the whole slice and
+    # lo = hi = 0 are resolved once per width, whatever the window start.
+    n_h = data.draw(st.sampled_from([4, 5, 8, 10]))
+    dt = 1.0 / n_h
+    m = data.draw(st.integers(1, n_h))
+    n_modes = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # an affine window off the nodes, its edges rounded per window start
+    b0 = -1.0 + data.draw(st.floats(0.05, 0.45))
+    a0 = b0 + data.draw(st.floats(0.0, 0.5))
+    windows = [None, current_value_window(), WindowFns(b0, 1.0, a0, 1.0), MOVING_WINDOW]
+    prob = NeutralProblem(SpectralOperator(np.arange(1.0, n_modes + 1.0)), 1.0, 1.0, 0.5,
+                          ZeroTerm(), ZeroTerm(), DomainSpec("time_only"), 0.0)
+    hist = rng.uniform(-2.0, 2.0, size=(n_h + 1, n_modes))
+    run = RunFrame(prob, dt, m)
+    first = {}
+    start, k = 0, m
+    while start < n_h:
+        frame = WindowFrame(prob, hist, start * dt, dt, k, run)
+        for _ in range(2):
+            stack = frame.load(rng.uniform(-2.0, 2.0, size=(k + 1, n_modes)))
+            fresh = SegmentStack(1.0, dt, stack.values.copy())
+            for w in windows:
+                got = stack.gather(stack.window_edges(w))
+                lo, hi = (-1.0, 0.0) if w is None else w.windows_at(frame.times, 1.0)
+                assert got.tobytes() == fresh.gather(fresh.resolve(lo, hi)).tobytes()
+        for w in windows[:2]:
+            assert frame.edges[w] is first.setdefault((w, k), frame.edges[w])
+        if k > 1 and data.draw(st.booleans()):
+            k //= 2  # the attempt failed
+        else:
+            start += k
+            k = min(m, n_h - start)
+
+
 # ---------------------------------------------------------------------------
 # active columns: the split iteration against the plain full-width one
 
@@ -783,7 +868,7 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
     Returns (values, iterations, residual, contraction, status)."""
     m = int(round(cfg.window / cfg.dt))
     frame = WindowFrame(prob, hist, t0, cfg.dt, m)
-    y = _warm_start(frame.hist, m, _WARM_DEGREE)
+    y = _warm_start(frame.hist, m, _WARM_DEGREE, frame.run.newton)
     stack = frame.load(y)
     gy = None
     if not _drift_exceeds(frame, cfg.trust_radius):
@@ -795,7 +880,7 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
             gy = None
     guessed = gy is not None
     if not guessed:
-        y = _warm_start(frame.hist, m, 0)
+        y = _warm_start(frame.hist, m, 0, frame.run.newton)
         stack = frame.load(y)
     prev, contraction = None, 0.0
     for it in range(1, cfg.max_iter + 1):
@@ -1040,6 +1125,13 @@ class TestNeutralContraction:
 
 
 class TestSolverConfig:
+    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, 0, -3])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        # a float count would only fail later, in the iteration's range()
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            SolverConfig(dt=0.1, window=0.1, max_iter=max_iter)
+        assert SolverConfig(dt=0.1, window=0.1, max_iter=np.int64(3)).max_iter == 3
+
     def test_grid_divisibility_enforced(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.03, window=0.1)
