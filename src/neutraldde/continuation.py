@@ -11,10 +11,12 @@ the delay span, each window then takes the path's last n_h+1 rows and their
 norms as its history; ``segment_at`` serves only the bisection.  One
 ``RunFrame`` per run, built at the first window's width, holds what every
 window shares (the theta grid, the cell weights, the scan factors and the
-decay table), and dies with the run.  ``extend`` appends each converged
-window, with the row norms of the stack it converged on, into the free rows
-of the path's buffer, which doubles when full; no attempt writes a row the
-run has committed.
+decay table), and dies with the run.  Each attempt solves in the free rows
+of the path's buffer past its end, which doubles before the attempt when
+short; no attempt writes a row the run has committed, and a failed one
+leaves only free rows behind.  ``extend`` of the converged window checks
+its overlap with the path's endpoint and moves the fill mark past it, so
+the window's rows and norms are not copied again.
 
 Each grid point is decided once: ``solve_window`` returns the stack of the
 window's history and values, one ``first_exit_slice`` pass applies
@@ -37,7 +39,7 @@ statement about the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,15 +122,14 @@ def _refine_bracket(prob, path, a, b, tol_t):
     return a, b
 
 
-def _attempt_window(prob, hist, hist_norms, t0, cfg, run, m_cells, remaining_cells):
-    """Solve one window from its grid rows, halving on failure: (result or None, detail)."""
+def _attempt_window(prob, path, t0, cfg, run, m_cells, remaining_cells):
+    """Solve one window after the path, halving on failure: (result or None, detail)."""
     m_try = min(m_cells, remaining_cells)
     damping = 1.0
     last_detail = None
     while True:
-        attempt_cfg = replace(cfg, window=m_try * cfg.dt)
         try:
-            result = solve_window(prob, hist, t0, attempt_cfg, damping, run, hist_norms)
+            result = solve_window(prob, path, t0, cfg, damping, run, m_try)
         except NumericalBlowup:
             result = None
             last_detail = "numerical_blowup"
@@ -188,14 +189,13 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         if remaining <= 0:
             event = TerminationEvent("reached_horizon", prob.T)
             break
-        result, failure = _attempt_window(prob, path.values[-(n_h + 1):], path.norms[-(n_h + 1):],
-                                          t, cfg, run, m, remaining)
+        result, failure = _attempt_window(prob, path, t, cfg, run, m, remaining)
         if result is None:
             event = TerminationEvent("solver_failure", t, failure)
             break
-        stack = result.stack  # over the solver's buffers, which the kept result drops
-        windows.append(replace(result, stack=None))
-        path = extend(path, result.values, stack.current_norms())
+        stack, result.stack = result.stack, None  # the kept result holds no buffers
+        windows.append(result)
+        path = extend(path, stack.current(), stack.current_norms())
         scanned = prob.domain_functionals(stack)
         hit = prob.first_exit_slice(stack)
         if hit is None:

@@ -51,6 +51,13 @@ class _PathBuffer:
         self.rows = rows
         self.norms = norms
         self.filled = filled
+        self.address = rows.__array_interface__["data"][0]
+
+    def holds(self, values: np.ndarray, row: int) -> bool:
+        """Is ``values`` the view of the rows that starts at ``row``?"""
+        return (values.strides == self.rows.strides
+                and values.__array_interface__["data"][0]
+                == self.address + row * self.rows.strides[0])
 
 
 class SolutionPath:
@@ -107,6 +114,23 @@ class SolutionPath:
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_times)
+
+    def _reserve(self, count: int) -> _PathBuffer:
+        """The path's buffer, with at least ``count`` free rows past its end.
+
+        A buffer that is filled past the path's end, as a head's is, or that
+        is too short, is first replaced by a copy of the path's rows twice
+        their number or more, so no row another path holds is written.
+        """
+        buf, n = self._buf, self._n
+        if buf.filled != n or n + count > buf.rows.shape[0]:
+            size = max(n + count, 2 * n)
+            rows = np.empty((size, buf.rows.shape[1]))
+            rows[:n] = buf.rows[:n]
+            norms = np.empty(size)
+            norms[:n] = buf.norms[:n]
+            buf = self._buf = _PathBuffer(rows, norms, n)
+        return buf
 
     def head(self, n: int) -> "SolutionPath":
         """The path through its first n grid points; it shares this path's rows."""
@@ -364,6 +388,10 @@ class SegmentStack:
         """Each slice's value at theta = -h."""
         return self.values[: self.n_windows]
 
+    def current(self) -> np.ndarray:
+        """Each slice's value at theta = 0."""
+        return self.values[self.n_h :]
+
     def current_norms(self) -> np.ndarray:
         """Each slice's norm at theta = 0."""
         return self.norms[self.n_h :]
@@ -420,15 +448,23 @@ class SegmentStack:
         Each window is located once per edge store.  ``resolve`` depends on
         (lo, hi), the theta grid and the slice count alone, so windows equal
         to the last ones resolved for this window and slice count in the run
-        store reuse their edges; others are resolved and replace them.
+        store reuse their edges; others are resolved and replace them.  The
+        whole slice and a window whose edges are the same at every time
+        (``WindowFns.fixed``) are not located again once the run store
+        holds them.
         """
         edges = self._edges.get(window)
         if edges is None:
-            lo, hi = (-self.h, 0.0) if window is None else window.windows_at(self.times, self.h)
             key = (window, self.n_windows)
             last = self._run_edges.get(key)
-            if last is None or not (np.array_equal(last[0], lo) and np.array_equal(last[1], hi)):
-                last = self._run_edges[key] = (lo, hi, self.resolve(lo, hi))
+            if last is None or not (window is None or window.fixed):
+                if window is None:
+                    lo, hi = -self.h, 0.0
+                else:
+                    lo, hi = window.windows_at(self.times, self.h)
+                if last is None or not (np.array_equal(last[0], lo)
+                                        and np.array_equal(last[1], hi)):
+                    last = self._run_edges[key] = (lo, hi, self.resolve(lo, hi))
             edges = self._edges[window] = last[2]
         return edges
 
@@ -530,7 +566,9 @@ def extend(path: SolutionPath, new_values, norms=None) -> SolutionPath:
     at the buffer's fill mark, the overlap row equals the endpoint and the
     buffer has room.  Otherwise they go into a copy of twice the size, so
     extending an older path never changes a path extended from it, and no
-    extension changes the path it extends.
+    extension changes the path it extends.  A window solved in those free
+    rows (``solver.WindowFrame``) is there already and is not copied again:
+    its overlap is checked and the fill mark moves past it.
     """
     new_values = np.asarray(new_values, dtype=float)
     buf, n = path._buf, path.n_times
@@ -542,8 +580,10 @@ def extend(path: SolutionPath, new_values, norms=None) -> SolutionPath:
         raise StitchingError(f"overlap mismatch {jump:.3e} is not within the stitching tolerance")
     if norms is None:
         norms = _row_norms(new_values)
-    elif np.shape(norms) != new_values.shape[:1]:
-        raise ValueError(f"need one norm per new row, got shape {np.shape(norms)}")
+    else:
+        norms = np.asarray(norms, dtype=float)
+        if norms.shape != new_values.shape[:1]:
+            raise ValueError(f"need one norm per new row, got shape {norms.shape}")
     k = n - 1 + new_values.shape[0]
     if buf.filled == n and jump == 0.0 and k <= buf.rows.shape[0]:
         start = n  # the overlap row is the endpoint already
@@ -555,7 +595,8 @@ def extend(path: SolutionPath, new_values, norms=None) -> SolutionPath:
         row_norms = np.empty(size)
         row_norms[:start] = buf.norms[:start]
         buf = _PathBuffer(rows, row_norms, start)
-    buf.rows[start:k] = new_values[start - n + 1 :]
+    if not buf.holds(new_values, n - 1):  # a window solved in the free rows is there already
+        buf.rows[start:k] = new_values[start - n + 1 :]
     buf.norms[start:k] = norms[start - n + 1 :]
     buf.filled = k
     return SolutionPath._over(path.t_start, path.dt, buf, k)

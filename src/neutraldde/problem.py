@@ -142,6 +142,13 @@ class WindowFns:
         # lo may pass hi within the slack; clipping it there keeps lo <= hi
         return np.minimum(np.maximum(lo, -h), hi), hi
 
+    @property
+    def fixed(self) -> bool:
+        """Are the edges the same at every time?  For beta = alpha = t they
+        are 0 + t - t, exactly 0 at every finite t; any other offset or
+        slope can round differently from one time to the next."""
+        return self.beta0 == self.alpha0 == 0.0 and self.beta1 == self.alpha1 == 1.0
+
     def validate(self, h: float, T: float) -> None:
         # All constraints are affine in t, so the endpoints decide.
         self.windows_at(np.array([0.0, T]), h)

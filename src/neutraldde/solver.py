@@ -30,16 +30,17 @@ Only the columns the delay terms write are iterated.  Each term gives its
 both terms' supports is the run's active set.  In a passive column,
 outside it, g and f are 0 whatever the time and history, so there the mild
 solution S(t)(phi(0) + g(0, phi)) - g(t, u_t) plus the memory integrals is
-the free evolution S(t) phi(0), and G(y) is that whatever y.  The first
-candidate and its image hold every column, so iterate 1 and its residual
-are those of the plain iteration; the passive columns of that image are
-their fixed point, written once per attempt, and every later iterate
-writes, maps, checks and measures the active columns alone.  Row norms are
-still summed over the full row, and so are the residual's rows when three
-or more active columns sit among passive ones, so every functional, scan
-decision, residual and CSV column is what the plain iteration gives.  A
-contiguous active set, as in a run of one mode or of a point delay, which
-writes every column, is a basic slice: no column is gathered.
+the free evolution S(t) phi(0), and G(y) is that whatever y: the exact
+treatment of the linear part that exponential integrators rest on.  So
+every attempt writes the passive columns of its window rows once, at that
+fixed point, with each row's sum of their squares, and every candidate,
+the first included, is extrapolated, written, mapped, checked and
+measured on the active columns alone.  A row norm is the square root of
+the row's passive sum plus its active squares; a run with no passive
+column, as a run of one mode or of a point delay, adds nothing and sums
+each row as the plain norm does, and a run with no active column converges
+at its second iterate.  A contiguous active set is a basic slice: no
+column is gathered.
 
 The work is set up at two levels.  Per run, a ``RunFrame`` holds the theta
 grid, the active columns with their rates and cell weights and, at the
@@ -52,31 +53,34 @@ interior-node bounds depend on the windows (lo, hi), the theta grid and
 the slice count alone, so an attempt whose windows equal the stored ones
 to the bit, as lo = hi = 0 and the whole slice do on every attempt,
 reuses them.  Per attempt, one ``WindowFrame`` is shared by every
-fixed-point iterate.  It takes the window's history as its n_h+1 grid rows
-and their norms, which a run reads from its path's norm column: dt divides
-the delay span, so every delayed value is a row of the path and nothing is
-resampled.  It computes once: phi(0), the grid times, the free evolution
+fixed-point iterate.  It works in the path's own buffer: its history is
+the path's last n_h+1 rows with their stored norms (dt divides the delay
+span, so every delayed value is a row of the path and nothing is
+resampled), and its candidates go into the free rows after them, so no
+history is copied and a converged window is committed where it was
+solved.  It computes once: phi(0), the grid times, the free evolution
 S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the
-history's block of trapezoid sums for the delay masses, and a rows buffer
-whose first n_h rows and norms hold the history.  Its first iterate
-locates each running-max window at the grid times and takes the run's
-edges or resolves new ones, so every later iterate only gathers norms at
-the resolved rows.  Each candidate is loaded once: ``load`` writes its m+1
-rows, of every column or of the active ones, and every row norm into the
-buffer's tail, the trust-region screen reads the stored norms, and the
-operator then calls each term's ``evaluate_window`` on the same stack and
-the active columns and runs the scan on mu g + f there.  A non-finite row
-of g or f reaches G(y) through a positive weight, so ``solve_window`` tests
-only G(y), once per iterate, under one ``errstate`` per attempt; the
-passive columns are tested with iterate 1.
+history's block of trapezoid sums for the delay masses and the passive
+columns.  Its first iterate locates each running-max window at the grid
+times and takes the run's edges or resolves new ones, so every later
+iterate only gathers norms at the resolved rows.  Each candidate is loaded
+once: ``load`` writes the active columns of its rows 1..m and their norms
+(row 0 is phi(0), the path's last row, and keeps its stored norm), the
+trust-region screen reads the stored norms, and the operator then calls
+each term's ``evaluate_window`` on the same stack and the active columns
+and runs the scan on mu g + f there.  A non-finite row of g or f reaches
+G(y) through a positive weight, so ``solve_window`` tests only G(y), once
+per iterate, under one ``errstate`` per attempt; the frame tests
+phi(0) + g(t0, phi), which the free evolution scales.
 
-Each window starts from the polynomial of degree ``_WARM_DEGREE`` through
-its last history rows, continued over the window (Newton backward
-differences at spacing dt, as in the continuous extensions of Bellen &
-Zennaro, "Numerical Methods for Delay Differential Equations", 2003), whose
-binomial weights the run frame builds once.  A degree-p guess is off by
-O(w^(p+1)) where the flat start phi(0) is off by O(w), so Picard
-iteration, whose error shrinks like (Lw)^k/k!, starts some iterates ahead.
+Each window starts, in its active columns, from the polynomial of degree
+``_WARM_DEGREE`` through its last history rows, continued over the window
+(Newton backward differences at spacing dt, as in the continuous
+extensions of Bellen & Zennaro, "Numerical Methods for Delay Differential
+Equations", 2003), whose binomial weights the run frame builds once.  A
+degree-p guess is off by O(w^(p+1)) where the flat start phi(0) is off by
+O(w), so Picard iteration, whose error shrinks like (Lw)^k/k!, starts some
+iterates ahead.
 The flat start is the same extrapolation at degree 0 and serves as the
 guard: a guess that leaves the trust region, takes a term past its
 argument range or maps to non-finite values is dropped, and the window
@@ -94,12 +98,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainViolation, HypothesisViolation, NumericalBlowup
-from .history import Segment, SegmentStack, _first_block_sums, _require_divides
+from .history import (Segment, SegmentStack, SolutionPath, _first_block_sums,
+                      _require_divides)
 from .problem import NeutralProblem
 from .spectral import SpectralOperator
 
@@ -107,16 +111,16 @@ from .spectral import SpectralOperator
 _SERIES_Z = 0.04
 
 #: Most grid steps the delay span may hold.  A run allocates its history of
-#: n_h + 1 rows before the first window, and each window's frame holds
-#: n_h + m + 1; the largest delay grid of any bundled scenario, benchmark
-#: workload or convergence-study reference is a few thousand steps, and a
-#: step that small on a unit delay is far below what the fixed point can
-#: resolve in double precision.
+#: n_h + 1 rows before the first window, and its path grows by doubling;
+#: the largest delay grid of any bundled scenario, benchmark workload or
+#: convergence-study reference is a few thousand steps, and a step that
+#: small on a unit delay is far below what the fixed point can resolve in
+#: double precision.
 _MAX_DELAY_CELLS = 10**7
 
 #: Most values the history's n_h + 1 rows may hold over all modes: 800 MB a
-#: copy, and a run keeps a few (the path, a window frame's rows).  The
-#: widest bundled or benchmark history holds under 10**6.
+#: copy, and a run keeps a few (the path, a copy when its buffer doubles).
+#: The widest bundled or benchmark history holds under 10**6.
 _MAX_HISTORY_VALUES = 10**8
 
 #: Degree of the history extrapolation that starts each window.  Degrees
@@ -322,17 +326,17 @@ class RunFrame:
 
     ``active`` indexes the columns the delay terms can write, the union of
     their supports, as a basic slice when it is contiguous; ``n_active``
-    counts them.  Beside the theta grid it holds the decay table e^(-mu s)
-    of the free evolution on every column, built at width m with the node
-    offsets dt*arange(m+1), on the active columns alone the rates, the
-    cell weights and the scan factors, and the warm start's Newton columns
-    ``newton``.  A window of k <= m cells reads the first k+1 rows, first
-    k.bit_length() factors and first k Newton rows, bitwise what a k-cell
-    build gives.  ``edges`` keeps the last resolved running-max window
-    edges per window and slice count (``SegmentStack.window_edges``): an
-    attempt whose windows repeat them, as lo = hi = 0 and the whole slice
-    do, only gathers.  The tables go with the frame, never into a module-
-    or operator-level cache.
+    counts them, and every other column is passive.  Beside the theta grid
+    it holds the decay table e^(-mu s) of the free evolution on every
+    column, built at width m with the node offsets dt*arange(m+1), on the
+    active columns alone the rates, the cell weights and the scan factors,
+    and the warm start's Newton columns ``newton``.  A window of k <= m
+    cells reads the first k+1 rows, first k.bit_length() factors and first
+    k Newton rows, bitwise what a k-cell build gives.  ``edges`` keeps the
+    last resolved running-max window edges per window and slice count
+    (``SegmentStack.window_edges``): an attempt whose windows repeat them,
+    as lo = hi = 0 and the whole slice do, only gathers.  The tables go
+    with the frame, never into a module- or operator-level cache.
     """
 
     def __init__(self, prob: NeutralProblem, dt: float, m: int):
@@ -358,56 +362,71 @@ class RunFrame:
         self.edges: dict = {}
 
 
+def _history_rows(hist, n_h: int, n_modes: int) -> np.ndarray:
+    """``hist`` as the (n_h+1, n_modes) grid rows of a window's history."""
+    hist = np.asarray(hist, dtype=float)
+    if hist.shape != (n_h + 1, n_modes):
+        raise ValueError(f"history must be ({n_h + 1}, {n_modes}) grid rows, got {hist.shape}")
+    return hist
+
+
 class WindowFrame:
     """What one window attempt's iterates share, computed once per attempt.
 
-    The window starts at t0 and has m cells.  It takes the window's grid
-    rows ``hist``: the (n_h+1, n_modes) values u(t0 - h + k*dt), k = 0..n_h,
-    with n_h = h/dt, and their row norms ``hist_norms`` (taken here when not
-    given; a run passes its path's norm column).  What depends on the
-    problem, dt and m alone comes from the run's ``RunFrame``, of width m
-    or more (a fresh one of width m when none is given): the theta grid,
-    the active columns, their cell weights and scan factors, and the decay
-    table.  Per attempt the frame holds the history, the grid times,
-    phi(0), the free evolution S(s)(phi(0) + g(t0, phi)), the history's
-    block of trapezoid sums for the delay masses, and one rows buffer whose
-    first n_h rows are the history and whose last m+1 rows hold the
-    candidate, the window values, with the row norms beside it.
+    The window starts at t0 and has m cells.  Its history is n_h+1 grid
+    rows u(t0 - h + k*dt), k = 0..n_h, with n_h = h/dt: the last rows of a
+    ``SolutionPath``, or an (n_h+1, n_modes) array, which is copied into a
+    path of its own.  The frame works in the path's rows buffer and its row
+    norms: the history, then the m+1 window rows, of which row 0 is the
+    history's last, phi(0).  The path lends them with m free rows past its
+    end (``SolutionPath._reserve``); nothing the path holds is copied or
+    rewritten, and ``extend`` of the converged window checks its overlap
+    and moves the path's fill mark.
+    What depends on the problem, dt and m alone comes from the run's
+    ``RunFrame``, of width m or more (a fresh one of width m when none is
+    given): the theta grid, the active columns, their cell weights and
+    scan factors, and the decay table.
 
-    The passive columns, those outside ``run.active``, take the free
-    evolution: G(y) there is ``fixed``, phi(0) at the window start and
-    S(s)(phi(0) + g(t0, phi)) after it, whatever y.  ``load`` writes a
-    candidate of every column, or of the active columns alone; the first
-    active-only load of the attempt writes ``fixed`` into the passive
-    columns of the window values, once, and later ones leave them there.
-    Either way every row norm is the full row's sum, in the order a
-    full-width candidate gives.  ``load`` returns a stack over the buffers
-    at the frame's grid times; that stack is valid until the next ``load``.
-    ``edges`` is the attempt's store of running-max window edges, keyed by
-    the term's ``WindowFns`` (None for the full window), that every loaded
-    stack shares with the run's store: its ``window_edges`` locates each
-    window at the grid times on the first iterate that needs it, resolving
-    it only when the run's last edges for that window and width differ, and
-    the rest gather.  Terms are shared across frames and runs, so the
-    stores live on the frames.
+    Per attempt the frame computes the grid times, phi(0), the free
+    evolution ``free``, S(s)(phi(0) + g(t0, phi)) (the only scalar g call
+    of the attempt), and the history's block of trapezoid sums for the
+    delay masses.  The passive columns, those outside ``run.active``, take
+    the free evolution: G(y) there is phi(0) at the window start and
+    ``free + 0.0`` after it, whatever y, so the frame writes that into
+    window rows 1..m once, with each row's sum of passive squares.  Each
+    ``load`` then writes the candidate's active columns into rows 1..m and
+    gives each of those rows the norm sqrt(passive sum + active squares);
+    row 0 keeps the path's stored norm.  A run with no passive column
+    sums every row as the plain row norm does.  ``load`` returns a stack
+    over the buffers at the frame's grid times; that stack is valid until
+    the next ``load``.  ``edges`` is the attempt's store of running-max
+    window edges, keyed by the term's ``WindowFns`` (None for the full
+    window), that every loaded stack shares with the run's store: its
+    ``window_edges`` locates each window at the grid times on the first
+    iterate that needs it, resolving it only when the run's last edges for
+    that window and width differ, and the rest gather.  Terms are shared
+    across frames and runs, so the stores live on the frames.
     """
 
     def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int,
-                 run: RunFrame | None = None, hist_norms=None):
+                 run: RunFrame | None = None):
         if m < 1:
             raise ValueError(f"a window needs at least one cell, got m={m}")
         if run is None:
             run = RunFrame(prob, dt, m)
         elif run.prob is not prob or run.dt != dt or run.m < m:
             raise ValueError("the run frame is for another problem, grid step or narrower windows")
-        self.n_h = run.n_h
+        n_h = self.n_h = run.n_h
         n_modes = prob.op.n_modes
-        self.hist = np.asarray(hist, dtype=float)
-        if self.hist.shape != (self.n_h + 1, n_modes):
-            raise ValueError(f"history must be ({self.n_h + 1}, {n_modes}) grid rows, "
-                             f"got {self.hist.shape}")
-        if hist_norms is None:
-            hist_norms = np.linalg.norm(self.hist, axis=1)
+        if not isinstance(hist, SolutionPath):
+            hist = SolutionPath(t0 - prob.h, dt, _history_rows(hist, n_h, n_modes))
+        elif hist.dt != dt or hist.n_times <= n_h or hist.values.shape[1] != n_modes:
+            raise ValueError(f"history must be a path of step {dt} holding at least "
+                             f"{n_h + 1} grid rows of {n_modes} modes")
+        buf = hist._reserve(m)
+        first = hist.n_times - 1 - n_h
+        self.rows = buf.rows[first : first + n_h + m + 1]
+        self.norms = buf.norms[first : first + n_h + m + 1]
         self.prob = prob
         self.run = run
         self.t0 = t0
@@ -415,91 +434,56 @@ class WindowFrame:
         self.m = m
         self.times = t0 + run.offsets[: m + 1]
         self.factors = run.factors[: m.bit_length()]
+        self.hist = self.rows[: n_h + 1]
         self.phi0 = self.hist[-1]
-        self.rows = np.empty((self.n_h + m + 1, n_modes))
-        self.rows[: self.n_h] = self.hist[:-1]
-        self.norms = np.empty(self.n_h + m + 1)
-        self.norms[: self.n_h] = hist_norms[:-1]
-        self._hist_norms = hist_norms
+        hist_norms = self.norms[: n_h + 1]
         self.hist_sup = float(hist_norms.max())
-        # the first slice's block of delay-mass sums holds while a candidate
-        # starts at a row of phi(0)'s norm, as every iterate of solve_window does
-        self._phi0_norm = hist_norms[-1]
+        # row 0 of the window keeps phi(0)'s stored norm, so the first
+        # slice's block of delay-mass sums holds for every load
         self._history_sums = _first_block_sums(dt, hist_norms)
-        self._squares = np.empty((m + 1, n_modes))
-        self._settled = False  # do the window values hold ``fixed`` in their passive columns?
+        seg = Segment._trusted(prob.h, run.thetas, self.hist, hist_norms)
+        start = self.phi0 + prob.eval_g(t0, seg)
+        if not np.isfinite(start).all():
+            raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
+        self.free = run.decay[: m + 1] * start[None, :]
+        # the passive columns' G: the free evolution, with the 0.0 that
+        # turns its -0.0 into the +0.0 that free - g + (memory integral) gives
+        after = self.rows[n_h + 1 :]
+        np.add(self.free[1:], 0.0, out=after)
+        self._passive_sums = None
+        if run.n_active < n_modes:
+            squares = after * after
+            squares[:, run.active] = 0.0
+            self._passive_sums = np.add.reduce(squares, axis=1)
+        self._squares = np.empty((m, run.n_active))
         self.edges: dict = {}
 
-    @cached_property
-    def free(self) -> np.ndarray:
-        """S(s)(phi(0) + g(t0, phi)) at every window node; g reads the
-        initial history and its row norms."""
-        seg = Segment._trusted(self.prob.h, self.run.thetas, self.hist, self._hist_norms)
-        g_init = self.prob.eval_g(self.t0, seg)
-        return self.run.decay[: self.m + 1] * (self.phi0 + g_init)[None, :]
+    def load(self, candidate: np.ndarray) -> SegmentStack:
+        """Write rows 1..m of the candidate, (m+1, n_active) values of the
+        active columns, and their row norms; the stack over all rows.
 
-    @cached_property
-    def fixed(self) -> np.ndarray:
-        """G(y) on the passive columns, whatever y: phi(0), then the free evolution.
-
-        There g and f are 0, so G(y) is free - 0 + 0; the 0.0 added here
-        turns a -0.0 of the free evolution into the +0.0 that sum gives.
+        Row 0 is phi(0), which the candidate's row 0 repeats; it is not
+        written.
         """
-        out = self.free + 0.0
-        out[0] = self.phi0
-        return out
-
-    def whole(self, active_values: np.ndarray) -> np.ndarray:
-        """Window values of every column: ``fixed`` beside the given active columns."""
-        if active_values.shape[1] == self.phi0.size:
-            return active_values
-        out = self.fixed.copy()
-        out[:, self.run.active] = active_values
-        return out
-
-    def load(self, candidate) -> SegmentStack:
-        """Write the candidate's m+1 rows, of every column or of the active
-        ones, and every row norm; the stack over all rows."""
-        tail = self.rows[self.n_h :]
-        if np.shape(candidate) == tail.shape:
-            tail[...] = candidate
-            self._settled = False
-        elif np.shape(candidate) == (self.m + 1, self.run.n_active):
-            if not self._settled:
-                tail[...] = self.fixed
-                self._settled = True
-            tail[:, self.run.active] = candidate
-        else:
-            raise ValueError(f"candidate must be {tail.shape} or its {self.run.n_active} "
-                             f"active columns, got {np.shape(candidate)}")
-        tail_norms = self.norms[self.n_h :]
-        # np.linalg.norm(tail, axis=1) without its temporaries
-        np.multiply(tail, tail, out=self._squares)
-        np.add.reduce(self._squares, axis=1, out=tail_norms)
-        np.sqrt(tail_norms, out=tail_norms)
-        sums = self._history_sums if tail_norms[0] == self._phi0_norm else None
+        if candidate.shape != (self.m + 1, self.run.n_active):
+            raise ValueError(f"candidate must be ({self.m + 1}, {self.run.n_active}) values of "
+                             f"the active columns, got {candidate.shape}")
+        new = candidate[1:]
+        self.rows[self.n_h + 1 :, self.run.active] = new
+        norms = self.norms[self.n_h + 1 :]
+        # the row norms without temporaries: active squares plus passive sums
+        np.multiply(new, new, out=self._squares)
+        np.add.reduce(self._squares, axis=1, out=norms)
+        if self._passive_sums is not None:
+            norms += self._passive_sums
+        np.sqrt(norms, out=norms)
         return SegmentStack._trusted(self.prob.h, self.dt, self.run.thetas, self.rows,
-                                     self.norms, self.times, self.edges, sums, self.run.edges)
+                                     self.norms, self.times, self.edges, self._history_sums,
+                                     self.run.edges)
 
     def values(self) -> np.ndarray:
         """A copy of the window values: the last loaded candidate, every column."""
         return self.rows[self.n_h :].copy()
-
-    def residual(self, diff: np.ndarray) -> float:
-        """Largest row norm of ``diff``, of every column or of the active ones.
-
-        The passive columns of an active-only difference are 0.  A row's
-        squares summed over one or two columns are its full sum to the bit;
-        three or more among others are padded with those zeros to full rows,
-        so each row is summed as the full row sums it.
-        """
-        if 2 < diff.shape[1] < self.phi0.size:
-            full = np.zeros((diff.shape[0], self.phi0.size))
-            full[:, self.run.active] = diff
-            diff = full
-        # np.linalg.norm(diff, axis=1).max(): sqrt is monotone, so it can
-        # follow the max
-        return float(np.sqrt(np.add.reduce(diff * diff, axis=1).max()))
 
 
 def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:
@@ -513,8 +497,9 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     delay terms still see the true time t0 + s.  The value at the left
     endpoint is the identity phi(0) by construction and is returned exactly.
     The result has one column per active column, each bitwise what G on
-    every column gives there; ``frame.whole`` adds the passive ones.
-    Non-finite values are returned as they are; ``solve_window`` checks them.
+    every column of the loaded rows gives there; in the passive columns G
+    is the frame's free evolution, which the rows already hold.  Non-finite
+    values are returned as they are; ``solve_window`` checks them.
     """
     prob = frame.prob
     run = frame.run
@@ -590,47 +575,50 @@ def _first_candidate(frame: WindowFrame, radius: float):
     to finite values without leaving a term's argument range.  Otherwise
     the window runs exactly the iteration from phi(0), so the trust-region,
     ``y_max`` and blow-up outcomes are those of the flat start.  Both
-    starts and G(y) hold every column.
+    starts and G(y) hold the active columns.
     """
     newton = frame.run.newton
-    y = _warm_start(frame.hist, frame.m, _WARM_DEGREE, newton)
+    last = frame.hist[-(_WARM_DEGREE + 1) :, frame.run.active]
+    y = _warm_start(last, frame.m, _WARM_DEGREE, newton)
     stack = frame.load(y)
     if not _drift_exceeds(frame, radius):
         try:
-            gy = frame.whole(evaluate_window_operator(frame, stack))
+            gy = evaluate_window_operator(frame, stack)
         except DomainViolation:
             gy = None
         if gy is not None and np.isfinite(gy).all():
             return y, stack, gy
-    y = _warm_start(frame.hist, frame.m, 0, newton)
+    y = _warm_start(last, frame.m, 0, newton)
     return y, frame.load(y), None
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
                  damping: float = 1.0, run: RunFrame | None = None,
-                 hist_norms=None) -> WindowResult:
-    """Damped fixed-point iteration from the window's grid rows ``hist``.
+                 m: int | None = None) -> WindowResult:
+    """Damped fixed-point iteration on a window of m cells after the history ``hist``.
 
     The first candidate extrapolates the history (``_first_candidate``);
     each iterate is y <- (1 - damping) y + damping G(y), with damping in
-    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.  ``run``
-    and ``hist_norms`` go to the ``WindowFrame``: a run passes its
-    ``RunFrame`` and its path's norms of the ``hist`` rows.
+    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.  ``hist``
+    and ``run`` go to the ``WindowFrame``: a run passes its path and its
+    ``RunFrame``.  m defaults to the configured window; the continuation
+    passes each attempt's.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     dt = cfg.dt
-    m = int(round(cfg.window / dt))
-    frame = WindowFrame(prob, hist, t0, dt, m, run, hist_norms)
-    active = frame.run.active
-    phi0 = frame.phi0[active]
+    if m is None:
+        m = int(round(cfg.window / dt))
+    width = m * dt
+    frame = WindowFrame(prob, hist, t0, dt, m, run)
+    phi0 = frame.phi0[frame.run.active]
     # each candidate is loaded once: the trust check and the next iterate
     # both read the same stack
     y, stack, gy = _first_candidate(frame, cfg.trust_radius)
     guessed = gy is not None
     if not guessed and _drift_exceeds(frame, cfg.trust_radius):
-        return WindowResult(frame.values(), 0, np.inf, 0.0, "left_trust_region", t0, cfg.window)
+        return WindowResult(frame.values(), 0, np.inf, 0.0, "left_trust_region", t0, width)
 
     prev_residual = None
     residual = np.inf
@@ -638,11 +626,12 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
     for it in range(1, cfg.max_iter + 1):
         if gy is None:
             gy = evaluate_window_operator(frame, stack)
-            if it == 1:
-                gy = frame.whole(gy)
             if not np.isfinite(gy).all():
                 raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
-        residual = frame.residual(gy - y)
+        diff = gy - y
+        # np.linalg.norm(diff, axis=1).max(): sqrt is monotone, so it can
+        # follow the max
+        residual = float(np.sqrt(np.add.reduce(diff * diff, axis=1).max()))
         if prev_residual is not None and prev_residual > 0.0:
             contraction = residual / prev_residual
         # the guess is never returned as it stands, so a window's values are
@@ -650,12 +639,8 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         # fixed point
         if residual <= cfg.tol and not (guessed and it == 1):
             return WindowResult(frame.values(), it, residual, contraction, "converged", t0,
-                                cfg.window, stack)
+                                width, stack)
         prev_residual = residual
-        if it == 1:
-            # the passive columns of G(y) are their fixed point, which the
-            # next load writes once: the iterates go on in the active ones
-            y, gy = y[:, active], gy[:, active]
         if damping == 1.0:
             y = gy
         else:
@@ -665,9 +650,9 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         stack = frame.load(y)
         if _drift_exceeds(frame, cfg.trust_radius):
             return WindowResult(frame.values(), it, residual, contraction, "left_trust_region",
-                                t0, cfg.window)
+                                t0, width)
     return WindowResult(frame.values(), cfg.max_iter, residual, contraction, "diverged", t0,
-                        cfg.window)
+                        width)
 
 
 def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
@@ -699,8 +684,8 @@ def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
     admissible problem this stays below the declared contraction budget.
     """
     values = np.asarray(values, dtype=float)
+    hist = _history_rows(hist, int(round(prob.h / dt)), prob.op.n_modes)
     rng = np.random.default_rng(seed)
-    frame = WindowFrame(prob, hist, t0, dt, values.shape[0] - 1)
     scale = 0.01 * (1.0 + float(np.linalg.norm(values, axis=1).max()))
     best = 0.0
     for _ in range(n_pairs):
@@ -713,8 +698,8 @@ def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
         denom = float(np.linalg.norm(y1 - y2, axis=1).max())
         if denom < 1e-14:
             continue
-        g1 = prob.g.evaluate_window(frame.load(y1))
-        g2 = prob.g.evaluate_window(frame.load(y2))
+        g1, g2 = (prob.g.evaluate_window(SegmentStack(prob.h, dt, np.vstack([hist[:-1], y]), t0))
+                  for y in (y1, y2))
         if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
             raise NumericalBlowup("neutral term produced non-finite coefficients")
         num = float(np.linalg.norm(g1 - g2, axis=1).max())

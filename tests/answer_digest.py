@@ -15,19 +15,28 @@ prints, one line per item:
   and of the trajectory's functionals, and each window's t0, width,
   iterations, status, residual and contraction; then the sup distance of
   the path to a ``tol = 1e-14`` solve of the same input by the same
-  checkout, so two checkouts' accuracy can be compared by hand;
+  checkout, beside the workload's own tol;
 * ``exit_fine`` at seeds 0..39 and dt 0.001 and 0.0005: the event, tau and
   width.
 
 The workloads come from this checkout's ``perfbench/workloads.py``, so two
 checkouts are compared on the same inputs; see the README for the diff.
-The file name does not match ``test_*``, so pytest does not collect it.
+
+    python tests/answer_digest.py --compare PARENT.txt CHANGE.txt
+
+compares two digests line by line, prints each field that differs, and
+exits 1 unless every event, ``tau`` and width (and the rest of each line's
+identity) is equal, each workload's total iterations are no higher than
+the parent's, and each sup distance is within max(2 x the parent's,
+5 x the workload's tol).  The file name does not match ``test_*``, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -65,7 +74,85 @@ def _csv_digest(text: str) -> str:
     return f"functional={_sha(column)} rest={_sha(other)}"
 
 
+#: Fields that name a line or a run's outcome: any change fails the comparison.
+IDENTITY = ("exit", "seed", "dt", "n_modes", "event", "tau", "width", "t0", "status", "tol",
+            "reference_tol")
+
+
+def _split(line: str) -> tuple[str, dict[str, str]]:
+    # the words of a line, and its key=value fields
+    words, fields = [], {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if sep:
+            fields[key] = value
+        else:
+            words.append(token)
+    return " ".join(words), fields
+
+
+def _blocks(text: str) -> list[tuple[str, dict[str, str], list[dict[str, str]]]]:
+    # each unindented line with the indented window lines under it
+    out = []
+    for line in text.splitlines():
+        words, fields = _split(line)
+        if line.startswith(" ") and out:
+            out[-1][2].append(fields)
+        else:
+            out.append((words, fields, []))
+    return out
+
+
+def compare(parent_text: str, change_text: str) -> int:
+    """Print each field that differs between two digests; 1 when a check fails, else 0."""
+    failures = []
+
+    def differ(name, key, old, new, fails):
+        print(f"{name}: {key} {old} -> {new}" + ("  FAIL" if fails else ""))
+        if fails:
+            failures.append(f"{name}: {key}")
+
+    parent, change = _blocks(parent_text), _blocks(change_text)
+    if len(parent) != len(change):
+        differ("digest", "lines", len(parent), len(change), True)
+    for (words, old, old_windows), (new_words, new, new_windows) in zip(parent, change):
+        name = " ".join([words] + [f"{k}={old[k]}" for k in ("n_modes", "seed", "dt") if k in old])
+        if new_words != words or old.keys() != new.keys():
+            differ(name, "line", words, new_words, True)
+            continue
+        for key in old:
+            if old[key] != new[key] and key != "sup_distance":
+                differ(name, key, old[key], new[key], key in IDENTITY)
+        if "sup_distance" in old:
+            try:
+                before, after = float(old["sup_distance"]), float(new["sup_distance"])
+                bound = max(2.0 * before, 5.0 * float(new["tol"]))
+            except ValueError:
+                before = after = bound = math.nan
+            if old["sup_distance"] != new["sup_distance"] or not after <= bound:
+                differ(name, "sup_distance", old["sup_distance"],
+                       f"{new['sup_distance']} (bound {bound:.3e})", not after <= bound)
+        if len(old_windows) != len(new_windows):
+            differ(name, "windows", len(old_windows), len(new_windows), True)
+            continue
+        for i, (a, b) in enumerate(zip(old_windows, new_windows)):
+            for key in a:
+                if a[key] != b.get(key):
+                    differ(f"{name} window {i}", key, a[key], b.get(key), key in IDENTITY)
+        if old_windows:
+            before, after = (sum(int(w["iters"]) for w in ws) for ws in (old_windows, new_windows))
+            if before != after:
+                differ(name, "total iters", before, after, after > before)
+    print(f"{len(failures)} failed checks" if failures else "every check passed")
+    return 1 if failures else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 3:
+            print("usage: answer_digest.py --compare PARENT.txt CHANGE.txt", file=sys.stderr)
+            return 2
+        return compare(Path(argv[1]).read_text(), Path(argv[2]).read_text())
     src = (Path(argv[0]) if argv else HERE).resolve() / "src"
     sys.path.insert(0, str(HERE / "perfbench"))
     import bootstrap  # pins BLAS to one thread before numpy loads
@@ -119,8 +206,10 @@ def main(argv: list[str]) -> int:
         if fine.shape == traj.path.values.shape:
             dist = f"{np.linalg.norm(traj.path.values - fine, axis=1).max():.3e}"
         else:
-            dist = f"paths differ in shape {traj.path.values.shape} {fine.shape}"
-        print(f"workload {workload} seed={seed} sup distance to tol={REFERENCE_TOL!r}: {dist}")
+            dist = f"shapes:{traj.path.values.shape}!={fine.shape}".replace(" ", "")
+        tol = build_run(parse_config(config)).solver.tol
+        print(f"workload {workload} seed={seed} sup_distance={dist} tol={tol!r} "
+              f"reference_tol={REFERENCE_TOL!r}")
 
     for dt in SWEEP_DTS:
         for seed in SWEEP_SEEDS:

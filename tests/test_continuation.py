@@ -296,14 +296,14 @@ class TestRunBuffer:
             for path, values, norms in committed:
                 assert path.values.tobytes() == values and path.norms.tobytes() == norms
 
-        def watched_solve(prob, hist, t0, cfg, damping, run, hist_norms):
+        def watched_solve(prob, path, t0, cfg, damping, run, m):
             status = "numerical_blowup"
             try:
-                result = solve_window(prob, hist, t0, cfg, damping, run, hist_norms)
+                result = solve_window(prob, path, t0, cfg, damping, run, m)
                 status = result.status
                 return result
             finally:
-                attempts.append((damping, round(cfg.window / cfg.dt), status))
+                attempts.append((damping, m, status))
                 check_committed()
 
         monkeypatch.setattr(continuation, "SolutionPath", lambda *args: commit(SolutionPath(*args)))
