@@ -43,8 +43,9 @@ def _row_norms(values: np.ndarray) -> np.ndarray:
 class _PathBuffer:
     """Rows and row norms that a path shares with the paths extended from it.
 
-    Rows from ``filled`` on are free: ``extend`` writes a window there, in
-    place, only when the path it extends ends at ``filled``.
+    Rows from ``filled`` on are free: a window frame solves there, and
+    ``extend`` writes a window there, in place, only when the path it
+    extends ends at ``filled``.
     """
 
     def __init__(self, rows: np.ndarray, norms: np.ndarray, filled: int):
@@ -64,9 +65,10 @@ class SolutionPath:
     """Coefficient trajectory on the uniform grid t_start + i*dt, i = 0..n-1.
 
     ``values`` and ``norms`` (the row norms) are read-only views of the first
-    n rows of a buffer.  ``extend`` writes each window into the free rows
-    past the buffer's fill mark and doubles the buffer when it is full, so
-    appending costs O(new rows) on average, not a copy of the whole path.
+    n rows of a buffer.  Each window is solved in the free rows past the
+    buffer's fill mark, and ``extend`` moves the mark past it; the buffer
+    doubles when it is full, so appending costs O(new rows) on average, not
+    a copy of the whole path.
     """
 
     def __init__(self, t_start: float, dt: float, values):
