@@ -153,7 +153,11 @@ class Segment:
     """History slice theta -> u(t + theta) on theta in [-h, 0].
 
     ``thetas`` is strictly increasing with thetas[0] = -h and thetas[-1] = 0;
-    ``values`` holds one coefficient vector per theta node.
+    ``values`` holds one coefficient vector per theta node.  A batch of
+    segments on one theta grid stacks them along leading axes, values of
+    shape (..., n_theta, n_modes): the functionals below and the terms'
+    ``evaluate`` then give one value per segment, each bitwise the one its
+    segment alone gives.
     """
 
     def __init__(self, h: float, thetas, values):
@@ -163,7 +167,7 @@ class Segment:
             raise ValueError(f"delay span must be positive, got {h}")
         if thetas.ndim != 1 or thetas.size < 2:
             raise ValueError("need at least the two endpoint theta nodes")
-        if values.shape[0] != thetas.size:
+        if values.ndim < 2 or values.shape[-2] != thetas.size:
             raise ValueError("one value row per theta node required")
         if abs(thetas[0] + h) > _GRID_EPS * max(1.0, h) or abs(thetas[-1]) > _GRID_EPS * max(1.0, h):
             raise ValueError("theta nodes must cover exactly [-h, 0]")
@@ -188,42 +192,60 @@ class Segment:
 
     @property
     def n_modes(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
-    def value_at(self, theta: float) -> np.ndarray:
-        """Linear interpolation in theta."""
-        lo, hi = self.thetas[0], self.thetas[-1]
+    def value_at(self, theta) -> np.ndarray:
+        """Linear interpolation in theta; a batch takes one theta per segment."""
+        th = self.thetas
+        theta = np.broadcast_to(np.asarray(theta, dtype=float), self.values.shape[:-2])
         eps = _GRID_EPS * max(1.0, self.h)
-        if theta < lo - eps or theta > hi + eps:
-            raise ValueError(f"theta {theta} outside [-{self.h}, 0]")
-        theta = min(max(theta, lo), hi)
-        i = int(np.searchsorted(self.thetas, theta, side="right")) - 1
-        i = min(max(i, 0), self.thetas.size - 2)
-        span = self.thetas[i + 1] - self.thetas[i]
-        w = (theta - self.thetas[i]) / span
-        if w <= _GRID_EPS:
-            return self.values[i].copy()
-        if w >= 1.0 - _GRID_EPS:
-            return self.values[i + 1].copy()
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        bad = (theta < th[0] - eps) | (theta > th[-1] + eps)
+        if bad.any():
+            raise ValueError(f"theta {theta.flat[np.argmax(bad)]} outside [-{self.h}, 0]")
+        theta = np.minimum(np.maximum(theta, th[0]), th[-1])
+        i = np.minimum(np.maximum(np.searchsorted(th, theta, side="right") - 1, 0), th.size - 2)
+        w = ((theta - th[i]) / (th[i + 1] - th[i]))[..., None]
+        left, right = (np.take_along_axis(self.values, j[..., None, None], axis=-2)[..., 0, :]
+                       for j in (i, i + 1))
+        # a theta within the slack of a node reads that node; the interpolant
+        # of the other cells is taken everywhere and may be inf * 0 there
+        with np.errstate(invalid="ignore"):
+            mid = (1.0 - w) * left + w * right
+        return np.where(w <= _GRID_EPS, left, np.where(w >= 1.0 - _GRID_EPS, right, mid))
 
     def node_norms(self) -> np.ndarray:
         if self._norms is not None:
             return self._norms
-        return np.linalg.norm(self.values, axis=1)
+        values = self.values
+        if values.strides[-2] == 0:
+            # values broadcast along theta, a constant history: one row's norms
+            return np.broadcast_to(np.linalg.norm(values[..., :1, :], axis=-1), values.shape[:-1])
+        return np.linalg.norm(values, axis=-1)
 
-    def scaled(self, c: float) -> "Segment":
-        return Segment._trusted(self.h, self.thetas, c * self.values)
+    def scaled(self, c) -> "Segment":
+        """The segment times c; a batch takes one factor per segment."""
+        return Segment._trusted(self.h, self.thetas, np.asarray(c)[..., None, None] * self.values)
+
+
+def _value(x):
+    # one segment's functional as a float, a batch's as its array
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _vector_norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each coefficient vector along the last axis: sqrt(x.dot(x))
+    per vector, the bits ``np.linalg.norm`` gives one vector."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def sup_norm(seg: Segment) -> float:
     """Max over theta nodes of the coefficient norm (exact on piecewise-linear data)."""
-    return float(seg.node_norms().max())
+    return _value(seg.node_norms().max(axis=-1))
 
 
 def integral_norm_functional(seg: Segment) -> float:
     """Trapezoid quadrature of theta -> ||seg(theta)|| over [-h, 0]."""
-    return float(np.trapezoid(seg.node_norms(), seg.thetas))
+    return _value(np.trapezoid(seg.node_norms(), seg.thetas))
 
 
 def _require_finite_window(lo, hi) -> None:
@@ -236,27 +258,32 @@ def _require_finite_window(lo, hi) -> None:
         raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] has a non-finite edge")
 
 
-def max_norm_functional(seg: Segment, lo: float, hi: float) -> float:
+def max_norm_functional(seg: Segment, lo, hi) -> float:
     """Max of ||seg(theta)|| over the window [lo, hi], endpoints interpolated.
 
-    The window is given in segment coordinates and must sit inside [-h, 0].
+    The window is given in segment coordinates and must sit inside [-h, 0];
+    a batch takes one window per segment.  Maxima are taken as Python's
+    ``max(a, b)`` takes them, b only where b > a, so nan norms fall where
+    they fell one segment at a time.
     """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     _require_finite_window(lo, hi)
     eps = _GRID_EPS * max(1.0, seg.h)
-    if lo > hi:
-        raise ValueError(f"window must satisfy lo <= hi, got [{lo}, {hi}]")
-    if lo < -seg.h - eps or hi > eps:
-        raise ValueError(f"window [{lo}, {hi}] outside [-{seg.h}, 0]")
-    lo = max(lo, -seg.h)
-    hi = min(hi, 0.0)
-    best = max(
-        float(np.linalg.norm(seg.value_at(lo))),
-        float(np.linalg.norm(seg.value_at(hi))),
-    )
-    inside = (seg.thetas > lo) & (seg.thetas < hi)
-    if np.any(inside):
-        best = max(best, float(seg.node_norms()[inside].max()))
-    return best
+    bad = lo > hi
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"window must satisfy lo <= hi, got [{lo.flat[i]}, {hi.flat[i]}]")
+    bad = (lo < -seg.h - eps) | (hi > eps)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] outside [-{seg.h}, 0]")
+    lo = np.maximum(lo, -seg.h)
+    hi = np.minimum(hi, 0.0)
+    left, right = (_vector_norms(seg.value_at(theta)) for theta in (lo, hi))
+    best = np.where(right > left, right, left)
+    inside = (seg.thetas > lo[..., None]) & (seg.thetas < hi[..., None])
+    inner = np.where(inside, seg.node_norms(), -np.inf).max(axis=-1)
+    return _value(np.where(inner > best, inner, best))
 
 
 def _first_block_sums(dt: float, norms: np.ndarray) -> np.ndarray:

@@ -43,6 +43,8 @@ from .history import (
     Segment,
     SegmentStack,
     _require_finite_window,
+    _value,
+    _vector_norms,
     integral_norm_functional,
     max_norm_functional,
     sup_norm,
@@ -137,7 +139,8 @@ class WindowFns:
         if np.any(bad):
             _require_finite_window(lo, hi)
             i = int(np.argmax(bad))
-            raise ValueError(f"window [{lo[i]}, {hi[i]}] at t={times[i]} leaves [-{h}, 0]")
+            raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] at t={times.flat[i]} "
+                             f"leaves [-{h}, 0]")
         hi = np.minimum(hi, 0.0)
         # lo may pass hi within the slack; clipping it there keeps lo <= hi
         return np.minimum(np.maximum(lo, -h), hi), hi
@@ -175,7 +178,7 @@ class ZeroTerm:
         return np.arange(0)
 
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
-        return np.zeros(seg.n_modes)
+        return np.zeros_like(seg.values[..., 0, :])
 
     def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
         return np.zeros_like(stack.oldest()[:, cols])
@@ -210,16 +213,26 @@ class FunctionalAffineTerm:
         return np.flatnonzero(self.profile)
 
     def functional_value(self, t: float, seg: Segment) -> float:
-        if self.functional == "integral":
-            y = integral_norm_functional(seg)
-        else:
-            if self.window is None:
-                lo, hi = -seg.h, 0.0
-            else:
-                (lo,), (hi,) = self.window.windows_at(np.array([t]), seg.h)
-            y = max_norm_functional(seg, lo, hi)
+        y = self._functional(t, seg)
         self._check_argument(y)
         return y
+
+    def _functional(self, t, seg: Segment):
+        # y of one segment at t, or of a batch at one time per segment, unchecked
+        if self.functional == "integral":
+            return integral_norm_functional(seg)
+        if self.window is None:
+            lo, hi = -seg.h, 0.0
+        else:
+            lo, hi = self.window.windows_at(np.asarray(t, dtype=float), seg.h)
+        return max_norm_functional(seg, lo, hi)
+
+    def admits(self, t, seg: Segment):
+        """Does the functional of each segment of a batch lie in the declared
+        argument range?  ``evaluate`` refuses a batch where one does not."""
+        if self._cap is None:
+            return True
+        return ~(self._functional(t, seg) > self._cap)
 
     def functional_values(self, stack: SegmentStack) -> np.ndarray:
         """``functional_value`` of every slice of the stack at its time."""
@@ -242,7 +255,7 @@ class FunctionalAffineTerm:
             )
 
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
-        return (self.c0 + self.c1 * self.functional_value(t, seg)) * self.profile
+        return np.multiply.outer(self.c0 + self.c1 * self.functional_value(t, seg), self.profile)
 
     def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
         scale = self.c0 + self.c1 * self.functional_values(stack)
@@ -289,7 +302,7 @@ class TimeForcingTerm:
         return np.flatnonzero([not fn.vanishes() for fn in self.mode_fns])
 
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
-        return np.array([fn(t) for fn in self.mode_fns])
+        return np.stack([fn(t) for fn in self.mode_fns], axis=-1)
 
     def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
         picked = np.arange(len(self.mode_fns))[cols]
@@ -313,7 +326,7 @@ class PointDelayTerm:
 
     def evaluate(self, t: float, seg: Segment) -> np.ndarray:
         # the theta grid starts exactly at -h, so the oldest value is row 0
-        return self.kappa * seg.values[0]
+        return self.kappa * seg.values[..., 0, :]
 
     def evaluate_window(self, stack: SegmentStack, cols=slice(None)) -> np.ndarray:
         return self.kappa * stack.oldest()[:, cols]
@@ -434,7 +447,7 @@ class NeutralProblem:
             return integral_norm_functional(seg)
         if self.domain.kind == "sup_band":
             return sup_norm(seg)
-        return float(np.linalg.norm(seg.values[-1]))
+        return _value(_vector_norms(seg.values[..., -1, :]))
 
     def domain_functionals(self, stack: SegmentStack) -> np.ndarray:
         """``domain_functional`` of every slice of the stack."""
@@ -541,28 +554,137 @@ def check_neutral_smallness(h: float, L: float, mg: float, measQ: float) -> Smal
     return SmallnessCheck(ok=value < 1.0, value=value)
 
 
-def _random_segment(rng: np.random.Generator, prob: NeutralProblem, thetas: np.ndarray,
-                    constant: bool = False, mode: int | None = None) -> Segment:
-    """Random history on the theta grid ``thetas``, inside the domain band
-    (functional kept mid-band)."""
+#: Theta cells of every sampled history segment.
+_SAMPLE_CELLS = 16
+#: Values per batch of sampled segments, (pairs, 1 or 17, K) each: this
+#: many values bound a batch's pairs whatever K, and a block's draws.
+_BLOCK_VALUES = 1 << 14
+
+
+def _uniform(u, low, high):
+    # what Generator.uniform(low, high) makes of its draw u, to the bit
+    return low + (high - low) * u
+
+
+def _segments(h: float, thetas: np.ndarray, rows: np.ndarray, norms=None) -> Segment:
+    """A batch of segments on ``thetas`` from rows of shape (pairs, 1 or
+    thetas.size, K), one row standing for a history constant in theta; its
+    node norms are taken once here, or given."""
+    if rows.shape[-2] == 1:
+        rows = np.broadcast_to(rows, rows.shape[:-2] + (thetas.size, rows.shape[-1]))
+    if norms is None:
+        norms = Segment._trusted(h, thetas, rows).node_norms()
+    return Segment._trusted(h, thetas, rows, norms)
+
+
+def _amplitudes(u: np.ndarray, first: np.ndarray, K: int) -> np.ndarray:
+    # K draws from each index of ``first``, weighted 1/k^2
+    k = np.arange(1, K + 1)
+    return _uniform(u[first[:, None] + k - 1], 0.3, 1.0) / k**2
+
+
+def _in_band(prob: NeutralProblem, thetas: np.ndarray, rows: np.ndarray,
+             u: np.ndarray) -> np.ndarray:
+    """Rows scaled so that each segment's domain functional is its drawn
+    share of the band (mid-band); a segment whose functional is not positive
+    is scaled by exactly 1."""
+    band = prob.domain.l if prob.domain.l is not None else 1.0
+    target = _uniform(u, 0.25, 0.7) * band
+    current = prob.domain_functional(_segments(prob.h, thetas, rows))
+    scale = np.divide(target, current, out=np.ones_like(current), where=~(current <= 0.0))
+    return scale[:, None, None] * rows
+
+
+def _pair_ratios(prob: NeutralProblem, thetas: np.ndarray, t: np.ndarray,
+                 rows1: np.ndarray, rows2: np.ndarray) -> tuple[np.ndarray, int]:
+    """The ratios of a batch of history pairs, and how many pairs formed one.
+
+    A pair forms no ratio when its segments are less than 1e-14 apart or
+    one's functional leaves g's declared argument range.  g is evaluated,
+    through ``eval_g``, on the first segments of the pairs that pass the
+    distance and range tests, then on the second segments of those whose
+    second segment passes too: the segments a pair-by-pair loop evaluates,
+    so a non-finite value raises ``NumericalBlowup`` where it would.
+    """
+    denom = sup_norm(_segments(prob.h, thetas, rows1 - rows2))
+    reach = ~(denom < 1e-14)
+    admits = getattr(prob.g, "admits", None)
+    values = []
+    for rows in (rows1, rows2):
+        seg = _segments(prob.h, thetas, rows)
+        if admits is not None:
+            reach = reach & admits(t, seg)
+        if not reach.any():
+            return np.empty(0), 0
+        if not reach.all():
+            seg = _segments(prob.h, thetas, rows[reach], seg.node_norms()[reach])
+        values.append((reach, prob.eval_g(t[reach], seg)))
+    (reach1, g1), (reach2, g2) = values
+    # ||diff||_alpha, the bits of op.alpha_norm, without its finiteness check
+    diff = prob.op.mu**prob.alpha * (g1[reach2[reach1]] - g2)
+    return _vector_norms(diff) / denom[reach2], int(reach2.sum())
+
+
+def _constant_pairs(prob: NeutralProblem, thetas: np.ndarray, u: np.ndarray,
+                    first: np.ndarray, index: np.ndarray, drawn: np.ndarray):
+    """(t, rows1, rows2) of samples ``index``, histories constant in theta:
+    s1 is single-mode, or has random weights where ``drawn``, and s2 is s1
+    scaled by 1.05..1.2.  Sample j draws from u[first[j]] on: t, its
+    weights where drawn, its target and its scaling."""
     K = prob.op.n_modes
-    if mode is None:
-        amps = rng.uniform(0.3, 1.0, size=K) / np.arange(1, K + 1) ** 2
-    else:
-        amps = np.zeros(K)
-        amps[mode] = 1.0
-    if constant:
-        values = np.tile(amps, (thetas.size, 1))
-    else:
-        wobble = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, size=(thetas.size, 1))
-        values = wobble * amps
-    seg = Segment._trusted(prob.h, thetas, values)
-    target_band = prob.domain.l if prob.domain.l is not None else 1.0
-    target = rng.uniform(0.25, 0.7) * target_band
-    current = prob.domain_functional(seg)
-    if current <= 0.0:
-        return seg
-    return seg.scaled(target / current)
+    weights = np.zeros((index.size, K))
+    weights[~drawn, index[~drawn] % K] = 1.0
+    weights[drawn] = _amplitudes(u, first[drawn] + 1, K)
+    o = first + np.where(drawn, K, 0)
+    s1 = _in_band(prob, thetas, weights[:, None, :], u[o + 1])
+    s2 = (1.0 + _uniform(u[o + 2], 0.05, 0.2))[:, None, None] * s1
+    return _uniform(u[first], 0.0, prob.T), s1, s2
+
+
+def _wobbling_pairs(prob: NeutralProblem, thetas: np.ndarray, u: np.ndarray,
+                    first: np.ndarray):
+    """(t, rows1, rows2) of pairs of independent histories that wobble in
+    theta.  Pair j draws from u[first[j]] on: t, then for each segment its
+    K weights, its n_theta wobble factors and its target."""
+    K, n_theta = prob.op.n_modes, thetas.size
+
+    def segment(o):
+        wobble = 1.0 + 0.4 * _uniform(u[o[:, None] + K + np.arange(n_theta)], -1.0, 1.0)
+        rows = wobble[:, :, None] * _amplitudes(u, o, K)[:, None, :]
+        return _in_band(prob, thetas, rows, u[o + K + n_theta])
+
+    return _uniform(u[first], 0.0, prob.T), segment(first + 1), segment(first + K + n_theta + 2)
+
+
+def _sampled_ratios(prob: NeutralProblem, thetas: np.ndarray, n_samples: int,
+                    rng: np.random.Generator):
+    """``_pair_ratios`` of each batch of sampled pairs, block by block; see
+    ``estimate_lipschitz_mg``."""
+    K = prob.op.n_modes
+    n_theta = thetas.size
+    index = np.arange(n_samples)
+    style = index % 3
+    drawn = (style == 1) | (K == 1)  # constant pairs with random weights
+    # draws per sample: t, then weights, target and scaling, or two
+    # segments' weights, wobble and target
+    count = np.where(style == 2, 2 * (K + n_theta + 1) + 1, np.where(drawn, K + 3, 3))
+    # a block draws about _BLOCK_VALUES numbers, 3 (K + n_theta) per three
+    # samples; its constant pairs are one batch, of one row a segment, and its
+    # wobbling pairs, of n_theta rows a segment, go in batches of `wobbling`
+    step = 3 * max(1, _BLOCK_VALUES // (3 * (K + n_theta)))
+    wobbling = max(1, _BLOCK_VALUES // (n_theta * K))
+    for start in range(0, n_samples, step):
+        block = slice(start, start + step)
+        ends = np.cumsum(count[block])
+        u = rng.random(int(ends[-1]))
+        first = ends - count[block]
+        const = style[block] != 2
+        if const.any():
+            yield _pair_ratios(prob, thetas, *_constant_pairs(
+                prob, thetas, u, first[const], index[block][const], drawn[block][const]))
+        first = first[~const]
+        for j in range(0, first.size, wobbling):
+            yield _pair_ratios(prob, thetas, *_wobbling_pairs(prob, thetas, u, first[j : j + wobbling]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -570,44 +692,34 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> fl
     """Sampled lower bound on the neutral term's Lipschitz constant.
 
     Ratios ||g(t, s1) - g(t, s2)||_alpha / sup-norm(s1 - s2) over random
-    history pairs inside the domain.  Every third pair is an aligned scaling
-    of a constant-in-theta history, the configuration that saturates the
-    integral functional's Lipschitz bound; single-mode pairs cycle through
-    the spectrum so weight concentrated on fast modes is probed too.  The
-    samples run under one ``errstate``: a pair that overflows gives a
-    non-finite ratio, not a numpy warning.
+    history pairs inside the domain, on a grid of 16 theta cells.  Of each
+    three samples, the first is an aligned scaling of a single-mode history
+    constant in theta (the mode cycles through the spectrum, so weight on
+    fast modes is probed too; one mode takes random weights instead), the
+    second the same with random weights on every mode, the configuration
+    that saturates the integral functional's Lipschitz bound, and the third
+    a pair of independent histories that wobble in theta.
+
+    The samples are taken in blocks of consecutive samples, a few hundred
+    thousand values each at most (more samples a block for fewer modes):
+    one ``rng.random`` call draws a block's numbers, which are the ones a
+    ``rng.uniform`` call per quantity draws, in the same order, and each
+    block evaluates g once on its constant pairs and once on its wobbling
+    ones.  The estimate is bitwise the one a pair-by-pair loop gives
+    (``tests/lipschitz_reference.py``): a pair whose functional leaves g's
+    declared range forms no ratio, the first non-finite g raises
+    ``NumericalBlowup``, nan ratios are skipped, and no pair forming a ratio
+    raises ``InsufficientSamples``.  The samples run under one ``errstate``:
+    a pair that overflows gives a non-finite ratio, not a numpy warning.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    # every sampled segment shares this grid of 16 cells, strictly increasing from -h to 0
-    thetas = np.linspace(-prob.h, 0.0, 16 + 1)
-    best = 0.0
-    formed = 0
-    for i in range(n_samples):
-        t = float(rng.uniform(0.0, prob.T))
-        style = i % 3
-        if style == 0:
-            mode = i % prob.op.n_modes if prob.op.n_modes > 1 else None
-            s1 = _random_segment(rng, prob, thetas, constant=True, mode=mode)
-            s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
-        elif style == 1:
-            s1 = _random_segment(rng, prob, thetas, constant=True)
-            s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
-        else:
-            s1 = _random_segment(rng, prob, thetas)
-            s2 = _random_segment(rng, prob, thetas)
-        denom = sup_norm(Segment._trusted(prob.h, thetas, s1.values - s2.values))
-        if denom < 1e-14:
-            continue
-        try:
-            diff = prob.eval_g(t, s1) - prob.eval_g(t, s2)
-        except DomainViolation:
-            # the pair left the term's declared argument range: not a valid probe
-            continue
-        ratio = prob.op.alpha_norm(prob.alpha, diff) / denom
-        best = max(best, ratio)
-        formed += 1
+    # every sampled segment shares this grid, strictly increasing from -h to 0
+    thetas = np.linspace(-prob.h, 0.0, _SAMPLE_CELLS + 1)
+    best, formed = 0.0, 0
+    for ratios, n in _sampled_ratios(prob, thetas, n_samples, np.random.default_rng(seed)):
+        best = np.fmax.reduce(ratios, initial=best)
+        formed += n
     if formed == 0:
         raise InsufficientSamples("all sampled history pairs were degenerate or inadmissible")
-    return best
+    return float(best)

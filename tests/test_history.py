@@ -140,6 +140,42 @@ class TestMaxNormFunctional:
         seg = Segment(1.5, np.linspace(-1.5, 0, 16), rng.normal(size=(16, 2)))
         assert max_norm_functional(seg, -1.5, 0.0) == pytest.approx(sup_norm(seg))
 
+    @pytest.mark.parametrize("samples, want", [([3.0, np.nan], 3.0),
+                                               ([np.nan, 1.0, 2.0], np.nan),
+                                               ([1.0, np.nan, 2.0], 2.0)])
+    def test_nan_norms_fall_where_pythons_max_puts_them(self, samples, want):
+        # max(a, b) takes b only when b > a: a nan at the right edge or
+        # inside is passed over, one at the left edge is kept
+        thetas = np.linspace(-1.0, 0.0, len(samples))
+        got = max_norm_functional(scalar_segment(1.0, thetas, samples), -1.0, 0.0)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+class TestSegmentBatch:
+    def test_a_batch_gives_each_segments_values_bitwise(self):
+        # 6 segments of 9 nodes and 5 modes, with windows whose edges snap
+        # to nodes or fall inside cells
+        rng = np.random.default_rng(3)
+        thetas = np.linspace(-1.0, 0.0, 9)
+        values = rng.uniform(-2.0, 2.0, size=(6, 9, 5))
+        lo = np.array([-1.0, -0.7, -0.5, -0.31, 0.0, -1.0])
+        hi = np.array([0.0, -0.2, -0.5, -0.3, 0.0, -0.9])
+        batch = Segment(1.0, thetas, values)
+        got = [sup_norm(batch), integral_norm_functional(batch),
+               max_norm_functional(batch, lo, hi), batch.value_at(lo), batch.node_norms()]
+        for i in range(6):
+            seg = Segment(1.0, thetas, values[i])
+            want = [sup_norm(seg), integral_norm_functional(seg),
+                    max_norm_functional(seg, lo[i], hi[i]), seg.value_at(lo[i]), seg.node_norms()]
+            for g, w in zip(got, want):
+                assert np.asarray(g)[i].tobytes() == np.asarray(w).tobytes()
+
+    def test_a_history_broadcast_along_theta_takes_one_rows_norms(self):
+        row = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 1, 7))
+        broadcast = Segment(1.0, np.linspace(-1.0, 0.0, 5), np.broadcast_to(row, (3, 5, 7)))
+        assert broadcast.node_norms().tobytes() == \
+            np.linalg.norm(np.repeat(row, 5, axis=1), axis=-1).tobytes()
+
 
 class TestExtend:
     def test_idempotent_overlap(self):
