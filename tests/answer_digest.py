@@ -9,6 +9,11 @@ prints, one line per item:
   its ``csv:`` line, and of the CSV it writes in two parts: its
   ``functional`` column, and everything else (the other columns, the
   header and the event and tau lines);
+* on each scenario and workload line, ``admission=``: the hex of the
+  admission estimate ``run`` takes at its default seed 0
+  (``estimate_lipschitz_mg(problem, 150, 0)``), or the name of the
+  exception it raises, so the sampler's bits are compared, not only the
+  6 digits ``run`` prints;
 * the three benchmark workloads at seeds 7 and 11, and ``modes_wide`` at
   1024 modes, where 1 of 1024 columns is written by the delay terms: the
   event, ``tau.hex()``, the refinement width, the sha256 of the path values
@@ -76,7 +81,7 @@ def _csv_digest(text: str) -> str:
 
 #: Fields that name a line or a run's outcome: any change fails the comparison.
 IDENTITY = ("exit", "seed", "dt", "n_modes", "event", "tau", "width", "t0", "status", "tol",
-            "reference_tol")
+            "reference_tol", "admission")
 
 
 def _split(line: str) -> tuple[str, dict[str, str]]:
@@ -166,11 +171,20 @@ def main(argv: list[str]) -> int:
     from neutraldde import cli
     from neutraldde.config import build_run, parse_config
     from neutraldde.continuation import continue_solution
-    from neutraldde.scenarios import scenario_names
+    from neutraldde.scenarios import get_scenario, scenario_names
 
     if not Path(neutraldde.__file__).resolve().is_relative_to(src):
         print(f"cannot import neutraldde from {src}", file=sys.stderr)
         return 2
+
+    def admission(config: str) -> str:
+        # the estimate ``neutraldde run`` admits the config with at --seed 0
+        try:
+            estimate = neutraldde.estimate_lipschitz_mg(build_run(parse_config(config)).problem,
+                                                        150, 0)
+        except Exception as exc:
+            return f"admission={type(exc).__name__}"
+        return f"admission={estimate.hex()}"
 
     def solve(config: str, tol: float | None = None):
         built = build_run(parse_config(config))
@@ -186,7 +200,8 @@ def main(argv: list[str]) -> int:
             csvs = [line.split(":", 1)[1].strip() for line in lines if line.startswith("csv:")]
             text = "".join(line for line in lines if not line.startswith("csv:"))
             csv = _csv_digest(Path(csvs[0]).read_text()) if csvs else "csv=none"
-            print(f"scenario {name} exit={code} stdout={_sha(text.encode())} {csv}")
+            print(f"scenario {name} exit={code} stdout={_sha(text.encode())} {csv} "
+                  f"{admission(get_scenario(name))}")
 
     cases = [(workload, seed, generate(seed).config)
              for workload, generate in workloads.GENERATORS.items() for seed in SEEDS]
@@ -197,7 +212,7 @@ def main(argv: list[str]) -> int:
         path = _sha(traj.path.values.tobytes())
         functionals = _sha(traj.functionals.tobytes())
         print(f"workload {workload} seed={seed} {_event(traj)} path={path} "
-              f"functionals={functionals}")
+              f"functionals={functionals} {admission(config)}")
         for w in traj.windows:
             print(f"  window t0={w.t0!r} width={w.window!r} iters={w.iterations} "
                   f"status={w.status} residual={w.residual!r} "
