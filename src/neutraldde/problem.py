@@ -633,7 +633,7 @@ def _constant_pairs(prob: NeutralProblem, thetas: np.ndarray, u: np.ndarray,
     weights where drawn, its target and its scaling."""
     K = prob.op.n_modes
     weights = np.zeros((index.size, K))
-    weights[~drawn, index[~drawn] % K] = 1.0
+    weights[~drawn, index[~drawn] // 3 % K] = 1.0  # every mode in turn
     weights[drawn] = _amplitudes(u, first[drawn] + 1, K)
     o = first + np.where(drawn, K, 0)
     s1 = _in_band(prob, thetas, weights[:, None, :], u[o + 1])

@@ -50,7 +50,7 @@ def reference_outcomes(prob, n_samples, seed):
             t = float(rng.uniform(0.0, prob.T))
             style = i % 3
             if style == 0:
-                mode = i % prob.op.n_modes if prob.op.n_modes > 1 else None
+                mode = (i // 3) % prob.op.n_modes if prob.op.n_modes > 1 else None
                 s1 = _random_segment(rng, prob, thetas, constant=True, mode=mode)
                 s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
             elif style == 1:

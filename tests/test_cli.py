@@ -584,6 +584,22 @@ class TestCheckCommand:
         assert main(["check", "--config", str(cfg)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_a_point_delay_that_fast_modes_make_expansive_exits_3(self, tmp_path, capsys):
+        # kappa * mu_k^alpha on the sine modes of (0, pi): 0.5, 1.0 and 1.5.
+        # Every mode takes a single-mode sample, not only every third one,
+        # so the estimate reaches the fast mode's 1.5
+        text = get_scenario("heat_decay").replace("g_family = zero",
+                                                  "g_family = point_delay\ng_kappa = 0.5")
+        for old, new in (("n_modes = 4", "n_modes = 3"), ("mg_bound = 0.0", "mg_bound = 0.95"),
+                         ("coeffs = 1.0 0.5 0.25 0.125", "coeffs = 1.0 0.5 0.25")):
+            text = text.replace(old, new)
+        cfg = tmp_path / "fast_modes.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert "contraction estimate: 1.5 " in out
+        assert err.strip() == "hypothesis failure: sampled contraction constant is not < 1"
+
     def test_argument_range_admitting_no_sample_exits_2(self, tmp_path, capsys):
         # every sampled history pair overruns g_y_max, so no ratio is formed
         text = get_scenario("parabolic_delay_mass").replace("g_y_max = 1.0", "g_y_max = 1e-12")
