@@ -95,6 +95,7 @@ def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> None:
         raise _ConfigError(f"{exc} on a sampled admissible history") from exc
     if verbose:
         print(f"contraction estimate: {estimate:.6g} (declared budget {prob.mg_bound:.6g})")
+        print(f"analytic bound: {prob.g_alpha_lipschitz():.6g}")
     if estimate >= 1.0:
         raise HypothesisViolation("sampled contraction constant is not < 1")
     if estimate > prob.mg_bound + 0.01:

@@ -435,8 +435,10 @@ class NeutralProblem:
         return out
 
     def g_alpha_lipschitz(self) -> float:
-        """Analytic bound on the neutral term's contraction constant."""
-        return self.g.alpha_lipschitz(self.op, self.alpha, self.h)
+        """Analytic bound on the neutral term's contraction constant; one
+        that overflows is inf, not a numpy warning."""
+        with np.errstate(over="ignore"):
+            return self.g.alpha_lipschitz(self.op, self.alpha, self.h)
 
     def domain_functional(self, seg: Segment) -> float:
         """The scalar the domain watches: delay mass, or the pointwise max norm.

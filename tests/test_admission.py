@@ -120,6 +120,16 @@ def test_estimate_is_the_reference_on_small_problems(prob, seed, n):
                 reference_outcome(prefixes, count)
 
 
+@pytest.mark.parametrize("name", CONFIGS)
+def test_estimate_stays_under_the_analytic_bound(name):
+    # a sampled lower bound on the constant cannot pass its analytic upper
+    # bound, up to rounding (parabolic_max samples 0.05000000000000017 of 0.05)
+    prob = build_run(parse_config(CONFIGS[name])).problem
+    bound = prob.g_alpha_lipschitz() * (1.0 + 1e-12)
+    for seed in range(10):
+        assert estimate_lipschitz_mg(prob, 150, seed) <= bound
+
+
 def parabolic(**keys):
     """parabolic_delay_mass with some [problem] keys replaced."""
     text = CONFIGS["parabolic_delay_mass"]

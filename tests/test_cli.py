@@ -397,6 +397,9 @@ def test_history_of_more_values_than_the_bound_exits_2(tmp_path, capsys, command
 _OVERFLOWS = [
     ("heat_decay", "\nl = 10.0", "\nl = 1e308", 2, "invalid initial data:"),
     ("manufactured_decay", "g_kappa = 0.25", "g_kappa = 1e308", 3, "hypothesis failure:"),
+    # the analytic bound mu_3^0.5 * 1e308 overflows too
+    ("parabolic_max", "g_profile = modes:1.0 0 0", "g_profile = modes:0 0 1e308", 3,
+     "hypothesis failure:"),
     ("heat_decay", "length = 3.141592653589793", "length = 1e-300", 2,
      "schema error: [operator] decay rates must be finite"),
 ]
@@ -416,6 +419,32 @@ def test_overflow_is_reported_without_a_numpy_warning(tmp_path, capsys, command,
         assert main(_argv(command, cfg, tmp_path)) == code
     err = capsys.readouterr().err.strip()
     assert err.startswith(prefix) and "\n" not in err
+
+
+#: (scenario, key line, value): every neutral-term key, band width and
+#: domain length of the bundled scenarios at the ends of the float range
+_ADMISSION_EDGES = [
+    (name, line, value)
+    for name in scenario_names()
+    for line in get_scenario(name).splitlines()
+    if line.startswith(("g_", "l = ", "length = "))
+    for value in ("1e308", "-1e308", "0", "1e-300")
+]
+
+
+@pytest.mark.parametrize("name, line, value", _ADMISSION_EDGES,
+                         ids=[f"{name} {line.split()[0]}={value}"
+                              for name, line, value in _ADMISSION_EDGES])
+def test_admission_edge_values_exit_with_one_line_and_no_warning(tmp_path, capsys, name, line,
+                                                                 value):
+    # the exit-code contract under check: 0, a reported config error (2) or
+    # a failed hypothesis (3), one stderr line at most, no numpy warning
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(get_scenario(name).replace(line, f"{line.split()[0]} = {value}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "--config", str(cfg)]) in (0, 2, 3)
+    assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
 class TestCsvFormat:
@@ -566,6 +595,12 @@ class TestCheckCommand:
         assert main(["check", "--scenario", "parabolic_delay_mass"]) == 0
         out = capsys.readouterr().out
         assert "passed" in out
+
+    def test_analytic_bound_is_printed_beside_the_estimate(self, capsys):
+        assert main(["check", "--scenario", "parabolic_max"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("contraction estimate: 0.05 ")
+        assert lines[1] == "analytic bound: 0.05"
 
     def test_budget_violation(self, tmp_path):
         # declared budget far below the actual constant of the term
