@@ -15,10 +15,11 @@ declarative.  The admissible domain tracks either the delay mass
 time as an additional boundary component.
 
 A term is a map of time and history alone, g(t, u_t): ``evaluate(t, seg)``
-takes one segment and ``evaluate_window(stack, cols)`` every slice of a
-``SegmentStack`` at its slice times, on the columns ``cols`` (all by
-default); the scalar path is the reference the batch path is tested
-against.  ``support(n_modes)`` lists the columns a term can write: every
+takes one segment, or a batch of segments at one time each (as the
+admission sampler passes them), and ``evaluate_window(stack, cols)`` every
+slice of a ``SegmentStack`` at its slice times, on the columns ``cols``
+(all by default); the scalar path is the reference the stack path is
+tested against.  ``support(n_modes)`` lists the columns a term can write: every
 other column of its value is 0 whatever the time and history, so the
 window solver iterates only the union of both terms' supports.
 ``NeutralProblem`` checks each term's width against the operator once,
@@ -558,8 +559,9 @@ def check_neutral_smallness(h: float, L: float, mg: float, measQ: float) -> Smal
 
 #: Theta cells of every sampled history segment.
 _SAMPLE_CELLS = 16
-#: Values per batch of sampled segments, (pairs, 1 or 17, K) each: this
-#: many values bound a batch's pairs whatever K, and a block's draws.
+#: Size of the sampler's blocks: a block of consecutive samples draws about
+#: this many numbers, and a batch of its wobbling pairs holds about this
+#: many values a segment, (pairs, 17, K), whatever K and the sample count.
 _BLOCK_VALUES = 1 << 14
 
 
@@ -671,10 +673,10 @@ def _sampled_ratios(prob: NeutralProblem, thetas: np.ndarray, n_samples: int,
     # segments' weights, wobble and target
     count = np.where(style == 2, 2 * (K + n_theta + 1) + 1, np.where(drawn, K + 3, 3))
     # a block draws about _BLOCK_VALUES numbers, 3 (K + n_theta) per three
-    # samples; its constant pairs are one batch, of one row a segment, and its
-    # wobbling pairs, of n_theta rows a segment, go in batches of `wobbling`
+    # samples; its constant pairs, of one row a segment, are one batch, and
+    # its wobbling pairs, of n_theta rows a segment, batches of `per_batch`
     step = 3 * max(1, _BLOCK_VALUES // (3 * (K + n_theta)))
-    wobbling = max(1, _BLOCK_VALUES // (n_theta * K))
+    per_batch = max(1, _BLOCK_VALUES // (n_theta * K))
     for start in range(0, n_samples, step):
         block = slice(start, start + step)
         ends = np.cumsum(count[block])
@@ -684,9 +686,10 @@ def _sampled_ratios(prob: NeutralProblem, thetas: np.ndarray, n_samples: int,
         if const.any():
             yield _pair_ratios(prob, thetas, *_constant_pairs(
                 prob, thetas, u, first[const], index[block][const], drawn[block][const]))
-        first = first[~const]
-        for j in range(0, first.size, wobbling):
-            yield _pair_ratios(prob, thetas, *_wobbling_pairs(prob, thetas, u, first[j : j + wobbling]))
+        wobbling = first[~const]
+        for j in range(0, wobbling.size, per_batch):
+            yield _pair_ratios(prob, thetas,
+                               *_wobbling_pairs(prob, thetas, u, wobbling[j : j + per_batch]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -702,17 +705,22 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> fl
     that saturates the integral functional's Lipschitz bound, and the third
     a pair of independent histories that wobble in theta.
 
-    The samples are taken in blocks of consecutive samples, a few hundred
-    thousand values each at most (more samples a block for fewer modes):
-    one ``rng.random`` call draws a block's numbers, which are the ones a
-    ``rng.uniform`` call per quantity draws, in the same order, and each
-    block evaluates g once on its constant pairs and once on its wobbling
-    ones.  The estimate is bitwise the one a pair-by-pair loop gives
-    (``tests/lipschitz_reference.py``): a pair whose functional leaves g's
-    declared range forms no ratio, the first non-finite g raises
-    ``NumericalBlowup``, nan ratios are skipped, and no pair forming a ratio
-    raises ``InsufficientSamples``.  The samples run under one ``errstate``:
-    a pair that overflows gives a non-finite ratio, not a numpy warning.
+    The pairs are sampled in blocks of consecutive samples that draw about
+    ``_BLOCK_VALUES`` numbers each, with one ``rng.random`` call: the numbers
+    one ``rng.uniform`` call per drawn quantity would give, in the same
+    order.  A block's constant pairs form one batch and its wobbling pairs
+    batches of about ``_BLOCK_VALUES`` values a segment, so the working set
+    stays bounded whatever K; ``eval_g`` takes each batch's first segments
+    in one call and its second segments in another, through the same
+    functionals and terms a single segment goes through.  The estimate is
+    bitwise the one a pair-by-pair loop gives (``tests/lipschitz_reference.py``):
+    a pair whose segments are less than 1e-14 apart, or whose functional
+    leaves g's declared range, forms no ratio; the first non-finite g
+    raises ``NumericalBlowup``; nan ratios are skipped; and no pair forming
+    a ratio raises ``InsufficientSamples``.  The samples run under one
+    ``errstate``: a pair that overflows gives a non-finite ratio, not a
+    numpy warning, also where the difference of two finite values of g
+    overflows.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
