@@ -222,9 +222,8 @@ class Segment:
             return np.broadcast_to(np.linalg.norm(values[..., :1, :], axis=-1), values.shape[:-1])
         return np.linalg.norm(values, axis=-1)
 
-    def scaled(self, c) -> "Segment":
-        """The segment times c; a batch takes one factor per segment."""
-        return Segment._trusted(self.h, self.thetas, np.asarray(c)[..., None, None] * self.values)
+    def scaled(self, c: float) -> "Segment":
+        return Segment._trusted(self.h, self.thetas, c * self.values)
 
 
 def _value(x):

@@ -19,9 +19,9 @@ takes one segment, or a batch of segments at one time each (as the
 admission sampler passes them), and ``evaluate_window(stack, cols)`` every
 slice of a ``SegmentStack`` at its slice times, on the columns ``cols``
 (all by default); the scalar path is the reference the stack path is
-tested against.  ``support(n_modes)`` lists the columns a term can write: every
-other column of its value is 0 whatever the time and history, so the
-window solver iterates only the union of both terms' supports.
+tested against.  ``support(n_modes)`` lists the columns a term can write:
+every other column of its value is 0 whatever the time and history, so
+the window solver iterates only the union of both terms' supports.
 ``NeutralProblem`` checks each term's width against the operator once,
 and its scalar ``eval_g``/``eval_f`` report non-finite values as
 ``NumericalBlowup``; the window solver calls
