@@ -226,7 +226,7 @@ class Segment:
         return Segment._trusted(self.h, self.thetas, c * self.values)
 
 
-def _value(x):
+def _float_or_array(x):
     # one segment's functional as a float, a batch's as its array
     return float(x) if np.ndim(x) == 0 else x
 
@@ -239,12 +239,12 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
 
 def sup_norm(seg: Segment) -> float:
     """Max over theta nodes of the coefficient norm (exact on piecewise-linear data)."""
-    return _value(seg.node_norms().max(axis=-1))
+    return _float_or_array(seg.node_norms().max(axis=-1))
 
 
 def integral_norm_functional(seg: Segment) -> float:
     """Trapezoid quadrature of theta -> ||seg(theta)|| over [-h, 0]."""
-    return _value(np.trapezoid(seg.node_norms(), seg.thetas))
+    return _float_or_array(np.trapezoid(seg.node_norms(), seg.thetas))
 
 
 def _require_finite_window(lo, hi) -> None:
@@ -282,7 +282,7 @@ def max_norm_functional(seg: Segment, lo, hi) -> float:
     best = np.where(right > left, right, left)
     inside = (seg.thetas > lo[..., None]) & (seg.thetas < hi[..., None])
     inner = np.where(inside, seg.node_norms(), -np.inf).max(axis=-1)
-    return _value(np.where(inner > best, inner, best))
+    return _float_or_array(np.where(inner > best, inner, best))
 
 
 def _first_block_sums(dt: float, norms: np.ndarray) -> np.ndarray:

@@ -43,8 +43,8 @@ from .errors import DomainViolation, HypothesisViolation, InsufficientSamples, N
 from .history import (
     Segment,
     SegmentStack,
+    _float_or_array,
     _require_finite_window,
-    _value,
     _vector_norms,
     integral_norm_functional,
     max_norm_functional,
@@ -450,7 +450,7 @@ class NeutralProblem:
             return integral_norm_functional(seg)
         if self.domain.kind == "sup_band":
             return sup_norm(seg)
-        return _value(_vector_norms(seg.values[..., -1, :]))
+        return _float_or_array(_vector_norms(seg.values[..., -1, :]))
 
     def domain_functionals(self, stack: SegmentStack) -> np.ndarray:
         """``domain_functional`` of every slice of the stack."""
