@@ -559,9 +559,9 @@ def check_neutral_smallness(h: float, L: float, mg: float, measQ: float) -> Smal
 
 #: Theta cells of every sampled history segment.
 _SAMPLE_CELLS = 16
-#: Size of the sampler's blocks: a block of consecutive samples draws about
-#: this many numbers, and a batch of its wobbling pairs holds about this
-#: many values a segment, (pairs, 17, K), whatever K and the sample count.
+#: Size of the sampler's batches: a batch of wobbling pairs holds about this
+#: many values a segment, (pairs, 17, K), and a block of consecutive samples
+#: draws about half as many numbers, whatever K and the sample count.
 _BLOCK_VALUES = 1 << 14
 
 
@@ -672,10 +672,10 @@ def _sampled_ratios(prob: NeutralProblem, thetas: np.ndarray, n_samples: int,
     # draws per sample: t, then weights, target and scaling, or two
     # segments' weights, wobble and target
     count = np.where(style == 2, 2 * (K + n_theta + 1) + 1, np.where(drawn, K + 3, 3))
-    # a block draws about _BLOCK_VALUES numbers, 3 (K + n_theta) per three
-    # samples; its constant pairs, of one row a segment, are one batch, and
-    # its wobbling pairs, of n_theta rows a segment, batches of `per_batch`
-    step = 3 * max(1, _BLOCK_VALUES // (3 * (K + n_theta)))
+    # a block draws about _BLOCK_VALUES / 2 numbers, 3 (K + n_theta) per
+    # three samples; its constant pairs, of one row a segment, are one batch,
+    # and its wobbling pairs, of n_theta rows a segment, batches of `per_batch`
+    step = 3 * max(1, _BLOCK_VALUES // (6 * (K + n_theta)))
     per_batch = max(1, _BLOCK_VALUES // (n_theta * K))
     for start in range(0, n_samples, step):
         block = slice(start, start + step)
@@ -706,7 +706,7 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> fl
     a pair of independent histories that wobble in theta.
 
     The pairs are sampled in blocks of consecutive samples that draw about
-    ``_BLOCK_VALUES`` numbers each, with one ``rng.random`` call: the numbers
+    ``_BLOCK_VALUES / 2`` numbers each, with one ``rng.random`` call: the numbers
     one ``rng.uniform`` call per drawn quantity would give, in the same
     order.  A block's constant pairs form one batch and its wobbling pairs
     batches of about ``_BLOCK_VALUES`` values a segment, so the working set
