@@ -599,6 +599,17 @@ def _in_band(prob: NeutralProblem, thetas: np.ndarray, rows: np.ndarray,
     return scale[:, None, None] * rows
 
 
+def _eval_rows(prob: NeutralProblem, thetas: np.ndarray, t: np.ndarray, rows: np.ndarray,
+               seg: Segment, reach: np.ndarray) -> np.ndarray | None:
+    """``eval_g`` of the segments ``reach`` (a mask) of the batch ``seg``
+    made from ``rows``, or None when the mask is empty."""
+    if not reach.any():
+        return None
+    if not reach.all():
+        seg = _segments(prob.h, thetas, rows[reach], seg.node_norms()[reach])
+    return prob.eval_g(t[reach], seg)
+
+
 def _pair_ratios(prob: NeutralProblem, thetas: np.ndarray, t: np.ndarray,
                  rows1: np.ndarray, rows2: np.ndarray) -> tuple[np.ndarray, int]:
     """The ratios of a batch of history pairs, and how many pairs formed one.
@@ -608,21 +619,25 @@ def _pair_ratios(prob: NeutralProblem, thetas: np.ndarray, t: np.ndarray,
     through ``eval_g``, on the first segments of the pairs that pass the
     distance and range tests, then on the second segments of those whose
     second segment passes too: the segments a pair-by-pair loop evaluates,
-    so a non-finite value raises ``NumericalBlowup`` where it would.
+    so a non-finite value raises ``NumericalBlowup`` where it would.  The
+    range test (``admits``) runs only on a batch where ``eval_g`` refused
+    one segment's functional.
     """
     denom = sup_norm(_segments(prob.h, thetas, rows1 - rows2))
     reach = ~(denom < 1e-14)
-    admits = getattr(prob.g, "admits", None)
     values = []
     for rows in (rows1, rows2):
         seg = _segments(prob.h, thetas, rows)
-        if admits is not None:
-            reach = reach & admits(t, seg)
-        if not reach.any():
+        try:
+            g = _eval_rows(prob, thetas, t, rows, seg, reach)
+        except DomainViolation:
+            # a functional left the declared range: only a capped term
+            # raises this, and its pair forms no ratio
+            reach = reach & prob.g.admits(t, seg)
+            g = _eval_rows(prob, thetas, t, rows, seg, reach)
+        if g is None:
             return np.empty(0), 0
-        if not reach.all():
-            seg = _segments(prob.h, thetas, rows[reach], seg.node_norms()[reach])
-        values.append((reach, prob.eval_g(t[reach], seg)))
+        values.append((reach, g))
     (reach1, g1), (reach2, g2) = values
     # ||diff||_alpha, the bits of op.alpha_norm, without its finiteness check
     diff = prob.op.mu**prob.alpha * (g1[reach2[reach1]] - g2)
