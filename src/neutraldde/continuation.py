@@ -12,9 +12,12 @@ norms as its history; ``segment_at`` serves only the bisection.  One
 ``RunFrame`` per run, built at the first window's width, holds what every
 window shares (the theta grid, the cell weights, the scan factors and the
 decay table), and dies with the run.  Each attempt solves in the free rows
-of the path's buffer past its end, which doubles before the attempt when
-short; no attempt writes a row the run has committed, and a failed one
-leaves only free rows behind.  ``extend`` of the converged window checks
+of the path's buffer past its end.  The run reserves them once, right
+after it builds its path: rows for its whole horizon, up to
+``_FIRST_PATH_VALUES`` values and at least one window, so a run that fits
+allocates its path once and a longer one doubles the buffer only past
+that size.  No attempt writes a row the run has committed, and a failed
+one leaves only free rows behind.  ``extend`` of the converged window checks
 its overlap with the path's endpoint and moves the fill mark past it, so
 the window's rows and norms are not copied again.
 
@@ -50,6 +53,11 @@ from .solver import RunFrame, SolverConfig, WindowResult, heuristic_window, solv
 
 #: Default bisection width for boundary-crossing refinement, in grid steps.
 _REFINE_FRACTION = 1.0 / 256.0
+
+#: Most values of the free rows a run first reserves past its history (8 MB
+#: of rows): a run reserves its horizon up to this, and at least one window,
+#: so a long or wide run does not allocate its whole path up front.
+_FIRST_PATH_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     refine_tol = cfg.dt * _REFINE_FRACTION
     m = max(1, int(heuristic_window(prob, cfg) / cfg.dt + 1e-9))
     run = RunFrame(prob, cfg.dt, m)
+    path._reserve(min(horizon_cells, max(m, _FIRST_PATH_VALUES // prob.op.n_modes)))
 
     while True:
         done_cells = path.n_times - 1 - n_h

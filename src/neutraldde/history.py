@@ -66,7 +66,8 @@ class SolutionPath:
 
     ``values`` and ``norms`` (the row norms) are read-only views of the first
     n rows of a buffer.  Each window is solved in the free rows past the
-    buffer's fill mark, and ``extend`` moves the mark past it; the buffer
+    buffer's fill mark, and ``extend`` moves the mark past it.  A run sizes
+    the buffer for its horizon up to a bound, once; past that the buffer
     doubles when it is full, so appending costs O(new rows) on average, not
     a copy of the whole path.
     """
@@ -122,7 +123,10 @@ class SolutionPath:
 
         A buffer that is filled past the path's end, as a head's is, or that
         is too short, is first replaced by a copy of the path's rows twice
-        their number or more, so no row another path holds is written.
+        their number or more, so no row another path holds is written.  A
+        run reserves its first free rows once, right after it builds its
+        path (``continuation.continue_solution``), so its attempts find them
+        free; a run longer than that first size doubles here.
         """
         buf, n = self._buf, self._n
         if buf.filled != n or n + count > buf.rows.shape[0]:
@@ -243,8 +247,13 @@ def sup_norm(seg: Segment) -> float:
 
 
 def integral_norm_functional(seg: Segment) -> float:
-    """Trapezoid quadrature of theta -> ||seg(theta)|| over [-h, 0]."""
-    return _float_or_array(np.trapezoid(seg.node_norms(), seg.thetas))
+    """Trapezoid quadrature of theta -> ||seg(theta)|| over [-h, 0].
+
+    This is the expression ``np.trapezoid(seg.node_norms(), seg.thetas)``
+    evaluates, bit for bit, without its argument set-up.
+    """
+    y = seg.node_norms()
+    return _float_or_array((np.diff(seg.thetas) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1))
 
 
 def _require_finite_window(lo, hi) -> None:

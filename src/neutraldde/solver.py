@@ -59,9 +59,10 @@ span, so every delayed value is a row of the path and nothing is
 resampled), and its candidates go into the free rows after them, so no
 history is copied and a converged window is committed where it was
 solved.  It computes once: phi(0), the grid times, the free evolution
-S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), the
-history's block of trapezoid sums for the delay masses and the passive
-columns.  Its first iterate locates each running-max window at the grid
+S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), which
+it keeps on the active columns and writes into the passive columns of the
+free rows, and the history's block of trapezoid sums for the delay
+masses.  Its first iterate locates each running-max window at the grid
 times and takes the run's edges or resolves new ones, so every later
 iterate only gathers norms at the resolved rows.  Each candidate is loaded
 once: ``load`` writes the active columns of its rows 1..m and their norms
@@ -328,9 +329,11 @@ class RunFrame:
     their supports, as a basic slice when it is contiguous; ``n_active``
     counts them, and every other column is passive.  Beside the theta grid
     it holds the decay table e^(-mu s) of the free evolution on every
-    column, built at width m with the node offsets dt*arange(m+1), on the
-    active columns alone the rates, the cell weights and the scan factors,
-    and the warm start's Newton columns ``newton``.  A window of k <= m
+    column, built at width m with the node offsets dt*arange(m+1) (each
+    attempt writes it times its start into the path's free rows, and takes
+    its active columns for the iterates), on the active columns alone the
+    rates, the cell weights and the scan factors, and the warm start's
+    Newton columns ``newton``.  A window of k <= m
     cells reads the first k+1 rows, first k.bit_length() factors and first
     k Newton rows, bitwise what a k-cell build gives.  ``edges`` keeps the
     last resolved running-max window edges per window and slice count
@@ -379,21 +382,24 @@ class WindowFrame:
     path of its own.  The frame works in the path's rows buffer and its row
     norms: the history, then the m+1 window rows, of which row 0 is the
     history's last, phi(0).  The path lends them with m free rows past its
-    end (``SolutionPath._reserve``); nothing the path holds is copied or
-    rewritten, and ``extend`` of the converged window checks its overlap
-    and moves the path's fill mark.
+    end (``SolutionPath._reserve``), which a run's path holds already
+    unless the run has outgrown its first size; nothing the path holds is
+    copied or rewritten, and ``extend`` of the converged window checks its
+    overlap and moves the path's fill mark.
     What depends on the problem, dt and m alone comes from the run's
     ``RunFrame``, of width m or more (a fresh one of width m when none is
     given): the theta grid, the active columns, their cell weights and
     scan factors, and the decay table.
 
-    Per attempt the frame computes the grid times, phi(0), the free
-    evolution ``free``, S(s)(phi(0) + g(t0, phi)) (the only scalar g call
-    of the attempt), and the history's block of trapezoid sums for the
-    delay masses.  The passive columns, those outside ``run.active``, take
-    the free evolution: G(y) there is phi(0) at the window start and
-    ``free + 0.0`` after it, whatever y, so the frame writes that into
-    window rows 1..m once, with each row's sum of passive squares.  Each
+    Per attempt the frame computes the grid times, phi(0), ``start`` =
+    phi(0) + g(t0, phi) (the only scalar g call of the attempt), the free
+    evolution S(s) start on the active columns, ``free``, which every
+    iterate reads, and the history's block of trapezoid sums for the delay
+    masses.  The passive columns, those outside ``run.active``, take the
+    free evolution: G(y) there is phi(0) at the window start and
+    S(s) start + 0.0 after it, whatever y, so the frame writes that, on
+    every column, straight into window rows 1..m once, with each row's
+    sum of passive squares; loads overwrite the active columns.  Each
     ``load`` then writes the candidate's active columns into rows 1..m and
     gives each of those rows the norm sqrt(passive sum + active squares);
     row 0 keeps the path's stored norm.  A run with no passive column
@@ -442,14 +448,15 @@ class WindowFrame:
         # slice's block of delay-mass sums holds for every load
         self._history_sums = _first_block_sums(dt, hist_norms)
         seg = Segment._trusted(prob.h, run.thetas, self.hist, hist_norms)
-        start = self.phi0 + prob.eval_g(t0, seg)
+        start = self.start = self.phi0 + prob.eval_g(t0, seg)
         if not np.isfinite(start).all():
             raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
-        self.free = run.decay[: m + 1] * start[None, :]
         # the passive columns' G: the free evolution, with the 0.0 that
         # turns its -0.0 into the +0.0 that free - g + (memory integral) gives
         after = self.rows[n_h + 1 :]
-        np.add(self.free[1:], 0.0, out=after)
+        np.multiply(run.decay[1 : m + 1], start, out=after)
+        after += 0.0
+        self.free = run.decay[: m + 1, run.active] * start[run.active]
         self._passive_sums = None
         if run.n_active < n_modes:
             squares = after * after
@@ -506,7 +513,7 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     active = run.active
     g_vals = prob.g.evaluate_window(stack, active)
     f_vals = prob.f.evaluate_window(stack, active)
-    out = frame.free[:, active] - g_vals
+    out = frame.free - g_vals
     out += _product_scan(run.mu * g_vals + f_vals, run.w0, run.w1, frame.factors)
     out[0] = frame.phi0[active]
     return out

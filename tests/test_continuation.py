@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,14 @@ from neutraldde import (
     segment_at,
     solve_window,
 )
+import neutraldde.continuation as continuation
+import neutraldde.history as history
 from neutraldde.config import build_run, parse_config
 from neutraldde.history import extend
 from neutraldde.scenarios import get_scenario, scenario_names
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def constant_segment(h, vec, dt):
@@ -400,3 +407,46 @@ def test_bundled_scenario_iterates_stay_bounded(name, bound):
     built = build_run(parse_config(get_scenario(name)))
     traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
     assert sum(w.iterations for w in traj.windows) <= bound
+
+
+def _workload_run(name, monkeypatch, first_values=None):
+    """A benchmark workload's run at seed 7 (modes_wide: 256 modes) and the
+    number of path buffers it built, with the run's first buffer size
+    bound set to ``first_values`` when given."""
+    built = build_run(parse_config(workloads.GENERATORS[name](7).config))
+    count = [0]
+
+    class CountedBuffer(history._PathBuffer):
+        def __init__(self, *args):
+            count[0] += 1
+            super().__init__(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(history, "_PathBuffer", CountedBuffer)
+        if first_values is not None:
+            patch.setattr(continuation, "_FIRST_PATH_VALUES", first_values)
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+    return traj, count[0]
+
+
+@pytest.mark.parametrize("name", ["modes_wide", "exit_fine"])
+def test_a_run_sizes_its_path_buffer_once(name, monkeypatch):
+    # the path's own buffer and the run's one reservation for its horizon;
+    # no attempt and no extend builds another
+    traj, buffers = _workload_run(name, monkeypatch)
+    assert buffers == 2
+    assert traj.path.n_times <= traj.path._buf.rows.shape[0]
+
+
+@pytest.mark.parametrize("name", ["modes_wide", "exit_fine"])
+def test_a_run_past_its_first_buffer_size_doubles_to_the_same_answer(name, monkeypatch):
+    # a first size of a few rows, below the horizon: the buffer doubles as
+    # the run goes, and every row, norm, functional and tau is the same
+    traj, _ = _workload_run(name, monkeypatch)
+    n_modes = traj.path.values.shape[1]
+    small, buffers = _workload_run(name, monkeypatch, first_values=16 * n_modes)
+    assert buffers > 2
+    assert small.event == traj.event and small.tau.hex() == traj.tau.hex()
+    for got, want in ((small.path.values, traj.path.values), (small.path.norms, traj.path.norms),
+                      (small.functionals, traj.functionals)):
+        assert got.tobytes() == want.tobytes()

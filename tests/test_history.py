@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from neutraldde import (
     Segment,
@@ -291,6 +292,40 @@ def test_functionals_scale_homogeneously(data, c):
         c * integral_norm_functional(seg), rel=1e-12, abs=1e-12
     )
     assert sup_norm(scaled) == pytest.approx(c * sup_norm(seg), rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def trapezoid_segments(draw):
+    """One segment or a batch, on the run's uniform theta grid or a
+    non-uniform grid as a ``table`` history gives, with entries that make
+    norms of 0, inf and nan; the values may broadcast along theta."""
+    h = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        thetas = -h + (h / n) * np.arange(n + 1)
+    else:
+        inner = draw(st.lists(st.floats(-h, 0.0, exclude_min=True, exclude_max=True),
+                              unique=True, max_size=10))
+        thetas = np.array([-h, *sorted(inner), 0.0])
+    batch = draw(st.sampled_from([(), (3,), (2, 3)]))
+    n_modes = draw(st.integers(1, 3))
+    entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, np.inf, -np.inf, np.nan]))
+    if draw(st.booleans()):
+        row = draw(arrays(float, batch + (1, n_modes), elements=entries))
+        values = np.broadcast_to(row, batch + (thetas.size, n_modes))
+    else:
+        values = draw(arrays(float, batch + (thetas.size, n_modes), elements=entries))
+    return Segment(h, thetas, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trapezoid_segments())
+def test_integral_functional_is_numpys_trapezoid_bitwise(seg):
+    with np.errstate(invalid="ignore"):
+        got = integral_norm_functional(seg)
+        want = np.trapezoid(seg.node_norms(), seg.thetas)
+    assert isinstance(got, float) == (seg.values.ndim == 2)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_segment_invariants_enforced():

@@ -79,10 +79,16 @@ def apply_operator(prob, seg, dt, candidate):
     return plain_operator(prob, seg.values, 0.0, dt, candidate)
 
 
+def full_free(frame):
+    """The free evolution e^(-mu s) start on every column of the frame's
+    window rows; the frame keeps it on the active columns alone."""
+    return frame.run.decay[: frame.m + 1] * frame.start
+
+
 def loaded_rows(frame, active_values):
     """The window rows a frame holds after loading ``active_values``: phi(0),
     then the free evolution (+0.0) in the passive columns beside them."""
-    out = frame.free + 0.0
+    out = full_free(frame) + 0.0
     out[0] = frame.phi0
     out[1:, frame.run.active] = active_values[1:]
     return out
@@ -993,6 +999,7 @@ def test_operator_on_the_active_columns_is_the_full_operator_there(n_modes, writ
     assert np.arange(n_modes)[run.active].tolist() == written and run.n_active == len(written)
     passive = ~np.isin(np.arange(n_modes), written)
     frame = WindowFrame(prob, hist, t0, dt, m, run)
+    assert frame.free.tobytes() == full_free(frame)[:, run.active].tobytes()
     for _ in range(2):
         candidate = rng.uniform(-0.3, 0.3, size=(m + 1, len(written)))
         candidate[0] = frame.phi0[run.active]
@@ -1100,7 +1107,7 @@ def test_passive_modes_take_the_free_evolution_through_a_run(monkeypatch):
     for w in traj.windows:
         m = int(round(w.window / built.solver.dt))
         frame = [f for f in frames if f.t0 == w.t0 and f.m == m][-1]
-        free = frame.free[1:, 1:]
+        free = full_free(frame)[1:, 1:]
         negative_zeros += int(np.sum((free == 0.0) & np.signbit(free)))
         assert w.values[1:, 1:].tobytes() == (free + 0.0).tobytes()
         assert w.values[0].tobytes() == frame.phi0.tobytes()
