@@ -10,8 +10,8 @@ The initial ``Segment`` is put on the theta grid once per run.  As dt divides
 the delay span, each window then takes the path's last n_h+1 rows and their
 norms as its history; ``segment_at`` serves only the bisection.  One
 ``RunFrame`` per run, built at the first window's width, holds what every
-window shares (the theta grid, the cell weights, the scan factors and the
-decay table), and dies with the run.  Each attempt solves in the free rows
+window shares (the theta grid, the cell weights, the scan tables, the
+decay table and the warm start's weights), and dies with the run.  Each attempt solves in the free rows
 of the path's buffer past its end.  The run reserves them once, right
 after it builds its path: rows for its whole horizon, up to
 ``_FIRST_PATH_VALUES`` values and at least one window, so a run that fits

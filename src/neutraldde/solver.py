@@ -20,10 +20,19 @@ switchover at small z, keeping them accurate to 1e-10 relative across
 z in [1e-12, 1e4]; the kernels are smooth per mode, so no singular
 quadrature is needed anywhere.  ``exp_convolution`` gives the integral at
 every grid index at once.  Its values obey the exact one-step recurrence
-out[i] = e^(-mu dt) out[i-1] + (cell i), which it solves as a doubling
-scan: log2(m) passes, each vectorised over all nodes and modes.  A loop
-over time steps would cost one interpreter pass per cell, which dominates
-on windows of a few hundred cells and few modes.
+out[i] = r out[i-1] + c_i, r = e^(-mu dt), which it solves as a scaled
+prefix sum: inside blocks of b cells, out = r^t cumsum(r^-t c), with b
+per column the largest power of two such that mu dt (b-1) <= 1, so no
+scale exceeds e and nothing overflows where the plain sum does not.  The
+block ends are carried by a doubling scan at factor r^b, and the other
+rows of a block by r^(t+1) times the last block's end.  A column whose
+mu w is at most 1/2 scans a window of width w in one block: one multiply,
+one cumsum and one multiply.  A column with mu dt > 1 has b = 1, the
+doubling scan on the cells, log2(m) passes.  A loop over time steps would
+cost one interpreter pass per cell, which dominates on windows of a few
+hundred cells and few modes.  A column's block and its tables depend on
+its own mu dt alone, so it scans the same whichever columns it is scanned
+with, and a narrower window reads a prefix of the tables.
 
 Only the columns the delay terms write are iterated.  Each term gives its
 ``support``, the columns its value can be nonzero in, and the union of
@@ -45,8 +54,8 @@ column is gathered.
 The work is set up at two levels.  Per run, a ``RunFrame`` holds the theta
 grid, the active columns with their rates and cell weights and, at the
 run's first window width, the node offsets, the decay table e^(-mu s) of
-the free evolution on every column, the scan factors of the active ones
-and the warm start's Newton columns; a run only narrows its windows, and a
+the free evolution on every column, the scan tables of the active ones
+and the warm start's weights; a run only narrows its windows, and a
 narrower one reads a prefix of each table.  It also keeps the running-max
 window edges last resolved per window and width: their cells, weights and
 interior-node bounds depend on the windows (lo, hi), the theta grid and
@@ -75,18 +84,23 @@ per iterate, under one ``errstate`` per attempt; the frame tests
 phi(0) + g(t0, phi), which the free evolution scales.
 
 Each window starts, in its active columns, from the polynomial of degree
-``_WARM_DEGREE`` through its last history rows, continued over the window
-(Newton backward differences at spacing dt, as in the continuous
-extensions of Bellen & Zennaro, "Numerical Methods for Delay Differential
-Equations", 2003), whose binomial weights the run frame builds once.  A
-degree-p guess is off by O(w^(p+1)) where the flat start phi(0) is off by
-O(w), so Picard iteration, whose error shrinks like (Lw)^k/k!, starts some
-iterates ahead.
-The flat start is the same extrapolation at degree 0 and serves as the
-guard: a guess that leaves the trust region, takes a term past its
-argument range or maps to non-finite values is dropped, and the window
-iterates from phi(0) exactly as it would without a guess.  The guess
-itself is never returned; G of it is iterate 1.
+``_WARM_DEGREE`` through the history rows phi(0), phi(-s dt), ...,
+phi(-6 s dt), continued over the window as in the continuous extensions
+of Bellen & Zennaro, "Numerical Methods for Delay Differential Equations",
+2003.  The stencil spacing is s = m // _WARM_SPACING cells for the run's
+first width m, shrunk until the stencil fits the history.  The run frame
+builds the Lagrange weights of every window node once, and the guess is
+one product of them with the stencil's rows.  Nodes spaced like the
+window keep the weights' sizes bounded whatever dt is: at spacing dt a
+degree-p extrapolation over m cells multiplies rounding by about m^p/p!,
+and the iterates of a run grew with 1/dt.  A degree-p guess is off by
+O(w^(p+1)) where the flat start phi(0) is off by O(w), so Picard
+iteration, whose error shrinks like (Lw)^k/k!, starts some iterates ahead.
+The flat start phi(0) serves as the guard: a guess that leaves the trust
+region, takes a term past its argument range or maps to non-finite values
+is dropped, and the window iterates from phi(0) exactly as it would
+without a guess.  The guess itself is never returned; G of it is iterate
+1.
 
 The settings a caller can change are the ``SolverConfig`` fields and
 nothing else: the grid step, the window, and the iteration controls; the
@@ -124,10 +138,17 @@ _MAX_DELAY_CELLS = 10**7
 #: The widest bundled or benchmark history holds under 10**6.
 _MAX_HISTORY_VALUES = 10**8
 
-#: Degree of the history extrapolation that starts each window.  Degrees
-#: 0-6 take 192/165/140/116/89/107/130 iterates on the exit_fine workload
-#: and 85/69/67/54/53/41/42 on modes_wide (seed 7).
-_WARM_DEGREE = 4
+#: Degree of the history extrapolation that starts each window, and the
+#: spacing of its stencil: m // _WARM_SPACING cells for a run whose first
+#: window has m cells.  At seeds 7 and 11, degree / spacing 6 / m//8 takes
+#: 61 iterates on the exit_fine workload and 41 on modes_wide; 5 / m//8
+#: takes 74 and 41, 7 / m//8 61-62 and 41-42, 4 / m//8 96 and 53, 6 / m//16
+#: 69-70 and 41, and 6 / m//4 79 and 46-47.  The degree-4 start at spacing
+#: dt took 89 and 53, and on exit_fine its iterates grew with 1/dt (89 /
+#: 97 / 117 / 135 at 1/dt = 2000 ... 16000, against 61 at each step here):
+#: its 4th backward difference amplified rounding by C(m+3, 4).
+_WARM_DEGREE = 6
+_WARM_SPACING = 8
 
 
 def _series_coeffs():
@@ -176,39 +197,101 @@ def exp_convolution(mu, values, dt: float) -> np.ndarray:
     interpolant; row i of the (n_nodes, n_modes) result is the integral up
     to t_i, so row 0 is zero.  With the cell contributions
     c_i = w0 v_(i-1) + w1 v_i the rows obey out[i] = r out[i-1] + c_i,
-    r = e^(-mu dt), which a doubling scan solves in log2(n) vectorised
-    passes.  Every factor lies in [0, 1], so stiff modes underflow to zero.
+    r = e^(-mu dt).  Each column is scanned in blocks of b cells, b the
+    largest power of two with mu dt (b-1) <= 1, so r^-(b-1) <= e: a block's
+    rows are r^t cumsum(r^-t c), t counted from the block start.  The
+    block ends are then carried by a doubling scan at factor r^b, and the
+    rest of each block by r^(t+1) times the last block's end.  A column
+    with mu dt > 1 has b = 1, which is the doubling scan on the cells, in
+    log2(n) vectorised passes.  The window solver runs the same scan, so
+    there is one convolution.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     values = np.asarray(values, dtype=float)
     w0, w1 = cell_weights(mu, dt)
-    return _product_scan(values, w0, w1, _scan_factors(mu, dt, values.shape[0]))
+    return _product_scan(values, w0, w1, _scan_tables(mu, dt, values.shape[0] - 1))
 
 
-def _scan_factors(mu: np.ndarray, dt: float, n_nodes: int) -> list[np.ndarray]:
-    # r, r^2, r^4, ...: one factor per doubling pass over n_nodes rows
-    factors = []
-    r = np.exp(-mu * dt)
-    step = 1
-    while step < n_nodes:
-        factors.append(r)
-        r = r * r
-        step *= 2
-    return factors
+@np.errstate(divide="ignore")
+def _scan_tables(mu: np.ndarray, dt: float, n_cells: int) -> list[tuple]:
+    """The scan's tables for at most ``n_cells`` cells: one
+    (cols, down, up, carry) group per block size.
+
+    A column's block b is the largest power of two with z (b-1) <= 1,
+    z = mu dt (any b when z = 0), and its tables hold min(b, n_cells) of
+    it: ``down`` r^t for t = 0..min(b, n_cells), ``up`` r^-t for the t
+    below that, and ``carry`` r^b, r^2b, r^4b, ...: one factor per doubling
+    pass over the block ends.  ``cols`` indexes the group's columns, a
+    basic slice when they are contiguous, as sorted rates give.  Every
+    entry depends on its column's z and on t alone, so a column scans the
+    same whatever the other columns, and a scan of k <= n_cells cells,
+    whose block is min(b, k), reads a prefix of each table: what a k-cell
+    build gives, bit for bit.
+    """
+    z = mu * dt
+    widest = np.exp2(np.floor(np.log2(1.0 + 1.0 / z)))
+    sizes = np.maximum(np.minimum(widest, max(n_cells, 1)), 1.0).astype(int)
+    groups = []
+    for block in sorted(set(sizes.tolist())):
+        cols = _columns(np.flatnonzero(sizes == block))
+        t = np.arange(block + 1.0)[:, None]
+        down = np.exp(-t * z[cols])
+        up = np.exp(t[:block] * z[cols])
+        carry = []
+        r = down[block]
+        step = block
+        while step < n_cells:
+            carry.append(r)
+            r = r * r
+            step *= 2
+        groups.append((cols, down, up, carry))
+    return groups
 
 
 def _product_scan(values: np.ndarray, w0: np.ndarray, w1: np.ndarray,
-                  factors: list[np.ndarray]) -> np.ndarray:
-    # the doubling scan of exp_convolution, with weights and factors given
-    out = np.zeros_like(values)
-    out[1:] = w0 * values[:-1] + w1 * values[1:]
-    step = 1
-    for r in factors:
-        # the right side is formed before the add, so each pass reads the
-        # previous pass's rows: row i then sums the last 2*step cells
-        out[step:] += r * out[:-step]
-        step *= 2
+                  groups: list[tuple]) -> np.ndarray:
+    # the blocked scan of exp_convolution, with weights and tables given
+    out = np.empty_like(values)
+    out[0] = 0.0
+    cells = out[1:]
+    np.multiply(w0, values[:-1], out=cells)
+    cells += w1 * values[1:]
+    for cols, down, up, carry in groups:
+        if isinstance(cols, slice):
+            _block_scan(cells[:, cols], down, up, carry)
+        else:
+            cells[:, cols] = _block_scan(cells[:, cols], down, up, carry)
     return out
+
+
+def _block_scan(cells: np.ndarray, down: np.ndarray, up: np.ndarray, carry: list) -> np.ndarray:
+    # scans the (n, k) cells in place, in blocks of min(len(up), n) rows
+    n, k = cells.shape
+    block = min(up.shape[0], n)
+    if block == 0:
+        return cells
+    n_blocks = -(-n // block)
+    padded = cells if n_blocks * block == n else np.zeros((n_blocks * block, k))
+    if padded is not cells:
+        padded[:n] = cells
+    blocks = padded.reshape(n_blocks, block, k)
+    blocks *= up[:block]
+    np.cumsum(blocks, axis=1, out=blocks)
+    blocks *= down[:block]
+    if n_blocks > 1:
+        ends = blocks[:, -1]
+        step = 1
+        for r in carry:
+            if step >= n_blocks:
+                break
+            # the right side is formed before the add, so each pass reads
+            # the previous pass's ends: end j then sums the last 2*step blocks
+            ends[step:] += r * ends[:-step]
+            step *= 2
+        blocks[1:, :-1] += down[1:block] * ends[:-1, None]
+    if padded is not cells:
+        cells[...] = padded[:n]
+    return cells
 
 
 def _checked_prefix(op: SpectralOperator, values, t_index: int, dt: float) -> np.ndarray:
@@ -331,11 +414,15 @@ class RunFrame:
     it holds the decay table e^(-mu s) of the free evolution on every
     column, built at width m with the node offsets dt*arange(m+1) (each
     attempt writes it times its start into the path's free rows, and takes
-    its active columns for the iterates), on the active columns alone the
-    rates, the cell weights and the scan factors, and the warm start's
-    Newton columns ``newton``.  A window of k <= m
-    cells reads the first k+1 rows, first k.bit_length() factors and first
-    k Newton rows, bitwise what a k-cell build gives.  ``edges`` keeps the
+    its active columns for the iterates), and on the active columns alone
+    the rates, the cell weights and the ``scan`` tables
+    (``_scan_tables``), whose blocks depend on mu dt alone.  The warm start
+    reads the history every ``warm_step`` rows, and ``warm`` holds its
+    (m+1, degree+1) weights (``_warm_stencil``, ``_warm_weights``); the
+    step is fixed by m and the history, not by the window.  A window of
+    k <= m cells reads the first k+1 rows of the decay table and of
+    ``warm``, and a prefix of each scan table, bitwise what a k-cell build
+    at the same step gives.  ``edges`` keeps the
     last resolved running-max window edges per window and slice count
     (``SegmentStack.window_edges``): an attempt whose windows repeat them,
     as lo = hi = 0 and the whole slice do, only gathers.  The tables go
@@ -360,8 +447,9 @@ class RunFrame:
         self.w0, self.w1 = cell_weights(mu, dt)
         self.offsets = dt * np.arange(m + 1)
         self.decay = np.exp(-np.outer(self.offsets, prob.op.mu))
-        self.factors = _scan_factors(mu, dt, m + 1)
-        self.newton = _newton_columns(m, _WARM_DEGREE)
+        self.scan = _scan_tables(mu, dt, m)
+        self.warm_step, degree = _warm_stencil(m, self.n_h)
+        self.warm = _warm_weights(m, self.warm_step, degree)
         self.edges: dict = {}
 
 
@@ -389,7 +477,7 @@ class WindowFrame:
     What depends on the problem, dt and m alone comes from the run's
     ``RunFrame``, of width m or more (a fresh one of width m when none is
     given): the theta grid, the active columns, their cell weights and
-    scan factors, and the decay table.
+    scan tables, the decay table and the warm start's weights.
 
     Per attempt the frame computes the grid times, phi(0), ``start`` =
     phi(0) + g(t0, phi) (the only scalar g call of the attempt), the free
@@ -439,7 +527,6 @@ class WindowFrame:
         self.dt = dt
         self.m = m
         self.times = t0 + run.offsets[: m + 1]
-        self.factors = run.factors[: m.bit_length()]
         self.hist = self.rows[: n_h + 1]
         self.phi0 = self.hist[-1]
         hist_norms = self.norms[: n_h + 1]
@@ -514,7 +601,7 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     g_vals = prob.g.evaluate_window(stack, active)
     f_vals = prob.f.evaluate_window(stack, active)
     out = frame.free - g_vals
-    out += _product_scan(run.mu * g_vals + f_vals, run.w0, run.w1, frame.factors)
+    out += _product_scan(run.mu * g_vals + f_vals, run.w0, run.w1, run.scan)
     out[0] = frame.phi0[active]
     return out
 
@@ -537,42 +624,46 @@ def _drift_exceeds(frame: WindowFrame, radius: float) -> bool:
     return False
 
 
-def _newton_columns(m: int, degree: int) -> np.ndarray:
-    """C(i+k-1, k) for i = 1..m, k = 1..degree: column k-1 of a (degree, m, 1) array.
+def _warm_stencil(m: int, n_h: int) -> tuple[int, int]:
+    """Spacing s and degree of the warm start's stencil for a run whose
+    first window has m cells, after a history of n_h cells.
 
-    Each column is the previous one times (i+k-1)/k, rounded in that order,
-    so row i of every column depends on i alone and a prefix of rows is
-    what a narrower build gives.
+    s = m // _WARM_SPACING, at least 1 and shrunk until the stencil's
+    _WARM_DEGREE * s cells fit the history; a history too short for that
+    at s = 1 lowers the degree to the cells it holds.
     """
-    i = np.arange(1.0, m + 1.0)[:, None]
-    out = np.empty((degree, m, 1))
-    coeff = np.ones_like(i)
-    for k in range(1, degree + 1):
-        coeff *= i + (k - 1)
-        coeff /= k
-        out[k - 1] = coeff
-    return out
+    step = max(1, min(m // _WARM_SPACING, n_h // _WARM_DEGREE))
+    return step, min(_WARM_DEGREE, n_h // step)
 
 
-def _warm_start(hist: np.ndarray, m: int, degree: int, newton: np.ndarray) -> np.ndarray:
-    """First candidate: the polynomial through the last degree+1 history rows,
-    continued to the m+1 window nodes.
+def _warm_weights(m: int, step: int, degree: int) -> np.ndarray:
+    """(m+1, degree+1) Lagrange weights of the stencil phi(-degree*step*dt),
+    ..., phi(-step*dt), phi(0), oldest first, at the window nodes i*dt,
+    i = 0..m.
 
-    Newton's backward form at spacing dt, p(i dt) = sum_k C(i+k-1, k) D^k,
-    with D^k the k-th backward difference of the rows at phi(0) and the
-    binomials read from ``newton`` (``_newton_columns`` of m or more rows
-    and at least ``degree`` columns).  Row 0 is phi(0) exactly, and degree 0
-    is the flat start.  A history of fewer rows lowers the degree to what
-    it holds.
+    Entry (i, j) is the product over l != j of (i - x_l)/(x_j - x_l), with
+    x_j = -(degree - j)*step, taken in one order from i, step and degree
+    alone, so a prefix of rows is what a narrower build gives.  Row 0 is
+    exactly (0, ..., 0, 1).
     """
-    degree = min(degree, hist.shape[0] - 1)
-    diff = hist[hist.shape[0] - degree - 1 :]
-    y = np.empty((m + 1, hist.shape[1]))
-    y[...] = hist[-1]
-    for k in range(1, degree + 1):
-        diff = diff[1:] - diff[:-1]
-        y[1:] += newton[k - 1, :m] * diff[-1]
-    return y
+    nodes = -step * np.arange(degree, -1.0, -1.0)
+    gaps = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    ratios = (np.arange(m + 1.0)[:, None, None] - nodes) / gaps
+    ratios[:, np.arange(degree + 1), np.arange(degree + 1)] = 1.0
+    return np.multiply.reduce(ratios, axis=2)
+
+
+def _warm_start(hist: np.ndarray, weights: np.ndarray, step: int, cols=slice(None)) -> np.ndarray:
+    """First candidate: the polynomial through the history rows phi(0),
+    phi(-step*dt), ..., phi(-degree*step*dt) of the columns ``cols``,
+    continued to the window nodes, as one product ``weights @ rows``.
+
+    ``weights`` are ``_warm_weights`` rows, one per window node, of degree
+    one less than their columns; degree 0 repeats phi(0).
+    """
+    first = hist.shape[0] - 1 - (weights.shape[1] - 1) * step
+    return weights @ hist[first::step, cols]
 
 
 def _first_candidate(frame: WindowFrame, radius: float):
@@ -584,9 +675,8 @@ def _first_candidate(frame: WindowFrame, radius: float):
     ``y_max`` and blow-up outcomes are those of the flat start.  Both
     starts and G(y) hold the active columns.
     """
-    newton = frame.run.newton
-    last = frame.hist[-(_WARM_DEGREE + 1) :, frame.run.active]
-    y = _warm_start(last, frame.m, _WARM_DEGREE, newton)
+    run = frame.run
+    y = _warm_start(frame.hist, run.warm[: frame.m + 1], run.warm_step, run.active)
     stack = frame.load(y)
     if not _drift_exceeds(frame, radius):
         try:
@@ -595,7 +685,7 @@ def _first_candidate(frame: WindowFrame, radius: float):
             gy = None
         if gy is not None and np.isfinite(gy).all():
             return y, stack, gy
-    y = _warm_start(last, frame.m, 0, newton)
+    y = np.tile(frame.phi0[run.active], (frame.m + 1, 1))
     return y, frame.load(y), None
 
 

@@ -14,9 +14,11 @@ prints, one line per item:
   (``estimate_lipschitz_mg(problem, 150, 0)``), or the name of the
   exception it raises, so the sampler's bits are compared, not only the
   6 digits ``run`` prints;
-* the three benchmark workloads at seeds 7 and 11, and ``modes_wide`` at
-  1024 modes, where 1 of 1024 columns is written by the delay terms: the
-  event, ``tau.hex()``, the refinement width, the sha256 of the path values
+* the three benchmark workloads at seeds 7 and 11, ``modes_wide`` at 1024
+  modes, where 1 of 1024 columns is written by the delay terms, and
+  ``exit_fine`` at seed 7 and 1/dt = 8000 and 16000, so that iterate
+  totals are compared as the step shrinks: the event, ``tau.hex()``, the
+  refinement width, the sha256 of the path values
   and of the trajectory's functionals, and each window's t0, width,
   iterations, status, residual and contraction; then the sup distance of
   the path to a ``tol = 1e-14`` solve of the same input by the same
@@ -53,6 +55,8 @@ SEEDS = (7, 11)
 #: Mode count of the wide ``modes_wide`` line.
 WIDE_MODES = 1024
 SWEEP_SEEDS = range(40)
+#: Steps of the finer ``exit_fine`` workload lines, at seed 7.
+FINE_DTS = (0.000125, 0.0000625)
 SWEEP_DTS = (0.001, 0.0005)
 #: Fixed-point tolerance of the reference solve each workload path is measured against.
 REFERENCE_TOL = 1e-14
@@ -207,6 +211,7 @@ def main(argv: list[str]) -> int:
              for workload, generate in workloads.GENERATORS.items() for seed in SEEDS]
     cases += [(f"modes_wide n_modes={WIDE_MODES}", seed,
                workloads.modes_wide(seed, n_modes=WIDE_MODES).config) for seed in SEEDS]
+    cases += [(f"exit_fine dt={dt!r}", 7, workloads.exit_fine(7, dt).config) for dt in FINE_DTS]
     for workload, seed, config in cases:
         traj = solve(config)
         path = _sha(traj.path.values.tobytes())

@@ -41,8 +41,11 @@ from neutraldde.solver import (
     RunFrame,
     WindowFrame,
     _drift_exceeds,
-    _newton_columns,
+    _product_scan,
+    _scan_tables,
     _warm_start,
+    _warm_stencil,
+    _warm_weights,
     cell_weights,
     evaluate_window_operator,
 )
@@ -214,8 +217,12 @@ def scan_inputs(draw):
 
 
 def scan_tolerance(n_nodes):
-    # each pass adds one rounding; r^(2^k) by repeated squaring carries up
-    # to about 2^k*eps, and 2^k < 2n
+    # In a column's blocks of b cells the cumsum of r^-t c adds up to b-1
+    # roundings, each on partial sums that r^t scales back to at most the
+    # terms r^(i-j) |c_j| they stand for, and the two scalings one each.
+    # The doubling scan over the n/b block ends adds one rounding a pass,
+    # and r^(b 2^k) by repeated squaring carries up to about 2^k*eps, with
+    # 2^k b < 2n.  Over 1 <= b <= n, b + 2n/b stays below 2n + 1.
     return np.finfo(float).eps * (2 * n_nodes + 16)
 
 
@@ -247,6 +254,87 @@ def test_exp_convolution_is_one_integral_of_mu_g_plus_f(inputs):
     two = mu * exp_convolution(mu, g, dt) + exp_convolution(mu, f, dt)
     scale = exp_convolution(mu, np.abs(mu * g) + np.abs(f), dt)
     assert np.all(np.abs(one - two) <= scan_tolerance(g.shape[0]) * scale + 1e-300)
+
+
+def plain_sums(mu, values, dt):
+    """Each row of the memory integral as the sum of r^(i-1-j) c_j over the
+    cells before it, by ``math.fsum``, and the sum of the terms' sizes."""
+    w0, w1 = cell_weights(mu, dt)
+    sums, scales = np.zeros_like(values), np.zeros_like(values)
+    for k, rate in enumerate(mu):
+        r = math.exp(-rate * dt)
+        cells = w0[k] * values[:-1, k] + w1[k] * values[1:, k]
+        for i in range(1, values.shape[0]):
+            terms = r ** np.arange(i - 1, -1, -1, dtype=float) * cells[:i]
+            sums[i, k], scales[i, k] = math.fsum(terms), math.fsum(np.abs(terms))
+    return sums, scales
+
+
+def doubling_scan(values, w0, w1, r):
+    """The memory integral by the doubling scan over every cell: log2(n)
+    passes out[step:] += r out[:-step], r squared after each."""
+    out = np.zeros_like(values)
+    out[1:] = w0 * values[:-1] + w1 * values[1:]
+    step = 1
+    while step < values.shape[0]:
+        out[step:] += r * out[:-step]
+        r = r * r
+        step *= 2
+    return out
+
+
+#: Rates at dt = 0.1 whose columns scan in blocks of 4 cells (mu dt = 0.25,
+#: the largest power of two b with mu dt (b-1) <= 1), in one block
+#: (mu dt = 1e-3) and cell by cell (mu dt = 3 > 1)
+BLOCK_RATES = np.array([2.5, 0.01, 30.0])
+
+
+@pytest.mark.parametrize("n_cells", [4, 5, 8, 9])
+def test_scan_block_boundaries_on_a_stiff_column(n_cells):
+    # n = b, b+1, 2b and 2b+1 cells of the mu dt = 0.25 column: one block,
+    # a block and one cell, two blocks, two blocks and one cell
+    dt = 0.1
+    groups = _scan_tables(BLOCK_RATES, dt, 100)
+    assert [(np.arange(3)[cols].tolist(), up.shape[0]) for cols, _, up, _ in groups] == [
+        ([2], 1), ([0], 4), ([1], 100)]
+    values = np.random.default_rng(n_cells).uniform(-1.0, 1.0, size=(n_cells + 1, 3))
+    got = exp_convolution(BLOCK_RATES, values, dt)
+    want, scale = plain_sums(BLOCK_RATES, values, dt)
+    assert np.all(np.abs(got - want) <= scan_tolerance(n_cells + 1) * scale)
+    # the run's wider tables give the same bits, and the cell-by-cell
+    # column is the doubling scan's
+    w0, w1 = cell_weights(BLOCK_RATES, dt)
+    assert _product_scan(values, w0, w1, groups).tobytes() == got.tobytes()
+    stiff = doubling_scan(values[:, 2:], w0[2:], w1[2:], np.exp(-BLOCK_RATES[2:] * dt))
+    assert stiff.tobytes() == got[:, 2:].copy().tobytes()
+
+
+def test_scan_of_a_run_without_active_columns():
+    # heat_decay's terms write no column: its run frame has no scan group,
+    # with no largest rate asked of no column, and the scan of no column
+    # gives no column
+    from neutraldde.config import build_run, parse_config
+    from neutraldde.scenarios import get_scenario
+
+    built = build_run(parse_config(get_scenario("heat_decay")))
+    run = RunFrame(built.problem, built.solver.dt, 10)
+    assert run.n_active == 0 and run.scan == []
+    assert _product_scan(np.empty((11, 0)), run.w0, run.w1, run.scan).shape == (11, 0)
+    assert exp_convolution(np.empty(0), np.empty((5, 0)), 0.1).shape == (5, 0)
+
+
+def test_scan_stays_finite_where_the_plain_sum_does():
+    # values near 1e300 over 300 cells: r^-t c stays within e of the term
+    # it stands for, so no column overflows where the plain sums do not,
+    # though r^-300 would at mu dt = 0.5 (e^150)
+    dt = 1.0
+    mu = np.array([1e-3, 0.05, 0.5, 5.0])
+    values = 1e300 * np.random.default_rng(3).uniform(0.5, 1.0, size=(301, 4))
+    got = exp_convolution(mu, values, dt)
+    want, scale = plain_sums(mu, values, dt)
+    assert np.all(np.isfinite(want)) and want.max() > 1e302
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= scan_tolerance(301) * scale)
 
 
 class TestWindowOperator:
@@ -380,73 +468,100 @@ def _wobbly_segment(h, dt, n_modes, seed):
     return Segment(h, thetas, values)
 
 
-def newton_reference(hist, m, degree):
-    """The warm start as plainly defined: Newton's backward form, its
-    binomials built per call, the reference ``_warm_start`` is pinned to."""
-    degree = min(degree, hist.shape[0] - 1)
-    diff = hist[hist.shape[0] - degree - 1 :]
-    y = np.tile(hist[-1], (m + 1, 1))
-    i = np.arange(1.0, m + 1.0)[:, None]
-    coeff = np.ones_like(i)
-    for k in range(1, degree + 1):
-        diff = diff[1:] - diff[:-1]
-        coeff *= i + (k - 1)
-        coeff /= k
-        y[1:] += coeff * diff[-1]
-    return y
+def lagrange_reference(hist, m, step, degree):
+    """The warm start as plainly defined: the Lagrange polynomial through
+    the history rows phi(-degree*step*dt), ..., phi(-step*dt), phi(0),
+    continued to the window nodes i*dt, its weights built per call in
+    plain Python floats."""
+    nodes = [-(degree - j) * step for j in range(degree + 1)]
+    rows = hist[hist.shape[0] - 1 - degree * step :: step]
+    out = np.zeros((m + 1, hist.shape[1]))
+    for i in range(m + 1):
+        for j in range(degree + 1):
+            weight = 1.0
+            for k in range(degree + 1):
+                if k != j:
+                    weight *= (i - nodes[k]) / (nodes[j] - nodes[k])
+            out[i] += weight * rows[j]
+    return out
 
 
-def warm_start(hist, m, degree):
-    """``_warm_start`` with Newton columns of its own width."""
-    return _warm_start(hist, m, degree, _newton_columns(m, _WARM_DEGREE))
+def warm_start(hist, m, step, degree):
+    """``_warm_start`` with weights of its own width."""
+    return _warm_start(hist, _warm_weights(m, step, degree), step)
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("degree", range(_WARM_DEGREE + 1))
-    def test_continues_a_polynomial_history(self, degree):
-        h, dt, m = 0.5, 0.01, 10
-        coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, size=(degree + 1, 2))
-        poly = lambda t: np.power.outer(t, np.arange(degree + 1)) @ coeffs
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("poly_degree", range(_WARM_DEGREE + 1))
+    def test_continues_a_polynomial_history(self, poly_degree, step):
+        # exact up to rounding, which the weights' absolute sum scales
+        h, dt, m = 0.5, 0.01, 12
+        coeffs = np.random.default_rng(poly_degree).uniform(-1.0, 1.0, size=(poly_degree + 1, 2))
+        poly = lambda t: np.power.outer(t, np.arange(poly_degree + 1)) @ coeffs
         hist = poly(-h + dt * np.arange(int(round(h / dt)) + 1))
-        guess = warm_start(hist, m, _WARM_DEGREE)
-        np.testing.assert_allclose(guess, poly(dt * np.arange(m + 1)), rtol=0.0, atol=1e-12)
+        guess = warm_start(hist, m, step, _WARM_DEGREE)
+        weights = _warm_weights(m, step, _WARM_DEGREE)
+        bound = 64 * np.finfo(float).eps * (np.abs(weights) @ np.abs(hist[-1 - 6 * step :: step]))
+        assert np.all(np.abs(guess - poly(dt * np.arange(m + 1))) <= bound)
+        assert np.all(np.abs(guess - lagrange_reference(hist, m, step, _WARM_DEGREE)) <= bound)
         assert np.array_equal(guess[0], hist[-1])
 
     def test_degree_zero_is_the_flat_start(self):
         hist = np.random.default_rng(0).uniform(-1.0, 1.0, size=(51, 3))
-        assert np.array_equal(warm_start(hist, 7, 0), np.tile(hist[-1], (8, 1)))
+        for step in (1, 4):
+            assert np.array_equal(warm_start(hist, 7, step, 0), np.tile(hist[-1], (8, 1)))
+
+    def test_the_stencil_fits_the_history(self):
+        # spacing m // 8, shrunk until six of it fit the history; a history
+        # of fewer than 7 rows lowers the degree to what it holds
+        assert _warm_stencil(250, 2000) == (31, 6)
+        assert _warm_stencil(7, 2000) == (1, 6)
+        assert _warm_stencil(800, 60) == (10, 6)
+        assert _warm_stencil(800, 6) == (1, 6)
+        assert [_warm_stencil(40, n_h) for n_h in range(1, 6)] == [(1, d) for d in range(1, 6)]
 
     def test_a_short_history_lowers_the_degree(self):
         # two rows hold a line, whatever the degree asked for
+        prob = homogeneous_problem(h=0.01)
+        run = RunFrame(prob, 0.01, 3)
+        assert run.warm.shape == (4, 2)
         hist = np.array([[1.0], [3.0]])
-        assert np.array_equal(warm_start(hist, 3, _WARM_DEGREE)[:, 0], [3.0, 5.0, 7.0, 9.0])
+        assert np.array_equal(_warm_start(hist, run.warm, run.warm_step)[:, 0],
+                              [3.0, 5.0, 7.0, 9.0])
 
     @pytest.mark.parametrize("n_modes", [1, 3, 8])
-    @pytest.mark.parametrize("m", [1, 2, 7, 16])
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 40])
     def test_run_frame_columns_give_the_reference_bitwise(self, m, n_modes):
-        # one run frame of width m serves every narrower window k, every
-        # degree and every history of 1-6 rows, bit for bit
+        # one run frame of width m serves every narrower window k: its
+        # weights' first k+1 rows, and the guess they give, are a per-call
+        # build's at the run's spacing to the bit, and the plain reference's
+        # up to rounding
         run = RunFrame(homogeneous_problem(mu=np.arange(1.0, n_modes + 1.0)), 0.01, m)
-        rng = np.random.default_rng(100 * m + n_modes)
-        for rows in range(1, 7):
-            hist = rng.uniform(-2.0, 2.0, size=(rows, n_modes))
-            for k in range(1, m + 1):
-                for degree in range(_WARM_DEGREE + 1):
-                    got = _warm_start(hist, k, degree, run.newton)
-                    assert got.tobytes() == newton_reference(hist, k, degree).tobytes()
+        step, degree = _warm_stencil(m, run.n_h)
+        assert run.warm_step == step and run.warm.shape == (m + 1, degree + 1)
+        hist = np.random.default_rng(100 * m + n_modes).uniform(-2.0, 2.0, size=(51, n_modes))
+        for k in range(1, m + 1):
+            own = _warm_weights(k, step, degree)
+            assert run.warm[: k + 1].tobytes() == own.tobytes()
+            got = _warm_start(hist, run.warm[: k + 1], step)
+            assert got.tobytes() == _warm_start(hist, own, step).tobytes()
+            np.testing.assert_allclose(got, lagrange_reference(hist, k, step, degree),
+                                       rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def _kinked_history(h, dt):
-        # flat at 0, then a parabola over the last five rows up to phi(0) = 1:
-        # its extrapolation climbs to 12.25 over ten cells
+        # flat at 0, then a parabola over the last seven rows, the warm
+        # start's stencil, up to phi(0) = 1: the guess continues it to
+        # 64/9 over ten cells
         n_h = int(round(h / dt))
         hist = np.zeros((n_h + 1, 1))
-        hist[-5:, 0] = (np.arange(5) / 4.0) ** 2
+        hist[-7:, 0] = (np.arange(7) / 6.0) ** 2
         return hist
 
     def _runs_as_the_flat_start(self, prob, hist, cfg, monkeypatch):
         out = solve_window(prob, hist, 0.0, cfg)
-        monkeypatch.setattr(solver, "_WARM_DEGREE", 0)
+        monkeypatch.setattr(solver, "_warm_stencil", lambda m, n_h: (1, 0))
         flat = solve_window(prob, hist, 0.0, cfg)
         assert out.converged
         assert out.iterations == flat.iterations
@@ -458,7 +573,9 @@ class TestWarmStart:
         hist = self._kinked_history(prob.h, dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12, trust_radius=3.0)
         frame = WindowFrame(prob, hist, 0.0, dt, 10)
-        frame.load(_warm_start(hist, 10, _WARM_DEGREE, frame.run.newton))
+        guess = _warm_start(hist, frame.run.warm, frame.run.warm_step)
+        assert guess[-1, 0] == pytest.approx(64.0 / 9.0, rel=1e-12)
+        frame.load(guess)
         assert _drift_exceeds(frame, cfg.trust_radius)
         self._runs_as_the_flat_start(prob, hist, cfg, monkeypatch)
 
@@ -471,7 +588,9 @@ class TestWarmStart:
         hist = self._kinked_history(prob.h, dt)
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12)
         frame = WindowFrame(prob, hist, 0.0, dt, 10)
-        stack = frame.load(_warm_start(hist, 10, _WARM_DEGREE, frame.run.newton))
+        guess = _warm_start(hist, frame.run.warm, frame.run.warm_step)
+        assert guess.max() > 2.0
+        stack = frame.load(guess)
         assert not _drift_exceeds(frame, cfg.trust_radius)
         with pytest.raises(DomainViolation):
             evaluate_window_operator(frame, stack)
@@ -488,6 +607,17 @@ class TestWarmStart:
         out = solve_window(prob, seg.values, 0.0, SolverConfig(dt=dt, window=0.1, tol=1e-6))
         assert out.iterations == 2 and out.residual == 0.0
         assert np.array_equal(out.values, apply_operator(prob, seg, dt, out.values))
+
+
+def column_tables(groups, n_cols, col):
+    """One column's scan tables in ``_scan_tables`` groups: its down and up
+    columns and its carry factors."""
+    for cols, down, up, carry in groups:
+        members = np.arange(n_cols)[cols].tolist()
+        if col in members:
+            j = members.index(col)
+            return down[:, j], up[:, j], [r[j] for r in carry]
+    raise AssertionError(f"column {col} is in no group")
 
 
 class TestWindowFrame:
@@ -706,7 +836,7 @@ class TestWindowFrame:
         from neutraldde.config import build_run, parse_config
         from neutraldde.scenarios import get_scenario
 
-        calls = {"cell_weights": 0, "scan_factors": 0}
+        calls = {"cell_weights": 0, "scan_tables": 0}
         widths = set()
 
         def counted(name, fn):
@@ -720,23 +850,23 @@ class TestWindowFrame:
             return solve_window(prob, path, t0, cfg, damping, run, m)
 
         monkeypatch.setattr(solver, "cell_weights", counted("cell_weights", solver.cell_weights))
-        monkeypatch.setattr(solver, "_scan_factors", counted("scan_factors", solver._scan_factors))
+        monkeypatch.setattr(solver, "_scan_tables", counted("scan_tables", solver._scan_tables))
         monkeypatch.setattr(continuation, "solve_window", recorded_solve)
         built = build_run(parse_config(get_scenario("mass_growth")))
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
         assert len(traj.windows) > 1 and len(widths) == 1
-        assert calls == {"cell_weights": 1, "scan_factors": 1}
+        assert calls == {"cell_weights": 1, "scan_tables": 1}
 
         # a 6-cell window leaves the trust region and is halved to 3 cells;
         # the last window is 4 cells; all three read the tables of the first
-        calls.update(cell_weights=0, scan_factors=0)
+        calls.update(cell_weights=0, scan_tables=0)
         widths.clear()
         prob = homogeneous_problem(T=1.0)
         cfg = SolverConfig(dt=0.01, window=0.12, tol=1e-12, trust_radius=0.03)
         traj = continue_solution(prob, constant_segment(0.5, [1.0], 0.01), 0.0, cfg)
         assert traj.event.kind == "reached_horizon"
         assert widths == {3, 4, 6} and len(traj.windows) > len(widths)
-        assert calls == {"cell_weights": 1, "scan_factors": 1}
+        assert calls == {"cell_weights": 1, "scan_tables": 1}
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8, 13])
     def test_a_run_frame_serves_every_narrower_window_bitwise(self, m):
@@ -753,9 +883,19 @@ class TestWindowFrame:
             fresh = WindowFrame(prob, hist, t0, dt, k)
             assert run.decay[: k + 1].tobytes() == own.decay.tobytes()
             assert frame.times.tobytes() == (t0 + own.offsets).tobytes()
-            assert len(frame.factors) == len(own.factors)
-            for mine, theirs in zip(frame.factors, own.factors):
-                assert mine.tobytes() == theirs.tobytes()
+            # a column's scan block is min(b, k): each of its tables in a
+            # k-cell build is a prefix of the run's, and so are the warm
+            # start's weights
+            for col in range(run.n_active):
+                mine = column_tables(run.scan, run.n_active, col)
+                theirs = column_tables(own.scan, run.n_active, col)
+                for table in range(2):
+                    assert mine[table][: len(theirs[table])].tobytes() == theirs[table].tobytes()
+                assert len(mine[2]) >= len(theirs[2])
+                for a, b in zip(mine[2], theirs[2]):
+                    assert a.tobytes() == b.tobytes()
+            assert run.warm[: k + 1].tobytes() == _warm_weights(
+                k, run.warm_step, run.warm.shape[1] - 1).tobytes()
             assert frame.free.tobytes() == fresh.free.tobytes()
             candidate = rng.uniform(-0.3, 0.3, size=(k + 1, run.n_active))
             candidate[0] = frame.phi0[run.active]
@@ -898,8 +1038,8 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
     residual, contraction, status)."""
     hist = np.asarray(hist, dtype=float)
     m = int(round(cfg.window / cfg.dt))
-    newton = _newton_columns(m, _WARM_DEGREE)
-    y = _warm_start(hist, m, _WARM_DEGREE, newton)
+    step, degree = _warm_stencil(m, hist.shape[0] - 1)
+    y = _warm_start(hist, _warm_weights(m, step, degree), step)
     gy = None
     if plain_drift(hist, y) <= cfg.trust_radius:
         try:
@@ -910,7 +1050,7 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
             gy = None
     guessed = gy is not None
     if not guessed:
-        y = _warm_start(hist, m, 0, newton)
+        y = np.tile(hist[-1], (m + 1, 1))
         if plain_drift(hist, y) > cfg.trust_radius:
             return y, 0, np.inf, 0.0, "left_trust_region"
     prev, residual, contraction = None, np.inf, 0.0
