@@ -7,7 +7,13 @@ is mapped to
               + Int_0^s e^(-mu (s-r)) (mu g + f)(t0+r, y_r) dr
 
 and the solver iterates y <- (1-d) y + d G(y) until the sup-norm residual
-||G(y) - y|| drops below tolerance.  In mode coordinates the generator is
+||G(y) - y|| drops below tolerance, and then takes G(y): for a contraction
+of factor q it lies within q/(1-q) ||G(y) - y|| of the fixed point, where
+y itself may lie 1/(1-q) of it away.  The windows' errors add up along a
+run: on the exit_fine benchmark workload (tol 1e-10, 23 windows) the path
+ends 5.6e-11 from a tol = 1e-14 solve at every step from 1/dt = 2000 to
+16000, where the accepted candidates ended 3.8e-9 to 4.0e-9 from it.  In
+mode coordinates the generator is
 the diagonal -mu, so the smoothing term -A S(s-r) g and the forcing term
 S(s-r) f share one kernel and form a single memory integral of mu g + f;
 the positive sign this gives the g part is fixed here, once, and pinned by
@@ -20,19 +26,21 @@ switchover at small z, keeping them accurate to 1e-10 relative across
 z in [1e-12, 1e4]; the kernels are smooth per mode, so no singular
 quadrature is needed anywhere.  ``exp_convolution`` gives the integral at
 every grid index at once.  Its values obey the exact one-step recurrence
-out[i] = r out[i-1] + c_i, r = e^(-mu dt), which it solves as a scaled
-prefix sum: inside blocks of b cells, out = r^t cumsum(r^-t c), with b
-per column the largest power of two such that mu dt (b-1) <= 1, so no
-scale exceeds e and nothing overflows where the plain sum does not.  The
-block ends are carried by a doubling scan at factor r^b, and the other
-rows of a block by r^(t+1) times the last block's end.  A column whose
-mu w is at most 1/2 scans a window of width w in one block: one multiply,
-one cumsum and one multiply.  A column with mu dt > 1 has b = 1, the
-doubling scan on the cells, log2(m) passes.  A loop over time steps would
-cost one interpreter pass per cell, which dominates on windows of a few
-hundred cells and few modes.  A column's block and its tables depend on
-its own mu dt alone, so it scans the same whichever columns it is scanned
-with, and a narrower window reads a prefix of the tables.
+out[i] = r out[i-1] + c_i, r = e^(-mu dt).  A column whose n cells keep
+mu dt (n-1) <= 1 solves it as one scaled prefix sum, out = r^t
+cumsum(r^-t c): one multiply, one cumsum and one multiply, with no scale
+above e, so nothing overflows where the plain sum does not.  Every other
+column takes the doubling scan, log2(n) vectorised passes
+out[step:] += r^step out[:-step].  A loop over time steps would cost one
+interpreter pass per cell, which dominates on windows of a few hundred
+cells and few modes.  Which way a column goes depends on its own mu dt
+and on n alone, so it scans the same whichever columns it is scanned
+with, and a narrower window reads a prefix of the tables.  The doubling
+runs on all the columns at once, where whole contiguous rows keep each
+pass cheap, and the one-block columns are then written over.  A run whose
+active columns all keep mu w <= 1 on its windows of width w, as the one
+mode the exit_fine and modes_wide benchmark workloads write does (mu w
+about 0.125), takes no doubling pass.
 
 Only the columns the delay terms write are iterated.  Each term gives its
 ``support``, the columns its value can be nonzero in, and the union of
@@ -48,7 +56,7 @@ measured on the active columns alone.  A row norm is the square root of
 the row's passive sum plus its active squares; a run with no passive
 column, as a run of one mode or of a point delay, adds nothing and sums
 each row as the plain norm does, and a run with no active column converges
-at its second iterate.  A contiguous active set is a basic slice: no
+at its first iterate.  A contiguous active set is a basic slice: no
 column is gathered.
 
 The work is set up at two levels.  Per run, a ``RunFrame`` holds the theta
@@ -90,7 +98,8 @@ of Bellen & Zennaro, "Numerical Methods for Delay Differential Equations",
 2003.  The stencil spacing is s = m // _WARM_SPACING cells for the run's
 first width m, shrunk until the stencil fits the history.  The run frame
 builds the Lagrange weights of every window node once, and the guess is
-one product of them with the stencil's rows.  Nodes spaced like the
+the stencil's rows times them, added up in one order, elementwise.  Nodes
+spaced like the
 window keep the weights' sizes bounded whatever dt is: at spacing dt a
 degree-p extrapolation over m cells multiplies rounding by about m^p/p!,
 and the iterates of a run grew with 1/dt.  A degree-p guess is off by
@@ -99,8 +108,8 @@ iteration, whose error shrinks like (Lw)^k/k!, starts some iterates ahead.
 The flat start phi(0) serves as the guard: a guess that leaves the trust
 region, takes a term past its argument range or maps to non-finite values
 is dropped, and the window iterates from phi(0) exactly as it would
-without a guess.  The guess itself is never returned; G of it is iterate
-1.
+without a guess.  Like every candidate, the guess is never returned: G of
+it is.
 
 The settings a caller can change are the ``SolverConfig`` fields and
 nothing else: the grid step, the window, and the iteration controls; the
@@ -141,11 +150,11 @@ _MAX_HISTORY_VALUES = 10**8
 #: Degree of the history extrapolation that starts each window, and the
 #: spacing of its stencil: m // _WARM_SPACING cells for a run whose first
 #: window has m cells.  At seeds 7 and 11, degree / spacing 6 / m//8 takes
-#: 61 iterates on the exit_fine workload and 41 on modes_wide; 5 / m//8
-#: takes 74 and 41, 7 / m//8 61-62 and 41-42, 4 / m//8 96 and 53, 6 / m//16
-#: 69-70 and 41, and 6 / m//4 79 and 46-47.  The degree-4 start at spacing
+#: 52 iterates on the exit_fine workload and 40 on modes_wide; 5 / m//8
+#: takes 74 and 41, 7 / m//8 48-49 and 40-41, 4 / m//8 96 and 53, 6 / m//16
+#: 52-53 and 40, and 6 / m//4 70 and 46.  The degree-4 start at spacing
 #: dt took 89 and 53, and on exit_fine its iterates grew with 1/dt (89 /
-#: 97 / 117 / 135 at 1/dt = 2000 ... 16000, against 61 at each step here):
+#: 97 / 117 / 135 at 1/dt = 2000 ... 16000, against 52 at each step here):
 #: its 4th backward difference amplified rounding by C(m+3, 4).
 _WARM_DEGREE = 6
 _WARM_SPACING = 8
@@ -197,101 +206,94 @@ def exp_convolution(mu, values, dt: float) -> np.ndarray:
     interpolant; row i of the (n_nodes, n_modes) result is the integral up
     to t_i, so row 0 is zero.  With the cell contributions
     c_i = w0 v_(i-1) + w1 v_i the rows obey out[i] = r out[i-1] + c_i,
-    r = e^(-mu dt).  Each column is scanned in blocks of b cells, b the
-    largest power of two with mu dt (b-1) <= 1, so r^-(b-1) <= e: a block's
-    rows are r^t cumsum(r^-t c), t counted from the block start.  The
-    block ends are then carried by a doubling scan at factor r^b, and the
-    rest of each block by r^(t+1) times the last block's end.  A column
-    with mu dt > 1 has b = 1, which is the doubling scan on the cells, in
-    log2(n) vectorised passes.  The window solver runs the same scan, so
-    there is one convolution.
+    r = e^(-mu dt).  A column whose n cells keep mu dt (n-1) <= 1, so that
+    r^-(n-1) <= e, is scanned in one block as r^t cumsum(r^-t c), t counted
+    from the first cell; any other column by the doubling scan, in log2(n)
+    vectorised passes.  The window solver runs the same scan, so there is
+    one convolution.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     values = np.asarray(values, dtype=float)
     w0, w1 = cell_weights(mu, dt)
-    return _product_scan(values, w0, w1, _scan_tables(mu, dt, values.shape[0] - 1))
+    return _product_scan(values, w0, w1, _ScanTables(mu, dt, values.shape[0] - 1))
 
 
-@np.errstate(divide="ignore")
-def _scan_tables(mu: np.ndarray, dt: float, n_cells: int) -> list[tuple]:
-    """The scan's tables for at most ``n_cells`` cells: one
-    (cols, down, up, carry) group per block size.
+class _ScanTables:
+    """The scan's tables for at most ``n_cells`` cells of the rates ``mu``.
 
-    A column's block b is the largest power of two with z (b-1) <= 1,
-    z = mu dt (any b when z = 0), and its tables hold min(b, n_cells) of
-    it: ``down`` r^t for t = 0..min(b, n_cells), ``up`` r^-t for the t
-    below that, and ``carry`` r^b, r^2b, r^4b, ...: one factor per doubling
-    pass over the block ends.  ``cols`` indexes the group's columns, a
-    basic slice when they are contiguous, as sorted rates give.  Every
-    entry depends on its column's z and on t alone, so a column scans the
-    same whatever the other columns, and a scan of k <= n_cells cells,
-    whose block is min(b, k), reads a prefix of each table: what a k-cell
-    build gives, bit for bit.
+    ``span`` holds each column's longest one-block scan, floor(1/z) + 1
+    cells with z = mu dt (every length when z = 0), so that z (n-1) <= 1
+    in any n-cell block it scans.  ``down`` and ``up`` hold r^t and r^-t,
+    r = e^(-z), for the t = 0, 1, ... below the widest span and n_cells,
+    with r^-t capped at e where no block reads it, and ``factors`` r, r^2,
+    r^4, ...: one per doubling pass over n_cells cells.  Every entry
+    depends on its column's z and on t alone, so a column scans the same
+    whatever the other columns, and a scan of k <= n_cells cells reads a
+    prefix of each table: what a k-cell build gives, bit for bit.
     """
-    z = mu * dt
-    widest = np.exp2(np.floor(np.log2(1.0 + 1.0 / z)))
-    sizes = np.maximum(np.minimum(widest, max(n_cells, 1)), 1.0).astype(int)
-    groups = []
-    for block in sorted(set(sizes.tolist())):
-        cols = _columns(np.flatnonzero(sizes == block))
-        t = np.arange(block + 1.0)[:, None]
-        down = np.exp(-t * z[cols])
-        up = np.exp(t[:block] * z[cols])
-        carry = []
-        r = down[block]
-        step = block
+
+    @np.errstate(divide="ignore")
+    def __init__(self, mu: np.ndarray, dt: float, n_cells: int):
+        z = mu * dt
+        self.span = np.floor(1.0 / z) + 1.0
+        t = np.arange(float(min(n_cells, self.span.max(initial=0.0))))[:, None]
+        self.down = np.exp(-t * z)
+        self.up = np.exp(np.minimum(t * z, 1.0))
+        self.factors = []
+        r = np.exp(-z)
+        step = 1
         while step < n_cells:
-            carry.append(r)
+            self.factors.append(r)
             r = r * r
             step *= 2
-        groups.append((cols, down, up, carry))
-    return groups
+        self._splits: dict = {}
+
+    def split(self, n: int) -> tuple:
+        """The columns an n-cell scan takes in one block, and the others,
+        each an index as ``_columns`` gives it or None when there is none."""
+        split = self._splits.get(n)
+        if split is None:
+            once = self.span >= n
+            split = self._splits[n] = tuple(
+                _columns(cols) if cols.size else None
+                for cols in (np.flatnonzero(once), np.flatnonzero(~once)))
+        return split
 
 
 def _product_scan(values: np.ndarray, w0: np.ndarray, w1: np.ndarray,
-                  groups: list[tuple]) -> np.ndarray:
-    # the blocked scan of exp_convolution, with weights and tables given
+                  scan: _ScanTables) -> np.ndarray:
+    # the scan of exp_convolution, with weights and tables given
     out = np.empty_like(values)
     out[0] = 0.0
     cells = out[1:]
     np.multiply(w0, values[:-1], out=cells)
     cells += w1 * values[1:]
-    for cols, down, up, carry in groups:
-        if isinstance(cols, slice):
-            _block_scan(cells[:, cols], down, up, carry)
-        else:
-            cells[:, cols] = _block_scan(cells[:, cols], down, up, carry)
+    n = cells.shape[0]
+    once, doubled = scan.split(n)
+    if doubled is None:
+        # every column, if there is one, in one block, in place
+        if once is not None:
+            cells *= scan.up[:n]
+            np.cumsum(cells, axis=0, out=cells)
+            cells *= scan.down[:n]
+        return out
+    if once is not None:
+        block = cells[:, once] * scan.up[:n, once]
+    # the doubling runs on every column, where contiguous rows make each
+    # pass cheap, and the one-block columns are then written over
+    step = 1
+    for r in scan.factors:
+        if step >= n:
+            break
+        # the right side is formed before the add, so each pass reads the
+        # previous pass's rows: row i then sums the last 2*step cells
+        cells[step:] += r * cells[:-step]
+        step *= 2
+    if once is not None:
+        np.cumsum(block, axis=0, out=block)
+        block *= scan.down[:n, once]
+        cells[:, once] = block
     return out
-
-
-def _block_scan(cells: np.ndarray, down: np.ndarray, up: np.ndarray, carry: list) -> np.ndarray:
-    # scans the (n, k) cells in place, in blocks of min(len(up), n) rows
-    n, k = cells.shape
-    block = min(up.shape[0], n)
-    if block == 0:
-        return cells
-    n_blocks = -(-n // block)
-    padded = cells if n_blocks * block == n else np.zeros((n_blocks * block, k))
-    if padded is not cells:
-        padded[:n] = cells
-    blocks = padded.reshape(n_blocks, block, k)
-    blocks *= up[:block]
-    np.cumsum(blocks, axis=1, out=blocks)
-    blocks *= down[:block]
-    if n_blocks > 1:
-        ends = blocks[:, -1]
-        step = 1
-        for r in carry:
-            if step >= n_blocks:
-                break
-            # the right side is formed before the add, so each pass reads
-            # the previous pass's ends: end j then sums the last 2*step blocks
-            ends[step:] += r * ends[:-step]
-            step *= 2
-        blocks[1:, :-1] += down[1:block] * ends[:-1, None]
-    if padded is not cells:
-        cells[...] = padded[:n]
-    return cells
 
 
 def _checked_prefix(op: SpectralOperator, values, t_index: int, dt: float) -> np.ndarray:
@@ -378,7 +380,11 @@ class SolverConfig:
 @dataclass
 class WindowResult:
     """Outcome of one window solve: grid values plus iteration diagnostics,
-    and once converged the ``stack`` its values were last loaded into."""
+    and once converged the ``stack`` its values were last loaded into.
+
+    A converged window's values are G(y) of the candidate y it accepted,
+    and ``residual`` is that candidate's ||G(y) - y||; otherwise the values
+    are the last candidate loaded."""
 
     values: np.ndarray
     iterations: int
@@ -416,7 +422,7 @@ class RunFrame:
     attempt writes it times its start into the path's free rows, and takes
     its active columns for the iterates), and on the active columns alone
     the rates, the cell weights and the ``scan`` tables
-    (``_scan_tables``), whose blocks depend on mu dt alone.  The warm start
+    (``_ScanTables``), which depend on mu dt alone.  The warm start
     reads the history every ``warm_step`` rows, and ``warm`` holds its
     (m+1, degree+1) weights (``_warm_stencil``, ``_warm_weights``); the
     step is fixed by m and the history, not by the window.  A window of
@@ -447,7 +453,7 @@ class RunFrame:
         self.w0, self.w1 = cell_weights(mu, dt)
         self.offsets = dt * np.arange(m + 1)
         self.decay = np.exp(-np.outer(self.offsets, prob.op.mu))
-        self.scan = _scan_tables(mu, dt, m)
+        self.scan = _ScanTables(mu, dt, m)
         self.warm_step, degree = _warm_stencil(m, self.n_h)
         self.warm = _warm_weights(m, self.warm_step, degree)
         self.edges: dict = {}
@@ -647,23 +653,32 @@ def _warm_weights(m: int, step: int, degree: int) -> np.ndarray:
     exactly (0, ..., 0, 1).
     """
     nodes = -step * np.arange(degree, -1.0, -1.0)
-    gaps = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(gaps, 1.0)
-    ratios = (np.arange(m + 1.0)[:, None, None] - nodes) / gaps
-    ratios[:, np.arange(degree + 1), np.arange(degree + 1)] = 1.0
-    return np.multiply.reduce(ratios, axis=2)
+    at = np.arange(m + 1.0)[:, None]
+    weights = np.ones((m + 1, degree + 1))
+    for l, xl in enumerate(nodes):
+        gaps = nodes - xl
+        gaps[l] = 1.0
+        factors = (at - xl) / gaps
+        factors[:, l] = 1.0
+        weights *= factors
+    return weights
 
 
 def _warm_start(hist: np.ndarray, weights: np.ndarray, step: int, cols=slice(None)) -> np.ndarray:
     """First candidate: the polynomial through the history rows phi(0),
     phi(-step*dt), ..., phi(-degree*step*dt) of the columns ``cols``,
-    continued to the window nodes, as one product ``weights @ rows``.
+    continued to the window nodes: the stencil's rows times their weights,
+    added up oldest first.
 
     ``weights`` are ``_warm_weights`` rows, one per window node, of degree
     one less than their columns; degree 0 repeats phi(0).
     """
     first = hist.shape[0] - 1 - (weights.shape[1] - 1) * step
-    return weights @ hist[first::step, cols]
+    rows = hist[first::step, cols]
+    guess = weights[:, :1] * rows[0]
+    for j in range(1, rows.shape[0]):
+        guess += weights[:, j : j + 1] * rows[j]
+    return guess
 
 
 def _first_candidate(frame: WindowFrame, radius: float):
@@ -697,7 +712,9 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
 
     The first candidate extrapolates the history (``_first_candidate``);
     each iterate is y <- (1 - damping) y + damping G(y), with damping in
-    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.  ``hist``
+    (0, 1]; the continuation's retry ladder passes 1 and then 0.5.  Once
+    ||G(y) - y|| <= tol the window returns G(y), loaded into the frame, at
+    the cost of that load.  ``hist``
     and ``run`` go to the ``WindowFrame``: a run passes its path and its
     ``RunFrame``.  m defaults to the configured window; the continuation
     passes each attempt's.
@@ -713,8 +730,7 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
     # each candidate is loaded once: the trust check and the next iterate
     # both read the same stack
     y, stack, gy = _first_candidate(frame, cfg.trust_radius)
-    guessed = gy is not None
-    if not guessed and _drift_exceeds(frame, cfg.trust_radius):
+    if gy is None and _drift_exceeds(frame, cfg.trust_radius):
         return WindowResult(frame.values(), 0, np.inf, 0.0, "left_trust_region", t0, width)
 
     prev_residual = None
@@ -731,10 +747,12 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         residual = float(np.sqrt(np.add.reduce(diff * diff, axis=1).max()))
         if prev_residual is not None and prev_residual > 0.0:
             contraction = residual / prev_residual
-        # the guess is never returned as it stands, so a window's values are
-        # an image of G, and a G that ignores the candidate gives its exact
-        # fixed point
-        if residual <= cfg.tol and not (guessed and it == 1):
+        # the window takes G(y), not y: with contraction q it is q times
+        # closer to the fixed point, a G that ignores the candidate gives
+        # that fixed point exactly, and it lies within tol of y, which
+        # passed the trust-region screen
+        if residual <= cfg.tol:
+            stack = frame.load(gy)
             return WindowResult(frame.values(), it, residual, contraction, "converged", t0,
                                 width, stack)
         prev_residual = residual

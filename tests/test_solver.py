@@ -42,7 +42,7 @@ from neutraldde.solver import (
     WindowFrame,
     _drift_exceeds,
     _product_scan,
-    _scan_tables,
+    _ScanTables,
     _warm_start,
     _warm_stencil,
     _warm_weights,
@@ -217,12 +217,12 @@ def scan_inputs(draw):
 
 
 def scan_tolerance(n_nodes):
-    # In a column's blocks of b cells the cumsum of r^-t c adds up to b-1
-    # roundings, each on partial sums that r^t scales back to at most the
-    # terms r^(i-j) |c_j| they stand for, and the two scalings one each.
-    # The doubling scan over the n/b block ends adds one rounding a pass,
-    # and r^(b 2^k) by repeated squaring carries up to about 2^k*eps, with
-    # 2^k b < 2n.  Over 1 <= b <= n, b + 2n/b stays below 2n + 1.
+    # A column scanned in one block of n cells: the cumsum of r^-t c adds
+    # up to n-1 roundings, each on partial sums that r^t scales back to at
+    # most the terms r^(i-j) |c_j| they stand for, and the two scalings one
+    # each.  A column on the doubling scan: one rounding a pass, and r^(2^k)
+    # by repeated squaring carries up to about 2^k*eps, with 2^k < 2n.
+    # Either stays below 2n + 16 roundings.
     return np.finfo(float).eps * (2 * n_nodes + 16)
 
 
@@ -283,42 +283,62 @@ def doubling_scan(values, w0, w1, r):
     return out
 
 
-#: Rates at dt = 0.1 whose columns scan in blocks of 4 cells (mu dt = 0.25,
-#: the largest power of two b with mu dt (b-1) <= 1), in one block
-#: (mu dt = 1e-3) and cell by cell (mu dt = 3 > 1)
+def one_block_scan(values, w0, w1, z):
+    """The memory integral as one block: r^t cumsum(r^-t c), t = 0..n-1
+    counted from the first cell, with r^t = e^(-t z), z = mu dt."""
+    out = np.zeros_like(values)
+    t = np.arange(values.shape[0] - 1.0)[:, None]
+    cells = (w0 * values[:-1] + w1 * values[1:]) * np.exp(t * z)
+    out[1:] = np.cumsum(cells, axis=0) * np.exp(-t * z)
+    return out
+
+
+#: Rates at dt = 0.1 whose columns scan 5 cells in one block (mu dt = 0.25:
+#: 0.25 (n-1) <= 1), every length in one block (mu dt = 1e-3 over at most
+#: 1001 cells) and only one cell in one block (mu dt = 3 > 1)
 BLOCK_RATES = np.array([2.5, 0.01, 30.0])
 
 
-@pytest.mark.parametrize("n_cells", [4, 5, 8, 9])
+@pytest.mark.parametrize("n_cells", [1, 4, 5, 6, 11])
 def test_scan_block_boundaries_on_a_stiff_column(n_cells):
-    # n = b, b+1, 2b and 2b+1 cells of the mu dt = 0.25 column: one block,
-    # a block and one cell, two blocks, two blocks and one cell
+    # up to 5 cells the mu dt = 0.25 column is one block; from 6 on it takes
+    # the doubling scan, as the mu dt = 3 column does from 2 on
     dt = 0.1
-    groups = _scan_tables(BLOCK_RATES, dt, 100)
-    assert [(np.arange(3)[cols].tolist(), up.shape[0]) for cols, _, up, _ in groups] == [
-        ([2], 1), ([0], 4), ([1], 100)]
+    scan = _ScanTables(BLOCK_RATES, dt, 100)
+    assert scan.span.tolist() == [5.0, 1001.0, 1.0]
+    assert scan.up.shape == scan.down.shape == (100, 3)
+    once, doubled = scan.split(n_cells)
+    expect_once = [k for k, span in enumerate(scan.span) if n_cells <= span]
+    assert np.arange(3)[once].tolist() == expect_once
+    assert (doubled is None) == (len(expect_once) == 3)
     values = np.random.default_rng(n_cells).uniform(-1.0, 1.0, size=(n_cells + 1, 3))
     got = exp_convolution(BLOCK_RATES, values, dt)
     want, scale = plain_sums(BLOCK_RATES, values, dt)
     assert np.all(np.abs(got - want) <= scan_tolerance(n_cells + 1) * scale)
-    # the run's wider tables give the same bits, and the cell-by-cell
-    # column is the doubling scan's
+    # the run's wider tables give the same bits, and each column is the
+    # one-block scan's or the doubling scan's to the bit
     w0, w1 = cell_weights(BLOCK_RATES, dt)
-    assert _product_scan(values, w0, w1, groups).tobytes() == got.tobytes()
-    stiff = doubling_scan(values[:, 2:], w0[2:], w1[2:], np.exp(-BLOCK_RATES[2:] * dt))
-    assert stiff.tobytes() == got[:, 2:].copy().tobytes()
+    assert _product_scan(values, w0, w1, scan).tobytes() == got.tobytes()
+    for k, rate in enumerate(BLOCK_RATES):
+        column = values[:, k : k + 1]
+        if k in expect_once:
+            want = one_block_scan(column, w0[k], w1[k], rate * dt)
+        else:
+            want = doubling_scan(column, w0[k], w1[k], np.exp(-rate * dt))
+        assert want.tobytes() == got[:, k : k + 1].copy().tobytes()
 
 
 def test_scan_of_a_run_without_active_columns():
-    # heat_decay's terms write no column: its run frame has no scan group,
-    # with no largest rate asked of no column, and the scan of no column
-    # gives no column
+    # heat_decay's terms write no column: its run frame's tables hold no
+    # column, with no widest span asked of no column, and the scan of no
+    # column gives no column
     from neutraldde.config import build_run, parse_config
     from neutraldde.scenarios import get_scenario
 
     built = build_run(parse_config(get_scenario("heat_decay")))
     run = RunFrame(built.problem, built.solver.dt, 10)
-    assert run.n_active == 0 and run.scan == []
+    assert run.n_active == 0 and run.scan.span.size == 0 and run.scan.up.shape == (0, 0)
+    assert run.scan.split(10) == (None, None)
     assert _product_scan(np.empty((11, 0)), run.w0, run.w1, run.scan).shape == (11, 0)
     assert exp_convolution(np.empty(0), np.empty((5, 0)), 0.1).shape == (5, 0)
 
@@ -427,13 +447,21 @@ class TestSolveWindow:
 
     def test_reported_residual_is_reproducible(self):
         # the forcing reads the current state, so the residual is genuinely
-        # nonzero at acceptance and must be reproducible from the values
+        # nonzero at acceptance and must be reproducible: it is the accepted
+        # candidate's, the values are that candidate's image, and a solve
+        # stopped one iterate earlier ends on the candidate
         out, prob, seg, dt = self._state_coupled_window(tol=1e-9, max_iter=100)
-        assert out.converged
+        assert out.converged and out.iterations > 1
         assert 0.0 < out.residual <= 1e-9
-        gy = apply_operator(prob, seg, dt, out.values)
-        recomputed = float(np.linalg.norm(gy - out.values, axis=1).max())
+        before, _, _, _ = self._state_coupled_window(tol=1e-9, max_iter=out.iterations - 1)
+        assert before.status == "diverged"
+        gy = apply_operator(prob, seg, dt, before.values)
+        recomputed = float(np.linalg.norm(gy - before.values, axis=1).max())
         assert abs(recomputed - out.residual) <= 1e-14
+        assert float(np.abs(gy - out.values).max()) <= 1e-14
+        # the image is closer to the fixed point than the candidate was
+        after = apply_operator(prob, seg, dt, out.values)
+        assert float(np.linalg.norm(after - out.values, axis=1).max()) < out.residual
 
     def test_diverged_status_when_iterations_exhausted(self):
         out, _, _, _ = self._state_coupled_window(tol=1e-16, max_iter=2)
@@ -574,7 +602,10 @@ class TestWarmStart:
         cfg = SolverConfig(dt=dt, window=0.1, tol=1e-12, trust_radius=3.0)
         frame = WindowFrame(prob, hist, 0.0, dt, 10)
         guess = _warm_start(hist, frame.run.warm, frame.run.warm_step)
-        assert guess[-1, 0] == pytest.approx(64.0 / 9.0, rel=1e-12)
+        # exact up to rounding, as a polynomial history's guess is
+        assert frame.run.warm_step == 1
+        bound = 64 * np.finfo(float).eps * float(np.abs(frame.run.warm[-1]) @ np.abs(hist[-7:, 0]))
+        assert abs(guess[-1, 0] - 64.0 / 9.0) <= bound
         frame.load(guess)
         assert _drift_exceeds(frame, cfg.trust_radius)
         self._runs_as_the_flat_start(prob, hist, cfg, monkeypatch)
@@ -597,27 +628,16 @@ class TestWarmStart:
         self._runs_as_the_flat_start(prob, hist, cfg, monkeypatch)
 
     def test_guess_is_not_returned_unmapped(self):
-        # G ignores the candidate here, so its first image is the exact
-        # fixed point and the second iterate confirms it
+        # no term writes a column here, so G ignores the candidate and its
+        # first image is the exact fixed point: iterate 1 measures no
+        # column, accepts, and returns that image, not the guess
         prob = homogeneous_problem(mu=(1.0,))
         dt = 0.01
         thetas = -prob.h + dt * np.arange(51)
         seg = Segment(prob.h, thetas, np.exp(-thetas)[:, None])
-        # the guess continues e^-t, within 1e-6 of the solution from the start
         out = solve_window(prob, seg.values, 0.0, SolverConfig(dt=dt, window=0.1, tol=1e-6))
-        assert out.iterations == 2 and out.residual == 0.0
+        assert out.iterations == 1 and out.residual == 0.0
         assert np.array_equal(out.values, apply_operator(prob, seg, dt, out.values))
-
-
-def column_tables(groups, n_cols, col):
-    """One column's scan tables in ``_scan_tables`` groups: its down and up
-    columns and its carry factors."""
-    for cols, down, up, carry in groups:
-        members = np.arange(n_cols)[cols].tolist()
-        if col in members:
-            j = members.index(col)
-            return down[:, j], up[:, j], [r[j] for r in carry]
-    raise AssertionError(f"column {col} is in no group")
 
 
 class TestWindowFrame:
@@ -792,9 +812,10 @@ class TestWindowFrame:
         monkeypatch.setattr(continuation, "solve_window", counted_solve)
         built = build_run(parse_config(get_scenario("mass_growth")))
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
-        # every attempt converged, so each loaded candidate was one iterate
+        # every attempt converged, so each loaded candidate was one iterate,
+        # and each window's G(y) was loaded once more, to be returned
         assert calls["attempts"] == len(traj.windows) > 1
-        assert calls["loads"] == sum(w.iterations for w in traj.windows)
+        assert calls["loads"] == sum(w.iterations for w in traj.windows) + len(traj.windows)
 
     def test_window_edges_are_resolved_once_per_run(self, monkeypatch):
         import neutraldde.continuation as continuation
@@ -850,7 +871,7 @@ class TestWindowFrame:
             return solve_window(prob, path, t0, cfg, damping, run, m)
 
         monkeypatch.setattr(solver, "cell_weights", counted("cell_weights", solver.cell_weights))
-        monkeypatch.setattr(solver, "_scan_tables", counted("scan_tables", solver._scan_tables))
+        monkeypatch.setattr(solver, "_ScanTables", counted("scan_tables", solver._ScanTables))
         monkeypatch.setattr(continuation, "solve_window", recorded_solve)
         built = build_run(parse_config(get_scenario("mass_growth")))
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
@@ -883,17 +904,14 @@ class TestWindowFrame:
             fresh = WindowFrame(prob, hist, t0, dt, k)
             assert run.decay[: k + 1].tobytes() == own.decay.tobytes()
             assert frame.times.tobytes() == (t0 + own.offsets).tobytes()
-            # a column's scan block is min(b, k): each of its tables in a
-            # k-cell build is a prefix of the run's, and so are the warm
-            # start's weights
-            for col in range(run.n_active):
-                mine = column_tables(run.scan, run.n_active, col)
-                theirs = column_tables(own.scan, run.n_active, col)
-                for table in range(2):
-                    assert mine[table][: len(theirs[table])].tobytes() == theirs[table].tobytes()
-                assert len(mine[2]) >= len(theirs[2])
-                for a, b in zip(mine[2], theirs[2]):
-                    assert a.tobytes() == b.tobytes()
+            # the scan tables of a k-cell build are prefixes of the run's,
+            # and so are the warm start's weights
+            assert run.scan.span.tobytes() == own.scan.span.tobytes()
+            for mine, theirs in ((run.scan.down, own.scan.down), (run.scan.up, own.scan.up)):
+                assert mine[: theirs.shape[0]].tobytes() == theirs.tobytes()
+            assert len(run.scan.factors) >= len(own.scan.factors)
+            for a, b in zip(run.scan.factors, own.scan.factors):
+                assert a.tobytes() == b.tobytes()
             assert run.warm[: k + 1].tobytes() == _warm_weights(
                 k, run.warm_step, run.warm.shape[1] - 1).tobytes()
             assert frame.free.tobytes() == fresh.free.tobytes()
@@ -1048,8 +1066,7 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
             pass
         if gy is not None and not np.all(np.isfinite(gy)):
             gy = None
-    guessed = gy is not None
-    if not guessed:
+    if gy is None:
         y = np.tile(hist[-1], (m + 1, 1))
         if plain_drift(hist, y) > cfg.trust_radius:
             return y, 0, np.inf, 0.0, "left_trust_region"
@@ -1061,8 +1078,8 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
         residual = float(np.linalg.norm(gy - y, axis=1).max())
         if prev is not None and prev > 0.0:
             contraction = residual / prev
-        if residual <= cfg.tol and not (guessed and it == 1):
-            return y, it, residual, contraction, "converged"
+        if residual <= cfg.tol:
+            return gy, it, residual, contraction, "converged"
         prev = residual
         y = gy if damping == 1.0 else (1.0 - damping) * y + damping * gy
         y[0] = hist[-1]
@@ -1159,7 +1176,7 @@ def test_operator_on_the_active_columns_is_the_full_operator_there(n_modes, writ
 
 
 #: How far the active-only and the plain iteration may end apart, in units
-#: of cfg.tol: each stops within tol / (1 - q) of the fixed point, and the
+#: of cfg.tol: each ends within q tol / (1 - q) of the fixed point, and the
 #: measured contraction q stays below 0.1 on these windows (measured: 0.74).
 SPLIT_DISTANCE = 2.0
 
@@ -1254,10 +1271,10 @@ def test_passive_modes_take_the_free_evolution_through_a_run(monkeypatch):
     assert negative_zeros > 0
 
 
-def test_a_run_without_active_columns_converges_at_iterate_two(monkeypatch):
+def test_a_run_without_active_columns_converges_at_iterate_one(monkeypatch):
     # heat_decay: neither term writes a column, so every window's rows hold
-    # G's fixed point from construction on; iterate 1 (of the guess, never
-    # returned) and iterate 2 both measure no column and accept at 2
+    # G's fixed point from construction on; iterate 1, of the guess,
+    # measures no column and accepts, and its image is those rows
     from neutraldde import continue_solution
     from neutraldde.config import build_run, parse_config
     from neutraldde.scenarios import get_scenario
@@ -1275,7 +1292,7 @@ def test_a_run_without_active_columns_converges_at_iterate_two(monkeypatch):
     assert traj.event.kind == "reached_horizon" and len(traj.windows) > 1
     assert len(frames) == len(traj.windows) and frames[0].run.n_active == 0
     for w, frame in zip(traj.windows, frames):
-        assert (w.iterations, w.residual, w.contraction_estimate) == (2, 0.0, 0.0)
+        assert (w.iterations, w.residual, w.contraction_estimate) == (1, 0.0, 0.0)
         assert w.values.tobytes() == loaded_rows(frame, np.empty((frame.m + 1, 0))).tobytes()
 
 
