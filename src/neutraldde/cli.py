@@ -110,9 +110,189 @@ def _check_hypotheses(built: BuiltRun, seed: int, verbose: bool = True) -> None:
             raise HypothesisViolation(f"smallness value {smallness.value:.6g} >= 1")
 
 
-#: Rows per formatted block: one % per block is as fast as one over the whole
-#: table, and the block's floats and text stay small beside the path.
+#: Rows and values per formatted block, at most: the block's cells, text
+#: and working arrays stay small beside the path, and one buffer of one
+#: block's cells serves every block.
 _CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_VALUES = 4096
+#: Bytes per formatted cell: the sign (0), a "0.000" prefix (1-5), the first
+#: digit (6), the point after it (7), 16 more digits (8-23), an "e-280"
+#: exponent (24-28) and the separator (31).  Bytes a value does not use are
+#: NUL and are deleted from the written text.
+_CELL = 32
+#: Decimal exponents the digit tables cover: every double with
+#: 1e-280 < |x| < 1e280, one step of correction and the carry included.
+_E_MIN, _E_MAX = -282, 282
+#: Values whose scaled fraction is this close to 1/2, the exact ties among
+#: them, are printed by ``%``; the computed fraction is off by under 1e-14.
+_TIE_MARGIN = 1e-6
+#: Dekker's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+def _csv_tables():
+    """The formatter's module tables, about 150 KB in all, built from bytes
+    and Python numbers."""
+    # each 4-digit group as the uint32 of its ASCII bytes (two 2-digit
+    # halves side by side), and its trailing zeros (4 for 0)
+    pairs = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint16)
+    halves = np.empty((100, 100, 2), np.uint16)
+    halves[:, :, 0] = pairs[:, None]
+    halves[:, :, 1] = pairs
+    groups = halves.view(np.uint32).ravel()
+    zeros = np.frombuffer(bytes(4 if k == 0 else (k % 10 == 0) + (k % 100 == 0) + (k % 1000 == 0)
+                                for k in range(10000)), np.uint8).astype(np.int64)
+    # per decimal exponent X: the digits after the first that stand before
+    # the point (X in fixed notation with X > 0, else 0; -1 below 1), the
+    # first cell word (prefix and point; the sign byte NUL) and the last
+    # (the exponent)
+    exps = range(_E_MIN, _E_MAX + 1)
+    point = np.array([x if 0 <= x < 17 else -1 if -4 <= x < 0 else 0 for x in exps])
+    first = b"".join(b"\0" + b"0.000"[: 1 - x].ljust(7, b"\0") if -4 <= x < 0
+                     else b"\0" * 7 + b"." for x in exps)
+    last = b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(8, b"\0") for x in exps)
+    # keep[:, c] keeps the first 7 + c of the cell's 24 bytes before the exponent
+    keep = b"".join(b"\xff" * (7 + c) + b"\0" * (17 - c) for c in range(18))
+    # 10**(16 - e) as hi + lo, each the double nearest what is left, and hi
+    # split into two 26-bit halves for the Dekker product
+    hi, lo = [], []
+    for e in exps:
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi.append(num / den)
+        m, d = hi[-1].as_integer_ratio()
+        lo.append((num * d - m * den) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * _SPLIT
+    hi_h = c - (c - hi)
+    literal = b"".join(s.ljust(8, b"\0") for s in (b"nan", b"inf", b"0", b"nan", b"-inf", b"-0"))
+    first, last, keep, literal = (np.frombuffer(b, np.int64) for b in (first, last, keep, literal))
+    return (groups, zeros, point, first, last, keep.reshape(18, 3).T.copy(), literal, hi, hi_h,
+            hi - hi_h, lo)
+
+
+(_GROUPS, _ZEROS, _POINT, _FIRST, _LAST, _KEEP, _LITERAL, _TEN_HI, _TEN_HI_H, _TEN_HI_L,
+ _TEN_LO) = _csv_tables()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest integers ``n`` to ``a * 10**(16 - e)`` and the rest, in [-1/2, 1/2].
+
+    The product with the double-double (hi, lo) of the power is exact in
+    its hi part (Dekker's two-product: p + err = a * hi) and rounds in
+    a * lo and one sum, so below 10**18 the rest is off by under 1e-14.
+    ``n`` is exact where the product is at least 2**53, for ``p`` is an
+    integer there; smaller products only show that e was one too large.
+    """
+    i = e - _E_MIN
+    p = a * _TEN_HI.take(i)
+    # Veltkamp's split of a into two 26-bit halves
+    a_h = a * _SPLIT
+    a_h -= a_h - a
+    a_l = a - a_h
+    hi_h, hi_l = _TEN_HI_H.take(i), _TEN_HI_L.take(i)
+    rest = a_h * hi_h
+    rest -= p
+    rest += a_h * hi_l
+    rest += a_l * hi_h
+    rest += a_l * hi_l
+    rest += a * _TEN_LO.take(i)
+    whole = np.rint(rest)
+    rest -= whole
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    return n, rest
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, e, ok): |x| rounded to 17 significant digits is n * 10**(e - 16),
+    10**16 <= n < 10**17, where ``ok``.
+
+    e is floor(log10|x|), moved by one where n falls outside [10**16,
+    10**17), and then by the carry of ...9.5 up to 10**17.  Not ok are nan,
+    +-inf, +-0, |x| outside (1e-280, 1e280), which stand in as 1, and
+    values within ``_TIE_MARGIN`` of a tie, the exact ties among them.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-280) & (a < 1e280)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n, rest = _scaled(a, e)
+    # the logarithm rounds across an integer next to powers of ten
+    below = (n < 10**16) | ((n == 10**16) & (rest < 0.0))
+    above = (n > 10**17) | ((n == 10**17) & (rest >= 0.0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        e[off] += np.where(above[off], 1, -1)
+        n[off], rest[off] = _scaled(a[off], e[off])
+    carry = n == 10**17
+    n[carry] = 10**16
+    e[carry] += 1
+    return n, e, fast & (np.abs(np.abs(rest) - 0.5) >= _TIE_MARGIN)
+
+
+def _write_digits(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Write each value of ``x`` into its row of ``cell`` as ``%.17g`` lays
+    out its digits; the mask of the rows this gives the bytes of (see
+    ``_decimal``)."""
+    n, e, ok = _decimal(x)
+    e -= _E_MIN
+    words = cell.view(np.int64)
+    words[:, 0] = _FIRST.take(e)
+    words[:, 3] = _LAST.take(e)
+    cell[x < 0.0, 0] = ord("-")
+    # the first digit, then four groups of four and their trailing zeros
+    lead = n // 10**16
+    cell[:, 6] = lead + ord("0")
+    n -= lead * 10**16
+    groups = cell[:, 8:24].view(np.uint32)
+    zeros = None
+    for k, scale in enumerate((10**12, 10**8, 10**4, 1)):
+        g = n // scale
+        n -= g * scale
+        groups[:, k] = _GROUPS.take(g)
+        zeros = _ZEROS.take(g) if zeros is None else np.where(g == 0, zeros + 4, _ZEROS.take(g))
+    kept = 17 - zeros
+    # fixed notation of |x| >= 10: the digits before the point move one byte left
+    point = _POINT.take(e)
+    shift = np.flatnonzero(point > 0)
+    if shift.size:
+        moved, width = cell[shift], point[shift]
+        np.copyto(moved[:, 7:23], moved[:, 8:24], where=np.arange(16) < width[:, None])
+        moved[np.arange(shift.size), 7 + width] = ord(".")
+        cell[shift] = moved
+    # drop trailing zeros, and the point when no digit follows it
+    cut = np.where(kept > point + 1, kept, point)
+    for k in range(3):
+        words[:, k] &= _KEEP[k].take(cut)
+    return ok
+
+
+def _csv_block(block: np.ndarray, cells: np.ndarray) -> bytes:
+    """The CSV rows of ``block``: each value as the bytes of ``'%.17g' % x``.
+
+    ``cells`` is a C-contiguous uint8 buffer of at least ``block``'s rows,
+    its columns and ``_CELL`` bytes.  The digits come from ``_decimal``;
+    nan, +-inf and +-0 are literals, and the values ``_decimal`` leaves
+    out are printed by ``%``.
+    """
+    rows = block.shape[0]
+    x = block.ravel()
+    cell = cells[:rows].reshape(-1, _CELL)
+    words = cell.view(np.int64)
+    left = np.flatnonzero(~_write_digits(x, cell))
+    if left.size:
+        words[left] = 0
+        xs = x[left]
+        literal = ~np.isfinite(xs) | (xs == 0.0)
+        kind = np.isinf(xs) + 2 * (xs == 0.0) + 3 * np.signbit(xs)
+        words[left[literal], 0] = _LITERAL.take(kind[literal])
+        for k in left[~literal]:
+            text = b"%.17g" % x[k]
+            cell[k, : len(text)] = np.frombuffer(text, np.uint8)
+    seps = cells[:rows, :, _CELL - 1]
+    seps[:] = ord(",")
+    seps[:, -1] = ord("\n")
+    return cell.tobytes().translate(None, b"\0")
 
 
 def export_csv(traj: Trajectory, path: Path, n_coeffs: int) -> None:
@@ -122,6 +302,16 @@ def export_csv(traj: Trajectory, path: Path, n_coeffs: int) -> None:
     scan decided each point on (t >= t0), and nan before t0.  Two trailing
     comment lines record the event kind and the exit time; floats carry 17
     significant digits so a reread reproduces them exactly.
+
+    Each value is written as the bytes of ``'%.17g' % x``, one block of
+    rows at a time (``_csv_block``).  The digits are
+    N = round(|x| * 10**(16 - e)) with 10**16 <= N < 10**17, from a Dekker
+    product of |x| with 10**(16 - e) held as a pair of doubles; its error
+    is below 1e-14 at N < 10**17, so a fraction of N more than
+    ``_TIE_MARGIN`` = 1e-6 from 1/2 rounds as the exact product does.  The
+    values within that margin, the exact ties among them, and finite |x|
+    outside (1e-280, 1e280), where the pair of doubles would leave the
+    normal range, are printed by ``%`` itself.
     """
     n_modes = traj.path.values.shape[1]
     if n_coeffs > n_modes:
@@ -133,15 +323,13 @@ def export_csv(traj: Trajectory, path: Path, n_coeffs: int) -> None:
     functionals[times.size - traj.functionals.size :] = traj.functionals
     table = np.column_stack([times, traj.path.norms, functionals, traj.path.values[:, :n_coeffs]])
     footer = f"# event={traj.event.label()}\n# tau={traj.tau:.17g}"
-    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted with one
-    # % per block of rows instead of one per row
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
-        fh.write(footer + "\n")
+    rows = min(_CSV_BLOCK_ROWS, max(1, _CSV_BLOCK_VALUES // table.shape[1]), table.shape[0])
+    cells = np.empty((rows, table.shape[1], _CELL), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for start in range(0, table.shape[0], rows):
+            fh.write(_csv_block(table[start : start + rows], cells))
+        fh.write(f"{footer}\n".encode())
 
 
 def _summarize(traj: Trajectory) -> None:

@@ -18,11 +18,11 @@ prints, one line per item:
   modes, where 1 of 1024 columns is written by the delay terms, and
   ``exit_fine`` at seed 7 and 1/dt = 8000 and 16000, so that iterate
   totals are compared as the step shrinks: the event, ``tau.hex()``, the
-  refinement width, the sha256 of the path values
-  and of the trajectory's functionals, and each window's t0, width,
-  iterations, status, residual and contraction; then the sup distance of
-  the path to a ``tol = 1e-14`` solve of the same input by the same
-  checkout, beside the workload's own tol;
+  refinement width, the sha256 of the path values, of the trajectory's
+  functionals and of the CSV ``export_csv`` writes (``csv=``), and each
+  window's t0, width, iterations, status, residual and contraction; then
+  the sup distance of the path to a ``tol = 1e-14`` solve of the same
+  input by the same checkout, beside the workload's own tol;
 * ``exit_fine`` at seeds 0..39 and dt 0.001 and 0.0005: the event, tau and
   width.
 
@@ -32,10 +32,10 @@ checkouts are compared on the same inputs; see the README for the diff.
     python tests/answer_digest.py --compare PARENT.txt CHANGE.txt
 
 compares two digests line by line, prints each field that differs, and
-exits 1 unless every event, ``tau`` and width (and the rest of each line's
-identity) is equal, each workload's total iterations are no higher than
-the parent's, and each sup distance is within max(2 x the parent's,
-5 x the workload's tol).  The file name does not match ``test_*``, so
+exits 1 unless every event, ``tau``, width and ``csv`` (and the rest of
+each line's identity) is equal, each workload's total iterations are no
+higher than the parent's, and each sup distance is within max(2 x the
+parent's, 5 x the workload's tol).  The file name does not match ``test_*``, so
 pytest does not collect it.
 """
 
@@ -85,7 +85,7 @@ def _csv_digest(text: str) -> str:
 
 #: Fields that name a line or a run's outcome: any change fails the comparison.
 IDENTITY = ("exit", "seed", "dt", "n_modes", "event", "tau", "width", "t0", "status", "tol",
-            "reference_tol", "admission")
+            "reference_tol", "admission", "csv")
 
 
 def _split(line: str) -> tuple[str, dict[str, str]]:
@@ -190,6 +190,13 @@ def main(argv: list[str]) -> int:
             return f"admission={type(exc).__name__}"
         return f"admission={estimate.hex()}"
 
+    def export_sha(config: str, traj) -> str:
+        # the bytes ``neutraldde run`` writes for the trajectory
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "run.csv"
+            cli.export_csv(traj, path, build_run(parse_config(config)).n_coeffs)
+            return f"csv={_sha(path.read_bytes())}"
+
     def solve(config: str, tol: float | None = None):
         built = build_run(parse_config(config))
         solver = built.solver if tol is None else replace(built.solver, tol=tol)
@@ -217,7 +224,7 @@ def main(argv: list[str]) -> int:
         path = _sha(traj.path.values.tobytes())
         functionals = _sha(traj.functionals.tobytes())
         print(f"workload {workload} seed={seed} {_event(traj)} path={path} "
-              f"functionals={functionals} {admission(config)}")
+              f"functionals={functionals} {export_sha(config, traj)} {admission(config)}")
         for w in traj.windows:
             print(f"  window t0={w.t0!r} width={w.window!r} iters={w.iterations} "
                   f"status={w.status} residual={w.residual!r} "

@@ -1,10 +1,15 @@
 import io
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import neutraldde.cli as cli
 from neutraldde.cli import export_csv, main
 from neutraldde.config import build_run, parse_config
 from neutraldde.continuation import TerminationEvent, Trajectory, continue_solution
@@ -12,6 +17,9 @@ from neutraldde.errors import SchemaError
 from neutraldde.history import SegmentStack, SolutionPath, integral_norm_functional, segment_at
 from neutraldde.scenarios import get_scenario, scenario_names
 from neutraldde.solver import SolverConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SMALL_RUN = """\
 [operator]
@@ -588,6 +596,129 @@ class TestCsvFormat:
         assert functional[-1] < 1e-7 * functional[0]
         want = [integral_norm_functional(segment_at(path, t, h)) for t in rows[rows[:, 0] >= 0.0, 0]]
         np.testing.assert_allclose(functional, want, rtol=1e-12, atol=0.0)
+
+
+def _percent_block(block, cells):
+    """The reference CSV writer: one ``%`` per block of rows, the bytes of
+    np.savetxt(fmt="%.17g", delimiter=",")."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+
+
+def _assert_prints_as_percent(values):
+    # one value a row, so the formatter's rows line up with '%.17g' % x
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    rows = cli._csv_block(column, np.empty(column.shape + (cli._CELL,), np.uint8))
+    got = rows.decode().split("\n")[:-1]
+    values = column.ravel().tolist()
+    want = ["%.17g" % x for x in values]
+    assert len(got) == len(want)
+    wrong = [(x.hex(), g, w) for x, g, w in zip(values, got, want) if g != w]
+    assert not wrong, wrong[:5]
+
+
+def _odd_multiples_of_powers_of_two():
+    # every finite m * 2**k with k >= -1074 for a few odd m, from 3 to 2**53 - 1
+    out = []
+    for m in (3, 5, 7, 9, 11, 13, 15, 25, 99, 625, 3**20, 2**26 + 1, 2**53 - 1):
+        out.append(np.ldexp(float(m), np.arange(-1074, 1025 - m.bit_length())))
+    return np.concatenate(out)
+
+
+def _powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{k}") for k in range(-307, 308)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+def _edge_values():
+    # subnormals, the normal boundary, +-0, nan with either sign bit (quiet
+    # and signalling payloads), +-inf and the finite extremes
+    bits = np.array([1, 2, 3, 0x000FFFFFFFFFFFFF, 0x0008000000000000, 0x0000000123456789,
+                     0x0010000000000000, 0x0010000000000001, 0, 0x8000000000000000,
+                     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+                     0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF], dtype=np.uint64)
+    subnormals = np.random.default_rng(3).integers(1, 2**52, 2000, dtype=np.uint64)
+    bits = np.concatenate([bits, subnormals, subnormals | np.uint64(2**63)])
+    return bits.view(np.float64)
+
+
+class TestCsvDigits:
+    """``cli._csv_block`` prints each value as ``'%.17g' % x`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        _assert_prints_as_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_float(self, values):
+        _assert_prints_as_percent(values)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.ldexp(1.0, np.arange(-1074, 1024)), id="powers_of_two"),
+        pytest.param(_odd_multiples_of_powers_of_two(), id="odd_multiples_of_powers_of_two"),
+        pytest.param(_powers_of_ten_and_neighbours(), id="powers_of_ten_and_neighbours"),
+        pytest.param(_edge_values(), id="subnormals_zeros_nans_infinities"),
+    ])
+    def test_fixed_sets(self, values):
+        # powers of two and their odd multiples hold the exact ties (2**-25
+        # is one); next to powers of ten log10 rounds across an integer
+        _assert_prints_as_percent(values)
+
+    @pytest.mark.parametrize("error", [-1e-7, 1e-7])
+    def test_a_rounding_error_below_the_margin_changes_no_byte(self, monkeypatch, error):
+        # the scaled fraction may be off by up to cli._TIE_MARGIN: values
+        # that close to a tie, the exact ties first, are printed by '%'
+        scaled = cli._scaled
+
+        def off_scaled(a, e):
+            n, rest = scaled(a, e)
+            rest = rest + error
+            whole = np.rint(rest)
+            return n + whole.astype(np.int64), rest - whole
+
+        monkeypatch.setattr(cli, "_scaled", off_scaled)
+        _assert_prints_as_percent(np.concatenate([
+            np.ldexp(1.0, np.arange(-1074, 1024)), _odd_multiples_of_powers_of_two(),
+            np.random.default_rng(5).normal(size=2000)]))
+
+    @pytest.mark.parametrize("n_coeffs, rows", [(0, 3), (4, 1)])
+    def test_wide_tables_take_fewer_rows_a_block(self, tmp_path, monkeypatch, n_coeffs, rows):
+        # at most _CSV_BLOCK_VALUES values a block, and at least one row
+        monkeypatch.setattr(cli, "_CSV_BLOCK_VALUES", 10)
+        values = np.random.default_rng(9).normal(size=(9, 4))
+        path = SolutionPath(-0.2, 0.1, values)
+        traj = Trajectory(path, np.ones(7), event=TerminationEvent("reached_horizon", 0.6),
+                          tau=0.6)
+        blocks = []
+        block_writer = cli._csv_block
+
+        def counted(block, cells):
+            blocks.append(len(block))
+            return block_writer(block, cells)
+
+        monkeypatch.setattr(cli, "_csv_block", counted)
+        export_csv(traj, tmp_path / "new.csv", n_coeffs)
+        assert blocks == [rows] * (9 // rows)
+        monkeypatch.setattr(cli, "_csv_block", _percent_block)
+        export_csv(traj, tmp_path / "reference.csv", n_coeffs)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", [*scenario_names(), "exit_fine", "modes_wide"])
+    def test_csv_bytes_match_the_percent_writer(self, tmp_path, monkeypatch, name):
+        # each bundled scenario, and the two benchmark workloads at seed 7
+        config = (workloads.GENERATORS[name](7).config if name in workloads.GENERATORS
+                  else get_scenario(name))
+        built = build_run(parse_config(config))
+        traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        export_csv(traj, tmp_path / "new.csv", built.n_coeffs)
+        monkeypatch.setattr(cli, "_csv_block", _percent_block)
+        export_csv(traj, tmp_path / "reference.csv", built.n_coeffs)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new.count(b"\n") == traj.path.n_times + 3
+        assert new == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCheckCommand:
