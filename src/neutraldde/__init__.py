@@ -7,7 +7,7 @@ iteration of the mild integral operator and continued until the trajectory
 reaches the boundary of its admissible domain (or the horizon).
 """
 
-from .continuation import TerminationEvent, Trajectory, continue_solution, refine_boundary_time
+from .continuation import TerminationEvent, Trajectory, continue_solution
 from .errors import (
     DomainViolation,
     HypothesisViolation,
@@ -51,7 +51,6 @@ from .solver import (
     exp_convolution,
     generator_convolution,
     heuristic_window,
-    sample_neutral_contraction,
     semigroup_convolution,
     solve_window,
 )

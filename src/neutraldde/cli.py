@@ -371,7 +371,7 @@ def cmd_check(args) -> int:
     built = build_run(_load_config(args), dt_override=args.dt)
     _check_hypotheses(built, args.seed)
     # the initial data ``run`` would refuse
-    check_initial_history(built.problem, built.initial_segment, 0.0)
+    check_initial_history(built.problem, built.initial_segment, 0.0, built.solver.dt)
     print("hypothesis checks passed")
     return 0
 

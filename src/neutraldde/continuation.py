@@ -21,16 +21,18 @@ one leaves only free rows behind.  ``extend`` of the converged window checks
 its overlap with the path's endpoint and moves the fill mark past it, so
 the window's rows and norms are not copied again.
 
-Each grid point is decided once: ``solve_window`` returns the stack of the
-window's history and values, one ``first_exit_slice`` pass applies
-``membership``'s rule to its new slices, and their domain functionals,
-through the first point that is not interior, are the trajectory's
-``functionals``, which the CSV prints.  The off-grid probes of the
-bisection are decided by ``membership`` on a ``segment_at`` segment.
-Membership is still only sampled at grid resolution before the bisection
-sharpens it: an excursion of a non-monotone functional that enters and
-leaves the boundary band strictly between grid points can be missed at
-coarse dt, so refine dt when the domain functional is oscillatory.
+Each grid point is decided once.  t0 is decided on the one-slice stack of
+the initial grid rows (``check_initial_history``, which ``check`` calls
+too), and ``solve_window`` returns the stack of each window's history and
+values, one ``first_exit_slice`` pass applies ``membership``'s rule to its
+new slices, and their domain functionals, through the first point that is
+not interior, are the trajectory's ``functionals``, which the CSV prints.
+The off-grid probes of the bisection are decided by ``membership`` on a
+``segment_at`` segment.  Membership is still only sampled at grid
+resolution before the bisection sharpens it: an excursion of a
+non-monotone functional that enters and leaves the boundary band strictly
+between grid points can be missed at coarse dt, so refine dt when the
+domain functional is oscillatory.
 
 A window is first solved undamped (damping 1).  One that will not converge
 is retried with damping 0.5, then with repeatedly halved windows at that
@@ -96,31 +98,10 @@ class Trajectory:
     tau: float = 0.0
 
 
-def refine_boundary_time(prob: NeutralProblem, path: SolutionPath, t_inside: float,
-                         t_outside: float, tol_t: float) -> float:
-    """Bisect the interpolated path between an interior and an exterior time.
-
-    Each probe is ``membership`` of the ``segment_at`` segment, at the
-    domain's default tolerance.  Returns the midpoint of the final bracket;
-    the bracket width is at most ``tol_t`` (or the initial width, if already
-    smaller).
-    """
-    if not tol_t > 0.0:  # negated, so that nan is refused too
-        raise ValueError(f"tol_t must be positive, got {tol_t}")
-    if not t_inside < t_outside:
-        raise ValueError(f"invalid bracket: need t_inside < t_outside, got [{t_inside}, {t_outside}]")
-    if t_outside - t_inside > path.dt * (1.0 + 1e-6):
-        raise ValueError("invalid bracket: endpoints must be adjacent grid times")
-    if not prob.membership(t_inside, segment_at(path, t_inside, prob.h)).is_inside:
-        raise ValueError(f"invalid bracket: t_inside={t_inside} does not classify as interior")
-    if prob.membership(t_outside, segment_at(path, t_outside, prob.h)).is_inside:
-        raise ValueError(f"invalid bracket: t_outside={t_outside} classifies as interior")
-    a, b = _refine_bracket(prob, path, t_inside, t_outside, tol_t)
-    return 0.5 * (a + b)
-
-
 def _refine_bracket(prob, path, a, b, tol_t):
-    # the scan's bracket is taken as found: its ends were decided on the grid
+    """Bisect [a, b] down to ``tol_t`` with ``membership`` of ``segment_at``
+    probes; the final bracket.  The scan's bracket is taken as found: its
+    ends were decided, interior and not, on the grid."""
     while b - a > tol_t:
         mid = 0.5 * (a + b)
         if prob.membership(mid, segment_at(path, mid, prob.h)).is_inside:
@@ -130,14 +111,14 @@ def _refine_bracket(prob, path, a, b, tol_t):
     return a, b
 
 
-def _attempt_window(prob, path, t0, cfg, run, m_cells, remaining_cells):
+def _attempt_window(path, t0, cfg, run, m_cells, remaining_cells):
     """Solve one window after the path, halving on failure: (result or None, detail)."""
     m_try = min(m_cells, remaining_cells)
     damping = 1.0
     last_detail = None
     while True:
         try:
-            result = solve_window(prob, path, t0, cfg, damping, run, m_try)
+            result = solve_window(run, path, t0, cfg, damping, m_try)
         except NumericalBlowup:
             result = None
             last_detail = "numerical_blowup"
@@ -154,17 +135,29 @@ def _attempt_window(prob, path, t0, cfg, run, m_cells, remaining_cells):
         m_try = m_next
 
 
-def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float) -> None:
-    """Raise InvalidInitialData unless the history is finite and interior at t0."""
+def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float,
+                          dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The history's grid rows at step dt and their domain functional, the
+    one-slice stack's; raise InvalidInitialData unless the history is
+    finite and that stack classifies as interior at t0.
+
+    The functional is the one the run's t0 entry prints, so ``check`` and
+    ``run`` decide t0 on the same float.
+    """
     # every band comparison with nan is false, so nan would classify as inside
     if not np.all(np.isfinite(init_seg.values)):
         raise InvalidInitialData("initial history has non-finite values")
-    start = prob.membership(t0, init_seg)
+    hist = segment_on_grid(init_seg, dt)
+    stack = SegmentStack(prob.h, dt, hist, t0)
+    value = prob.domain_functionals(stack)
+    bottom = stack.min_norms() if prob.domain.kind == "sup_band" else value
+    start = prob._classify(t0, float(value[0]), float(bottom[0]))
     if not start.is_inside:
         raise InvalidInitialData(
             f"initial history classifies as {start.state}"
             + (f" ({start.kind})" if start.kind else "")
         )
+    return hist, value
 
 
 def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
@@ -177,11 +170,10 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     default band tolerance.
     """
     cfg.validate_grid(prob.h, prob.T - t0, prob.op.n_modes)
-    check_initial_history(prob, init_seg, t0)
+    hist, start = check_initial_history(prob, init_seg, t0, cfg.dt)
 
-    hist = segment_on_grid(init_seg, cfg.dt)
     path = SolutionPath(t0 - prob.h, cfg.dt, hist)
-    functionals = [prob.domain_functionals(SegmentStack(prob.h, cfg.dt, hist, t0))]
+    functionals = [start]
     windows = []
     horizon_cells = int(round((prob.T - t0) / cfg.dt))
     n_h = hist.shape[0] - 1
@@ -198,7 +190,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         if remaining <= 0:
             event = TerminationEvent("reached_horizon", prob.T)
             break
-        result, failure = _attempt_window(prob, path, t, cfg, run, m, remaining)
+        result, failure = _attempt_window(path, t, cfg, run, m, remaining)
         if result is None:
             event = TerminationEvent("solver_failure", t, failure)
             break

@@ -12,10 +12,9 @@ of factor q it lies within q/(1-q) ||G(y) - y|| of the fixed point, where
 y itself may lie 1/(1-q) of it away.  The windows' errors add up along a
 run: on the exit_fine benchmark workload (tol 1e-10, 23 windows) the path
 ends 5.6e-11 from a tol = 1e-14 solve at every step from 1/dt = 2000 to
-16000, where the accepted candidates ended 3.8e-9 to 4.0e-9 from it.  In
-mode coordinates the generator is
-the diagonal -mu, so the smoothing term -A S(s-r) g and the forcing term
-S(s-r) f share one kernel and form a single memory integral of mu g + f;
+16000.  In mode coordinates the generator is the diagonal -mu, so the
+smoothing term -A S(s-r) g and the forcing term S(s-r) f share one kernel
+and form a single memory integral of mu g + f;
 the positive sign this gives the g part is fixed here, once, and pinned by
 the constant-input closed-form tests.
 
@@ -99,10 +98,9 @@ of Bellen & Zennaro, "Numerical Methods for Delay Differential Equations",
 first width m, shrunk until the stencil fits the history.  The run frame
 builds the Lagrange weights of every window node once, and the guess is
 the stencil's rows times them, added up in one order, elementwise.  Nodes
-spaced like the
-window keep the weights' sizes bounded whatever dt is: at spacing dt a
-degree-p extrapolation over m cells multiplies rounding by about m^p/p!,
-and the iterates of a run grew with 1/dt.  A degree-p guess is off by
+spaced like the window keep the weights' sizes bounded whatever dt is: at
+spacing dt a degree-p extrapolation over m cells multiplies rounding by
+about m^p/p!, and a run's iterates grow with 1/dt.  A degree-p guess is off by
 O(w^(p+1)) where the flat start phi(0) is off by O(w), so Picard
 iteration, whose error shrinks like (Lw)^k/k!, starts some iterates ahead.
 The flat start phi(0) serves as the guard: a guess that leaves the trust
@@ -379,20 +377,20 @@ class SolverConfig:
 
 @dataclass
 class WindowResult:
-    """Outcome of one window solve: grid values plus iteration diagnostics,
-    and once converged the ``stack`` its values were last loaded into.
+    """Diagnostics of one window attempt at t0 of the given width, and once
+    converged the ``stack`` of its history and values.
 
-    A converged window's values are G(y) of the candidate y it accepted,
-    and ``residual`` is that candidate's ||G(y) - y||; otherwise the values
-    are the last candidate loaded."""
+    A converged window's values, the stack's current rows, are G(y) of the
+    candidate y it accepted, and ``residual`` is that candidate's
+    ||G(y) - y||.  The stack reads the path's free rows, where the run
+    commits them; it is valid until the next attempt after that path."""
 
-    values: np.ndarray
     iterations: int
     residual: float
     contraction_estimate: float
     status: str  # "converged" | "diverged" | "left_trust_region"
-    t0: float = 0.0
-    window: float = 0.0
+    t0: float
+    window: float
     stack: SegmentStack | None = None
 
     @property
@@ -459,31 +457,21 @@ class RunFrame:
         self.edges: dict = {}
 
 
-def _history_rows(hist, n_h: int, n_modes: int) -> np.ndarray:
-    """``hist`` as the (n_h+1, n_modes) grid rows of a window's history."""
-    hist = np.asarray(hist, dtype=float)
-    if hist.shape != (n_h + 1, n_modes):
-        raise ValueError(f"history must be ({n_h + 1}, {n_modes}) grid rows, got {hist.shape}")
-    return hist
-
-
 class WindowFrame:
     """What one window attempt's iterates share, computed once per attempt.
 
-    The window starts at t0 and has m cells.  Its history is n_h+1 grid
-    rows u(t0 - h + k*dt), k = 0..n_h, with n_h = h/dt: the last rows of a
-    ``SolutionPath``, or an (n_h+1, n_modes) array, which is copied into a
-    path of its own.  The frame works in the path's rows buffer and its row
-    norms: the history, then the m+1 window rows, of which row 0 is the
-    history's last, phi(0).  The path lends them with m free rows past its
-    end (``SolutionPath._reserve``), which a run's path holds already
-    unless the run has outgrown its first size; nothing the path holds is
-    copied or rewritten, and ``extend`` of the converged window checks its
-    overlap and moves the path's fill mark.
-    What depends on the problem, dt and m alone comes from the run's
-    ``RunFrame``, of width m or more (a fresh one of width m when none is
-    given): the theta grid, the active columns, their cell weights and
-    scan tables, the decay table and the warm start's weights.
+    The window starts at t0 and has m cells, 1 <= m <= run.m.  Its history
+    is the last n_h+1 rows u(t0 - h + k*dt), k = 0..n_h, with n_h = h/dt,
+    of the run's ``SolutionPath``, whose step and mode count are the run's.
+    The frame works in the path's rows buffer and its row norms: the
+    history, then the m+1 window rows, of which row 0 is the history's
+    last, phi(0).  The path lends them with m free rows past its end
+    (``SolutionPath._reserve``), which a run's path holds already unless
+    the run has outgrown its first size; nothing the path holds is copied
+    or rewritten, and ``extend`` of the converged window checks its overlap
+    and moves the path's fill mark.  The problem, dt, the theta grid, the
+    active columns, their cell weights and scan tables, the decay table
+    and the warm start's weights come from the run's ``RunFrame``.
 
     Per attempt the frame computes the grid times, phi(0), ``start`` =
     phi(0) + g(t0, phi) (the only scalar g call of the attempt), the free
@@ -508,23 +496,17 @@ class WindowFrame:
     across frames and runs, so the stores live on the frames.
     """
 
-    def __init__(self, prob: NeutralProblem, hist, t0: float, dt: float, m: int,
-                 run: RunFrame | None = None):
-        if m < 1:
-            raise ValueError(f"a window needs at least one cell, got m={m}")
-        if run is None:
-            run = RunFrame(prob, dt, m)
-        elif run.prob is not prob or run.dt != dt or run.m < m:
-            raise ValueError("the run frame is for another problem, grid step or narrower windows")
+    def __init__(self, run: RunFrame, path: SolutionPath, t0: float, m: int):
+        if not 1 <= m <= run.m:
+            raise ValueError(f"a window of the run has 1..{run.m} cells, got m={m}")
+        prob, dt = run.prob, run.dt
         n_h = self.n_h = run.n_h
         n_modes = prob.op.n_modes
-        if not isinstance(hist, SolutionPath):
-            hist = SolutionPath(t0 - prob.h, dt, _history_rows(hist, n_h, n_modes))
-        elif hist.dt != dt or hist.n_times <= n_h or hist.values.shape[1] != n_modes:
+        if path.dt != dt or path.n_times <= n_h or path.values.shape[1] != n_modes:
             raise ValueError(f"history must be a path of step {dt} holding at least "
                              f"{n_h + 1} grid rows of {n_modes} modes")
-        buf = hist._reserve(m)
-        first = hist.n_times - 1 - n_h
+        buf = path._reserve(m)
+        first = path.n_times - 1 - n_h
         self.rows = buf.rows[first : first + n_h + m + 1]
         self.norms = buf.norms[first : first + n_h + m + 1]
         self.prob = prob
@@ -580,10 +562,6 @@ class WindowFrame:
         return SegmentStack._trusted(self.prob.h, self.dt, self.run.thetas, self.rows,
                                      self.norms, self.times, self.edges, self._history_sums,
                                      self.run.edges)
-
-    def values(self) -> np.ndarray:
-        """A copy of the window values: the last loaded candidate, every column."""
-        return self.rows[self.n_h :].copy()
 
 
 def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:
@@ -705,33 +683,29 @@ def _first_candidate(frame: WindowFrame, radius: float):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
-                 damping: float = 1.0, run: RunFrame | None = None,
-                 m: int | None = None) -> WindowResult:
-    """Damped fixed-point iteration on a window of m cells after the history ``hist``.
+def solve_window(run: RunFrame, path: SolutionPath, t0: float, cfg: SolverConfig,
+                 damping: float, m: int) -> WindowResult:
+    """Damped fixed-point iteration on a window of m cells at t0 after the run's path.
 
     The first candidate extrapolates the history (``_first_candidate``);
     each iterate is y <- (1 - damping) y + damping G(y), with damping in
     (0, 1]; the continuation's retry ladder passes 1 and then 0.5.  Once
     ||G(y) - y|| <= tol the window returns G(y), loaded into the frame, at
-    the cost of that load.  ``hist``
-    and ``run`` go to the ``WindowFrame``: a run passes its path and its
-    ``RunFrame``.  m defaults to the configured window; the continuation
-    passes each attempt's.
+    the cost of that load.  ``cfg.dt`` must be the run's step; ``run``,
+    ``path``, t0 and m make the ``WindowFrame``.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    dt = cfg.dt
-    if m is None:
-        m = int(round(cfg.window / dt))
-    width = m * dt
-    frame = WindowFrame(prob, hist, t0, dt, m, run)
-    phi0 = frame.phi0[frame.run.active]
+    if cfg.dt != run.dt:
+        raise ValueError(f"the solver step {cfg.dt} is not the run's step {run.dt}")
+    width = m * run.dt
+    frame = WindowFrame(run, path, t0, m)
+    phi0 = frame.phi0[run.active]
     # each candidate is loaded once: the trust check and the next iterate
     # both read the same stack
     y, stack, gy = _first_candidate(frame, cfg.trust_radius)
     if gy is None and _drift_exceeds(frame, cfg.trust_radius):
-        return WindowResult(frame.values(), 0, np.inf, 0.0, "left_trust_region", t0, width)
+        return WindowResult(0, np.inf, 0.0, "left_trust_region", t0, width)
 
     prev_residual = None
     residual = np.inf
@@ -753,8 +727,7 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         # passed the trust-region screen
         if residual <= cfg.tol:
             stack = frame.load(gy)
-            return WindowResult(frame.values(), it, residual, contraction, "converged", t0,
-                                width, stack)
+            return WindowResult(it, residual, contraction, "converged", t0, width, stack)
         prev_residual = residual
         if damping == 1.0:
             y = gy
@@ -764,10 +737,8 @@ def solve_window(prob: NeutralProblem, hist, t0: float, cfg: SolverConfig,
         gy = None
         stack = frame.load(y)
         if _drift_exceeds(frame, cfg.trust_radius):
-            return WindowResult(frame.values(), it, residual, contraction, "left_trust_region",
-                                t0, width)
-    return WindowResult(frame.values(), cfg.max_iter, residual, contraction, "diverged", t0,
-                        width)
+            return WindowResult(it, residual, contraction, "left_trust_region", t0, width)
+    return WindowResult(cfg.max_iter, residual, contraction, "diverged", t0, width)
 
 
 def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
@@ -783,40 +754,3 @@ def heuristic_window(prob: NeutralProblem, cfg: SolverConfig) -> float:
     k = math.floor(7.0 / (1.0 - mg)) + 1
     w = min(cfg.window, prob.h / k)
     return max(w, cfg.dt)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def sample_neutral_contraction(prob: NeutralProblem, hist, t0: float,
-                               values, dt: float, n_pairs: int, seed: int) -> float:
-    """Measured Lipschitz ratio of the pure neutral part over candidate pairs.
-
-    Perturbs the window values into nearby admissible candidate pairs and
-    returns the largest ratio
-
-        sup_s ||g(t, y1_s) - g(t, y2_s)|| / sup_s ||y1(s) - y2(s)||
-
-    (plain coefficient norms) on the window with grid rows ``hist``.  For an
-    admissible problem this stays below the declared contraction budget.
-    """
-    values = np.asarray(values, dtype=float)
-    hist = _history_rows(hist, int(round(prob.h / dt)), prob.op.n_modes)
-    rng = np.random.default_rng(seed)
-    scale = 0.01 * (1.0 + float(np.linalg.norm(values, axis=1).max()))
-    best = 0.0
-    for _ in range(n_pairs):
-        d1 = scale * rng.uniform(-1.0, 1.0, size=values.shape)
-        d2 = scale * rng.uniform(-1.0, 1.0, size=values.shape)
-        d1[0] = 0.0
-        d2[0] = 0.0
-        y1 = values + d1
-        y2 = values + d2
-        denom = float(np.linalg.norm(y1 - y2, axis=1).max())
-        if denom < 1e-14:
-            continue
-        g1, g2 = (prob.g.evaluate_window(SegmentStack(prob.h, dt, np.vstack([hist[:-1], y]), t0))
-                  for y in (y1, y2))
-        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
-            raise NumericalBlowup("neutral term produced non-finite coefficients")
-        num = float(np.linalg.norm(g1 - g2, axis=1).max())
-        best = max(best, num / denom)
-    return best

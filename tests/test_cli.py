@@ -13,8 +13,10 @@ import neutraldde.cli as cli
 from neutraldde.cli import export_csv, main
 from neutraldde.config import build_run, parse_config
 from neutraldde.continuation import TerminationEvent, Trajectory, continue_solution
-from neutraldde.errors import SchemaError
-from neutraldde.history import SegmentStack, SolutionPath, integral_norm_functional, segment_at
+from neutraldde.errors import InvalidInitialData, SchemaError
+from neutraldde.history import (SegmentStack, SolutionPath, integral_norm_functional, segment_at,
+                                segment_on_grid)
+from neutraldde.problem import DomainSpec
 from neutraldde.scenarios import get_scenario, scenario_names
 from neutraldde.solver import SolverConfig
 
@@ -553,7 +555,7 @@ class TestCsvFormat:
         assert np.array_equal(traj.functionals[:1], start)
         for w in traj.windows:
             k = traj.path.index_of(w.t0) - n_h
-            rows = values[k : k + n_h + w.values.shape[0]]
+            rows = values[k : k + n_h + round(w.window / dt) + 1]
             fresh = prob.domain_functionals(SegmentStack(prob.h, dt, rows, w.t0))[1:]
             got = traj.functionals[k + 1 : k + 1 + fresh.size]
             assert got.size and np.array_equal(got, fresh[: got.size])
@@ -787,6 +789,44 @@ class TestCheckCommand:
         for command in (["check"], ["run", "--out", str(tmp_path)]):
             assert main(command + ["--config", str(cfg)]) == 2
             assert capsys.readouterr().err.startswith("invalid initial data:")
+
+    def test_t0_is_decided_on_the_functional_the_csv_prints(self, tmp_path):
+        # mass_growth's constant history: the scalar delay mass and the
+        # one-slice stack's, which the CSV's t0 entry prints, round apart.
+        # With l - tol between them, a run that starts has started inside
+        # on the printed value, and check agrees with run
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        prob, dt = built.problem, built.solver.dt
+        scalar = integral_norm_functional(built.initial_segment)
+        rows = segment_on_grid(built.initial_segment, dt)
+        printed = float(prob.domain_functionals(SegmentStack(prob.h, dt, rows, 0.0))[0])
+        assert scalar < printed
+
+        def inside(l, value):
+            prob.domain = DomainSpec("delay_mass", l)
+            return prob._classify(0.0, value, value).is_inside
+
+        l = 0.5 * (scalar + printed) / (1.0 - 1e-9)
+        for _ in range(1000):
+            if inside(l, scalar) != inside(l, printed):
+                break
+            l = float(np.nextafter(l, -math.inf if inside(l, scalar) else math.inf))
+        assert inside(l, scalar) and not inside(l, printed)
+
+        text = get_scenario("mass_growth").replace("\nl = 1.0\n", f"\nl = {l!r}\n")
+        assert f"\nl = {l!r}\n" in text
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(text)
+        codes = [main(command + ["--config", str(cfg)])
+                 for command in (["check"], ["run", "--out", str(tmp_path)])]
+        assert codes[0] == codes[1]
+        built = build_run(parse_config(text))
+        try:
+            traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        except InvalidInitialData:
+            return
+        first = float(traj.functionals[0])
+        assert built.problem._classify(0.0, first, first).is_inside
 
     @pytest.mark.parametrize("l", ["1.0", "1e6"])
     def test_width_on_a_time_only_domain_exits_2(self, tmp_path, capsys, l):

@@ -21,7 +21,6 @@ from neutraldde import (
     current_value_window,
     full_history_window,
     make_dirichlet_laplacian,
-    refine_boundary_time,
     segment_at,
     solve_window,
 )
@@ -40,6 +39,16 @@ def constant_segment(h, vec, dt):
     n = int(round(h / dt))
     thetas = -h + dt * np.arange(n + 1)
     return Segment(h, thetas, np.tile(vec, (n + 1, 1)))
+
+
+def assert_windows_tile_the_path(traj):
+    # each window is solved in the path's rows after its start, so its
+    # first row is the path's row there: the windows tile the path, each
+    # from the grid point where the last one ended
+    starts = [traj.path.index_of(w.t0) for w in traj.windows]
+    ends = [i + round(w.window / traj.path.dt) for i, w in zip(starts, traj.windows)]
+    assert starts[0] == traj.path.index_of(0.0) and starts[1:] == ends[:-1]
+    assert ends[-1] == traj.path.n_times - 1
 
 
 def growth_problem(u0=0.1, l=1.0, h=1.0, T=3.5, gain=2.0):
@@ -87,14 +96,12 @@ class TestReachedHorizon:
         traj = continue_solution(prob, seg, 0.0, SolverConfig(dt=dt, window=0.1, tol=1e-12))
         assert len(traj.windows) >= 10
         assert all(w.converged for w in traj.windows)
-        for w in traj.windows:
-            i = traj.path.index_of(w.t0)
-            np.testing.assert_array_equal(w.values[0], traj.path.values[i])
+        assert_windows_tile_the_path(traj)
 
 
 def test_kept_windows_hold_no_stack():
     # a converged window's stack reads its frame's buffers; the trajectory
-    # keeps only the values and statistics
+    # keeps only the statistics
     prob, _ = growth_problem()
     traj = continue_solution(prob, constant_segment(1.0, [0.1], 0.01), 0.0,
                              SolverConfig(dt=0.01, window=0.25, tol=1e-12))
@@ -187,11 +194,7 @@ class TestSupBandRun:
         traj = continue_solution(prob, seg, 0.0, SolverConfig(dt=dt, window=0.5, tol=1e-11))
         assert traj.event.kind == "reached_horizon"
         assert len(traj.windows) >= 10
-        sup = float(np.linalg.norm(traj.path.values, axis=1).max())
-        for w in traj.windows:
-            i = traj.path.index_of(w.t0)
-            jump = float(np.linalg.norm(w.values[0] - traj.path.values[i]))
-            assert jump <= 1e-9 * sup
+        assert_windows_tile_the_path(traj)
 
     def test_sup_band_exit_detected(self):
         op = SpectralOperator([1.0])
@@ -303,10 +306,10 @@ class TestRunBuffer:
             for path, values, norms in committed:
                 assert path.values.tobytes() == values and path.norms.tobytes() == norms
 
-        def watched_solve(prob, path, t0, cfg, damping, run, m):
+        def watched_solve(run, path, t0, cfg, damping, m):
             status = "numerical_blowup"
             try:
-                result = solve_window(prob, path, t0, cfg, damping, run, m)
+                result = solve_window(run, path, t0, cfg, damping, m)
                 status = result.status
                 return result
             finally:
@@ -336,7 +339,7 @@ def test_path_norm_column_is_the_row_norms(name):
     assert traj.path.norms.tobytes() == np.linalg.norm(traj.path.values, axis=1).tobytes()
 
 
-class TestRefineBoundaryTime:
+class TestRefineBracket:
     def linear_mass_path(self, dt=0.1, h=0.5):
         # u(t) = t on the grid for t >= h: delay mass h t - h^2/2 is linear
         times = dt * np.arange(51)  # [0, 5]
@@ -354,46 +357,24 @@ class TestRefineBoundaryTime:
         t_c = 1.03  # crossing time to hide mid-cell
         l = h * t_c - h**2 / 2.0
         prob = self.make_prob(l, h)
-        got = refine_boundary_time(prob, path, 1.0, 1.1, tol_t=1e-6)
-        assert got == pytest.approx(t_c, abs=1e-5)
+        a, b = continuation._refine_bracket(prob, path, 1.0, 1.1, 1e-6)
+        assert b - a <= 1e-6
+        assert 0.5 * (a + b) == pytest.approx(t_c, abs=1e-5)
 
     def test_result_stays_in_bracket(self):
         h, dt = 0.5, 0.1
         path = self.linear_mass_path(dt, h)
         prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
-        got = refine_boundary_time(prob, path, 1.0, 1.1, tol_t=1e-3)
-        assert 1.0 <= got <= 1.1
+        a, b = continuation._refine_bracket(prob, path, 1.0, 1.1, 1e-3)
+        assert 1.0 <= a < b <= 1.1
 
-    def test_tight_bracket_returns_midpoint_immediately(self):
+    def test_tight_bracket_is_returned_as_given(self):
         h, dt = 0.5, 0.1
         path = self.linear_mass_path(dt, h)
         t_c = 1.03
         prob = self.make_prob(h * t_c - h**2 / 2.0, h)
         a, b = t_c - 6e-9, t_c + 6e-9  # already narrower than tol_t
-        got = refine_boundary_time(prob, path, a, b, tol_t=1e-6)
-        assert got == pytest.approx(0.5 * (a + b), abs=1e-12)
-
-    def test_bracket_with_both_endpoints_interior_rejected(self):
-        h, dt = 0.5, 0.1
-        path = self.linear_mass_path(dt, h)
-        prob = self.make_prob(10.0, h)  # band so wide nothing exits
-        with pytest.raises(ValueError):
-            refine_boundary_time(prob, path, 1.0, 1.1, tol_t=1e-6)
-
-    def test_nan_tolerance_rejected(self):
-        # a nan tol_t would skip the bisection and return the unrefined midpoint
-        h, dt = 0.5, 0.1
-        path = self.linear_mass_path(dt, h)
-        prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
-        with pytest.raises(ValueError, match="tol_t must be positive"):
-            refine_boundary_time(prob, path, 1.0, 1.1, tol_t=math.nan)
-
-    def test_reversed_bracket_rejected(self):
-        h, dt = 0.5, 0.1
-        path = self.linear_mass_path(dt, h)
-        prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
-        with pytest.raises(ValueError):
-            refine_boundary_time(prob, path, 1.1, 1.0, tol_t=1e-6)
+        assert continuation._refine_bracket(prob, path, a, b, 1e-6) == (a, b)
 
 
 # Total fixed-point iterates of each bundled scenario, bounded between the
