@@ -559,10 +559,11 @@ def check_neutral_smallness(h: float, L: float, mg: float, measQ: float) -> Smal
 
 #: Theta cells of every sampled history segment.
 _SAMPLE_CELLS = 16
-#: Size of the sampler's batches: a batch of wobbling pairs holds about this
-#: many values a segment, (pairs, 17, K), and a block of consecutive samples
-#: draws about half as many numbers, whatever K and the sample count.
-_BLOCK_VALUES = 1 << 14
+#: Size of the sampler's batches.  A batch holds pairs of one kind, as many
+#: as hold at most this many values in their rows, and at least one: 2 K
+#: values a pair of histories constant in theta, 2 (_SAMPLE_CELLS + 1) K a
+#: pair that wobbles.
+_BATCH_VALUES = 1 << 15
 
 
 def _uniform(u, low, high):
@@ -570,141 +571,150 @@ def _uniform(u, low, high):
     return low + (high - low) * u
 
 
-def _segments(h: float, thetas: np.ndarray, rows: np.ndarray, norms=None) -> Segment:
-    """A batch of segments on ``thetas`` from rows of shape (pairs, 1 or
-    thetas.size, K), one row standing for a history constant in theta; its
-    node norms are taken once here, or given."""
-    if rows.shape[-2] == 1:
-        rows = np.broadcast_to(rows, rows.shape[:-2] + (thetas.size, rows.shape[-1]))
-    if norms is None:
-        norms = Segment._trusted(h, thetas, rows).node_norms()
-    return Segment._trusted(h, thetas, rows, norms)
+class _Sampler:
+    """The admission sampler on one problem: what every batch of an
+    estimate shares, taken once, and the steps of a batch; see
+    ``estimate_lipschitz_mg``.
 
-
-def _amplitudes(u: np.ndarray, first: np.ndarray, K: int) -> np.ndarray:
-    # K draws from each index of ``first``, weighted 1/k^2
-    k = np.arange(1, K + 1)
-    return _uniform(u[first[:, None] + k - 1], 0.3, 1.0) / k**2
-
-
-def _in_band(prob: NeutralProblem, thetas: np.ndarray, rows: np.ndarray,
-             u: np.ndarray) -> np.ndarray:
-    """Rows scaled so that each segment's domain functional is its drawn
-    share of the band (mid-band); a segment whose functional is not positive
-    is scaled by exactly 1."""
-    band = prob.domain.l if prob.domain.l is not None else 1.0
-    target = _uniform(u, 0.25, 0.7) * band
-    current = prob.domain_functional(_segments(prob.h, thetas, rows))
-    scale = np.divide(target, current, out=np.ones_like(current), where=~(current <= 0.0))
-    return scale[:, None, None] * rows
-
-
-def _eval_rows(prob: NeutralProblem, thetas: np.ndarray, t: np.ndarray, rows: np.ndarray,
-               seg: Segment, reach: np.ndarray) -> np.ndarray | None:
-    """``eval_g`` of the segments ``reach`` (a mask) of the batch ``seg``
-    made from ``rows``, or None when the mask is empty."""
-    if not reach.any():
-        return None
-    if not reach.all():
-        seg = _segments(prob.h, thetas, rows[reach], seg.node_norms()[reach])
-    return prob.eval_g(t[reach], seg)
-
-
-def _pair_ratios(prob: NeutralProblem, thetas: np.ndarray, t: np.ndarray,
-                 rows1: np.ndarray, rows2: np.ndarray) -> tuple[np.ndarray, int]:
-    """The ratios of a batch of history pairs, and how many pairs formed one.
-
-    A pair forms no ratio when its segments are less than 1e-14 apart or
-    one's functional leaves g's declared argument range.  g is evaluated,
-    through ``eval_g``, on the first segments of the pairs that pass the
-    distance and range tests, then on the second segments of those whose
-    second segment passes too: the segments a pair-by-pair loop evaluates,
-    so a non-finite value raises ``NumericalBlowup`` where it would.  The
-    range test (``admits``) runs only on a batch where ``eval_g`` refused
-    one segment's functional.
+    A batch's pairs are held as one array of rows, shape (2 pairs, 1 or
+    n_theta, K): the pairs' first segments, then their second ones, one row
+    standing for a history constant in theta.
     """
-    denom = sup_norm(_segments(prob.h, thetas, rows1 - rows2))
-    reach = ~(denom < 1e-14)
-    values = []
-    for rows in (rows1, rows2):
-        seg = _segments(prob.h, thetas, rows)
+
+    def __init__(self, prob: NeutralProblem):
+        K = prob.op.n_modes
+        self.prob = prob
+        # every sampled segment shares this grid, strictly increasing from -h to 0
+        self.thetas = np.linspace(-prob.h, 0.0, _SAMPLE_CELLS + 1)
+        # offsets of a segment's K weight draws and n_theta wobble draws
+        self.modes = np.arange(K)
+        self.nodes = K + np.arange(self.thetas.size)
+        self.squares = (self.modes + 1.0) ** 2
+        # ||x||_alpha is |mu^alpha x|: the bits of op.alpha_norm, without its
+        # finiteness check
+        self.weights = prob.op.mu**prob.alpha
+
+    def segments(self, rows: np.ndarray, norms=None) -> Segment:
+        """A batch of segments from rows; their node norms are taken once
+        here, or given."""
+        thetas = self.thetas
+        if rows.shape[-2] == 1:
+            rows = np.broadcast_to(rows, rows.shape[:-2] + (thetas.size, rows.shape[-1]))
+        if norms is None:
+            norms = Segment._trusted(self.prob.h, thetas, rows).node_norms()
+        return Segment._trusted(self.prob.h, thetas, rows, norms)
+
+    def amplitudes(self, u: np.ndarray, first: np.ndarray) -> np.ndarray:
+        # K draws from each index of ``first``, weighted 1/k^2
+        return _uniform(u[first[:, None] + self.modes], 0.3, 1.0) / self.squares
+
+    def in_band(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rows scaled, in place, so that each segment's domain functional is
+        its drawn share of the band (mid-band); a segment whose functional is
+        not positive is scaled by exactly 1."""
+        prob = self.prob
+        band = prob.domain.l if prob.domain.l is not None else 1.0
+        target = _uniform(u, 0.25, 0.7) * band
+        current = prob.domain_functional(self.segments(rows))
+        rows *= np.divide(target, current, out=np.ones_like(current),
+                          where=~(current <= 0.0))[:, None, None]
+        return rows
+
+    def constant_pairs(self, u: np.ndarray, first: np.ndarray, index: np.ndarray):
+        """(t, rows) of samples ``index`` of styles 0 and 1, histories
+        constant in theta: s1 is single-mode (style 0, on more than one
+        mode) or has random weights, and s2 is s1 scaled by 1.05..1.2.
+        Sample j draws from u[first[j]] on: t, its weights where random,
+        its target and its scaling."""
+        K, n = self.modes.size, index.size
+        drawn = (index % 3 == 1) | (K == 1)
+        rows = np.zeros((2 * n, 1, K))
+        s1 = rows[:n]
+        s1[~drawn, 0, index[~drawn] // 3 % K] = 1.0  # every mode in turn
+        s1[drawn, 0] = self.amplitudes(u, first[drawn] + 1)
+        o = first + np.where(drawn, K, 0)
+        self.in_band(s1, u[o + 1])
+        np.multiply((1.0 + _uniform(u[o + 2], 0.05, 0.2))[:, None, None], s1, out=rows[n:])
+        return _uniform(u[first], 0.0, self.prob.T), rows
+
+    def wobbling_pairs(self, u: np.ndarray, first: np.ndarray):
+        """(t, rows) of pairs of independent histories that wobble in theta.
+        Pair j draws from u[first[j]] on: t, then for each segment its K
+        weights, its n_theta wobble factors and its target."""
+        K, n_theta = self.modes.size, self.thetas.size
+        o = np.concatenate((first + 1, first + K + n_theta + 2))
+        wobble = 1.0 + 0.4 * _uniform(u[o[:, None] + self.nodes], -1.0, 1.0)
+        rows = wobble[:, :, None] * self.amplitudes(u, o)[:, None, :]
+        return _uniform(u[first], 0.0, self.prob.T), self.in_band(rows, u[o + K + n_theta])
+
+    def eval_rows(self, t: np.ndarray, rows: np.ndarray, seg: Segment,
+                  reach: np.ndarray) -> np.ndarray | None:
+        """``eval_g`` of the segments ``reach`` (a mask) of the batch ``seg``
+        made from ``rows``, or None when the mask is empty."""
+        if not reach.any():
+            return None
+        if not reach.all():
+            seg = self.segments(rows[reach], seg.node_norms()[reach])
+        return self.prob.eval_g(t[reach], seg)
+
+    def pair_ratios(self, t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """The ratios of a batch of history pairs at times ``t``, and how
+        many pairs formed one.
+
+        A pair forms no ratio when its segments are less than 1e-14 apart or
+        one's functional leaves g's declared argument range.  g is evaluated,
+        in one ``eval_g`` call, on the first segments of the pairs that pass
+        the distance and range tests and on the second segments of those
+        whose second segment passes too: the segments a pair-by-pair loop
+        evaluates, so a non-finite value raises ``NumericalBlowup`` where it
+        would.  The range test (``admits``) runs only on a batch where
+        ``eval_g`` refused one segment's functional.
+        """
+        n = t.size
+        denom = sup_norm(self.segments(rows[:n] - rows[n:]))
+        apart = ~(denom < 1e-14)
+        reach = np.concatenate((apart, apart))
+        t = np.concatenate((t, t))
+        seg = self.segments(rows)
         try:
-            g = _eval_rows(prob, thetas, t, rows, seg, reach)
+            g = self.eval_rows(t, rows, seg, reach)
         except DomainViolation:
             # a functional left the declared range: only a capped term
             # raises this, and its pair forms no ratio
-            reach = reach & prob.g.admits(t, seg)
-            g = _eval_rows(prob, thetas, t, rows, seg, reach)
+            admitted = reach & self.prob.g.admits(t, seg)
+            reach = np.concatenate((admitted[:n], admitted[:n] & admitted[n:]))
+            g = self.eval_rows(t, rows, seg, reach)
         if g is None:
             return np.empty(0), 0
-        values.append((reach, g))
-    (reach1, g1), (reach2, g2) = values
-    # ||diff||_alpha, the bits of op.alpha_norm, without its finiteness check
-    diff = prob.op.mu**prob.alpha * (g1[reach2[reach1]] - g2)
-    return _vector_norms(diff) / denom[reach2], int(reach2.sum())
+        first, second = reach[:n], reach[n:]
+        split = int(first.sum())
+        diff = self.weights * (g[:split][second[first]] - g[split:])
+        return _vector_norms(diff) / denom[second], int(second.sum())
 
-
-def _constant_pairs(prob: NeutralProblem, thetas: np.ndarray, u: np.ndarray,
-                    first: np.ndarray, index: np.ndarray, drawn: np.ndarray):
-    """(t, rows1, rows2) of samples ``index``, histories constant in theta:
-    s1 is single-mode, or has random weights where ``drawn``, and s2 is s1
-    scaled by 1.05..1.2.  Sample j draws from u[first[j]] on: t, its
-    weights where drawn, its target and its scaling."""
-    K = prob.op.n_modes
-    weights = np.zeros((index.size, K))
-    weights[~drawn, index[~drawn] // 3 % K] = 1.0  # every mode in turn
-    weights[drawn] = _amplitudes(u, first[drawn] + 1, K)
-    o = first + np.where(drawn, K, 0)
-    s1 = _in_band(prob, thetas, weights[:, None, :], u[o + 1])
-    s2 = (1.0 + _uniform(u[o + 2], 0.05, 0.2))[:, None, None] * s1
-    return _uniform(u[first], 0.0, prob.T), s1, s2
-
-
-def _wobbling_pairs(prob: NeutralProblem, thetas: np.ndarray, u: np.ndarray,
-                    first: np.ndarray):
-    """(t, rows1, rows2) of pairs of independent histories that wobble in
-    theta.  Pair j draws from u[first[j]] on: t, then for each segment its
-    K weights, its n_theta wobble factors and its target."""
-    K, n_theta = prob.op.n_modes, thetas.size
-
-    def segment(o):
-        wobble = 1.0 + 0.4 * _uniform(u[o[:, None] + K + np.arange(n_theta)], -1.0, 1.0)
-        rows = wobble[:, :, None] * _amplitudes(u, o, K)[:, None, :]
-        return _in_band(prob, thetas, rows, u[o + K + n_theta])
-
-    return _uniform(u[first], 0.0, prob.T), segment(first + 1), segment(first + K + n_theta + 2)
-
-
-def _sampled_ratios(prob: NeutralProblem, thetas: np.ndarray, n_samples: int,
-                    rng: np.random.Generator):
-    """``_pair_ratios`` of each batch of sampled pairs, block by block; see
-    ``estimate_lipschitz_mg``."""
-    K = prob.op.n_modes
-    n_theta = thetas.size
-    index = np.arange(n_samples)
-    style = index % 3
-    drawn = (style == 1) | (K == 1)  # constant pairs with random weights
-    # draws per sample: t, then weights, target and scaling, or two
-    # segments' weights, wobble and target
-    count = np.where(style == 2, 2 * (K + n_theta + 1) + 1, np.where(drawn, K + 3, 3))
-    # a block draws about _BLOCK_VALUES / 2 numbers, 3 (K + n_theta) per
-    # three samples; its constant pairs, of one row a segment, are one batch,
-    # and its wobbling pairs, of n_theta rows a segment, batches of `per_batch`
-    step = 3 * max(1, _BLOCK_VALUES // (6 * (K + n_theta)))
-    per_batch = max(1, _BLOCK_VALUES // (n_theta * K))
-    for start in range(0, n_samples, step):
-        block = slice(start, start + step)
-        ends = np.cumsum(count[block])
+    def ratios(self, n_samples: int, rng: np.random.Generator):
+        """``pair_ratios`` of each batch of the first ``n_samples`` samples:
+        the constant pairs, then the wobbling ones."""
+        K, n_theta = self.modes.size, self.thetas.size
+        index = np.arange(n_samples)
+        style = index % 3
+        # draws per sample: t, then weights, target and scaling, or two
+        # segments' weights, wobble and target
+        count = np.where(style == 2, 2 * (K + n_theta + 1) + 1,
+                         np.where((style == 1) | (K == 1), K + 3, 3))
+        ends = np.cumsum(count)
         u = rng.random(int(ends[-1]))
-        first = ends - count[block]
-        const = style[block] != 2
-        if const.any():
-            yield _pair_ratios(prob, thetas, *_constant_pairs(
-                prob, thetas, u, first[const], index[block][const], drawn[block][const]))
-        wobbling = first[~const]
-        for j in range(0, wobbling.size, per_batch):
-            yield _pair_ratios(prob, thetas,
-                               *_wobbling_pairs(prob, thetas, u, wobbling[j : j + per_batch]))
+        first = ends - count
+
+        def batches(samples, values):
+            # as many pairs as hold at most _BATCH_VALUES values in their
+            # rows, `values` a pair, and at least one
+            step = max(1, _BATCH_VALUES // values)
+            return (samples[i : i + step] for i in range(0, samples.size, step))
+
+        for batch in batches(index[style != 2], 2 * K):
+            yield self.pair_ratios(*self.constant_pairs(u, first[batch], batch))
+        for batch in batches(index[style == 2], 2 * n_theta * K):
+            yield self.pair_ratios(*self.wobbling_pairs(u, first[batch]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -720,15 +730,18 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> fl
     that saturates the integral functional's Lipschitz bound, and the third
     a pair of independent histories that wobble in theta.
 
-    The pairs are sampled in blocks of consecutive samples that draw about
-    ``_BLOCK_VALUES / 2`` numbers each, with one ``rng.random`` call: the numbers
-    one ``rng.uniform`` call per drawn quantity would give, in the same
-    order.  A block's constant pairs form one batch and its wobbling pairs
-    batches of about ``_BLOCK_VALUES`` values a segment, so the working set
-    stays bounded whatever K; ``eval_g`` takes each batch's first segments
-    in one call and its second segments in another, through the same
-    functionals and terms a single segment goes through.  The estimate is
-    bitwise the one a pair-by-pair loop gives (``tests/lipschitz_reference.py``):
+    All the numbers the samples use come from one ``rng.random`` call:
+    about n_samples (K + 14) values, the numbers one ``rng.uniform`` call
+    per drawn quantity would give, in the same order.  The pairs are then
+    taken in batches of one kind, constant or wobbling, each as many pairs
+    as hold at most ``_BATCH_VALUES`` values in their rows (2 K a constant
+    pair, 34 K a wobbling one), and at least one; at 256 modes the 150
+    samples make 2 constant batches and 17 wobbling ones of 3 pairs, whose
+    rows take 204 KiB.  ``eval_g`` takes each batch's first and second
+    segments in one call, through the same functionals and terms a single
+    segment goes through.  The estimate is bitwise the one a pair-by-pair
+    loop gives (``tests/lipschitz_reference.py``, also at either end of the
+    batch size):
     a pair whose segments are less than 1e-14 apart, or whose functional
     leaves g's declared range, forms no ratio; the first non-finite g
     raises ``NumericalBlowup``; nan ratios are skipped; and no pair forming
@@ -739,10 +752,8 @@ def estimate_lipschitz_mg(prob: NeutralProblem, n_samples: int, seed: int) -> fl
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    # every sampled segment shares this grid, strictly increasing from -h to 0
-    thetas = np.linspace(-prob.h, 0.0, _SAMPLE_CELLS + 1)
     best, formed = 0.0, 0
-    for ratios, n in _sampled_ratios(prob, thetas, n_samples, np.random.default_rng(seed)):
+    for ratios, n in _Sampler(prob).ratios(n_samples, np.random.default_rng(seed)):
         best = np.fmax.reduce(ratios, initial=best)
         formed += n
     if formed == 0:

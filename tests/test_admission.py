@@ -24,6 +24,7 @@ from neutraldde import (
     full_history_window,
     make_dirichlet_laplacian,
 )
+from neutraldde import problem as problem_module
 from neutraldde.config import build_run, parse_config
 from neutraldde.scenarios import get_scenario, scenario_names
 
@@ -173,3 +174,57 @@ def test_an_overflowing_term_raises_numerical_blowup():
     with pytest.raises(NumericalBlowup, match="^neutral term produced non-finite coefficients$"):
         estimate_lipschitz_mg(prob, 150, 0)
     assert outcome(estimate_lipschitz_mg, prob, 150, 0) == outcome(reference_estimate, prob, 150, 0)
+
+
+#: ``_BATCH_VALUES`` at its two ends: one pair a batch, and each kind's pairs in one batch.
+BATCH_ENDS = {"one pair a batch": 1, "one batch a kind": 1 << 62}
+#: Problems whose outcome is an exception or takes the range screen.
+OUTCOMES = {
+    "NumericalBlowup": {"l": 10.0, "g_y_max": 100.0, "g_c1": 1e308},
+    "InsufficientSamples, no pair admitted": {"g_y_max": 1e-12},
+    "InsufficientSamples, no pair apart": {"l": 1e-20},
+    "cap skips some pairs": {"g_y_max": 0.4},
+}
+
+
+def batch_sizes(monkeypatch, values):
+    """Set the sampler's batch size; the list it returns collects each batch's pair count."""
+    monkeypatch.setattr(problem_module, "_BATCH_VALUES", values)
+    sizes, pair_ratios = [], problem_module._Sampler.pair_ratios
+
+    def counted(self, t, rows):
+        sizes.append(t.size)
+        return pair_ratios(self, t, rows)
+
+    monkeypatch.setattr(problem_module._Sampler, "pair_ratios", counted)
+    return sizes
+
+
+def check_batches(sizes, values, n):
+    # the batches the size asked for: n of one pair, or one of each kind
+    # present (the wobbling pairs start at the third sample)
+    assert sum(sizes) == n
+    assert len(sizes) == (n if values == 1 else 1 + (n >= 3))
+
+
+@pytest.mark.parametrize("values", BATCH_ENDS.values(), ids=BATCH_ENDS)
+@pytest.mark.parametrize("name", ["modes_wide", "parabolic_max", *EXTREMES])
+def test_estimate_does_not_depend_on_the_batch_size(name, values, monkeypatch):
+    prob = build_run(parse_config({**CONFIGS, **EXTREMES}[name])).problem
+    sizes = batch_sizes(monkeypatch, values)
+    for seed in range(3):
+        prefixes = reference_outcomes(prob, max(SAMPLE_COUNTS), seed)
+        for n in SAMPLE_COUNTS:
+            sizes.clear()
+            assert outcome(estimate_lipschitz_mg, prob, n, seed) == reference_outcome(prefixes, n)
+            if not isinstance(prefixes[n - 1], Exception):
+                check_batches(sizes, values, n)
+
+
+@pytest.mark.parametrize("values", BATCH_ENDS.values(), ids=BATCH_ENDS)
+@pytest.mark.parametrize("keys", OUTCOMES.values(), ids=OUTCOMES)
+def test_exceptions_do_not_depend_on_the_batch_size(keys, values, monkeypatch):
+    prob = parabolic(**keys)
+    want = outcome(reference_estimate, prob, 150, 0)
+    batch_sizes(monkeypatch, values)
+    assert outcome(estimate_lipschitz_mg, prob, 150, 0) == want

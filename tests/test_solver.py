@@ -708,6 +708,24 @@ class TestWindowFrame:
                        0.5 * drift, 10.0 * drift):
             assert _drift_exceeds(frame, radius) == (drift > radius)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_loaded_row_reaches_the_exact_pass(self, bad, monkeypatch):
+        prob = _integral_problem()
+        dt, m = 0.05, 4
+        seg = _wobbly_segment(0.5, dt, 3, seed=4)
+        frame = window_frame(prob, seg.values, 0.0, dt, m)
+        candidate = np.zeros((m + 1, frame.run.n_active))
+        candidate[0] = frame.phi0[frame.run.active]
+        candidate[2, 0] = bad
+        frame.load(candidate)
+        # every finite row passes the triangle-inequality screen at this
+        # radius; the exact pass is the only caller of linalg.norm here
+        norm, passes = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: passes.append(1) or norm(*a, **k))
+        # nan compares false with the radius, inf exceeds it
+        assert _drift_exceeds(frame, 1e300) == (bad == np.inf)
+        assert passes
+
     def test_window_invariants_are_computed_once_per_attempt(self, monkeypatch):
         import neutraldde.continuation as continuation
         from neutraldde import continue_solution
