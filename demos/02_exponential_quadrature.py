@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from neutraldde import SpectralOperator, generator_convolution, semigroup_convolution
+from neutraldde import SpectralOperator, exp_convolution
 
 mu, gamma, t = 5.0, 0.3, 1.0
 op = SpectralOperator([mu])
@@ -26,8 +26,8 @@ prev = None
 for dt in (2e-2, 1e-2, 5e-3, 2.5e-3):
     n = int(round(t / dt))
     vals = np.exp(gamma * dt * np.arange(n + 1))[:, None]
-    e_s = abs(semigroup_convolution(op, vals, n, dt)[0] - exact)
-    e_g = abs(generator_convolution(op, vals, n, dt)[0] - mu * exact)
+    e_s = abs(exp_convolution(op.mu, vals, dt)[-1, 0] - exact)
+    e_g = abs(exp_convolution(op.mu, op.mu * vals, dt)[-1, 0] - mu * exact)
     ratio = f"{prev / e_s:.2f}" if prev else ""
     print(f"{dt:>10.4g} {e_s:>18.3e} {e_g:>18.3e} {ratio:>7}")
     prev = e_s
@@ -39,7 +39,7 @@ for mu_c in (1.0, 2.0, 500.0):
     op_c = SpectralOperator([mu_c])
     n, dt = 1000, 1e-3
     vals = np.ones((n + 1, 1))
-    got = semigroup_convolution(op_c, vals, n, dt)[0]
+    got = exp_convolution(op_c.mu, vals, dt)[-1, 0]
     want = (1 - math.exp(-mu_c * n * dt)) / mu_c
     print(f"  mu={mu_c:<6}: got {got:.15g}, closed form {want:.15g}")
 print()
@@ -47,6 +47,6 @@ print()
 print("stiff mode, mu*dt = 50: the kernel collapses into the last cell")
 op_stiff = SpectralOperator([5000.0])
 n, dt = 20, 1e-2
-got = semigroup_convolution(op_stiff, np.ones((n + 1, 1)), n, dt)[0]
+got = exp_convolution(op_stiff.mu, np.ones((n + 1, 1)), dt)[-1, 0]
 want = (1 - math.exp(-5000.0 * 0.2)) / 5000.0
 print(f"  got {got:.15g}, closed form {want:.15g}, rel err {abs(got - want) / want:.1e}")

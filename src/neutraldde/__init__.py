@@ -16,13 +16,11 @@ from .errors import (
     NumericalBlowup,
     OracleUnavailable,
     SchemaError,
-    StitchingError,
 )
 from .history import (
     Segment,
     SegmentStack,
     SolutionPath,
-    extend,
     integral_norm_functional,
     max_norm_functional,
     segment_at,
@@ -49,9 +47,7 @@ from .solver import (
     SolverConfig,
     WindowResult,
     exp_convolution,
-    generator_convolution,
     heuristic_window,
-    semigroup_convolution,
     solve_window,
 )
 from .spectral import (

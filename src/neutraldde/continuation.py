@@ -11,15 +11,16 @@ the delay span, each window then takes the path's last n_h+1 rows and their
 norms as its history; ``segment_at`` serves only the bisection.  One
 ``RunFrame`` per run, built at the first window's width, holds what every
 window shares (the theta grid, the cell weights, the scan tables, the
-decay table and the warm start's weights), and dies with the run.  Each attempt solves in the free rows
-of the path's buffer past its end.  The run reserves them once, right
-after it builds its path: rows for its whole horizon, up to
-``_FIRST_PATH_VALUES`` values and at least one window, so a run that fits
-allocates its path once and a longer one doubles the buffer only past
-that size.  No attempt writes a row the run has committed, and a failed
-one leaves only free rows behind.  ``extend`` of the converged window checks
-its overlap with the path's endpoint and moves the fill mark past it, so
-the window's rows and norms are not copied again.
+decay table and the warm start's weights), and dies with the run.  The
+path is the run's alone, and each attempt solves in the free rows of its
+buffer past its end.  The run reserves them once, right after it builds
+its path: rows for its whole horizon, up to ``_FIRST_PATH_VALUES`` values
+and at least one window, so a run that fits allocates its path once and a
+longer one doubles the buffer only past that size.  No attempt writes a
+row the run has committed, and a failed one leaves only free rows behind.
+The converged window's first row is the path's last, so ``extend``
+commits its rows and norms where they were solved, and the run cuts its
+path at the exit by the grid index it holds.
 
 Each grid point is decided once.  t0 is decided on the one-slice stack of
 the initial grid rows (``check_initial_history``, which ``check`` calls
@@ -196,7 +197,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
             break
         stack, result.stack = result.stack, None  # the kept result holds no buffers
         windows.append(result)
-        path = extend(path, stack.current(), stack.current_norms())
+        path = extend(path, stack.n_windows - 1)
         scanned = prob.domain_functionals(stack)
         hit = prob.first_exit_slice(stack)
         if hit is None:
@@ -211,7 +212,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
             a, b = _refine_bracket(prob, path, t_i - cfg.dt, t_i, refine_tol)
             event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
         # keep the path through the first non-interior grid point
-        path = path.head(path.index_of(t_i) + 1)
+        path = path.head(n_h + done_cells + i + 1)
         break
 
     return Trajectory(path, np.concatenate(functionals), windows, event, event.time)

@@ -13,10 +13,6 @@ class HypothesisViolation(RuntimeError):
     """A structural hypothesis (contraction budget, smallness condition) fails."""
 
 
-class StitchingError(RuntimeError):
-    """Window values do not continue the existing path grid."""
-
-
 class NumericalBlowup(RuntimeError):
     """Non-finite values appeared during iteration."""
 

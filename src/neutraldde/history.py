@@ -15,12 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StitchingError
-
 #: Relative slack when matching times to grid indices.
 _GRID_EPS = 1e-9
-#: Largest overlap mismatch ``extend`` accepts between a window and the path.
-_STITCH_TOL = 1e-8
 
 
 def _require_divides(dt: float, span: float, what: str) -> None:
@@ -40,36 +36,18 @@ def _row_norms(values: np.ndarray) -> np.ndarray:
         return np.linalg.norm(values, axis=1)
 
 
-class _PathBuffer:
-    """Rows and row norms that a path shares with the paths extended from it.
-
-    Rows from ``filled`` on are free: a window frame solves there, and
-    ``extend`` writes a window there, in place, only when the path it
-    extends ends at ``filled``.
-    """
-
-    def __init__(self, rows: np.ndarray, norms: np.ndarray, filled: int):
-        self.rows = rows
-        self.norms = norms
-        self.filled = filled
-        self.address = rows.__array_interface__["data"][0]
-
-    def holds(self, values: np.ndarray, row: int) -> bool:
-        """Is ``values`` the view of the rows that starts at ``row``?"""
-        return (values.strides == self.rows.strides
-                and values.__array_interface__["data"][0]
-                == self.address + row * self.rows.strides[0])
-
-
 class SolutionPath:
     """Coefficient trajectory on the uniform grid t_start + i*dt, i = 0..n-1.
 
     ``values`` and ``norms`` (the row norms) are read-only views of the first
-    n rows of a buffer.  Each window is solved in the free rows past the
-    buffer's fill mark, and ``extend`` moves the mark past it.  A run sizes
-    the buffer for its horizon up to a bound, once; past that the buffer
-    doubles when it is full, so appending costs O(new rows) on average, not
-    a copy of the whole path.
+    n rows of the path's buffer; the rows past them are free.  A run solves
+    each window in the free rows past its path's end, and ``extend`` commits
+    it as a longer path over the same buffer.  The shorter path's free rows
+    are then the longer one's, so a run only solves after its newest path;
+    a head has no free rows, so an attempt after one works in a copy.  A
+    run sizes the buffer for its horizon up to a bound, once; past that the
+    buffer doubles when it is full, so appending costs O(new rows) on
+    average, not a copy of the whole path.
     """
 
     def __init__(self, t_start: float, dt: float, values):
@@ -82,28 +60,31 @@ class SolutionPath:
             raise ValueError("values must be a (n_times >= 2, n_modes) array")
         self.t_start = float(t_start)
         self.dt = float(dt)
-        self._buf = _PathBuffer(values, _row_norms(values), values.shape[0])
+        self._rows = values
+        self._norms = _row_norms(values)
         self._n = values.shape[0]
 
     @classmethod
-    def _over(cls, t_start: float, dt: float, buf: _PathBuffer, n: int) -> "SolutionPath":
-        # a path over the first n rows of a buffer that already holds them
+    def _over(cls, path: "SolutionPath", rows: np.ndarray, norms: np.ndarray,
+              n: int) -> "SolutionPath":
+        # a path on path's grid over the first n of rows and norms, which hold them
         obj = object.__new__(cls)
-        obj.t_start = t_start
-        obj.dt = dt
-        obj._buf = buf
+        obj.t_start = path.t_start
+        obj.dt = path.dt
+        obj._rows = rows
+        obj._norms = norms
         obj._n = n
         return obj
 
     @property
     def values(self) -> np.ndarray:
-        view = self._buf.rows[: self._n]
+        view = self._rows[: self._n]
         view.flags.writeable = False
         return view
 
     @property
     def norms(self) -> np.ndarray:
-        view = self._buf.norms[: self._n]
+        view = self._norms[: self._n]
         view.flags.writeable = False
         return view
 
@@ -118,31 +99,32 @@ class SolutionPath:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_times)
 
-    def _reserve(self, count: int) -> _PathBuffer:
-        """The path's buffer, with at least ``count`` free rows past its end.
+    def _reserve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The path's rows and row norms buffers, with at least ``count``
+        free rows past its end.
 
-        A buffer that is filled past the path's end, as a head's is, or that
-        is too short, is first replaced by a copy of the path's rows twice
-        their number or more, so no row another path holds is written.  A
-        run reserves its first free rows once, right after it builds its
+        A buffer with fewer free rows, as a head's, which has none, is first
+        replaced by a copy of the path's rows twice their number or more.
+        A run reserves its first free rows once, right after it builds its
         path (``continuation.continue_solution``), so its attempts find them
         free; a run longer than that first size doubles here.
         """
-        buf, n = self._buf, self._n
-        if buf.filled != n or n + count > buf.rows.shape[0]:
+        n = self._n
+        if n + count > self._rows.shape[0]:
             size = max(n + count, 2 * n)
-            rows = np.empty((size, buf.rows.shape[1]))
-            rows[:n] = buf.rows[:n]
+            rows = np.empty((size, self._rows.shape[1]))
+            rows[:n] = self._rows[:n]
             norms = np.empty(size)
-            norms[:n] = buf.norms[:n]
-            buf = self._buf = _PathBuffer(rows, norms, n)
-        return buf
+            norms[:n] = self._norms[:n]
+            self._rows, self._norms = rows, norms
+        return self._rows, self._norms
 
     def head(self, n: int) -> "SolutionPath":
-        """The path through its first n grid points; it shares this path's rows."""
+        """The path through its first n grid points; it shares this path's
+        rows and has no free rows."""
         if not 2 <= n <= self._n:
             raise ValueError(f"a head needs 2..{self._n} grid points, got {n}")
-        return SolutionPath._over(self.t_start, self.dt, self._buf, n)
+        return SolutionPath._over(self, self._rows[:n], self._norms[:n], n)
 
     def index_of(self, t: float) -> int:
         """Exact grid index of t; raises if t is off-grid."""
@@ -225,9 +207,6 @@ class Segment:
             # values broadcast along theta, a constant history: one row's norms
             return np.broadcast_to(np.linalg.norm(values[..., :1, :], axis=-1), values.shape[:-1])
         return np.linalg.norm(values, axis=-1)
-
-    def scaled(self, c: float) -> "Segment":
-        return Segment._trusted(self.h, self.thetas, c * self.values)
 
 
 def _float_or_array(x):
@@ -591,49 +570,15 @@ def segment_on_grid(seg: Segment, dt: float) -> np.ndarray:
     return np.vstack([seg.value_at(th) for th in thetas])
 
 
-def extend(path: SolutionPath, new_values, norms=None) -> SolutionPath:
-    """Append window values whose first row overlaps the current endpoint.
+def extend(path: SolutionPath, m: int) -> SolutionPath:
+    """The path through the m rows a converged window wrote, with their
+    norms, into the free rows past its end (``solver.WindowFrame``).
 
-    The overlap row replaces the stored endpoint.  A mismatch beyond
-    ``_STITCH_TOL``, or one that is not finite, is refused: the window was
-    solved from another state.  ``norms`` are the row norms of
-    ``new_values``, taken here when not given.
-
-    The rows go into the free rows of the path's buffer when the path ends
-    at the buffer's fill mark, the overlap row equals the endpoint and the
-    buffer has room.  Otherwise they go into a copy of twice the size, so
-    extending an older path never changes a path extended from it, and no
-    extension changes the path it extends.  A window solved in those free
-    rows (``solver.WindowFrame``) is there already and is not copied again:
-    its overlap is checked and the fill mark moves past it.
+    The window's first row is the path's last one, where it was solved
+    from, so nothing is stitched or copied: the longer path shares the
+    buffer.
     """
-    new_values = np.asarray(new_values, dtype=float)
-    buf, n = path._buf, path.n_times
-    if new_values.ndim != 2 or new_values.shape[0] < 1 or new_values.shape[1] != buf.rows.shape[1]:
-        raise StitchingError("new values must be (n >= 1, n_modes) matching the path")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is refused as nan
-        jump = float(np.linalg.norm(new_values[0] - buf.rows[n - 1]))
-    if not jump <= _STITCH_TOL:
-        raise StitchingError(f"overlap mismatch {jump:.3e} is not within the stitching tolerance")
-    if norms is None:
-        norms = _row_norms(new_values)
-    else:
-        norms = np.asarray(norms, dtype=float)
-        if norms.shape != new_values.shape[:1]:
-            raise ValueError(f"need one norm per new row, got shape {norms.shape}")
-    k = n - 1 + new_values.shape[0]
-    if buf.filled == n and jump == 0.0 and k <= buf.rows.shape[0]:
-        start = n  # the overlap row is the endpoint already
-    else:
-        start = n - 1
-        size = max(k, 2 * start)
-        rows = np.empty((size, new_values.shape[1]))
-        rows[:start] = buf.rows[:start]
-        row_norms = np.empty(size)
-        row_norms[:start] = buf.norms[:start]
-        buf = _PathBuffer(rows, row_norms, start)
-    if not buf.holds(new_values, n - 1):  # a window solved in the free rows is there already
-        buf.rows[start:k] = new_values[start - n + 1 :]
-    buf.norms[start:k] = norms[start - n + 1 :]
-    buf.filled = k
-    return SolutionPath._over(path.t_start, path.dt, buf, k)
+    free = path._rows.shape[0] - path.n_times
+    if not 1 <= m <= free:
+        raise ValueError(f"a window commits 1..{free} free rows of the path, got {m}")
+    return SolutionPath._over(path, path._rows, path._norms, path.n_times + m)

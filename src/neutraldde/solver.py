@@ -74,7 +74,8 @@ the path's last n_h+1 rows with their stored norms (dt divides the delay
 span, so every delayed value is a row of the path and nothing is
 resampled), and its candidates go into the free rows after them, so no
 history is copied and a converged window is committed where it was
-solved.  It computes once: phi(0), the grid times, the free evolution
+solved: ``extend`` only moves the path's end past its rows.  It computes
+once: phi(0), the grid times, the free evolution
 S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), which
 it keeps on the active columns and writes into the passive columns of the
 free rows, and the history's block of trapezoid sums for the delay
@@ -127,7 +128,6 @@ from .errors import DomainViolation, HypothesisViolation, NumericalBlowup
 from .history import (Segment, SegmentStack, SolutionPath, _first_block_sums,
                       _require_divides)
 from .problem import NeutralProblem
-from .spectral import SpectralOperator
 
 #: Below this z the closed-form weights lose the 1e-10 target to cancellation.
 _SERIES_Z = 0.04
@@ -294,33 +294,6 @@ def _product_scan(values: np.ndarray, w0: np.ndarray, w1: np.ndarray,
     return out
 
 
-def _checked_prefix(op: SpectralOperator, values, t_index: int, dt: float) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != op.n_modes:
-        raise ValueError("values must be (n_nodes, n_modes)")
-    if not 0 <= t_index < values.shape[0]:
-        raise ValueError(f"t_index {t_index} outside grid 0..{values.shape[0] - 1}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return values[: t_index + 1]
-
-
-def semigroup_convolution(op: SpectralOperator, values, t_index: int, dt: float) -> np.ndarray:
-    """Exact integral of e^(-mu (t-s)) against the piecewise-linear samples.
-
-    ``values`` holds the integrand on the grid s_0..s_n (one row per node);
-    the result is the per-mode convolution at t = s_0 + t_index*dt.
-    """
-    prefix = _checked_prefix(op, values, t_index, dt)
-    return exp_convolution(op.mu, prefix, dt)[-1]
-
-
-def generator_convolution(op: SpectralOperator, values, t_index: int, dt: float) -> np.ndarray:
-    """As semigroup_convolution but with the kernel mu e^(-mu (t-s))."""
-    prefix = _checked_prefix(op, values, t_index, dt)
-    return exp_convolution(op.mu, op.mu * prefix, dt)[-1]
-
-
 # ---------------------------------------------------------------------------
 # window solver
 
@@ -468,8 +441,8 @@ class WindowFrame:
     last, phi(0).  The path lends them with m free rows past its end
     (``SolutionPath._reserve``), which a run's path holds already unless
     the run has outgrown its first size; nothing the path holds is copied
-    or rewritten, and ``extend`` of the converged window checks its overlap
-    and moves the path's fill mark.  The problem, dt, the theta grid, the
+    or rewritten, and ``extend`` commits the converged window's m rows and
+    norms where they were written.  The problem, dt, the theta grid, the
     active columns, their cell weights and scan tables, the decay table
     and the warm start's weights come from the run's ``RunFrame``.
 
@@ -505,10 +478,10 @@ class WindowFrame:
         if path.dt != dt or path.n_times <= n_h or path.values.shape[1] != n_modes:
             raise ValueError(f"history must be a path of step {dt} holding at least "
                              f"{n_h + 1} grid rows of {n_modes} modes")
-        buf = path._reserve(m)
+        rows, norms = path._reserve(m)
         first = path.n_times - 1 - n_h
-        self.rows = buf.rows[first : first + n_h + m + 1]
-        self.norms = buf.norms[first : first + n_h + m + 1]
+        self.rows = rows[first : first + n_h + m + 1]
+        self.norms = norms[first : first + n_h + m + 1]
         self.prob = prob
         self.run = run
         self.t0 = t0

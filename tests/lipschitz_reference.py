@@ -12,6 +12,11 @@ import numpy as np
 from neutraldde import DomainViolation, InsufficientSamples, Segment, sup_norm
 
 
+def scaled(seg: Segment, c: float) -> Segment:
+    """The segment c * seg on seg's theta nodes."""
+    return Segment._trusted(seg.h, seg.thetas, c * seg.values)
+
+
 def _random_segment(rng, prob, thetas, constant=False, mode=None):
     """Random history on the theta grid ``thetas``, inside the domain band
     (functional kept mid-band)."""
@@ -32,7 +37,7 @@ def _random_segment(rng, prob, thetas, constant=False, mode=None):
     current = prob.domain_functional(seg)
     if current <= 0.0:
         return seg
-    return seg.scaled(target / current)
+    return scaled(seg, target / current)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -52,10 +57,10 @@ def reference_outcomes(prob, n_samples, seed):
             if style == 0:
                 mode = (i // 3) % prob.op.n_modes if prob.op.n_modes > 1 else None
                 s1 = _random_segment(rng, prob, thetas, constant=True, mode=mode)
-                s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
+                s2 = scaled(s1, 1.0 + float(rng.uniform(0.05, 0.2)))
             elif style == 1:
                 s1 = _random_segment(rng, prob, thetas, constant=True)
-                s2 = s1.scaled(1.0 + float(rng.uniform(0.05, 0.2)))
+                s2 = scaled(s1, 1.0 + float(rng.uniform(0.05, 0.2)))
             else:
                 s1 = _random_segment(rng, prob, thetas)
                 s2 = _random_segment(rng, prob, thetas)

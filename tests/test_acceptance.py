@@ -14,15 +14,14 @@ from neutraldde import (
     SpectralOperator,
     check_neutral_smallness,
     continue_solution,
-    generator_convolution,
     make_manufactured,
     segment_at,
     semigroup_bound_constant,
-    semigroup_convolution,
 )
 from neutraldde.cli import main
 from neutraldde.config import build_run, parse_config
 from neutraldde.scenarios import get_scenario
+from convolution_reference import generator_convolution, semigroup_convolution
 from neutral_contraction import sample_neutral_contraction
 
 

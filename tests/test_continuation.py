@@ -392,31 +392,59 @@ def test_bundled_scenario_iterates_stay_bounded(name, bound):
 
 def _workload_run(name, monkeypatch, first_values=None):
     """A benchmark workload's run at seed 7 (modes_wide: 256 modes) and the
-    number of path buffers it built, with the run's first buffer size
-    bound set to ``first_values`` when given."""
+    row buffers its paths held, in the order they were built, with the
+    run's first buffer size bound set to ``first_values`` when given."""
     built = build_run(parse_config(workloads.GENERATORS[name](7).config))
-    count = [0]
+    buffers = []
+    init, reserve = history.SolutionPath.__init__, history.SolutionPath._reserve
 
-    class CountedBuffer(history._PathBuffer):
-        def __init__(self, *args):
-            count[0] += 1
-            super().__init__(*args)
+    def counted_init(path, *args):
+        init(path, *args)
+        buffers.append(path._rows)
+
+    def counted_reserve(path, count):
+        rows, norms = reserve(path, count)
+        if not any(rows is buf for buf in buffers):
+            buffers.append(rows)
+        return rows, norms
 
     with monkeypatch.context() as patch:
-        patch.setattr(history, "_PathBuffer", CountedBuffer)
+        patch.setattr(history.SolutionPath, "__init__", counted_init)
+        patch.setattr(history.SolutionPath, "_reserve", counted_reserve)
         if first_values is not None:
             patch.setattr(continuation, "_FIRST_PATH_VALUES", first_values)
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
-    return traj, count[0]
+    return traj, buffers
+
+
+@pytest.mark.parametrize("name", ["mass_growth", "exit_fine"])
+def test_an_exit_cuts_the_path_at_its_first_non_interior_grid_point(name):
+    # the cut counts grid points from the exit slice's index, not by
+    # matching a time back to the grid: the path ends at the first grid
+    # point that is not interior, at or after tau, with one functional per
+    # grid point from t0
+    text = get_scenario(name) if name in scenario_names() else workloads.GENERATORS[name](7).config
+    built = build_run(parse_config(text))
+    prob = built.problem
+    traj = continue_solution(prob, built.initial_segment, 0.0, built.solver)
+    path = traj.path
+    assert traj.event.kind == "boundary_hit"
+    assert path.index_of(path.t_end) == path.n_times - 1
+    assert traj.functionals.shape == (path.n_times - round(prob.h / path.dt),)
+    assert path.t_end - path.dt <= traj.tau <= path.t_end
+    last, before = path.times()[-1], path.times()[-2]
+    assert not prob.membership(last, segment_at(path, last, prob.h)).is_inside
+    assert prob.membership(before, segment_at(path, before, prob.h)).is_inside
 
 
 @pytest.mark.parametrize("name", ["modes_wide", "exit_fine"])
 def test_a_run_sizes_its_path_buffer_once(name, monkeypatch):
     # the path's own buffer and the run's one reservation for its horizon;
-    # no attempt and no extend builds another
+    # no attempt and no extend builds another, and the run's path, cut at
+    # the exit or not, reads the last one in place
     traj, buffers = _workload_run(name, monkeypatch)
-    assert buffers == 2
-    assert traj.path.n_times <= traj.path._buf.rows.shape[0]
+    assert len(buffers) == 2
+    assert np.shares_memory(traj.path.values, buffers[-1])
 
 
 @pytest.mark.parametrize("name", ["modes_wide", "exit_fine"])
@@ -426,7 +454,7 @@ def test_a_run_past_its_first_buffer_size_doubles_to_the_same_answer(name, monke
     traj, _ = _workload_run(name, monkeypatch)
     n_modes = traj.path.values.shape[1]
     small, buffers = _workload_run(name, monkeypatch, first_values=16 * n_modes)
-    assert buffers > 2
+    assert len(buffers) > 2
     assert small.event == traj.event and small.tau.hex() == traj.tau.hex()
     for got, want in ((small.path.values, traj.path.values), (small.path.norms, traj.path.norms),
                       (small.functionals, traj.functionals)):

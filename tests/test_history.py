@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,15 @@ from neutraldde import (
     Segment,
     SegmentStack,
     SolutionPath,
-    StitchingError,
-    extend,
     integral_norm_functional,
     max_norm_functional,
     segment_at,
     sup_norm,
 )
-from neutraldde.history import _GRID_EPS, _RangeMax, _first_block_sums, segment_on_grid
+from neutraldde.history import _GRID_EPS, _RangeMax, _first_block_sums, extend, segment_on_grid
 
 from batch_rounding import integral_error_bound
+from lipschitz_reference import scaled
 
 
 def scalar_path(t_start, dt, samples):
@@ -178,82 +179,112 @@ class TestSegmentBatch:
             np.linalg.norm(np.repeat(row, 5, axis=1), axis=-1).tobytes()
 
 
-class TestExtend:
-    def test_idempotent_overlap(self):
-        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        out = extend(path, np.array([[3.0]]))
-        assert out.n_times == 3
-        np.testing.assert_array_equal(out.values, path.values)
+def commit(path, new):
+    """Write the rows ``new`` and their norms past the path's end, as a
+    window frame does, and commit them."""
+    rows, norms = path._reserve(len(new))
+    n = path.n_times
+    rows[n : n + len(new)] = new
+    norms[n : n + len(new)] = np.linalg.norm(new, axis=1)
+    return extend(path, len(new))
 
+
+class TestExtend:
     def test_append_advances_grid(self):
         path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        out = extend(path, np.array([[3.0], [4.0]]))
+        out = commit(path, np.array([[4.0]]))
         assert out.n_times == 4
         assert out.t_end == pytest.approx(0.3)
         assert out.values[-1, 0] == 4.0
-
-    def test_overlap_mismatch_rejected(self):
-        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        with pytest.raises(StitchingError):
-            extend(path, np.array([[4.0], [5.0]]))
-
-    def test_overlap_row_kept_from_new_window(self):
-        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        out = extend(path, np.array([[3.0 + 1e-10], [4.0]]))
-        assert out.values[2, 0] == 3.0 + 1e-10
-        assert path.values[2, 0] == 3.0  # the extended path keeps its endpoint
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_overlap_rejected(self, bad):
-        # nan > tol is False, so a plain threshold test let a nan overlap through
-        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        with pytest.raises(StitchingError):
-            extend(path, np.array([[bad], [4.0]]))
-        with pytest.raises(StitchingError):
-            extend(scalar_path(0.0, 0.1, [1.0, 2.0, bad]), np.array([[bad], [4.0]]))
+        assert path.n_times == 3 and np.shares_memory(out.values, path.values)
 
     def test_successive_extends_match_a_vstack_reference(self):
-        # 300 windows of 1-7 rows: in-place growth, doubling, and the copies
-        # an overlap row that differs from the endpoint forces
+        # 300 windows of 1-7 rows from a path of 5: in-place growth, and a
+        # buffer that doubles when its free rows run out
         rng = np.random.default_rng(3)
         ref = rng.normal(size=(5, 3))
         path = SolutionPath(-0.5, 0.1, ref)
-        for k in range(300):
+        buffers = [path._rows]
+        for _ in range(300):
             new = rng.normal(size=(int(rng.integers(1, 8)), 3))
-            new[0] = ref[-1] + (1e-10 if k % 7 == 0 else 0.0)
-            norms = None if k % 2 else np.linalg.norm(new, axis=1)
-            path = extend(path, new, norms)
-            ref = np.vstack([ref[:-1], new])
+            path = commit(path, new)
+            if path._rows is not buffers[-1]:
+                buffers.append(path._rows)
+            ref = np.vstack([ref, new])
             assert path.values.tobytes() == ref.tobytes()
             assert path.norms.tobytes() == np.linalg.norm(ref, axis=1).tobytes()
         assert path.t_end == pytest.approx(-0.5 + 0.1 * (ref.shape[0] - 1))
-
-    def test_extending_an_older_path_leaves_newer_ones_unchanged(self):
-        older = scalar_path(0.0, 0.1, np.arange(1.0, 11.0))
-        mid = extend(older, np.array([[10.0], [11.0]]))  # a copy with spare rows
-        newer = extend(mid, np.array([[11.0], [12.0], [13.0]]))
-        assert np.shares_memory(newer.values, mid.values)  # grown in place
-        kept = newer.values.copy(), newer.norms.copy(), mid.values.copy(), older.values.copy()
-        # mid no longer ends at its buffer's fill mark, and older's buffer is full
-        branch = extend(mid, np.array([[11.0], [-12.0]]))
-        other = extend(older, np.array([[10.0], [-11.0], [-12.0]]))
-        for path, want in zip((newer, mid, older), (kept[0], kept[2], kept[3])):
-            np.testing.assert_array_equal(path.values, want)
-        np.testing.assert_array_equal(newer.norms, kept[1])
-        np.testing.assert_array_equal(branch.values[-3:, 0], [10, 11, -12])
-        np.testing.assert_array_equal(other.values[-3:, 0], [10, -11, -12])
-        np.testing.assert_array_equal(branch.norms, np.abs(branch.values[:, 0]))
+        assert 3 <= len(buffers) <= 1 + math.ceil(math.log2(ref.shape[0] / 5))
 
     def test_path_rows_and_norms_are_read_only(self):
-        path = extend(scalar_path(0.0, 0.1, [1.0, 2.0, 3.0]), np.array([[3.0], [4.0]]))
-        for view in (path.values, path.norms, path.head(2).values):
+        path = commit(scalar_path(0.0, 0.1, [1.0, 2.0, 3.0]), np.array([[4.0]]))
+        for view in (path.values, path.norms, path.head(2).values, path.head(2).norms):
             with pytest.raises(ValueError):
                 view[0] = 0.0
 
-    def test_norms_must_match_the_new_rows(self):
+    def test_only_free_rows_are_committed(self):
         path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="one norm per new row"):
-            extend(path, np.array([[3.0], [4.0]]), np.ones(3))
+        with pytest.raises(ValueError, match="free rows"):
+            extend(path, 1)  # a new path has no free rows
+        free = path._reserve(4)[0].shape[0] - path.n_times
+        assert free >= 4
+        for m in (0, free + 1):
+            with pytest.raises(ValueError, match="free rows"):
+                extend(path, m)
+        assert extend(path, free).n_times == 3 + free
+        with pytest.raises(ValueError, match="free rows"):
+            extend(path.head(2), 1)  # a head has none
+
+    def test_extending_an_older_path_leaves_newer_ones_unchanged(self):
+        # a run holds an older point of its path only as a head, which has
+        # no free rows: a commit after it goes to a copy, and the newer path
+        # keeps its buffer, rows and norms
+        newer = commit(scalar_path(0.0, 0.1, np.arange(1.0, 11.0)), np.array([[11.0], [12.0]]))
+        older = newer.head(8)
+        rows, kept = newer._rows, (newer.values.copy(), newer.norms.copy())
+        branch = commit(older, np.array([[-9.0], [-10.0], [-11.0]]))
+        assert newer._rows is rows and not np.shares_memory(branch.values, rows)
+        np.testing.assert_array_equal(newer.values, kept[0])
+        np.testing.assert_array_equal(newer.norms, kept[1])
+        np.testing.assert_array_equal(older.values[:, 0], np.arange(1.0, 9.0))
+        np.testing.assert_array_equal(branch.values[:, 0], [1, 2, 3, 4, 5, 6, 7, 8, -9, -10, -11])
+        np.testing.assert_array_equal(branch.norms, np.abs(branch.values[:, 0]))
+
+    def test_a_head_keeps_its_rows_while_the_path_grows(self):
+        # the rows a newer commit writes lie past every head's end
+        path = commit(scalar_path(0.0, 0.1, [1.0, 2.0, 3.0]), np.array([[4.0]]))
+        head = path.head(path.n_times)
+        kept = head.values.tobytes(), head.norms.tobytes()
+        path = commit(path, np.array([[5.0], [6.0]]))
+        assert np.shares_memory(path.values, head.values)
+        assert (head.values.tobytes(), head.norms.tobytes()) == kept
+        assert head.n_times == 4 and path.n_times == 6
+
+    def test_reserve_keeps_the_buffer_while_rows_are_free(self):
+        path = scalar_path(0.0, 0.1, [1.0, 2.0, 3.0])
+        rows, norms = path._reserve(4)
+        for count in (1, 4):
+            got = path._reserve(count)
+            assert got[0] is rows and got[1] is norms
+        path = commit(path, np.array([[4.0], [5.0]]))
+        got = path._reserve(rows.shape[0] - path.n_times)
+        assert got[0] is rows and got[1] is norms
+
+    @pytest.mark.parametrize("count, size", [(1, 10), (7, 12)])
+    def test_reserve_copies_into_twice_the_rows_or_more(self, count, size):
+        # a full buffer of 5 rows grows to max(5 + count, 2 * 5); the copy
+        # holds the rows and norms bit for bit, and the old buffer is kept
+        # by the paths that still read it
+        rng = np.random.default_rng(5)
+        path = SolutionPath(0.0, 0.1, rng.normal(size=(5, 3)))
+        old = path.values
+        kept = path.values.tobytes(), path.norms.tobytes()
+        rows, norms = path._reserve(count)
+        assert rows.shape == (size, 3) and norms.shape == (size,)
+        assert not np.shares_memory(rows, old)
+        assert (rows[:5].tobytes(), norms[:5].tobytes()) == kept
+        assert (path.values.tobytes(), path.norms.tobytes()) == kept
+        assert old.tobytes() == kept[0]
 
 
 segment_pair = st.integers(min_value=2, max_value=30).flatmap(
@@ -287,11 +318,11 @@ def test_functionals_scale_homogeneously(data, c):
     n, vals, _, h = data
     thetas = np.linspace(-h, 0.0, n)
     seg = scalar_segment(h, thetas, vals)
-    scaled = seg.scaled(c)
-    assert integral_norm_functional(scaled) == pytest.approx(
+    seg_c = scaled(seg, c)
+    assert integral_norm_functional(seg_c) == pytest.approx(
         c * integral_norm_functional(seg), rel=1e-12, abs=1e-12
     )
-    assert sup_norm(scaled) == pytest.approx(c * sup_norm(seg), rel=1e-12, abs=1e-12)
+    assert sup_norm(seg_c) == pytest.approx(c * sup_norm(seg), rel=1e-12, abs=1e-12)
 
 
 @st.composite

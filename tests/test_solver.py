@@ -23,12 +23,10 @@ from neutraldde import (
     current_value_window,
     exp_convolution,
     full_history_window,
-    generator_convolution,
     heuristic_window,
     make_dirichlet_laplacian,
     make_manufactured,
     max_norm_functional,
-    semigroup_convolution,
     segment_at,
     sine_profile_coeffs,
     solve_window,
@@ -49,6 +47,7 @@ from neutraldde.solver import (
     cell_weights,
     evaluate_window_operator,
 )
+from convolution_reference import generator_convolution, semigroup_convolution
 from neutral_contraction import sample_neutral_contraction
 
 
@@ -508,7 +507,7 @@ class TestSolveWindow:
         cfg = SolverConfig(dt=dt, window=0.1, tol=tol, max_iter=max_iter)
         run, path = window_inputs(prob, seg.values, 0.0, dt, 10)
         out = solve_window(run, path, 0.0, cfg, 1.0, 10)
-        rows = path._buf.rows[path.n_times - 1 : path.n_times + 10].copy()
+        rows = path._rows[path.n_times - 1 : path.n_times + 10].copy()
         return out, rows, prob, seg, dt
 
 
@@ -1358,8 +1357,9 @@ def test_attempts_write_only_the_rows_past_the_path():
     # A frame solves in the path's own buffer: its free rows past the end.
     # A failed attempt (diverged, left the trust region, blown up) and a
     # halved retry leave every committed row and norm of the path, and of
-    # an earlier head, as they were; an attempt after a head works in a
-    # copy, and a converged window is committed without a copy.
+    # an earlier head, as they were; an attempt after a head, which has no
+    # free rows, works in a copy, and a converged window is committed
+    # without a copy.
     from neutraldde.history import SolutionPath, extend
 
     prob = _integral_problem()
@@ -1367,10 +1367,10 @@ def test_attempts_write_only_the_rows_past_the_path():
     run = RunFrame(prob, dt, m)
     path = SolutionPath(-0.5, dt, _wobbly_segment(0.5, dt, 3, seed=3).values)
     out = solve_window(run, path, 0.0, SolverConfig(dt=dt, window=0.3), 1.0, m)
-    buf = path._buf
-    assert out.converged and np.shares_memory(out.stack.values, buf.rows)
-    path = extend(path, out.stack.current(), out.stack.current_norms())
-    assert path._buf is buf and path.n_times == 11 + m
+    rows = path._rows
+    assert out.converged and np.shares_memory(out.stack.values, rows)
+    path = extend(path, out.stack.n_windows - 1)
+    assert path._rows is rows and path.n_times == 11 + m
     head = path.head(path.n_times - 2)
     kept = [(p, p.values.tobytes(), p.norms.tobytes()) for p in (path, head)]
 
@@ -1386,16 +1386,18 @@ def test_attempts_write_only_the_rows_past_the_path():
         for damping in (1.0, 0.5):
             assert solve_window(run, path, t0, cfg, damping, k).status == status
             assert unchanged() and path.n_times == 11 + m
-    # a head's buffer is filled past its end: its attempt writes a copy
+    # a head has no free rows: its attempt writes a copy
     out = solve_window(run, head, t0 - 2 * dt, SolverConfig(dt=dt, window=0.3), 1.0, m)
-    assert out.converged and not np.shares_memory(out.stack.values, path._buf.rows)
+    assert out.converged and not np.shares_memory(out.stack.values, path._rows)
     assert unchanged()
 
     f = FunctionalAffineTerm(0.0, 1e300, [1.0], "integral")
     blowup = NeutralProblem(SpectralOperator([1.0]), 0.5, 2.0, 0.5, ZeroTerm(), f,
                             DomainSpec("time_only"), 0.0)
     ones = SolutionPath(-0.5, dt, np.ones((11, 1)))
-    ones = extend(ones, np.ones((3, 1)))
+    rows, norms = ones._reserve(2)
+    rows[11:13], norms[11:13] = 1.0, 1.0
+    ones = extend(ones, 2)
     head = ones.head(12)
     kept = [(p, p.values.tobytes(), p.norms.tobytes()) for p in (ones, head)]
     for hist in (ones, head):
