@@ -340,14 +340,12 @@ class SegmentStack:
     cell and weight (the rows where it snaps to a node, the rows and weights
     where it lies strictly inside a cell) and the rows of the interior nodes.
     ``gather`` reads the stored norms at those rows, interpolates the inner
-    edges and takes the range maximum.  ``max_norms`` does both on every
-    call.  ``window_edges`` locates a term's window at the slice times once
-    per store of located edges, and resolves it only when its edges differ
-    from the last ones a run's store resolved for that window and slice
-    count.  A stack that a ``WindowFrame`` loads shares its frame's times and
-    store and its run's store: every later candidate only gathers, and a
-    window whose edges repeat across attempts, as lo = hi = 0 and the whole
-    slice do, is resolved once per run and width.
+    edges and takes the range maximum.  ``window_edges`` keeps what
+    ``resolve`` gives for a term's window in one store, keyed by the window
+    and the slice count.  A stack that a ``WindowFrame`` loads shares its
+    run's store, so the whole slice and every window with both slopes 1,
+    whose edges are the same at every time, are resolved once per run and
+    width, and a moving window once per window start.
     """
 
     def __init__(self, h: float, dt: float, values, t_first: float = 0.0):
@@ -361,23 +359,21 @@ class SegmentStack:
         self.values = values
         self.n_windows = values.shape[0] - self.n_h
         self.thetas = -self.h + self.dt * np.arange(self.n_h + 1)
-        self.norms = np.linalg.norm(values, axis=1)
+        self.norms = _row_norms(values)
         self.times = float(t_first) + self.dt * np.arange(self.n_windows)
-        self._edges = {}
         self._run_edges = {}
         self._history_sums = None
 
     @classmethod
     def _trusted(cls, h: float, dt: float, thetas: np.ndarray, values: np.ndarray,
-                 norms: np.ndarray, times: np.ndarray, edges: dict,
+                 norms: np.ndarray, times: np.ndarray,
                  history_sums: np.ndarray | None, run_edges: dict) -> "SegmentStack":
         # Solver-internal constructor: rows, theta grid and row norms come
         # from a caller that already holds them consistent.  The stack reads
         # the arrays in place, so it is valid until the caller rewrites them.
-        # ``edges`` is the caller's store of windows located at ``times``;
         # ``history_sums``, when given, is ``_first_block_sums`` of the
-        # first n_h+1 norms; ``run_edges`` is the caller's store of the last
-        # (lo, hi) resolved per window and slice count on this theta grid.
+        # first n_h+1 norms; ``run_edges`` is the caller's ``window_edges``
+        # store on this theta grid and step.
         obj = object.__new__(cls)
         obj.h = h
         obj.dt = dt
@@ -387,7 +383,6 @@ class SegmentStack:
         obj.thetas = thetas
         obj.norms = norms
         obj.times = times
-        obj._edges = edges
         obj._run_edges = run_edges
         obj._history_sums = history_sums
         return obj
@@ -453,36 +448,23 @@ class SegmentStack:
         first = np.arange(self.n_windows)
         return -self._min_table.query(first, first + self.n_h)
 
-    def max_norms(self, lo, hi) -> np.ndarray:
-        """``max_norm_functional`` of slice i over [lo[i], hi[i]], for every i."""
-        return self.gather(self.resolve(lo, hi))
-
     def window_edges(self, window) -> WindowEdges:
         """``resolve`` of a term's ``WindowFns`` at the slice times, or of the
         whole slice for None.
 
-        Each window is located once per edge store.  ``resolve`` depends on
-        (lo, hi), the theta grid and the slice count alone, so windows equal
-        to the last ones resolved for this window and slice count in the run
-        store reuse their edges; others are resolved and replace them.  The
-        whole slice and a window whose edges are the same at every time
-        (``WindowFns.fixed``) are not located again once the run store
-        holds them.
+        ``resolve`` depends on (lo, hi), the theta grid and the slice count
+        alone, so the store keeps one entry per window and slice count, with
+        the first slice time it was located at.  The whole slice and a fixed
+        window (``WindowFns.fixed``) reuse it at any time; a moving window
+        only at that first slice time, as every iterate and retry of one
+        window start has, and is otherwise located again.
         """
-        edges = self._edges.get(window)
-        if edges is None:
-            key = (window, self.n_windows)
-            last = self._run_edges.get(key)
-            if last is None or not (window is None or window.fixed):
-                if window is None:
-                    lo, hi = -self.h, 0.0
-                else:
-                    lo, hi = window.windows_at(self.times, self.h)
-                if last is None or not (np.array_equal(last[0], lo)
-                                        and np.array_equal(last[1], hi)):
-                    last = self._run_edges[key] = (lo, hi, self.resolve(lo, hi))
-            edges = self._edges[window] = last[2]
-        return edges
+        key = (window, self.n_windows)
+        entry = self._run_edges.get(key)
+        if entry is None or not (window is None or window.fixed or entry[0] == self.times[0]):
+            lo, hi = (-self.h, 0.0) if window is None else window.windows_at(self.times, self.h)
+            entry = self._run_edges[key] = (self.times[0], self.resolve(lo, hi))
+        return entry[1]
 
     def resolve(self, lo, hi) -> WindowEdges:
         """Check and clip the windows [lo[i], hi[i]] and locate them on the grid."""

@@ -129,11 +129,14 @@ class WindowFns:
     alpha1: float
 
     def windows_at(self, times: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Window edges [lo, hi] in segment coordinates, clipped to [-h, 0], at
-        every entry of an array of times; raises when one is not finite or
-        leaves [-h, 0]."""
-        lo = self.beta0 + self.beta1 * times - times
-        hi = self.alpha0 + self.alpha1 * times - times
+        """Window edges [lo, hi] = [b0 + (b1 - 1) t, a0 + (a1 - 1) t] in segment
+        coordinates, clipped to [-h, 0], at every entry of an array of times
+        (a unit slope adds exactly 0.0 at every finite t); raises when one is
+        not finite or leaves [-h, 0]."""
+        # a product that overflows gives a non-finite edge, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = self.beta0 + (self.beta1 - 1.0) * times
+            hi = self.alpha0 + (self.alpha1 - 1.0) * times
         eps = 1e-9 * max(1.0, h)
         # negated, so that a nan edge is bad too
         bad = ~((lo <= hi + eps) & (lo >= -h - eps) & (hi <= eps))
@@ -148,10 +151,9 @@ class WindowFns:
 
     @property
     def fixed(self) -> bool:
-        """Are the edges the same at every time?  For beta = alpha = t they
-        are 0 + t - t, exactly 0 at every finite t; any other offset or
-        slope can round differently from one time to the next."""
-        return self.beta0 == self.alpha0 == 0.0 and self.beta1 == self.alpha1 == 1.0
+        """Are the edges the same at every time?  With both slopes 1 they are
+        b0 + 0.0 t and a0 + 0.0 t, exactly b0 and a0 at every finite t."""
+        return self.beta1 == self.alpha1 == 1.0
 
     def validate(self, h: float, T: float) -> None:
         # All constraints are affine in t, so the endpoints decide.

@@ -63,26 +63,27 @@ grid, the active columns with their rates and cell weights and, at the
 run's first window width, the node offsets, the decay table e^(-mu s) of
 the free evolution on every column, the scan tables of the active ones
 and the warm start's weights; a run only narrows its windows, and a
-narrower one reads a prefix of each table.  It also keeps the running-max
-window edges last resolved per window and width: their cells, weights and
+narrower one reads a prefix of each table.  It also keeps the run's one
+store of resolved running-max window edges: their cells, weights and
 interior-node bounds depend on the windows (lo, hi), the theta grid and
-the slice count alone, so an attempt whose windows equal the stored ones
-to the bit, as lo = hi = 0 and the whole slice do on every attempt,
-reuses them.  Per attempt, one ``WindowFrame`` is shared by every
-fixed-point iterate.  It works in the path's own buffer: its history is
-the path's last n_h+1 rows with their stored norms (dt divides the delay
-span, so every delayed value is a row of the path and nothing is
-resampled), and its candidates go into the free rows after them, so no
-history is copied and a converged window is committed where it was
-solved: ``extend`` only moves the path's end past its rows.  It computes
-once: phi(0), the grid times, the free evolution
+the slice count alone.  A window whose slopes are both 1, as the whole
+slice's and the current value's are, has the same edges at every time and
+is resolved once per width; a moving window is resolved once per window
+start, and a retry at that start reuses it.  Per attempt, one
+``WindowFrame`` is shared by every fixed-point iterate.  It works in the
+path's own buffer: its history is the path's last n_h+1 rows with their
+stored norms (dt divides the delay span, so every delayed value is a row
+of the path and nothing is resampled), and its candidates go into the
+free rows after them, so no history is copied and a converged window is
+committed where it was solved: ``extend`` only moves the path's end past
+its rows.  It computes once: phi(0), the grid times, the free evolution
 S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), which
 it keeps on the active columns and writes into the passive columns of the
 free rows, and the history's block of trapezoid sums for the delay
-masses.  Its first iterate locates each running-max window at the grid
-times and takes the run's edges or resolves new ones, so every later
-iterate only gathers norms at the resolved rows.  Each candidate is loaded
-once: ``load`` writes the active columns of its rows 1..m and their norms
+masses.  Its first iterate takes each running-max window's edges from the
+run's store or resolves them there, so every later iterate only gathers
+norms at the resolved rows.  Each candidate is loaded once: ``load``
+writes the active columns of its rows 1..m and their norms
 (row 0 is phi(0), the path's last row, and keeps its stored norm), the
 trust-region screen reads the stored norms, and the operator then calls
 each term's ``evaluate_window`` on the same stack and the active columns
@@ -191,8 +192,10 @@ def cell_weights(mu, dt: float) -> tuple[np.ndarray, np.ndarray]:
     if np.any(big):
         zb = z[big]
         ez = np.exp(-zb)
-        w0[big] = (1.0 - ez * (1.0 + zb)) / zb**2
-        w1[big] = (zb - 1.0 + ez) / zb**2
+        with np.errstate(over="ignore"):  # past z = 1e154, inf: both weights 0
+            zb2 = zb * zb
+        w0[big] = (1.0 - ez * (1.0 + zb)) / zb2
+        w1[big] = (zb - 1.0 + ez) / zb2
     return dt * w0, dt * w1
 
 
@@ -230,7 +233,7 @@ class _ScanTables:
     prefix of each table: what a k-cell build gives, bit for bit.
     """
 
-    @np.errstate(divide="ignore")
+    @np.errstate(divide="ignore", over="ignore")
     def __init__(self, mu: np.ndarray, dt: float, n_cells: int):
         z = mu * dt
         self.span = np.floor(1.0 / z) + 1.0
@@ -399,11 +402,10 @@ class RunFrame:
     step is fixed by m and the history, not by the window.  A window of
     k <= m cells reads the first k+1 rows of the decay table and of
     ``warm``, and a prefix of each scan table, bitwise what a k-cell build
-    at the same step gives.  ``edges`` keeps the
-    last resolved running-max window edges per window and slice count
-    (``SegmentStack.window_edges``): an attempt whose windows repeat them,
-    as lo = hi = 0 and the whole slice do, only gathers.  The tables go
-    with the frame, never into a module- or operator-level cache.
+    at the same step gives.  ``edges`` is the run's one store of resolved
+    running-max window edges (``SegmentStack.window_edges``).  Terms are
+    shared across runs, so the tables and the store go with the frame,
+    never into a module- or operator-level cache.
     """
 
     def __init__(self, prob: NeutralProblem, dt: float, m: int):
@@ -460,13 +462,9 @@ class WindowFrame:
     row 0 keeps the path's stored norm.  A run with no passive column
     sums every row as the plain row norm does.  ``load`` returns a stack
     over the buffers at the frame's grid times; that stack is valid until
-    the next ``load``.  ``edges`` is the attempt's store of running-max
-    window edges, keyed by the term's ``WindowFns`` (None for the full
-    window), that every loaded stack shares with the run's store: its
-    ``window_edges`` locates each window at the grid times on the first
-    iterate that needs it, resolving it only when the run's last edges for
-    that window and width differ, and the rest gather.  Terms are shared
-    across frames and runs, so the stores live on the frames.
+    the next ``load``.  Every loaded stack shares the run's store of
+    running-max window edges (``RunFrame``), so the first iterate that
+    needs a window locates it or finds it stored, and the rest gather.
     """
 
     def __init__(self, run: RunFrame, path: SolutionPath, t0: float, m: int):
@@ -511,7 +509,6 @@ class WindowFrame:
             squares[:, run.active] = 0.0
             self._passive_sums = np.add.reduce(squares, axis=1)
         self._squares = np.empty((m, run.n_active))
-        self.edges: dict = {}
 
     def load(self, candidate: np.ndarray) -> SegmentStack:
         """Write rows 1..m of the candidate, (m+1, n_active) values of the
@@ -533,8 +530,7 @@ class WindowFrame:
             norms += self._passive_sums
         np.sqrt(norms, out=norms)
         return SegmentStack._trusted(self.prob.h, self.dt, self.run.thetas, self.rows,
-                                     self.norms, self.times, self.edges, self._history_sums,
-                                     self.run.edges)
+                                     self.norms, self.times, self._history_sums, self.run.edges)
 
 
 def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndarray:

@@ -305,6 +305,9 @@ _BAD_VALUES = [
     ("g_profile = modes:1.0", "g_profile = modes:nan", []),
     ("g_profile = modes:1.0", "g_profile = sine:1:nan", []),
     ("g_y_max = 1e9", "g_y_max = 1e9\ng_window = affine:nan,1,0,1", []),
+    # an edge slope of inf is nan at t = 0, and one of 1e308 overflows at T = 2
+    ("g_y_max = 1e9", "g_y_max = 1e9\ng_window = affine:-1,1,0,inf", []),
+    ("T = 0.4", "T = 2.0\ng_window = affine:-1,1e308,0,1", []),
     # spans shorter than one grid step round to 0 steps, and an infinite
     # band width makes the band tolerance infinite
     ("h = 0.2", "h = 1e-300", []),
@@ -324,7 +327,9 @@ def test_out_of_range_or_non_finite_value_exits_2(tmp_path, capsys, command, old
     argv = [command, "--config", str(cfg), *extra]
     if command == "run":
         argv += ["--out", str(tmp_path)]
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("schema error:") and "\n" not in err
 
@@ -429,6 +434,31 @@ def test_overflow_is_reported_without_a_numpy_warning(tmp_path, capsys, command,
         assert main(_argv(command, cfg, tmp_path)) == code
     err = capsys.readouterr().err.strip()
     assert err.startswith(prefix) and "\n" not in err
+
+
+#: (scenario, line, replacement, event): values at the end of the float
+#: range that a run takes to its end: a history norm, 1/mu and mu^2 overflow
+_RUN_OVERFLOWS = [
+    ("manufactured_decay", "amps = 1.0", "amps = 1e308", "solver_failure:left_trust_region"),
+    ("parabolic_max", "length = 3.141592653589793", "length = 1e154", "reached_horizon"),
+    ("parabolic_delay_mass", "length = 3.141592653589793", "length = 1e154",
+     "solver_failure:left_trust_region"),
+    ("mass_growth", "mu = 1.0", "mu = 1e308", "boundary_hit:vanishing"),
+]
+
+
+@pytest.mark.parametrize("name, old, new, event", _RUN_OVERFLOWS,
+                         ids=[f"{name} {new}" for name, _, new, _ in _RUN_OVERFLOWS])
+def test_overflowing_run_ends_without_a_numpy_warning(tmp_path, capsys, name, old, new, event):
+    text = get_scenario(name)
+    assert old in text
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(_argv("run", cfg, tmp_path)) == 0
+    out, err = capsys.readouterr()
+    assert f"event: {event}\n" in out and err == ""
 
 
 #: (scenario, key line, value): every neutral-term key, band width and

@@ -447,7 +447,7 @@ def test_stack_window_max_matches_scalar(stack, data):
         a, b = sorted((data.draw(edge), data.draw(edge)))
         lo.append(a)
         hi.append(b)
-    got = stack.max_norms(np.array(lo), np.array(hi))
+    got = stack.gather(stack.resolve(np.array(lo), np.array(hi)))
     for i in range(stack.n_windows):
         want = max_norm_functional(slice_segment(stack, i), lo[i], hi[i])
         # endpoint norms may sum the modes in another order
@@ -466,7 +466,7 @@ def test_stack_window_edges_on_near_and_off_nodes_match_scalar(offset):
         edge = float(stack.thetas[j]) + offset * dt
         edge = min(max(edge, -stack.h), 0.0)
         for lo, hi in [(edge, edge), (-stack.h, edge), (edge, 0.0)]:
-            got = stack.max_norms(lo, hi)
+            got = stack.gather(stack.resolve(lo, hi))
             for i in range(n_windows):
                 want = max_norm_functional(slice_segment(stack, i), lo, hi)
                 assert got[i] == pytest.approx(want, rel=4 * EPS, abs=0.0)
@@ -513,7 +513,7 @@ def test_stack_integral_norms_match_the_padded_block_reference(data):
     assert stack.integral_norms().tobytes() == want.tobytes()
     sums = rng.uniform(0.0, 3.0, size=n_h)
     framed = SegmentStack._trusted(stack.h, dt, stack.thetas, values, stack.norms,
-                                   stack.times, {}, sums, {})
+                                   stack.times, sums, {})
     want = padded_block_integral_norms(stack.norms, n_h, dt, sums)
     assert framed.integral_norms().tobytes() == want.tobytes()
 
@@ -585,7 +585,7 @@ def test_non_finite_window_edges_are_refused_alike(lo, hi):
     thetas = np.linspace(-1.0, 0.0, 11)
     stack = SegmentStack(1.0, 0.1, np.ones((11, 1)))
     with pytest.raises(ValueError, match="non-finite edge") as batch:
-        stack.max_norms(lo, hi)
+        stack.resolve(lo, hi)
     with pytest.raises(ValueError, match="non-finite edge") as scalar:
         max_norm_functional(scalar_segment(1.0, thetas, np.ones(11)), lo, hi)
     assert str(batch.value) == str(scalar.value)
@@ -598,6 +598,6 @@ def test_stack_rejects_short_arrays_and_bad_windows():
         SegmentStack(0.1, 0.25, np.zeros((4, 1)))  # delay shorter than a step
     stack = SegmentStack(1.0, 0.25, np.ones((6, 1)))
     with pytest.raises(ValueError):
-        stack.max_norms(-0.2, -0.5)
+        stack.resolve(-0.2, -0.5)
     with pytest.raises(ValueError):
-        stack.max_norms(-2.0, 0.0)
+        stack.resolve(-2.0, 0.0)

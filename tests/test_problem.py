@@ -150,6 +150,17 @@ class TestMaxWindowFunctional:
             WindowFns(beta0=-2.0, beta1=1.0, alpha0=0.0, alpha1=1.0).windows_at(
                 np.array([0.0, 0.5]), 1.0)
 
+    @pytest.mark.parametrize("edges", [(-0.1, 1.0, 0.0, 1.0), (-0.731, 1.0, -0.3, 1.0),
+                                       (-1.0, 1.0, 0.0, 1.0)])
+    def test_unit_slope_window_edges_are_exact_constants(self, edges):
+        # b0 + (1 - 1) t is b0 at every finite t, where b0 + t - t rounds
+        # with t: -0.09999999997671694 for b0 = -0.1 at t = 1e6
+        window = WindowFns(*edges)
+        times = np.array([0.0, 0.37, 2.5, 1e6])
+        lo, hi = window.windows_at(times, 1.0)
+        assert window.fixed
+        assert np.all(lo == window.beta0) and np.all(hi == window.alpha0)
+
     @pytest.mark.parametrize("edges", [(np.nan, 1.0, 0.0, 1.0), (-0.5, 1.0, np.nan, 1.0),
                                        (-0.5, np.nan, 0.0, 1.0)])
     def test_window_with_a_nan_edge_rejected(self, edges):
@@ -161,11 +172,12 @@ class TestMaxWindowFunctional:
 
     def test_window_closing_at_the_current_value_keeps_lo_at_most_hi(self):
         # beta(t) = -0.15 + 1.06 t reaches alpha(t) = t at T = 2.5, where
-        # beta - t rounds to 4.4e-16 > alpha - t = 0, inside the slack
+        # beta - t = -0.15 + 0.06 t rounds to 1.4e-16 > alpha - t = 0,
+        # inside the slack
         window = WindowFns(beta0=-0.15, beta1=1.06, alpha0=0.0, alpha1=1.0)
         window.validate(1.0, 2.5)
         times = np.array([2.4, 2.5])
-        assert window.beta0 + window.beta1 * times[-1] - times[-1] > 0.0
+        assert window.beta0 + (window.beta1 - 1.0) * times[-1] > 0.0
         lo, hi = window.windows_at(times, 1.0)
         assert np.all(lo <= hi) and lo[-1] == hi[-1] == 0.0
         term = FunctionalAffineTerm(0.0, 1.0, np.ones(2), "max", window=window)

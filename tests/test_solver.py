@@ -1035,7 +1035,7 @@ def test_frame_resolved_window_maxima_match_the_reference(data):
                 got = term.functional_values(stack)
                 lo, hi = (-1.0, 0.0) if w is None else w.windows_at(frame.times, 1.0)
                 lo, hi = np.broadcast_to(lo, (m + 1,)), np.broadcast_to(hi, (m + 1,))
-                np.testing.assert_array_equal(got, fresh.max_norms(lo, hi))
+                np.testing.assert_array_equal(got, fresh.gather(fresh.resolve(lo, hi)))
                 for i in range(m + 1):
                     seg = Segment._trusted(1.0, thetas, fresh.values[i : i + n_h + 1])
                     want = max_norm_functional(seg, lo[i], hi[i])
@@ -1049,14 +1049,16 @@ def test_run_resolved_window_edges_match_a_fresh_resolve(data):
     # One run's attempts in the order a march gives them: a window halved on
     # failure, accepted windows at the run's width and a last window cut at
     # the horizon, two loads each.  Every gather must be what a fresh
-    # resolve of the same windows gives, to the bit; the whole slice and
-    # lo = hi = 0 are resolved once per width, whatever the window start.
+    # resolve of the same windows gives, to the bit.  The run's store holds
+    # the edges every stack gathers at: the whole slice and every window
+    # with both slopes 1 are resolved once per width, whatever the window
+    # start, and a moving window once per attempt's start.
     n_h = data.draw(st.sampled_from([4, 5, 8, 10]))
     dt = 1.0 / n_h
     m = data.draw(st.integers(1, n_h))
     n_modes = data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    # an affine window off the nodes, its edges rounded per window start
+    # a unit-slope affine window off the nodes
     b0 = -1.0 + data.draw(st.floats(0.05, 0.45))
     a0 = b0 + data.draw(st.floats(0.0, 0.5))
     windows = [None, current_value_window(), WindowFns(b0, 1.0, a0, 1.0), MOVING_WINDOW]
@@ -1067,15 +1069,19 @@ def test_run_resolved_window_edges_match_a_fresh_resolve(data):
     start, k = 0, m
     while start < n_h:
         frame = window_frame(prob, hist, start * dt, dt, k, run)
+        at_start = {}
         for _ in range(2):
             stack = frame.load(rng.uniform(-2.0, 2.0, size=(k + 1, n_modes)))
             fresh = SegmentStack(1.0, dt, stack.values.copy())
             for w in windows:
-                got = stack.gather(stack.window_edges(w))
+                edges = stack.window_edges(w)
+                got = stack.gather(edges)
                 lo, hi = (-1.0, 0.0) if w is None else w.windows_at(frame.times, 1.0)
                 assert got.tobytes() == fresh.gather(fresh.resolve(lo, hi)).tobytes()
-        for w in windows[:2]:
-            assert frame.edges[w] is first.setdefault((w, k), frame.edges[w])
+                assert edges is run.edges[(w, k + 1)][1]
+                assert edges is at_start.setdefault(w, edges)
+        for w in windows[:3]:
+            assert at_start[w] is first.setdefault((w, k), at_start[w])
         if k > 1 and data.draw(st.booleans()):
             k //= 2  # the attempt failed
         else:
@@ -1408,19 +1414,20 @@ def test_attempts_write_only_the_rows_past_the_path():
 
 
 def test_fixed_window_edges_are_located_once_per_run(monkeypatch):
-    # lo = hi = 0 + t - t is 0 at every finite t, so a current-value window
-    # is located once per run and width; the edges each attempt gathers at
-    # are still what resolve gives for windows_at at its own grid times.
-    # The whole-history window is not fixed: (-h + t) - t rounds with t.
+    # A window whose slopes are both 1 has the edges b0 + 0.0 t and
+    # a0 + 0.0 t, exactly b0 and a0 at every finite t, so the current-value
+    # window, the whole-history window and any unit-slope affine window are
+    # located once per run and width; the edges each attempt gathers at are
+    # still what resolve gives for windows_at at its own grid times.
     import neutraldde.continuation as continuation
     from neutraldde import continue_solution
     from neutraldde.config import build_run, parse_config
     from neutraldde.scenarios import get_scenario
 
-    assert current_value_window().fixed and not full_history_window(0.3).fixed
-    assert not MOVING_WINDOW.fixed and not WindowFns(0.0, 1.0, -0.1, 1.0).fixed
+    assert current_value_window().fixed and full_history_window(0.3).fixed
+    assert WindowFns(0.0, 1.0, -0.1, 1.0).fixed and not MOVING_WINDOW.fixed
+    assert not WindowFns(-0.1, 1.0, 0.0, 1.02).fixed
     times = 0.01 * np.arange(1, 500)
-    assert np.unique(full_history_window(0.3).windows_at(times, 0.3)[0]).size > 1
     assert not np.any(current_value_window().windows_at(times * 1e6 + 0.1, 0.3))
 
     frames, calls = [], {"windows_at": 0}
@@ -1449,8 +1456,55 @@ def test_fixed_window_edges_are_located_once_per_run(monkeypatch):
     for frame in frames:
         fresh = SegmentStack(prob.h, frame.dt, np.zeros((n_h + frame.m + 1, 1)), frame.t0)
         want = fresh.resolve(*window.windows_at(frame.times, prob.h))
-        got = frame.edges[window]
+        got = frame.run.edges[(window, frame.m + 1)][1]
         assert [a.tobytes() for a in _leaves(got)] == [b.tobytes() for b in _leaves(want)]
+
+
+@pytest.mark.parametrize("window, per_start", [("affine:-0.503,1,-0.2,1", False),
+                                               ("affine:-0.731,1.02,-0.3,0.9", True)])
+def test_window_edges_are_resolved_once_per_width_or_window_start(monkeypatch, window,
+                                                                   per_start):
+    # parabolic_max's g reads a running maximum: a unit-slope affine window
+    # is resolved once per width of the run, and a moving one once per
+    # window start, which a retry at that start (same t0 and width) reuses
+    import neutraldde.continuation as continuation
+    from neutraldde import continue_solution
+    from neutraldde.config import build_run, parse_config
+    from neutraldde.scenarios import get_scenario
+
+    text = get_scenario("parabolic_max")
+    assert "g_window = full" in text
+    built = build_run(parse_config(text.replace("g_window = full", f"g_window = {window}")))
+    assert built.problem.g.window.fixed is not per_start
+    attempts, resolved = [], []
+
+    def recorded_solve(run, path, t0, cfg, damping, m):
+        attempts.append((t0, m))
+        return solve_window(run, path, t0, cfg, damping, m)
+
+    resolve = SegmentStack.resolve
+
+    def counted(self, lo, hi):
+        resolved.append((float(self.times[0]), self.n_windows - 1))
+        return resolve(self, lo, hi)
+
+    monkeypatch.setattr(continuation, "solve_window", recorded_solve)
+    monkeypatch.setattr(SegmentStack, "resolve", counted)
+    continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+    widths = {m for _, m in attempts}
+    assert len(attempts) > len(widths) > 1
+    if per_start:
+        assert resolved == list(dict.fromkeys(attempts))
+    else:
+        assert len(resolved) == len({m for _, m in resolved}) == len(widths)
+
+    # attempts at one start and width, as a damping retry makes, share one resolve
+    run = RunFrame(built.problem, 0.01, 10)
+    resolved.clear()
+    for t0 in (0.5, 0.5, 0.6):
+        frame = window_frame(built.problem, np.full((101, 3), 0.1), t0, 0.01, 10, run)
+        evaluate_window_operator(frame, frame.load(np.full((11, run.n_active), 0.1)))
+    assert resolved == ([(0.5, 10), (0.6, 10)] if per_start else [(0.5, 10)])
 
 
 def _leaves(edges):
