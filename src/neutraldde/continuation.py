@@ -6,16 +6,16 @@ domain.  The first non-interior point triggers bisection refinement of the
 crossing time and ends the run with a boundary event; reaching the horizon
 ends it there.
 
-The initial ``Segment`` is put on the theta grid once per run.  As dt divides
-the delay span, each window then takes the path's last n_h+1 rows and their
-norms as its history; ``segment_at`` serves only the bisection.  One
-``RunFrame`` per run, built at the first window's width, holds what every
-window shares (the theta grid, the cell weights, the scan tables, the
-decay table and the warm start's weights), and dies with the run.  The
-path is the run's alone, and each attempt solves in the free rows of its
-buffer past its end.  The run reserves them once, right after it builds
-its path: rows for its whole horizon, up to ``_FIRST_PATH_VALUES`` values
-and at least one window, so a run that fits allocates its path once and a
+The initial ``Segment`` is put on the theta grid, and its rows normed, once
+per run.  As dt divides the delay span, each window then takes the path's
+last n_h+1 rows and their norms as its history, and nothing in the run
+resamples the path.  One ``RunFrame`` per run, built at the first window's
+width, holds what every window shares (the theta grid, the cell weights,
+the scan tables, the decay table and the warm start's weights), and dies
+with the run.  The path is the run's alone, and each attempt solves in the
+free rows of its buffer past its end.  The run builds its path with them:
+rows for its whole horizon, up to ``_FIRST_PATH_VALUES`` values and at
+least one window, so a run that fits allocates its path once and a
 longer one doubles the buffer only past that size.  No attempt writes a
 row the run has committed, and a failed one leaves only free rows behind.
 The converged window's first row is the path's last, so ``extend``
@@ -29,7 +29,9 @@ values, one ``first_exit_slice`` pass applies ``membership``'s rule to its
 new slices, and their domain functionals, through the first point that is
 not interior, are the trajectory's ``functionals``, which the CSV prints.
 The off-grid probes of the bisection are decided by ``membership`` on a
-``segment_at`` segment.  Membership is still only sampled at grid
+blend of the exit window's stack: the history at t_{i-1} + s*dt is
+(1 - s) times slice i-1 plus s times slice i, the continuous extension of
+the grid solution within one cell.  Membership is still only sampled at grid
 resolution before the bisection sharpens it: an excursion of a
 non-monotone functional that enters and leaves the boundary band strictly
 between grid points can be missed at coarse dt, so refine dt when the
@@ -50,7 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInitialData, NumericalBlowup
-from .history import SegmentStack, SolutionPath, Segment, extend, segment_at, segment_on_grid
+from .history import SegmentStack, SolutionPath, Segment, extend, segment_on_grid
+from .history import segment_at  # noqa: F401 -- perfbench traces continuation.segment_at
 from .problem import NeutralProblem
 from .solver import RunFrame, SolverConfig, WindowResult, heuristic_window, solve_window
 
@@ -99,13 +102,25 @@ class Trajectory:
     tau: float = 0.0
 
 
-def _refine_bracket(prob, path, a, b, tol_t):
-    """Bisect [a, b] down to ``tol_t`` with ``membership`` of ``segment_at``
-    probes; the final bracket.  The scan's bracket is taken as found: its
-    ends were decided, interior and not, on the grid."""
+def _refine_bracket(prob, stack, i, tol_t):
+    """Bisect the cell before slice i of ``stack`` down to ``tol_t`` with
+    ``membership`` probes; the final bracket.
+
+    The cell's ends, slices i-1 and i, were decided on the grid, interior
+    and not, so its bracket is taken as found.  As dt divides h, the
+    history at t_{i-1} + s*dt is (1 - s) A + s B on the stack's theta grid,
+    where A and B are slices i-1 and i: each probe blends them, and a
+    bracket already within ``tol_t`` is returned as it is.
+    """
+    n_h, dt = stack.n_h, stack.dt
+    b = float(stack.times[i])
+    a = start = b - dt
+    older, newer = stack.values[i - 1 : i + n_h], stack.values[i : i + n_h + 1]
     while b - a > tol_t:
         mid = 0.5 * (a + b)
-        if prob.membership(mid, segment_at(path, mid, prob.h)).is_inside:
+        s = (mid - start) / dt
+        seg = Segment._trusted(prob.h, stack.thetas, (1.0 - s) * older + s * newer)
+        if prob.membership(mid, seg).is_inside:
             a = mid
         else:
             b = mid
@@ -137,10 +152,11 @@ def _attempt_window(path, t0, cfg, run, m_cells, remaining_cells):
 
 
 def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float,
-                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The history's grid rows at step dt and their domain functional, the
-    one-slice stack's; raise InvalidInitialData unless the history is
-    finite and that stack classifies as interior at t0.
+                          dt: float) -> tuple[SegmentStack, np.ndarray]:
+    """The one-slice stack of the history's grid rows at step dt, which
+    holds the rows and their norms, and its domain functional; raise
+    InvalidInitialData unless the history is finite and that stack
+    classifies as interior at t0.
 
     The functional is the one the run's t0 entry prints, so ``check`` and
     ``run`` decide t0 on the same float.
@@ -148,8 +164,7 @@ def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float,
     # every band comparison with nan is false, so nan would classify as inside
     if not np.all(np.isfinite(init_seg.values)):
         raise InvalidInitialData("initial history has non-finite values")
-    hist = segment_on_grid(init_seg, dt)
-    stack = SegmentStack(prob.h, dt, hist, t0)
+    stack = SegmentStack(prob.h, dt, segment_on_grid(init_seg, dt), t0)
     value = prob.domain_functionals(stack)
     bottom = stack.min_norms() if prob.domain.kind == "sup_band" else value
     start = prob._classify(t0, float(value[0]), float(bottom[0]))
@@ -158,7 +173,7 @@ def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float,
             f"initial history classifies as {start.state}"
             + (f" ({start.kind})" if start.kind else "")
         )
-    return hist, value
+    return stack, value
 
 
 def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
@@ -171,17 +186,17 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     default band tolerance.
     """
     cfg.validate_grid(prob.h, prob.T - t0, prob.op.n_modes)
-    hist, start = check_initial_history(prob, init_seg, t0, cfg.dt)
+    initial, start = check_initial_history(prob, init_seg, t0, cfg.dt)
 
-    path = SolutionPath(t0 - prob.h, cfg.dt, hist)
     functionals = [start]
     windows = []
     horizon_cells = int(round((prob.T - t0) / cfg.dt))
-    n_h = hist.shape[0] - 1
+    n_h = initial.values.shape[0] - 1
     refine_tol = cfg.dt * _REFINE_FRACTION
     m = max(1, int(heuristic_window(prob, cfg) / cfg.dt + 1e-9))
     run = RunFrame(prob, cfg.dt, m)
-    path._reserve(min(horizon_cells, max(m, _FIRST_PATH_VALUES // prob.op.n_modes)))
+    free = min(horizon_cells, max(m, _FIRST_PATH_VALUES // prob.op.n_modes))
+    path = SolutionPath(t0 - prob.h, cfg.dt, initial.values, initial.norms, free)
 
     while True:
         done_cells = path.n_times - 1 - n_h
@@ -205,11 +220,10 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
             continue
         i, mem = hit
         functionals.append(scanned[1 : i + 1])
-        t_i = t + i * cfg.dt
         if mem.kind == "horizon":
             event = TerminationEvent("reached_horizon", prob.T)
         else:
-            a, b = _refine_bracket(prob, path, t_i - cfg.dt, t_i, refine_tol)
+            a, b = _refine_bracket(prob, stack, i, refine_tol)
             event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
         # keep the path through the first non-interior grid point
         path = path.head(n_h + done_cells + i + 1)

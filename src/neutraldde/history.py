@@ -45,24 +45,31 @@ class SolutionPath:
     it as a longer path over the same buffer.  The shorter path's free rows
     are then the longer one's, so a run only solves after its newest path;
     a head has no free rows, so an attempt after one works in a copy.  A
-    run sizes the buffer for its horizon up to a bound, once; past that the
-    buffer doubles when it is full, so appending costs O(new rows) on
-    average, not a copy of the whole path.
+    run builds its path with ``free`` rows for its horizon, up to a bound;
+    past that the buffer doubles when it is full, so appending costs
+    O(new rows) on average, not a copy of the whole path.
+
+    The path copies ``values`` into its buffer, so the rows and norms stay
+    paired.  ``norms``, when given, are the rows' ``_row_norms``, as a
+    ``SegmentStack`` of the same rows holds them, and are copied too.
     """
 
-    def __init__(self, t_start: float, dt: float, values):
-        values = np.array(values, dtype=float)  # a copy: the rows and norms stay paired
+    def __init__(self, t_start: float, dt: float, values, norms=None, free: int = 0):
+        values = np.asarray(values, dtype=float)
         if not math.isfinite(t_start):
             raise ValueError(f"t_start must be finite, got {t_start}")
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("values must be a (n_times >= 2, n_modes) array")
+        n = values.shape[0]
         self.t_start = float(t_start)
         self.dt = float(dt)
-        self._rows = values
-        self._norms = _row_norms(values)
-        self._n = values.shape[0]
+        self._rows = np.empty((n + free, values.shape[1]))
+        self._rows[:n] = values
+        self._norms = np.empty(n + free)
+        self._norms[:n] = _row_norms(values) if norms is None else norms
+        self._n = n
 
     @classmethod
     def _over(cls, path: "SolutionPath", rows: np.ndarray, norms: np.ndarray,
@@ -105,8 +112,8 @@ class SolutionPath:
 
         A buffer with fewer free rows, as a head's, which has none, is first
         replaced by a copy of the path's rows twice their number or more.
-        A run reserves its first free rows once, right after it builds its
-        path (``continuation.continue_solution``), so its attempts find them
+        A run builds its path with its first free rows
+        (``continuation.continue_solution``), so its attempts find them
         free; a run longer than that first size doubles here.
         """
         n = self._n
@@ -332,8 +339,8 @@ class SegmentStack:
     trapezoid cells (equal up to summation order), and window maxima come
     from exactly interpolated endpoints plus a sparse-table range maximum
     over the interior nodes.  The exit scan decides each grid point on the
-    stack the window solver loaded for it, and off-grid times on
-    ``segment_at`` segments.
+    stack the window solver loaded for it, and the bisection an off-grid
+    time t_{i-1} + s*dt on (1 - s) times slice i-1 plus s times slice i.
 
     A window maximum takes two steps.  ``resolve`` checks and clips the
     windows and finds what depends on them and the grid alone: each edge's

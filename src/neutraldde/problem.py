@@ -29,7 +29,8 @@ and its scalar ``eval_g``/``eval_f`` report non-finite values as
 rule, applied to one segment's ``domain_functional`` by ``membership`` and
 to every slice's ``domain_functionals`` by ``first_exit_slice``: grid
 points are decided on the stack of the window that computed them, and the
-off-grid bisection probes by ``membership`` on a ``segment_at`` segment.
+off-grid bisection probes by ``membership`` on a blend of two of its
+slices (``continuation._refine_bracket``).
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ prints, one line per item:
   the sup distance of the path to a ``tol = 1e-14`` solve of the same
   input by the same checkout, beside the workload's own tol;
 * ``exit_fine`` at seeds 0..39 and dt 0.001 and 0.0005: the event, tau and
-  width.
+  width;
+* the bundled ``mass_growth`` edited to leave through the other two edges
+  the bisection refines, at dt 0.001 and 0.0005: the norm band
+  (``domain = sup_band``, ``l = 0.4``) and the vanishing edge (``mu = 50.0``,
+  ``f_c1 = 0.0``): the event, tau and width.
 
 The workloads come from this checkout's ``perfbench/workloads.py``, so two
 checkouts are compared on the same inputs; see the README for the diff.
@@ -60,6 +64,12 @@ FINE_DTS = (0.000125, 0.0000625)
 SWEEP_DTS = (0.001, 0.0005)
 #: Fixed-point tolerance of the reference solve each workload path is measured against.
 REFERENCE_TOL = 1e-14
+#: Keys of the bundled mass_growth replaced so that it exits through each
+#: edge but the upper mass, which it and exit_fine reach unedited.
+EXITS = {
+    "sup_band": {("problem", "domain"): "sup_band", ("problem", "l"): "0.4"},
+    "vanishing": {("operator", "mu"): "50.0", ("problem", "f_c1"): "0.0"},
+}
 
 
 def _sha(data: bytes) -> str:
@@ -242,6 +252,10 @@ def main(argv: list[str]) -> int:
         for seed in SWEEP_SEEDS:
             traj = solve(workloads.exit_fine(seed, dt).config)
             print(f"exit_fine dt={dt!r} seed={seed} {_event(traj)}")
+    for edge, changes in EXITS.items():
+        for dt in SWEEP_DTS:
+            traj = solve(workloads._edit("mass_growth", {**changes, ("solver", "dt"): repr(dt)})[0])
+            print(f"mass_growth exit={edge} dt={dt!r} {_event(traj)}")
     return 0
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from neutraldde import (
     DomainSpec,
@@ -340,41 +342,167 @@ def test_path_norm_column_is_the_row_norms(name):
 
 
 class TestRefineBracket:
-    def linear_mass_path(self, dt=0.1, h=0.5):
-        # u(t) = t on the grid for t >= h: delay mass h t - h^2/2 is linear
-        times = dt * np.arange(51)  # [0, 5]
-        return SolutionPath(0.0, dt, times[:, None])
+    """Bisection on the exit window's stack.  dt = 1/8 keeps every grid
+    time exact; slice j of each stack is the history at h + j*dt."""
 
-    def make_prob(self, l, h=0.5, T=5.0):
+    def linear_stack(self, dt=0.125, h=0.5, u=lambda x: x):
+        # the grid values u(x) for x in [0, 5], as one stack of slices
+        x = dt * np.arange(round(5.0 / dt) + 1)
+        return history.SegmentStack(h, dt, u(x)[:, None], h)
+
+    def make_prob(self, l, h=0.5, T=5.0, kind="delay_mass"):
         op = SpectralOperator([1.0])
         return NeutralProblem(op, h, T, 0.5, ZeroTerm(),
                               TimeForcingTerm([TimeFn("const", (0.0,))]),
-                              DomainSpec("delay_mass", l), 0.0)
+                              DomainSpec(kind, l), 0.0)
+
+    def exit_slice(self, stack, t):
+        # the slice at grid time t, which the scan found not inside
+        (i,) = np.flatnonzero(stack.times == t)
+        return int(i)
 
     def test_linear_crossing_found_to_tolerance(self):
-        h, dt = 0.5, 0.1
-        path = self.linear_mass_path(dt, h)
+        # u(t) = t: the delay mass h t - h^2/2 is linear in t
+        h = 0.5
+        stack = self.linear_stack(h=h)
         t_c = 1.03  # crossing time to hide mid-cell
-        l = h * t_c - h**2 / 2.0
-        prob = self.make_prob(l, h)
-        a, b = continuation._refine_bracket(prob, path, 1.0, 1.1, 1e-6)
+        prob = self.make_prob(h * t_c - h**2 / 2.0, h)
+        a, b = continuation._refine_bracket(prob, stack, self.exit_slice(stack, 1.125), 1e-6)
         assert b - a <= 1e-6
         assert 0.5 * (a + b) == pytest.approx(t_c, abs=1e-5)
 
     def test_result_stays_in_bracket(self):
-        h, dt = 0.5, 0.1
-        path = self.linear_mass_path(dt, h)
+        h = 0.5
+        stack = self.linear_stack(h=h)
         prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
-        a, b = continuation._refine_bracket(prob, path, 1.0, 1.1, 1e-3)
-        assert 1.0 <= a < b <= 1.1
+        a, b = continuation._refine_bracket(prob, stack, self.exit_slice(stack, 1.125), 1e-3)
+        assert 1.0 <= a < b <= 1.125
 
-    def test_tight_bracket_is_returned_as_given(self):
-        h, dt = 0.5, 0.1
-        path = self.linear_mass_path(dt, h)
+    def test_tight_bracket_is_returned_as_given(self, monkeypatch):
+        # a cell already within tol_t is the final bracket, with no probe
+        h = 0.5
+        stack = self.linear_stack(h=h)
+        prob = self.make_prob(h * 1.03 - h**2 / 2.0, h)
+        monkeypatch.setattr(prob, "membership", None)
+        a, b = 1.0, 1.125
+        assert continuation._refine_bracket(prob, stack, self.exit_slice(stack, b), 0.125) == (a, b)
+
+    def test_sup_band_crossing_found_to_tolerance(self):
+        # u(t) = t >= h: the largest node norm is the current value, t
+        stack = self.linear_stack()
         t_c = 1.03
-        prob = self.make_prob(h * t_c - h**2 / 2.0, h)
-        a, b = t_c - 6e-9, t_c + 6e-9  # already narrower than tol_t
-        assert continuation._refine_bracket(prob, path, a, b, 1e-6) == (a, b)
+        prob = self.make_prob(t_c, kind="sup_band")
+        a, b = continuation._refine_bracket(prob, stack, self.exit_slice(stack, 1.125), 1e-6)
+        assert b - a <= 1e-6 and 1.0 <= a < b <= 1.125
+        assert 0.5 * (a + b) == pytest.approx(t_c, abs=1e-5)
+        assert prob.membership(b, segment_at(SolutionPath(0.0, 0.125, stack.values), b,
+                                             prob.h)).kind == "sup_band"
+
+    def test_vanishing_crossing_found_to_tolerance(self):
+        # u(x) = max(1 - x, 0): in the cell [1.375, 1.5] only the oldest node,
+        # at x = t - h in (0.875, 1), is nonzero, (1 - s) dt at t = 1.375 + s dt,
+        # so the delay mass is (1 - s) dt^2 / 2.  With the band's tol
+        # 1e-9 l = 0.7 dt^2 / 2 the mass vanishes at s = 0.3, t* = 1.4125.
+        dt = 0.125
+        stack = self.linear_stack(dt, u=lambda x: np.maximum(1.0 - x, 0.0))
+        prob = self.make_prob(0.7 * dt**2 / 2.0 / 1e-9)
+        a, b = continuation._refine_bracket(prob, stack, self.exit_slice(stack, 1.5), 1e-6)
+        assert b - a <= 1e-6 and 1.375 <= a < b <= 1.5
+        assert 0.5 * (a + b) == pytest.approx(1.4125, abs=1e-5)
+        assert prob.membership(b, segment_at(SolutionPath(0.0, dt, stack.values), b,
+                                             prob.h)).kind == "vanishing"
+
+
+#: Draws of a path and one cell of it: (seed, n_modes, dt, n_h, exit slice,
+#: first grid time, s).  dt divides h = n_h dt; the path holds the history
+#: of slice 0 and a few slices more.
+cell_draws = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3),
+                       st.sampled_from([0.02, 0.01]), st.integers(1, 12), st.integers(1, 20),
+                       st.floats(-3.0, 3.0), st.floats(1e-3, 1.0 - 1e-3))
+
+
+def _cell(seed, n_modes, dt, n_h, i, t_first):
+    # a random path of n_h + i + 1 + 3 rows and the stack of its slices
+    rows = np.random.default_rng(seed).normal(size=(n_h + i + 4, n_modes))
+    path = SolutionPath(t_first - n_h * dt, dt, rows)
+    return path, history.SegmentStack(n_h * dt, dt, rows, t_first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_draws)
+def test_the_blend_of_two_slices_is_the_sampled_segment(draw):
+    # the history at t = t_{i-1} + s dt, off the grid, is (1 - s) A + s B of
+    # slices A = i-1 and B = i, up to segment_at's rounding: its per-node
+    # weight is the fraction of (t - t_start + theta)/dt, good to about
+    # eps (1 + (|t| + |t_start| + h)/dt), which scales |B - A|
+    seed, n_modes, dt, n_h, i, t_first, s = draw
+    path, stack = _cell(seed, n_modes, dt, n_h, i, t_first)
+    start = stack.times[i] - dt
+    t = float(start + s * dt)
+    s = (t - start) / dt
+    older, newer = stack.values[i - 1 : i + n_h], stack.values[i : i + n_h + 1]
+    blend = (1.0 - s) * older + s * newer
+    want = segment_at(path, t, stack.h).values
+    eps = np.finfo(float).eps
+    scale = 1.0 + (abs(t) + abs(path.t_start) + stack.h) / dt
+    bound = 4.0 * eps * (scale * np.abs(newer - older) + np.abs(older) + np.abs(newer))
+    assert np.all(np.abs(blend - want) <= bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_draws, st.sampled_from(["delay_mass", "sup_band"]),
+       st.sampled_from(["upper", "vanishing"]), st.floats(-0.25, 1.25))
+def test_bisection_probes_decide_as_the_sampled_segment(draw, kind, edge, where):
+    # every probe of the bisection classifies as membership on segment_at
+    # at its time; the band edge is put at ``where`` between the cell's ends
+    # (past them for where outside [0, 1]), on the functional for the upper
+    # edge and on the smallest norm, through tol = 1e-9 l, for the vanishing one
+    seed, n_modes, dt, n_h, i, t_first, _ = draw
+    path, stack = _cell(seed, n_modes, dt, n_h, i, t_first)
+    if edge == "upper":
+        ends = stack.integral_norms() if kind == "delay_mass" else stack.sup_norms()
+    else:
+        ends = stack.integral_norms() if kind == "delay_mass" else stack.min_norms()
+    level = ends[i - 1] + where * (ends[i] - ends[i - 1])
+    assume(level > 0.0)
+    prob = NeutralProblem(SpectralOperator([1.0] * n_modes), stack.h, t_first + 100.0, 0.5,
+                          ZeroTerm(), ZeroTerm(),
+                          DomainSpec(kind, level if edge == "upper" else level / 1e-9), 0.0)
+    probes = []
+
+    def recorded(t, seg):
+        got = NeutralProblem.membership(prob, t, seg)
+        probes.append((t, seg, got))
+        return got
+
+    prob.membership = recorded
+    continuation._refine_bracket(prob, stack, i, dt / 50)
+    assert len(probes) == 6
+    tol, l = prob.domain.default_tol(), prob.domain.l
+    for t, seg, got in probes:
+        value = prob.domain_functional(seg)
+        bottom = float(seg.node_norms().min()) if kind == "sup_band" else value
+        for at, edge_value in ((value, l - tol), (value, l + tol), (bottom, tol)):
+            assume(abs(at - edge_value) > 1e-9 * abs(at))
+        want = NeutralProblem.membership(prob, t, segment_at(path, t, prob.h))
+        assert (got.state, got.kind) == (want.state, want.kind)
+
+
+def test_a_boundary_exit_samples_no_segment(monkeypatch):
+    # the bisection probes blend the exit window's stack: a run that exits
+    # through a band edge never resamples its path
+    calls = []
+
+    def counted_segment_at(*args):
+        calls.append(args)
+        return segment_at(*args)
+
+    monkeypatch.setattr(continuation, "segment_at", counted_segment_at)
+    built = build_run(parse_config(workloads.exit_fine(7).config))
+    traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+    assert traj.event.label() == "boundary_hit:upper_mass"
+    assert 0.0 < traj.event.refinement_width <= built.solver.dt / 256
+    assert calls == []
 
 
 # Total fixed-point iterates of each bundled scenario, bounded between the
@@ -439,11 +567,11 @@ def test_an_exit_cuts_the_path_at_its_first_non_interior_grid_point(name):
 
 @pytest.mark.parametrize("name", ["modes_wide", "exit_fine"])
 def test_a_run_sizes_its_path_buffer_once(name, monkeypatch):
-    # the path's own buffer and the run's one reservation for its horizon;
-    # no attempt and no extend builds another, and the run's path, cut at
-    # the exit or not, reads the last one in place
+    # the path is built with the rows for its horizon; no attempt and no
+    # extend builds another buffer, and the run's path, cut at the exit or
+    # not, reads that one in place
     traj, buffers = _workload_run(name, monkeypatch)
-    assert len(buffers) == 2
+    assert len(buffers) == 1
     assert np.shares_memory(traj.path.values, buffers[-1])
 
 
@@ -454,7 +582,7 @@ def test_a_run_past_its_first_buffer_size_doubles_to_the_same_answer(name, monke
     traj, _ = _workload_run(name, monkeypatch)
     n_modes = traj.path.values.shape[1]
     small, buffers = _workload_run(name, monkeypatch, first_values=16 * n_modes)
-    assert len(buffers) > 2
+    assert len(buffers) > 1
     assert small.event == traj.event and small.tau.hex() == traj.tau.hex()
     for got, want in ((small.path.values, traj.path.values), (small.path.norms, traj.path.norms),
                       (small.functionals, traj.functionals)):
