@@ -50,5 +50,5 @@ print()
 print("delay mass along the run (interior until the exit):")
 for t in (0.0, 1.0, 2.0, 2.5, math.floor(traj.tau * 100) / 100):
     s = segment_at(traj.path, t, h)
-    mem = prob.membership(t, s)
+    mem = prob.membership(s)
     print(f"  t={t:<5} mass={mem.value:.6f} state={mem.state}")

@@ -353,7 +353,7 @@ def _build_initial(cfg: RunConfig, op: SpectralOperator, h: float, dt: float) ->
             table_seg = Segment(h, arr[:, 0], arr[:, 1:])
         except ValueError as exc:
             raise _fail(cfg.text, "initial", "table", str(exc)) from None
-        return Segment(h, thetas, segment_on_grid(table_seg, dt))
+        return Segment(h, thetas, segment_on_grid(table_seg, h, dt))
     raise _fail(cfg.text, "initial", "family", f"unknown family {family!r}")
 
 

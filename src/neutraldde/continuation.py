@@ -1,15 +1,16 @@
 """Window-by-window continuation of the solution to its domain exit.
 
 The march repeats: suggest a window from the contraction budget, solve it,
-append the values, and classify every new grid point against the admissible
-domain.  The first non-interior point triggers bisection refinement of the
-crossing time and ends the run with a boundary event; reaching the horizon
-ends it there.
+append the values, and classify every new grid point against the domain's
+band.  The first non-interior point triggers bisection refinement of the
+crossing time and ends the run with a boundary event.  T is counted, not
+compared: dt divides T - t0, and the run ends there when no cells are left.
 
-The initial ``Segment`` is put on the theta grid, and its rows normed, once
-per run.  As dt divides the delay span, each window then takes the path's
-last n_h+1 rows and their norms as its history, and nothing in the run
-resamples the path.  One ``RunFrame`` per run, built at the first window's
+The initial ``Segment`` is put on the problem's theta grid -h..0 (a longer
+one gives its last h), and its rows normed, once per run.  As dt divides
+the delay span, each window then takes the path's last n_h+1 rows and
+their norms as its history, and nothing in the run resamples the path.
+One ``RunFrame`` per run, built at the first window's
 width, holds what every window shares (the theta grid, the cell weights,
 the scan tables, the decay table and the warm start's weights), and dies
 with the run.  The path is the run's alone, and each attempt solves in the
@@ -120,7 +121,7 @@ def _refine_bracket(prob, stack, i, tol_t):
         mid = 0.5 * (a + b)
         s = (mid - start) / dt
         seg = Segment._trusted(prob.h, stack.thetas, (1.0 - s) * older + s * newer)
-        if prob.membership(mid, seg).is_inside:
+        if prob.membership(seg).is_inside:
             a = mid
         else:
             b = mid
@@ -153,10 +154,10 @@ def _attempt_window(path, t0, cfg, run, m_cells, remaining_cells):
 
 def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float,
                           dt: float) -> tuple[SegmentStack, np.ndarray]:
-    """The one-slice stack of the history's grid rows at step dt, which
-    holds the rows and their norms, and its domain functional; raise
-    InvalidInitialData unless the history is finite and that stack
-    classifies as interior at t0.
+    """The one-slice stack of the history's rows on the problem's grid
+    -h..0 at step dt, which holds the rows and their norms, and its domain
+    functional; raise InvalidInitialData unless the history is finite and
+    that stack classifies as interior.
 
     The functional is the one the run's t0 entry prints, so ``check`` and
     ``run`` decide t0 on the same float.
@@ -164,10 +165,10 @@ def check_initial_history(prob: NeutralProblem, init_seg: Segment, t0: float,
     # every band comparison with nan is false, so nan would classify as inside
     if not np.all(np.isfinite(init_seg.values)):
         raise InvalidInitialData("initial history has non-finite values")
-    stack = SegmentStack(prob.h, dt, segment_on_grid(init_seg, dt), t0)
+    stack = SegmentStack(prob.h, dt, segment_on_grid(init_seg, prob.h, dt), t0)
     value = prob.domain_functionals(stack)
     bottom = stack.min_norms() if prob.domain.kind == "sup_band" else value
-    start = prob._classify(t0, float(value[0]), float(bottom[0]))
+    start = prob._classify(float(value[0]), float(bottom[0]))
     if not start.is_inside:
         raise InvalidInitialData(
             f"initial history classifies as {start.state}"
@@ -180,10 +181,10 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
                       cfg: SolverConfig) -> Trajectory:
     """Advance from (t0, init_seg) until the trajectory leaves the domain.
 
-    The initial history must cover [t0 - h, t0], be finite and classify as
+    The initial history must cover [-h, 0], be finite and classify as
     interior.  The horizon must be reachable on the grid: dt divides both
-    the delay span and T - t0.  Every classification uses the domain's
-    default band tolerance.
+    the delay span and T - t0, and the run ends there by its cell count.
+    Every classification uses the domain's default band tolerance.
     """
     cfg.validate_grid(prob.h, prob.T - t0, prob.op.n_modes)
     initial, start = check_initial_history(prob, init_seg, t0, cfg.dt)
@@ -191,7 +192,7 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
     functionals = [start]
     windows = []
     horizon_cells = int(round((prob.T - t0) / cfg.dt))
-    n_h = initial.values.shape[0] - 1
+    n_h = initial.n_h
     refine_tol = cfg.dt * _REFINE_FRACTION
     m = max(1, int(heuristic_window(prob, cfg) / cfg.dt + 1e-9))
     run = RunFrame(prob, cfg.dt, m)
@@ -202,7 +203,6 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
         done_cells = path.n_times - 1 - n_h
         remaining = horizon_cells - done_cells
         t = t0 + done_cells * cfg.dt
-        # the scan's absolute horizon test can round past the last node at large T
         if remaining <= 0:
             event = TerminationEvent("reached_horizon", prob.T)
             break
@@ -220,11 +220,8 @@ def continue_solution(prob: NeutralProblem, init_seg: Segment, t0: float,
             continue
         i, mem = hit
         functionals.append(scanned[1 : i + 1])
-        if mem.kind == "horizon":
-            event = TerminationEvent("reached_horizon", prob.T)
-        else:
-            a, b = _refine_bracket(prob, stack, i, refine_tol)
-            event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
+        a, b = _refine_bracket(prob, stack, i, refine_tol)
+        event = TerminationEvent("boundary_hit", 0.5 * (a + b), mem.kind, b - a)
         # keep the path through the first non-interior grid point
         path = path.head(n_h + done_cells + i + 1)
         break

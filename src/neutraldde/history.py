@@ -195,9 +195,8 @@ class Segment:
         bad = (theta < th[0] - eps) | (theta > th[-1] + eps)
         if bad.any():
             raise ValueError(f"theta {theta.flat[np.argmax(bad)]} outside [-{self.h}, 0]")
-        theta = np.minimum(np.maximum(theta, th[0]), th[-1])
-        i = np.minimum(np.maximum(np.searchsorted(th, theta, side="right") - 1, 0), th.size - 2)
-        w = ((theta - th[i]) / (th[i + 1] - th[i]))[..., None]
+        i, w = _locate(th, theta)
+        w = w[..., None]
         left, right = (np.take_along_axis(self.values, j[..., None, None], axis=-2)[..., 0, :]
                        for j in (i, i + 1))
         # a theta within the slack of a node reads that node; the interpolant
@@ -214,6 +213,13 @@ class Segment:
             # values broadcast along theta, a constant history: one row's norms
             return np.broadcast_to(np.linalg.norm(values[..., :1, :], axis=-1), values.shape[:-1])
         return np.linalg.norm(values, axis=-1)
+
+
+def _locate(thetas: np.ndarray, theta):
+    """Each theta's cell of the grid ``thetas``, clipped to it: (left node, right weight)."""
+    theta = np.minimum(np.maximum(theta, thetas[0]), thetas[-1])
+    i = np.minimum(np.maximum(np.searchsorted(thetas, theta, side="right") - 1, 0), thetas.size - 2)
+    return i, (theta - thetas[i]) / (thetas[i + 1] - thetas[i])
 
 
 def _float_or_array(x):
@@ -252,6 +258,19 @@ def _require_finite_window(lo, hi) -> None:
         raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] has a non-finite edge")
 
 
+def _clip_windows(h: float, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse non-finite, reversed or out-of-span windows [lo, hi]; clip the rest to [-h, 0]."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    _require_finite_window(lo, hi)
+    eps = _GRID_EPS * max(1.0, h)
+    for bad, rule in ((lo > hi, "has lo > hi"),
+                      ((lo < -h - eps) | (hi > eps), f"outside [-{h}, 0]")):
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] {rule}")
+    return np.maximum(lo, -h), np.minimum(hi, 0.0)
+
+
 def max_norm_functional(seg: Segment, lo, hi) -> float:
     """Max of ||seg(theta)|| over the window [lo, hi], endpoints interpolated.
 
@@ -260,19 +279,7 @@ def max_norm_functional(seg: Segment, lo, hi) -> float:
     ``max(a, b)`` takes them, b only where b > a, so nan norms fall where
     they fell one segment at a time.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    _require_finite_window(lo, hi)
-    eps = _GRID_EPS * max(1.0, seg.h)
-    bad = lo > hi
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValueError(f"window must satisfy lo <= hi, got [{lo.flat[i]}, {hi.flat[i]}]")
-    bad = (lo < -seg.h - eps) | (hi > eps)
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValueError(f"window [{lo.flat[i]}, {hi.flat[i]}] outside [-{seg.h}, 0]")
-    lo = np.maximum(lo, -seg.h)
-    hi = np.minimum(hi, 0.0)
+    lo, hi = _clip_windows(seg.h, lo, hi)
     left, right = (_vector_norms(seg.value_at(theta)) for theta in (lo, hi))
     best = np.where(right > left, right, left)
     inside = (seg.thetas > lo[..., None]) & (seg.thetas < hi[..., None])
@@ -475,16 +482,7 @@ class SegmentStack:
 
     def resolve(self, lo, hi) -> WindowEdges:
         """Check and clip the windows [lo[i], hi[i]] and locate them on the grid."""
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (self.n_windows,))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (self.n_windows,))
-        _require_finite_window(lo, hi)
-        eps = _GRID_EPS * max(1.0, self.h)
-        if np.any(lo > hi):
-            raise ValueError("every window must satisfy lo <= hi")
-        if np.any(lo < -self.h - eps) or np.any(hi > eps):
-            raise ValueError(f"a window leaves [-{self.h}, 0]")
-        lo = np.maximum(lo, -self.h)
-        hi = np.minimum(hi, 0.0)
+        lo, hi = (np.broadcast_to(x, (self.n_windows,)) for x in _clip_windows(self.h, lo, hi))
         # interior nodes: thetas[a..b] are the ones strictly inside (lo, hi)
         a = np.searchsorted(self.thetas, lo, side="right")
         b = np.searchsorted(self.thetas, hi, side="left") - 1
@@ -494,11 +492,7 @@ class SegmentStack:
     def _edge(self, theta: np.ndarray) -> _Edge:
         # where Segment.value_at for slice i reads at theta[i]: an edge that
         # snaps to a node reads that node, any other interpolates its cell
-        th = self.thetas
-        theta = np.minimum(np.maximum(theta, th[0]), th[-1])
-        j = np.searchsorted(th, theta, side="right") - 1
-        j = np.minimum(np.maximum(j, 0), th.size - 2)
-        w = (theta - th[j]) / (th[j + 1] - th[j])
+        j, w = _locate(self.thetas, theta)
         rows = np.arange(self.n_windows) + j
         inner = np.flatnonzero((w > _GRID_EPS) & (w < 1.0 - _GRID_EPS))
         return _Edge(rows + (w >= 1.0 - _GRID_EPS), inner, rows[inner], w[inner, None])
@@ -549,12 +543,13 @@ def segment_at(path: SolutionPath, t: float, h: float) -> Segment:
     return Segment(h, thetas, values)
 
 
-def segment_on_grid(seg: Segment, dt: float) -> np.ndarray:
-    """Segment values resampled onto the uniform theta grid -h..0 with step dt."""
-    n_h = int(round(seg.h / dt))
-    thetas = -seg.h + dt * np.arange(n_h + 1)
+def segment_on_grid(seg: Segment, h: float, dt: float) -> np.ndarray:
+    """Segment values resampled onto the uniform theta grid -h..0 with step dt;
+    ``value_at`` refuses a grid that leaves the segment's [-seg.h, 0]."""
+    n_h = int(round(h / dt))
+    thetas = -h + dt * np.arange(n_h + 1)
     if seg.thetas.size == n_h + 1 and np.allclose(seg.thetas, thetas, rtol=0.0,
-                                                  atol=1e-12 * max(1.0, seg.h)):
+                                                  atol=1e-12 * max(1.0, h)):
         return np.array(seg.values, dtype=float)
     return np.vstack([seg.value_at(th) for th in thetas])
 

@@ -11,8 +11,9 @@ A problem couples the diagonal generator with two delay terms:
 Both come from a closed registry of parametric families, so Lipschitz
 metadata is available analytically and the configuration stays
 declarative.  The admissible domain tracks either the delay mass
-(integral of the history norm) or the pointwise norm band, with the final
-time as an additional boundary component.
+(integral of the history norm) or the pointwise norm band.  The final
+time is the other part of the domain's boundary, and no test here reads
+it: a run ends at T by its cell count (``continuation.continue_solution``).
 
 A term is a map of time and history alone, g(t, u_t): ``evaluate(t, seg)``
 takes one segment, or a batch of segments at one time each (as the
@@ -25,12 +26,12 @@ the window solver iterates only the union of both terms' supports.
 ``NeutralProblem`` checks each term's width against the operator once,
 and its scalar ``eval_g``/``eval_f`` report non-finite values as
 ``NumericalBlowup``; the window solver calls
-``evaluate_window`` directly and checks only G(y).  The domain has one
+``evaluate_window`` directly and checks only G(y).  The band has one
 rule, applied to one segment's ``domain_functional`` by ``membership`` and
 to every slice's ``domain_functionals`` by ``first_exit_slice``: grid
 points are decided on the stack of the window that computed them, and the
 off-grid bisection probes by ``membership`` on a blend of two of its
-slices (``continuation._refine_bracket``).
+slices (``continuation._refine_bracket``).  Neither reads a time.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ from .history import (
     sup_norm,
 )
 from .spectral import DirichletSineBasis, SpectralOperator
-
-#: Absolute tolerance of the final-time boundary test.
-TIME_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # spatial profiles (sine basis only)
@@ -370,10 +367,10 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class Membership:
-    """Classification of a (t, segment) pair against the domain."""
+    """Classification of a segment against the domain's band."""
 
     state: str  # "inside" | "boundary" | "outside"
-    kind: str | None = None  # "upper_mass" | "vanishing" | "sup_band" | "horizon"
+    kind: str | None = None  # "upper_mass" | "vanishing" | "sup_band"
     value: float = 0.0
 
     @property
@@ -466,40 +463,38 @@ class NeutralProblem:
     def first_exit_slice(self, stack: SegmentStack) -> tuple[int, Membership] | None:
         """The first slice after slice 0, the window's start, that
         ``membership``'s rule does not classify as inside, with its
-        ``Membership``, or None.
+        ``Membership``, or None; always None on a ``time_only`` domain.
 
-        The rule reads each slice's ``domain_functionals`` value, smallest
-        node norm and time; the mask below negates its inside branch.
+        The rule reads each slice's ``domain_functionals`` value and
+        smallest node norm; the mask below negates its inside branch.
         """
+        if self.domain.kind == "time_only":
+            return None
         value = self.domain_functionals(stack)[1:]
         bottom = stack.min_norms()[1:] if self.domain.kind == "sup_band" else value
-        times = stack.times[1:]
-        out = self.T - times <= TIME_TOL
-        if self.domain.kind != "time_only":
-            tol = self.domain.default_tol()
-            out |= (value - self.domain.l >= -tol) | (bottom <= tol)
-        hits = np.flatnonzero(out)
+        tol = self.domain.default_tol()
+        hits = np.flatnonzero((value - self.domain.l >= -tol) | (bottom <= tol))
         if hits.size == 0:
             return None
         i = int(hits[0])
-        return i + 1, self._classify(float(times[i]), float(value[i]), float(bottom[i]))
+        return i + 1, self._classify(float(value[i]), float(bottom[i]))
 
-    def membership(self, t: float, seg: Segment) -> Membership:
-        """Classify (t, seg) as inside, on the boundary of, or outside the domain.
+    def membership(self, seg: Segment) -> Membership:
+        """Classify seg as inside, on the boundary of, or outside the domain's band.
 
         The value is ``domain_functional(seg)``.  On a band domain it is
         outside when value - l exceeds tol and on the edge when |value - l|
         does not (kind "upper_mass" for the delay mass, "sup_band" for the
         norm band), and on the "vanishing" edge when the delay mass, or the
         smallest node norm, is at most tol; tol is the domain's default
-        tolerance.  Band violations outrank the final-time test, mirroring
-        the boundary decomposition of the admissible region.
+        tolerance.  A ``time_only`` domain has no band, so every segment is
+        inside it.
         """
         value = self.domain_functional(seg)
         bottom = float(seg.node_norms().min()) if self.domain.kind == "sup_band" else value
-        return self._classify(t, value, bottom)
+        return self._classify(value, bottom)
 
-    def _classify(self, t: float, value: float, bottom: float) -> Membership:
+    def _classify(self, value: float, bottom: float) -> Membership:
         # membership's rule; bottom is the delay mass or the smallest node norm
         if self.domain.kind != "time_only":
             tol = self.domain.default_tol()
@@ -513,10 +508,6 @@ class NeutralProblem:
                 return Membership("boundary", edge, value)
             if bottom <= tol:
                 return Membership("boundary", "vanishing", bottom)
-        if t > self.T + TIME_TOL:
-            return Membership("outside", "horizon", value)
-        if self.T - t <= TIME_TOL:
-            return Membership("boundary", "horizon", value)
         return Membership("inside", None, value)
 
 

@@ -185,7 +185,7 @@ def test_criterion_7_boundary_exit_time(growth_runs):
     prob = built.problem
     times = traj.path.times()
     for t in times[(times >= 0.0) & (times < traj.tau)]:
-        mem = prob.membership(float(t), segment_at(traj.path, float(t), prob.h))
+        mem = prob.membership(segment_at(traj.path, float(t), prob.h))
         assert mem.is_inside, f"grid time {t} not interior"
     report(7, f"exit at tau={taus[1e-3]:.6f} vs closed form {t_star:.6f}; "
               "interior sound, grid-stable under halving")

@@ -828,13 +828,13 @@ class TestCheckCommand:
         built = build_run(parse_config(get_scenario("mass_growth")))
         prob, dt = built.problem, built.solver.dt
         scalar = integral_norm_functional(built.initial_segment)
-        rows = segment_on_grid(built.initial_segment, dt)
+        rows = segment_on_grid(built.initial_segment, prob.h, dt)
         printed = float(prob.domain_functionals(SegmentStack(prob.h, dt, rows, 0.0))[0])
         assert scalar < printed
 
         def inside(l, value):
             prob.domain = DomainSpec("delay_mass", l)
-            return prob._classify(0.0, value, value).is_inside
+            return prob._classify(value, value).is_inside
 
         l = 0.5 * (scalar + printed) / (1.0 - 1e-9)
         for _ in range(1000):
@@ -856,7 +856,7 @@ class TestCheckCommand:
         except InvalidInitialData:
             return
         first = float(traj.functionals[0])
-        assert built.problem._classify(0.0, first, first).is_inside
+        assert built.problem._classify(first, first).is_inside
 
     @pytest.mark.parametrize("l", ["1.0", "1e6"])
     def test_width_on_a_time_only_domain_exits_2(self, tmp_path, capsys, l):

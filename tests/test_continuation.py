@@ -100,6 +100,17 @@ class TestReachedHorizon:
         assert all(w.converged for w in traj.windows)
         assert_windows_tile_the_path(traj)
 
+    @pytest.mark.parametrize("h, dt", [(1e-8, 1e-10), (1e-9, 1e-11)])
+    def test_a_run_ends_at_T_by_its_cell_count_at_any_time_scale(self, h, dt):
+        # h = T = 100 cells: every grid point up to T is kept, whatever the
+        # scale, as no absolute time test ends the run or refuses its start
+        prob = homogeneous_problem(mu=(1.0,), h=h, T=h)
+        traj = continue_solution(prob, constant_segment(h, [1.0], dt), 0.0,
+                                 SolverConfig(dt=dt, window=h))
+        assert traj.event.kind == "reached_horizon" and traj.tau == h
+        assert traj.path.n_times == 201 and traj.functionals.size == 101
+        assert traj.path.t_end == pytest.approx(h, rel=1e-12)
+
 
 def test_kept_windows_hold_no_stack():
     # a converged window's stack reads its frame's buffers; the trajectory
@@ -132,7 +143,7 @@ class TestBoundaryExit:
         for t in times[times >= 0.0]:
             if t >= traj.tau:
                 continue
-            mem = prob.membership(float(t), segment_at(traj.path, float(t), prob.h))
+            mem = prob.membership(segment_at(traj.path, float(t), prob.h))
             assert mem.is_inside, f"grid time {t} not interior"
 
     def test_functional_at_exit_sits_on_the_boundary(self):
@@ -211,6 +222,47 @@ class TestSupBandRun:
         assert traj.event.detail == "sup_band"
         # the norm itself is u0 e^t, so the band edge is at log(l/u0)
         assert abs(traj.tau - math.log(0.4 / 0.1)) <= 2.0 * dt
+
+    def test_a_crossing_just_before_T_is_bisected_like_any_other(self):
+        # u' = -u + 1e5 from u0 = 0.5 rises by about 1e-3 a cell; the band
+        # edge is put 0.05 dt before T, so every probe of the last cell
+        # lies within 1e-9 of T and is decided by the band alone
+        h = T = 1e-6
+        dt = 1e-8
+        f = TimeForcingTerm([TimeFn("const", (1e5,))])
+        l = 1e5 + (0.5 - 1e5) * math.exp(-(T - 0.05 * dt))
+        prob = NeutralProblem(SpectralOperator([1.0]), h, T, 0.5, ZeroTerm(), f,
+                              DomainSpec("sup_band", l), 0.0)
+        traj = continue_solution(prob, constant_segment(h, [0.5], dt), 0.0,
+                                 SolverConfig(dt=dt, window=h, tol=1e-14))
+        assert traj.event.label() == "boundary_hit:sup_band"
+        # the crossing of the path's linear interpolant in its last cell
+        (t_a, t_b), (u_a, u_b) = traj.path.times()[-2:], traj.path.values[-2:, 0]
+        assert t_b == pytest.approx(T, rel=1e-12)
+        crossing = t_a + (l - u_a) / (u_b - u_a) * (t_b - t_a)
+        assert abs(traj.tau - crossing) <= traj.event.refinement_width
+
+
+class TestInitialHistorySpan:
+    """The initial history is read on the problem's theta grid -h..0."""
+
+    def run(self, span):
+        built = build_run(parse_config(get_scenario("mass_growth")))
+        seg = constant_segment(span, [0.1], built.solver.dt)
+        return built, continue_solution(built.problem, seg, 0.0, built.solver)
+
+    def test_a_longer_history_runs_on_its_last_delay_span(self):
+        built, traj = self.run(2.0)
+        want = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+        assert traj.path.n_times == 3763 and traj.path.t_start == -1.0
+        assert traj.path.t_end == pytest.approx(2.762, abs=1e-12)
+        assert traj.tau < traj.path.t_end
+        assert np.array_equal(traj.path.values, want.path.values)
+        assert (traj.event, traj.tau) == (want.event, want.tau)
+
+    def test_a_shorter_history_is_refused(self):
+        with pytest.raises(ValueError, match=r"outside \[-0\.5, 0\]"):
+            self.run(0.5)
 
 
 class TestSolverFailure:
@@ -395,8 +447,8 @@ class TestRefineBracket:
         a, b = continuation._refine_bracket(prob, stack, self.exit_slice(stack, 1.125), 1e-6)
         assert b - a <= 1e-6 and 1.0 <= a < b <= 1.125
         assert 0.5 * (a + b) == pytest.approx(t_c, abs=1e-5)
-        assert prob.membership(b, segment_at(SolutionPath(0.0, 0.125, stack.values), b,
-                                             prob.h)).kind == "sup_band"
+        assert prob.membership(segment_at(SolutionPath(0.0, 0.125, stack.values), b,
+                                          prob.h)).kind == "sup_band"
 
     def test_vanishing_crossing_found_to_tolerance(self):
         # u(x) = max(1 - x, 0): in the cell [1.375, 1.5] only the oldest node,
@@ -409,8 +461,8 @@ class TestRefineBracket:
         a, b = continuation._refine_bracket(prob, stack, self.exit_slice(stack, 1.5), 1e-6)
         assert b - a <= 1e-6 and 1.375 <= a < b <= 1.5
         assert 0.5 * (a + b) == pytest.approx(1.4125, abs=1e-5)
-        assert prob.membership(b, segment_at(SolutionPath(0.0, dt, stack.values), b,
-                                             prob.h)).kind == "vanishing"
+        assert prob.membership(segment_at(SolutionPath(0.0, dt, stack.values), b,
+                                          prob.h)).kind == "vanishing"
 
 
 #: Draws of a path and one cell of it: (seed, n_modes, dt, n_h, exit slice,
@@ -470,22 +522,27 @@ def test_bisection_probes_decide_as_the_sampled_segment(draw, kind, edge, where)
                           DomainSpec(kind, level if edge == "upper" else level / 1e-9), 0.0)
     probes = []
 
-    def recorded(t, seg):
-        got = NeutralProblem.membership(prob, t, seg)
-        probes.append((t, seg, got))
+    def recorded(seg):
+        got = NeutralProblem.membership(prob, seg)
+        probes.append((seg, got))
         return got
 
     prob.membership = recorded
     continuation._refine_bracket(prob, stack, i, dt / 50)
     assert len(probes) == 6
     tol, l = prob.domain.default_tol(), prob.domain.l
-    for t, seg, got in probes:
+    # each probe's time replays the bisection from the cell's ends
+    b = float(stack.times[i])
+    a = b - dt
+    for seg, got in probes:
+        t = 0.5 * (a + b)
         value = prob.domain_functional(seg)
         bottom = float(seg.node_norms().min()) if kind == "sup_band" else value
         for at, edge_value in ((value, l - tol), (value, l + tol), (bottom, tol)):
             assume(abs(at - edge_value) > 1e-9 * abs(at))
-        want = NeutralProblem.membership(prob, t, segment_at(path, t, prob.h))
+        want = NeutralProblem.membership(prob, segment_at(path, t, prob.h))
         assert (got.state, got.kind) == (want.state, want.kind)
+        a, b = (t, b) if got.is_inside else (a, t)
 
 
 def test_a_boundary_exit_samples_no_segment(monkeypatch):
@@ -561,8 +618,8 @@ def test_an_exit_cuts_the_path_at_its_first_non_interior_grid_point(name):
     assert traj.functionals.shape == (path.n_times - round(prob.h / path.dt),)
     assert path.t_end - path.dt <= traj.tau <= path.t_end
     last, before = path.times()[-1], path.times()[-2]
-    assert not prob.membership(last, segment_at(path, last, prob.h)).is_inside
-    assert prob.membership(before, segment_at(path, before, prob.h)).is_inside
+    assert not prob.membership(segment_at(path, last, prob.h)).is_inside
+    assert prob.membership(segment_at(path, before, prob.h)).is_inside
 
 
 @pytest.mark.parametrize("name", ["modes_wide", "exit_fine"])

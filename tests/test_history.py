@@ -82,7 +82,7 @@ def test_segment_on_grid_matches_pointwise_interpolation(offset):
     thetas[1:-1] += offset
     seg = Segment(h, thetas, np.column_stack([np.exp(thetas), thetas**2]))
     want = np.vstack([seg.value_at(th) for th in grid])
-    np.testing.assert_array_equal(segment_on_grid(seg, dt), want)
+    np.testing.assert_array_equal(segment_on_grid(seg, h, dt), want)
 
 
 class TestSupNorm:

@@ -220,43 +220,37 @@ class TestMembership:
     def test_strict_interior(self):
         prob = self.make()
         seg = constant_segment(1.0, [0.5])  # delay mass 0.5
-        mem = prob.membership(1.0, seg)
+        mem = prob.membership(seg)
         assert mem.is_inside
 
     def test_exact_upper_boundary(self):
         prob = self.make()
         seg = constant_segment(1.0, [1.0])  # delay mass exactly l = 1
-        mem = prob.membership(1.0, seg)
+        mem = prob.membership(seg)
         assert mem.state == "boundary" and mem.kind == "upper_mass"
 
     def test_vanishing_boundary(self):
         prob = self.make()
         seg = constant_segment(1.0, [0.0])
-        mem = prob.membership(1.0, seg)
+        mem = prob.membership(seg)
         assert mem.state == "boundary" and mem.kind == "vanishing"
 
     def test_outside_upper(self):
         prob = self.make()
         seg = constant_segment(1.0, [2.0])
-        mem = prob.membership(1.0, seg)
+        mem = prob.membership(seg)
         assert mem.state == "outside" and mem.kind == "upper_mass"
-
-    def test_horizon_boundary(self):
-        prob = self.make()
-        seg = constant_segment(1.0, [0.5])
-        mem = prob.membership(2.0, seg)
-        assert mem.state == "boundary" and mem.kind == "horizon"
 
     def test_sup_band_upper_and_vanishing(self):
         op = SpectralOperator([1.0])
         prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("sup_band", 1.0))
         thetas = np.linspace(-1.0, 0.0, 5)
         hit = Segment(1.0, thetas, np.array([0.5, 0.6, 1.0, 0.4, 0.5])[:, None])
-        assert prob.membership(0.5, hit).kind == "sup_band"
+        assert prob.membership(hit).kind == "sup_band"
         dip = Segment(1.0, thetas, np.array([0.5, 0.0, 0.4, 0.4, 0.5])[:, None])
-        assert prob.membership(0.5, dip).kind == "vanishing"
+        assert prob.membership(dip).kind == "vanishing"
         mid = Segment(1.0, thetas, np.full((5, 1), 0.5))
-        assert prob.membership(0.5, mid).is_inside
+        assert prob.membership(mid).is_inside
 
     def test_band_states_follow_the_value_at_the_domain_tolerance(self):
         # states rank vanishing < inside < upper edge < outside as the delay
@@ -268,14 +262,14 @@ class TestMembership:
         values = np.sort(np.concatenate([rng.uniform(0.0, 1.2, 200),
                                          1.0 + np.arange(-3, 4) * 1e-9, [0.0, 1e-9]]))
         ranks = [rank[mem.state, mem.kind] for mem in
-                 (prob.membership(1.0, constant_segment(1.0, [v])) for v in values)]
+                 (prob.membership(constant_segment(1.0, [v])) for v in values)]
         assert ranks == sorted(ranks) and set(ranks) == {0, 1, 2, 3}
         op = SpectralOperator([1.0])
         F = prob.domain_functional(constant_segment(1.0, [0.5]))
         for l, state in ((F * (1.0 - 2e-9), "outside"), (F, "boundary"),
                          (F * (1.0 + 2e-9), "inside")):
             band = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("delay_mass", l))
-            assert band.membership(1.0, constant_segment(1.0, [0.5])).state == state
+            assert band.membership(constant_segment(1.0, [0.5])).state == state
 
     def test_time_only_domain_takes_no_width(self):
         # l would be read nowhere by the scan, yet the admission checks
@@ -514,18 +508,21 @@ def test_batch_scan_finds_the_first_exit_of_the_pointwise_scan(case, data):
     op = SpectralOperator(np.ones(stack.values.shape[1]))
     prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec(kind, l), T=T)
 
-    # the reference: membership's rule on each slice's batch value and
-    # smallest node norm, one slice at a time
+    # the reference: membership's band rule on each slice's batch value and
+    # smallest node norm, one slice at a time; a T drawn inside the window
+    # flags no slice, so the scan is the one of a problem whose T lies past it
     values = prob.domain_functionals(stack)
     expected = None
     for i in range(1, m + 1):
-        t_i = t + i * dt
         bottom = values[i] if kind == "delay_mass" else slice_segment(stack, i).node_norms().min()
-        mem = prob._classify(t_i, float(values[i]), float(bottom))
+        mem = prob._classify(float(values[i]), float(bottom))
         if not mem.is_inside:
             expected = (i, mem)
             break
-    assert prob.first_exit_slice(stack) == expected
+    got = prob.first_exit_slice(stack)
+    assert got == expected
+    later = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec(kind, l), T=T + 10.0)
+    assert got == later.first_exit_slice(stack)
 
 
 def test_scan_decides_a_band_edge_on_the_batch_value():
@@ -570,7 +567,7 @@ def test_scan_and_membership_split_an_exact_tie_alike():
     path = SolutionPath(0.0, 0.25, values)
     op = SpectralOperator([1.0])
     prob = simple_problem(op, ZeroTerm(), ZeroTerm(), domain=DomainSpec("sup_band", l), T=10.0)
-    mem = prob.membership(1.25, segment_at(path, 1.25, 1.0))
+    mem = prob.membership(segment_at(path, 1.25, 1.0))
     assert (mem.state, mem.kind, mem.value - l) == ("boundary", "sup_band", -tol)
     assert prob.first_exit_slice(SegmentStack(1.0, 0.25, values, 1.0)) == (1, mem)
 
