@@ -551,7 +551,10 @@ def segment_on_grid(seg: Segment, h: float, dt: float) -> np.ndarray:
     if seg.thetas.size == n_h + 1 and np.allclose(seg.thetas, thetas, rtol=0.0,
                                                   atol=1e-12 * max(1.0, h)):
         return np.array(seg.values, dtype=float)
-    return np.vstack([seg.value_at(th) for th in thetas])
+    # one value_at over a batch of the segment, one theta each: every node
+    # is located, gathered and snapped at once, bitwise as one at a time
+    batch = np.broadcast_to(seg.values, (n_h + 1,) + seg.values.shape)
+    return Segment._trusted(seg.h, seg.thetas, batch).value_at(thetas)
 
 
 def extend(path: SolutionPath, m: int) -> SolutionPath:

@@ -77,20 +77,25 @@ of the path and nothing is resampled), and its candidates go into the
 free rows after them, so no history is copied and a converged window is
 committed where it was solved: ``extend`` only moves the path's end past
 its rows.  It computes once: phi(0), the grid times, the free evolution
-S(s)(phi(0) + g(t0, phi)) (the only scalar g call of the attempt), which
-it keeps on the active columns and writes into the passive columns of the
-free rows, and the history's block of trapezoid sums for the delay
-masses.  Its first iterate takes each running-max window's edges from the
-run's store or resolves them there, so every later iterate only gathers
-norms at the resolved rows.  Each candidate is loaded once: ``load``
-writes the active columns of its rows 1..m and their norms
+S(s)(phi(0) + g(t0, phi)), which it keeps on the active columns and
+writes into the passive columns of the free rows, and the history's block
+of trapezoid sums for the delay masses.  g(t0, phi) is the attempt's one
+scalar g call.  A g of the ``zero`` family, which the run frame tells by
+its family, not by an empty support (an all-zero affine profile still
+checks its argument range), is never evaluated: the start is phi(0) + 0.0
+and G is S(s) start plus the memory integral of f.  The frame's first
+iterate takes each running-max window's edges from the run's store or
+resolves them there, so every later iterate only gathers norms at the
+resolved rows.  Each candidate is loaded once: ``load`` writes the
+active columns of its rows 1..m and their norms
 (row 0 is phi(0), the path's last row, and keeps its stored norm), the
 trust-region screen reads the stored norms, and the operator then calls
 each term's ``evaluate_window`` on the same stack and the active columns
 and runs the scan on mu g + f there.  A non-finite row of g or f reaches
-G(y) through a positive weight, so ``solve_window`` tests only G(y), once
-per iterate, under one ``errstate`` per attempt; the frame tests
-phi(0) + g(t0, phi), which the free evolution scales.
+G(y) through a positive weight, and a non-finite G(y) makes the residual
+||G(y) - y|| nan or inf, so ``solve_window`` tests G(y) only when the
+residual is not finite, under one ``errstate`` per attempt; the frame
+tests phi(0) + g(t0, phi), which the free evolution scales.
 
 Each window starts, in its active columns, from the polynomial of degree
 ``_WARM_DEGREE`` through the history rows phi(0), phi(-s dt), ...,
@@ -98,11 +103,13 @@ phi(-6 s dt), continued over the window as in the continuous extensions
 of Bellen & Zennaro, "Numerical Methods for Delay Differential Equations",
 2003.  The stencil spacing is s = m // _WARM_SPACING cells for the run's
 first width m, shrunk until the stencil fits the history.  The run frame
-builds the Lagrange weights of every window node once, and the guess is
-the stencil's rows times them, added up in one order, elementwise.  Nodes
-spaced like the window keep the weights' sizes bounded whatever dt is: at
-spacing dt a degree-p extrapolation over m cells multiplies rounding by
-about m^p/p!, and a run's iterates grow with 1/dt.  A degree-p guess is off by
+builds the Lagrange weights once, stencil row by window node, and the
+guess is the stencil's rows times them, summed in one axis-0 reduction
+that adds the rows oldest first, as an elementwise loop does: its bits do
+not depend on a BLAS kernel.  Nodes spaced like the window keep the
+weights' sizes bounded whatever dt is: at spacing dt a degree-p
+extrapolation over m cells multiplies rounding by about m^p/p!, and a
+run's iterates grow with 1/dt.  A degree-p guess is off by
 O(w^(p+1)) where the flat start phi(0) is off by O(w), so Picard
 iteration, whose error shrinks like (Lw)^k/k!, starts some iterates ahead.
 The flat start phi(0) serves as the guard: a guess that leaves the trust
@@ -128,7 +135,7 @@ import numpy as np
 from .errors import DomainViolation, HypothesisViolation, NumericalBlowup
 from .history import (Segment, SegmentStack, SolutionPath, _first_block_sums,
                       _require_divides)
-from .problem import NeutralProblem
+from .problem import NeutralProblem, ZeroTerm
 
 #: Below this z the closed-form weights lose the 1e-10 target to cancellation.
 _SERIES_Z = 0.04
@@ -398,12 +405,14 @@ class RunFrame:
     the rates, the cell weights and the ``scan`` tables
     (``_ScanTables``), which depend on mu dt alone.  The warm start
     reads the history every ``warm_step`` rows, and ``warm`` holds its
-    (m+1, degree+1) weights (``_warm_stencil``, ``_warm_weights``); the
+    (degree+1, m+1, 1) weights (``_warm_stencil``, ``_warm_weights``); the
     step is fixed by m and the history, not by the window.  A window of
-    k <= m cells reads the first k+1 rows of the decay table and of
-    ``warm``, and a prefix of each scan table, bitwise what a k-cell build
-    at the same step gives.  ``edges`` is the run's one store of resolved
-    running-max window edges (``SegmentStack.window_edges``).  Terms are
+    k <= m cells reads the first k+1 rows of the decay table, the first
+    k+1 nodes of ``warm``, and a prefix of each scan table, bitwise what a
+    k-cell build at the same step gives.  ``g_zero`` records whether g is
+    the ``zero`` family, whose values no attempt computes.  ``edges`` is
+    the run's one store of resolved running-max window edges
+    (``SegmentStack.window_edges``).  Terms are
     shared across runs, so the tables and the store go with the frame,
     never into a module- or operator-level cache.
     """
@@ -418,6 +427,7 @@ class RunFrame:
         self.n_active = support.size
         mu = prob.op.mu[self.active]
         self.prob = prob
+        self.g_zero = isinstance(prob.g, ZeroTerm)
         self.dt = dt
         self.m = m
         self.n_h = int(round(prob.h / dt))
@@ -449,7 +459,8 @@ class WindowFrame:
     and the warm start's weights come from the run's ``RunFrame``.
 
     Per attempt the frame computes the grid times, phi(0), ``start`` =
-    phi(0) + g(t0, phi) (the only scalar g call of the attempt), the free
+    phi(0) + g(t0, phi) (one scalar g call, none when ``run.g_zero``: the
+    zero family's g is +0.0, so ``start`` is phi(0) + 0.0), the free
     evolution S(s) start on the active columns, ``free``, which every
     iterate reads, and the history's block of trapezoid sums for the delay
     masses.  The passive columns, those outside ``run.active``, take the
@@ -493,8 +504,12 @@ class WindowFrame:
         # row 0 of the window keeps phi(0)'s stored norm, so the first
         # slice's block of delay-mass sums holds for every load
         self._history_sums = _first_block_sums(dt, hist_norms)
-        seg = Segment._trusted(prob.h, run.thetas, self.hist, hist_norms)
-        start = self.start = self.phi0 + prob.eval_g(t0, seg)
+        if run.g_zero:
+            # the zero family's g(t0, phi) is +0.0 on every column
+            start = self.start = self.phi0 + 0.0
+        else:
+            seg = Segment._trusted(prob.h, run.thetas, self.hist, hist_norms)
+            start = self.start = self.phi0 + prob.eval_g(t0, seg)
         if not np.isfinite(start).all():
             raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
         # the passive columns' G: the free evolution, with the 0.0 that
@@ -551,10 +566,16 @@ def evaluate_window_operator(frame: WindowFrame, stack: SegmentStack) -> np.ndar
     prob = frame.prob
     run = frame.run
     active = run.active
-    g_vals = prob.g.evaluate_window(stack, active)
-    f_vals = prob.f.evaluate_window(stack, active)
-    out = frame.free - g_vals
-    out += _product_scan(run.mu * g_vals + f_vals, run.w0, run.w1, run.scan)
+    if run.g_zero:
+        # free - 0.0 is free, and mu*0.0 + f is f + 0.0, whose 0.0 turns a
+        # -0.0 of f into the +0.0 the sum gives
+        f_vals = prob.f.evaluate_window(stack, active)
+        out = frame.free + _product_scan(f_vals + 0.0, run.w0, run.w1, run.scan)
+    else:
+        g_vals = prob.g.evaluate_window(stack, active)
+        f_vals = prob.f.evaluate_window(stack, active)
+        out = frame.free - g_vals
+        out += _product_scan(run.mu * g_vals + f_vals, run.w0, run.w1, run.scan)
     out[0] = frame.phi0[active]
     return out
 
@@ -590,42 +611,41 @@ def _warm_stencil(m: int, n_h: int) -> tuple[int, int]:
 
 
 def _warm_weights(m: int, step: int, degree: int) -> np.ndarray:
-    """(m+1, degree+1) Lagrange weights of the stencil phi(-degree*step*dt),
+    """(degree+1, m+1, 1) Lagrange weights of the stencil phi(-degree*step*dt),
     ..., phi(-step*dt), phi(0), oldest first, at the window nodes i*dt,
     i = 0..m.
 
-    Entry (i, j) is the product over l != j of (i - x_l)/(x_j - x_l), with
+    Entry (j, i) is the product over l != j of (i - x_l)/(x_j - x_l), with
     x_j = -(degree - j)*step, taken in one order from i, step and degree
-    alone, so a prefix of rows is what a narrower build gives.  Row 0 is
-    exactly (0, ..., 0, 1).
+    alone, so a prefix of the nodes is what a narrower build gives.  At
+    node 0 they are exactly (0, ..., 0, 1).  The last axis broadcasts over
+    the columns.
     """
     nodes = -step * np.arange(degree, -1.0, -1.0)
-    at = np.arange(m + 1.0)[:, None]
-    weights = np.ones((m + 1, degree + 1))
+    at = np.arange(m + 1.0)
+    weights = np.ones((degree + 1, m + 1))
     for l, xl in enumerate(nodes):
         gaps = nodes - xl
         gaps[l] = 1.0
-        factors = (at - xl) / gaps
-        factors[:, l] = 1.0
+        factors = (at - xl) / gaps[:, None]
+        factors[l] = 1.0
         weights *= factors
-    return weights
+    return weights[:, :, None]
 
 
 def _warm_start(hist: np.ndarray, weights: np.ndarray, step: int, cols=slice(None)) -> np.ndarray:
     """First candidate: the polynomial through the history rows phi(0),
     phi(-step*dt), ..., phi(-degree*step*dt) of the columns ``cols``,
     continued to the window nodes: the stencil's rows times their weights,
-    added up oldest first.
+    added up oldest first by one axis-0 reduction, which adds one row at a
+    time, as an elementwise loop does.
 
-    ``weights`` are ``_warm_weights`` rows, one per window node, of degree
-    one less than their columns; degree 0 repeats phi(0).
+    ``weights`` are ``_warm_weights``, or a prefix of their nodes, of degree
+    one less than their first axis; degree 0 repeats phi(0).
     """
-    first = hist.shape[0] - 1 - (weights.shape[1] - 1) * step
+    first = hist.shape[0] - 1 - (weights.shape[0] - 1) * step
     rows = hist[first::step, cols]
-    guess = weights[:, :1] * rows[0]
-    for j in range(1, rows.shape[0]):
-        guess += weights[:, j : j + 1] * rows[j]
-    return guess
+    return np.add.reduce(weights * rows[:, None, :], axis=0)
 
 
 def _first_candidate(frame: WindowFrame, radius: float):
@@ -638,7 +658,7 @@ def _first_candidate(frame: WindowFrame, radius: float):
     starts and G(y) hold the active columns.
     """
     run = frame.run
-    y = _warm_start(frame.hist, run.warm[: frame.m + 1], run.warm_step, run.active)
+    y = _warm_start(frame.hist, run.warm[:, : frame.m + 1], run.warm_step, run.active)
     stack = frame.load(y)
     if not _drift_exceeds(frame, radius):
         try:
@@ -682,12 +702,14 @@ def solve_window(run: RunFrame, path: SolutionPath, t0: float, cfg: SolverConfig
     for it in range(1, cfg.max_iter + 1):
         if gy is None:
             gy = evaluate_window_operator(frame, stack)
-            if not np.isfinite(gy).all():
-                raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
         diff = gy - y
         # np.linalg.norm(diff, axis=1).max(): sqrt is monotone, so it can
         # follow the max
         residual = float(np.sqrt(np.add.reduce(diff * diff, axis=1).max()))
+        # a non-finite entry of G(y) makes the residual nan or inf, whatever
+        # y holds; only such a residual asks whether G(y) is finite
+        if not residual < math.inf and not np.isfinite(gy).all():
+            raise NumericalBlowup(f"window at t0={t0} produced non-finite values")
         if prev_residual is not None and prev_residual > 0.0:
             contraction = residual / prev_residual
         # the window takes G(y), not y: with contraction q it is q times

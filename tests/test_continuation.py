@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from neutraldde import (
     DomainSpec,
+    DomainViolation,
     FunctionalAffineTerm,
     InvalidInitialData,
     NeutralProblem,
+    NumericalBlowup,
     Segment,
     SolutionPath,
     SolverConfig,
@@ -28,8 +30,9 @@ from neutraldde import (
 )
 import neutraldde.continuation as continuation
 import neutraldde.history as history
+import neutraldde.solver as solver
 from neutraldde.config import build_run, parse_config
-from neutraldde.history import extend
+from neutraldde.history import extend, segment_on_grid
 from neutraldde.scenarios import get_scenario, scenario_names
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -287,6 +290,59 @@ class TestSolverFailure:
         dt = 0.1
         cfg = SolverConfig(dt=dt, window=0.5, trust_radius=math.inf)
         traj = continue_solution(prob, constant_segment(1.0, [1.0], dt), 0.0, cfg)
+        assert traj.event.label() == "solver_failure:numerical_blowup"
+        assert traj.tau == 0.0
+
+    def test_a_zero_affine_neutral_term_still_checks_its_argument(self):
+        # an affine g whose profile is all zeros writes no column, but its
+        # functional, the initial delay mass 0.3, is past its cap 0.2
+        text = get_scenario("parabolic_delay_mass")
+        text = text.replace("g_profile = sine:1:1.0", "g_profile = modes:0 0 0 0 0 0 0 0")
+        text = text.replace("g_y_max = 1.0", "g_y_max = 0.2")
+        built = build_run(parse_config(text))
+        assert built.problem.g.support(8).size == 0
+        with pytest.raises(DomainViolation, match=r"0\.3 outside .*\[0, 0\.2\]"):
+            continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
+
+    @staticmethod
+    def _blowing_operator(monkeypatch, bad):
+        # G as the solver computes it, but from each attempt's second image
+        # on, one value is ``bad``: the first candidate maps to finite values
+        images = []
+        operator = solver.evaluate_window_operator
+
+        def blowing(frame, stack):
+            out = operator(frame, stack)
+            frame.images = getattr(frame, "images", 0) + 1
+            images.append(frame.images)
+            if frame.images >= 2:
+                out[-1, 0] = bad
+            return out
+
+        monkeypatch.setattr(solver, "evaluate_window_operator", blowing)
+        return images
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mass_growth", "parabolic_delay_mass"])
+    def test_a_non_finite_second_image_raises_numerical_blowup(self, name, bad, monkeypatch):
+        built = build_run(parse_config(get_scenario(name)))
+        prob, cfg = built.problem, built.solver
+        m = round(min(cfg.window, prob.h) / cfg.dt)
+        rows = segment_on_grid(built.initial_segment, prob.h, cfg.dt)
+        run = solver.RunFrame(prob, cfg.dt, m)
+        frame = solver.WindowFrame(run, SolutionPath(-prob.h, cfg.dt, rows), 0.0, m)
+        # unpatched, the warm start is kept and its first iterate does not
+        # converge, so the second image is the loop's first
+        assert solver._first_candidate(frame, cfg.trust_radius)[2] is not None
+        assert solve_window(run, SolutionPath(-prob.h, cfg.dt, rows), 0.0, cfg, 1.0,
+                            m).iterations >= 2
+        images = self._blowing_operator(monkeypatch, bad)
+        with pytest.raises(NumericalBlowup, match="^window at t0=0.0 produced non-finite values$"):
+            solve_window(run, SolutionPath(-prob.h, cfg.dt, rows), 0.0, cfg, 1.0, m)
+        assert images == [1, 2]
+        # every retry fails alike, so the run ends at its start
+        traj = continue_solution(prob, built.initial_segment, 0.0, cfg)
         assert traj.event.label() == "solver_failure:numerical_blowup"
         assert traj.tau == 0.0
 

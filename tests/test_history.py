@@ -73,6 +73,11 @@ class TestSegmentAt:
         np.testing.assert_array_equal(seg.values, path.values[i0 : i0 + 21])
 
 
+def pointwise_on_grid(seg, h, dt):
+    """``segment_on_grid`` node by node: one ``value_at`` per grid theta."""
+    return np.vstack([seg.value_at(th) for th in -h + dt * np.arange(int(round(h / dt)) + 1)])
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-13, 2e-7])
 def test_segment_on_grid_matches_pointwise_interpolation(offset):
     # nodes moved off the grid by more than rounding are interpolated, not copied
@@ -81,8 +86,45 @@ def test_segment_on_grid_matches_pointwise_interpolation(offset):
     thetas = grid.copy()
     thetas[1:-1] += offset
     seg = Segment(h, thetas, np.column_stack([np.exp(thetas), thetas**2]))
-    want = np.vstack([seg.value_at(th) for th in grid])
-    np.testing.assert_array_equal(segment_on_grid(seg, h, dt), want)
+    np.testing.assert_array_equal(segment_on_grid(seg, h, dt), pointwise_on_grid(seg, h, dt))
+
+
+class TestSegmentOnGridOffTheGrid:
+    """All nodes of an off-grid history at once, bitwise the node-by-node reads."""
+
+    @pytest.mark.parametrize("seg_h, n_nodes", [(1.0, 7), (1.0, 2), (2.0, 2001), (3.5, 40)])
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_random_nodes_and_longer_histories(self, seg_h, n_nodes, n_modes):
+        rng = np.random.default_rng(n_nodes + n_modes)
+        inner = np.sort(rng.uniform(-seg_h, 0.0, n_nodes - 2))
+        thetas = np.concatenate([[-seg_h], inner, [0.0]])
+        seg = Segment(seg_h, thetas, rng.uniform(-1.0, 1.0, (n_nodes, n_modes)))
+        for h, dt in ((1.0, 1e-3), (1.0, 0.125), (0.5, 0.05)):
+            got = segment_on_grid(seg, h, dt)
+            assert got.shape == (int(round(h / dt)) + 1, n_modes)
+            assert got.tobytes() == pointwise_on_grid(seg, h, dt).tobytes()
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5 * _GRID_EPS, -0.5 * _GRID_EPS, 3e-9])
+    def test_grid_thetas_that_snap_to_a_node(self, shift):
+        # a history of step 0.05 on [-2, 0], its inner nodes moved by
+        # ``shift``: a grid theta within the slack of a node reads that node,
+        # even beside an infinite value, where the interpolant is inf * 0
+        thetas = np.linspace(-2.0, 0.0, 41)
+        thetas[1:-1] += shift
+        values = np.column_stack([np.cos(thetas), thetas])
+        values[20, 1] = np.inf
+        seg = Segment(2.0, thetas, values)
+        got = segment_on_grid(seg, 1.0, 0.1)
+        assert got.tobytes() == pointwise_on_grid(seg, 1.0, 0.1).tobytes()
+        if shift == 0.0:
+            assert np.array_equal(got, values[20::2])
+
+    def test_a_grid_outside_the_history_names_the_first_bad_theta(self):
+        seg = Segment(0.5, np.linspace(-0.5, 0.0, 7), np.ones((7, 2)))
+        with pytest.raises(ValueError, match=r"^theta -1\.0 outside \[-0\.5, 0\]$"):
+            segment_on_grid(seg, 1.0, 0.1)
+        with pytest.raises(ValueError, match=r"^theta -1\.0 outside \[-0\.5, 0\]$"):
+            pointwise_on_grid(seg, 1.0, 0.1)
 
 
 class TestSupNorm:

@@ -430,6 +430,25 @@ class TestWindowOperator:
         got = apply_operator(case.problem, seg, dt, exact)
         assert float(np.abs(got - exact).max()) <= 1e-14
 
+    def test_zero_neutral_term_keeps_the_full_formulas_signed_zeros(self):
+        # G of a zero-family g skips g, yet gives free - g + scan(mu g + f)
+        # to the bit.  Here the free evolution underflows to -0.0 (a
+        # negative start times e^(-1e4)), and f is 0.0 * (-1) = -0.0, as
+        # its functional, the norm's max over [t - h, t - h/2], is 0: the
+        # full formula's mu*0.0 + f turns that into +0.0, so G is +0.0
+        h, dt, m = 0.5, 0.01, 10
+        f = FunctionalAffineTerm(0.0, 1.0, [-1.0], "max", window=WindowFns(-h, 1.0, -h / 2, 1.0))
+        prob = NeutralProblem(SpectralOperator([1e6]), h, 2.0, 0.5, ZeroTerm(), f,
+                              DomainSpec("time_only"), 0.0)
+        hist = np.zeros((51, 1))
+        hist[-5:] = -1.0
+        frame = window_frame(prob, hist, 0.0, dt, m)
+        assert frame.run.g_zero
+        candidate = np.full((m + 1, 1), -1.0)
+        got = evaluate_window_operator(frame, frame.load(candidate))
+        assert np.all(np.signbit(frame.free[1:])) and not np.any(np.signbit(got[1:]))
+        assert got.tobytes() == plain_operator(prob, hist, 0.0, dt, candidate).tobytes()
+
 
 class TestSolveWindow:
     def test_homogeneous_two_iterations_exact(self):
@@ -543,6 +562,17 @@ def lagrange_reference(hist, m, step, degree):
     return out
 
 
+def loop_warm_start(hist, weights, step, cols=slice(None)):
+    """``_warm_start`` as an elementwise loop: each stencil row times its
+    weights, added to the guess one row at a time, oldest first."""
+    first = hist.shape[0] - 1 - (weights.shape[0] - 1) * step
+    rows = hist[first::step, cols]
+    guess = weights[0] * rows[0]
+    for j in range(1, rows.shape[0]):
+        guess += weights[j] * rows[j]
+    return guess
+
+
 def warm_start(hist, m, step, degree):
     """``_warm_start`` with weights of its own width."""
     return _warm_start(hist, _warm_weights(m, step, degree), step)
@@ -559,7 +589,8 @@ class TestWarmStart:
         hist = poly(-h + dt * np.arange(int(round(h / dt)) + 1))
         guess = warm_start(hist, m, step, _WARM_DEGREE)
         weights = _warm_weights(m, step, _WARM_DEGREE)
-        bound = 64 * np.finfo(float).eps * (np.abs(weights) @ np.abs(hist[-1 - 6 * step :: step]))
+        bound = 64 * np.finfo(float).eps * (np.abs(weights[:, :, 0].T)
+                                            @ np.abs(hist[-1 - 6 * step :: step]))
         assert np.all(np.abs(guess - poly(dt * np.arange(m + 1))) <= bound)
         assert np.all(np.abs(guess - lagrange_reference(hist, m, step, _WARM_DEGREE)) <= bound)
         assert np.array_equal(guess[0], hist[-1])
@@ -582,7 +613,7 @@ class TestWarmStart:
         # two rows hold a line, whatever the degree asked for
         prob = homogeneous_problem(h=0.01)
         run = RunFrame(prob, 0.01, 3)
-        assert run.warm.shape == (4, 2)
+        assert run.warm.shape == (2, 4, 1)
         hist = np.array([[1.0], [3.0]])
         assert np.array_equal(_warm_start(hist, run.warm, run.warm_step)[:, 0],
                               [3.0, 5.0, 7.0, 9.0])
@@ -596,15 +627,32 @@ class TestWarmStart:
         # up to rounding
         run = RunFrame(homogeneous_problem(mu=np.arange(1.0, n_modes + 1.0)), 0.01, m)
         step, degree = _warm_stencil(m, run.n_h)
-        assert run.warm_step == step and run.warm.shape == (m + 1, degree + 1)
+        assert run.warm_step == step and run.warm.shape == (degree + 1, m + 1, 1)
         hist = np.random.default_rng(100 * m + n_modes).uniform(-2.0, 2.0, size=(51, n_modes))
         for k in range(1, m + 1):
             own = _warm_weights(k, step, degree)
-            assert run.warm[: k + 1].tobytes() == own.tobytes()
-            got = _warm_start(hist, run.warm[: k + 1], step)
+            assert run.warm[:, : k + 1].tobytes() == own.tobytes()
+            got = _warm_start(hist, run.warm[:, : k + 1], step)
             assert got.tobytes() == _warm_start(hist, own, step).tobytes()
+            assert got.tobytes() == loop_warm_start(hist, run.warm[:, : k + 1], step).tobytes()
             np.testing.assert_allclose(got, lagrange_reference(hist, k, step, degree),
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 40])
+    @pytest.mark.parametrize("degree", [0, 1, _WARM_DEGREE])
+    @pytest.mark.parametrize("n_cols, cols", [(1, slice(None)), (5, np.array([0, 2, 3])),
+                                              (5, slice(1, 4)), (256, slice(None))])
+    def test_one_pass_is_the_elementwise_loop_bitwise(self, m, degree, n_cols, cols):
+        # the axis-0 reduction adds the stencil rows oldest first, as the
+        # loop does, on a prefix of the nodes too
+        step = max(1, m // 8)
+        hist = np.random.default_rng(m + 10 * degree + n_cols).uniform(
+            -2.0, 2.0, size=(degree * step + 3, n_cols))
+        weights = _warm_weights(m + 5, step, degree)
+        for w in (_warm_weights(m, step, degree), weights[:, : m + 1]):
+            got = _warm_start(hist, w, step, cols)
+            assert got.shape == (m + 1, hist[:, cols].shape[1])
+            assert got.tobytes() == loop_warm_start(hist, w, step, cols).tobytes()
 
     @staticmethod
     def _kinked_history(h, dt):
@@ -633,7 +681,8 @@ class TestWarmStart:
         guess = _warm_start(hist, frame.run.warm, frame.run.warm_step)
         # exact up to rounding, as a polynomial history's guess is
         assert frame.run.warm_step == 1
-        bound = 64 * np.finfo(float).eps * float(np.abs(frame.run.warm[-1]) @ np.abs(hist[-7:, 0]))
+        bound = 64 * np.finfo(float).eps * float(np.abs(frame.run.warm[:, -1, 0])
+                                                 @ np.abs(hist[-7:, 0]))
         assert abs(guess[-1, 0] - 64.0 / 9.0) <= bound
         frame.load(guess)
         assert _drift_exceeds(frame, cfg.trust_radius)
@@ -725,7 +774,8 @@ class TestWindowFrame:
         assert _drift_exceeds(frame, 1e300) == (bad == np.inf)
         assert passes
 
-    def test_window_invariants_are_computed_once_per_attempt(self, monkeypatch):
+    @pytest.mark.parametrize("name, g_calls", [("mass_growth", 0), ("parabolic_delay_mass", 1)])
+    def test_window_invariants_are_computed_once_per_attempt(self, name, g_calls, monkeypatch):
         import neutraldde.continuation as continuation
         from neutraldde import continue_solution
         from neutraldde.config import build_run, parse_config
@@ -733,9 +783,9 @@ class TestWindowFrame:
 
         calls = {"attempts": 0, "grid": 0, "eval_g": 0}
 
-        def counted(name, fn):
+        def counted(key, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -743,14 +793,16 @@ class TestWindowFrame:
         monkeypatch.setattr(continuation, "segment_on_grid",
                             counted("grid", continuation.segment_on_grid))
         monkeypatch.setattr(NeutralProblem, "eval_g", counted("eval_g", NeutralProblem.eval_g))
-        built = build_run(parse_config(get_scenario("mass_growth")))
+        built = build_run(parse_config(get_scenario(name)))
         traj = continue_solution(built.problem, built.initial_segment, 0.0, built.solver)
         iterations = sum(w.iterations for w in traj.windows)
         assert calls["attempts"] >= len(traj.windows) > 1
         assert iterations > calls["attempts"]
         # the initial segment is put on the grid once per run, at the API edge
         assert calls["grid"] == 1
-        assert calls["eval_g"] == calls["attempts"]
+        # g(t0, phi) once per attempt, and never for the zero family, as
+        # mass_growth's neutral term is
+        assert calls["eval_g"] == g_calls * calls["attempts"]
 
     def test_windows_take_path_rows_without_sampling_segments(self, monkeypatch):
         import neutraldde.continuation as continuation
@@ -959,8 +1011,8 @@ class TestWindowFrame:
             assert len(run.scan.factors) >= len(own.scan.factors)
             for a, b in zip(run.scan.factors, own.scan.factors):
                 assert a.tobytes() == b.tobytes()
-            assert run.warm[: k + 1].tobytes() == _warm_weights(
-                k, run.warm_step, run.warm.shape[1] - 1).tobytes()
+            assert run.warm[:, : k + 1].tobytes() == _warm_weights(
+                k, run.warm_step, run.warm.shape[0] - 1).tobytes()
             assert frame.free.tobytes() == fresh.free.tobytes()
             candidate = rng.uniform(-0.3, 0.3, size=(k + 1, run.n_active))
             candidate[0] = frame.phi0[run.active]
@@ -1111,7 +1163,7 @@ def unsplit_solve(prob, hist, t0, cfg, damping=1.0):
     hist = np.asarray(hist, dtype=float)
     m = int(round(cfg.window / cfg.dt))
     step, degree = _warm_stencil(m, hist.shape[0] - 1)
-    y = _warm_start(hist, _warm_weights(m, step, degree), step)
+    y = loop_warm_start(hist, _warm_weights(m, step, degree), step)
     gy = None
     if plain_drift(hist, y) <= cfg.trust_radius:
         try:
